@@ -13,6 +13,8 @@ Examples:
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.  Identical invocations produce byte-identical output; `num` and `den`
 columns are exact decimal strings that re-parse to the in-memory rationals.
+A coefficient whose value lies outside double range keeps exact `num` and
+`den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
 """
 
 from __future__ import annotations
@@ -100,6 +102,19 @@ def _print_check(rec: dict) -> None:
     sys.stdout.write(json.dumps(rec) + "\n")
 
 
+def _float(sv) -> float:
+    """float(sv), or inf/-inf with the sign of sv when it is outside double range."""
+    try:
+        return float(sv)
+    except OverflowError:
+        pass
+    try:
+        # the rational factor alone overflowed; its product with beta^scale_exp may not
+        return float(sv.coeff * Fraction(sv.shift.beta) ** sv.scale_exp)
+    except OverflowError:
+        return math.inf if sv.coeff > 0 else -math.inf
+
+
 # ------------------------------ worker jobs -------------------------------
 # top-level functions so process pools can pickle them
 
@@ -112,7 +127,7 @@ def _coeff_job(args) -> dict:
         "num": str(sv.coeff.numerator),
         "den": str(sv.coeff.denominator),
         "pi_exp": sv.scale_exp,
-        "float": float(sv),
+        "float": _float(sv),
     }
 
 
@@ -169,6 +184,17 @@ def _build_spec(ns) -> SumSpec:
     if ns.l is None:
         raise UsageError("--l is required for this command")
     return SumSpec(r=ns.r, l=ns.l, p=ns.p, q=None if ns.q == 0 else ns.q)
+
+
+def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
+    """(g*n*sum(c_g), C(gn, n), whether both printed c_g forms agree) over the
+    g-compositions of n."""
+    comps = list(sequences.enumerate_g_compositions(n, g))
+    forms_ok = all(
+        sequences.cg_weight(c) == sequences.cg_weight_factorial_form(c) for c in comps
+    )
+    total = g * n * sum(sequences.cg_weight(c) for c in comps)
+    return total, math.comb(g * n, n), forms_ok
 
 
 def _cmd_verify(ns) -> int:
@@ -247,13 +273,7 @@ def _cmd_verify(ns) -> int:
         )
 
     if "cg" in names:
-        comps = list(sequences.enumerate_g_compositions(ns.n, ns.g))
-        forms_ok = all(
-            sequences.cg_weight(c) == sequences.cg_weight_factorial_form(c)
-            for c in comps
-        )
-        total = ns.g * ns.n * sum(sequences.cg_weight(c) for c in comps)
-        target = math.comb(ns.g * ns.n, ns.n)
+        total, target, forms_ok = _cg_identity(ns.n, ns.g)
         ok = forms_ok and total == target
         checks.append(
             {
@@ -273,17 +293,16 @@ def _cmd_verify(ns) -> int:
 def _cmd_coeffs(ns) -> int:
     spec = _build_spec(ns)
     family = Family(ns.family)
-    needs_m = family in (Family.SHIFTED, Family.ANTISYM, Family.FOUR)
-    if needs_m and ns.m is None:
+    form = sums._FAMILIES[family]
+    if form.half_axes and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
     m = None if ns.m is None else ns.m[0]
-    parity = 1 if family in (Family.ODD, Family.ODD_SINC) else 0
     if ns.a_max is not None:
         a_min = ns.a_min if ns.a_min is not None else -ns.a_max
-        A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == parity]
+        A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == form.parity]
         if not A_values:
             raise UsageError(
-                f"no A of {'odd' if parity else 'even'} parity in [{a_min}, {ns.a_max}]"
+                f"no A of {'odd' if form.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
     else:
         try:
@@ -333,9 +352,8 @@ def _cmd_seq(ns) -> int:
 def _cmd_compositions(ns) -> int:
     if ns.n is None or ns.n < 1 or ns.g is None or ns.g < 2:
         raise UsageError("need --n >= 1 and --g >= 2")
-    comps = list(sequences.enumerate_g_compositions(ns.n, ns.g))
     rows = []
-    for c in comps:
+    for c in sequences.enumerate_g_compositions(ns.n, ns.g):
         w = sequences.cg_weight(c)
         rows.append(
             {
@@ -346,12 +364,7 @@ def _cmd_compositions(ns) -> int:
         )
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)
     if ns.check:
-        total = ns.g * ns.n * sum(sequences.cg_weight(c) for c in comps)
-        target = math.comb(ns.g * ns.n, ns.n)
-        forms_ok = all(
-            sequences.cg_weight(c) == sequences.cg_weight_factorial_form(c)
-            for c in comps
-        )
+        total, target, forms_ok = _cg_identity(ns.n, ns.g)
         ok = total == target and forms_ok
         sys.stderr.write(
             f"check g*n*sum(c_g) = C(gn, n): {total} vs {target}: "

@@ -77,11 +77,21 @@ def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
     )
 
 
-def _half_coeff(l: int, entry: HalfInt) -> Fraction:
-    """pi * C(l, entry) for half-integer entry, as the exact rational."""
-    sv = shifted_binomial(l, entry, SHIFT_HALF)
-    assert sv.scale_exp == 1
+def _rational(sv: ScaledValue, scale_exp: int) -> Fraction:
+    """The rational factor of sv, which must carry beta^scale_exp (or be 0).
+
+    A real check, not an assert, so it also holds under python -O; it raises
+    RuntimeError because a broken invariant is not a usage error.
+    """
+    if sv.scale_exp != scale_exp and not sv.is_zero:
+        raise RuntimeError(f"expected a value carrying beta^{scale_exp}, got {sv!r}")
     return sv.coeff
+
+
+def _strip(l: int, entry: HalfInt | Fraction, shift: Shift = SHIFT_HALF) -> Fraction:
+    """(pi/sin(pi s)) * C(l, entry) as the exact rational; pi * C(l, entry)
+    at the default s = 1/2."""
+    return _rational(shifted_binomial(l, entry, shift), 1)
 
 
 def pi_seq_t0(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
@@ -96,7 +106,7 @@ def pi_seq_t0(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
         raise ValueError("m must be >= 1")
     total = Fraction(0)
     for k in half_window(m, window):
-        total += _half_coeff(l, HalfInt(l) + k)
+        total += _strip(l, HalfInt(l) + k)
     return _record(m, total / 2**l, "pi", math.pi)
 
 
@@ -111,7 +121,7 @@ def pi2_seq(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
     total = Fraction(0)
     for k in half_window(m, window):
         sign = -1 if ((k.doubled - 1) // 2) % 2 else 1
-        total += _half_coeff(l, HalfInt(l) + k) * sign / k.as_fraction()
+        total += _strip(l, HalfInt(l) + k) * sign / k.as_fraction()
     return _record(m, pref * total, "pi^2", math.pi**2)
 
 
@@ -120,13 +130,6 @@ def _odd_l_window(m: int, window: Window) -> list[HalfInt]:
     [-m-1/2, m-1/2] one-sided, [-m-1/2, m+1/2] symmetric."""
     hi = 2 * m + 1 if window is Window.SYMMETRIC else 2 * m - 1
     return [HalfInt(d) for d in range(-2 * m - 1, hi + 1, 2)]
-
-
-def _strip(l: int, entry: Fraction, shift: Shift) -> Fraction:
-    """(pi/sin(pi s)) * C(l, entry) as the exact rational."""
-    sv = shifted_binomial(l, entry, shift)
-    assert sv.scale_exp == 1
-    return sv.coeff
 
 
 def pi_over_sin_seq(
@@ -206,9 +209,7 @@ def odd_A_cumulative_seq(spec: SumSpec, m: int) -> SeqRecord:
         raise ValueError("m must be >= 0")
     total = Fraction(0)
     for a in range(m + 1):
-        sv = odd_A_coefficient_direct(spec, 2 * a + 1)
-        assert sv.scale_exp == 2
-        total += sv.coeff
+        total += _rational(odd_A_coefficient_direct(spec, 2 * a + 1), 2)
     target = math.pi**2 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
     return _record(m, 2 * total, "pi^2*C(rn,rn/2)", target)
 

@@ -1,22 +1,39 @@
 """Multiple binomial sums indexed by the even/odd area variable A.
 
-Every evaluator here computes one A-coefficient of a cosine (or, for the
-antisymmetric family, sine) expansion of a product of cosine powers
+Each family is one A-coefficient of the cosine (sine, for the antisymmetric
+families) expansion of prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), with k_1
+and k_2 eliminated in favour of A.  One lattice sum evaluates all seven:
 
-    prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i)
+    coeff(A) = sum over (s2, s1) of W[s2, s1] C(n2, n2/2 - A/2 - s1) H(A/2 + s2)
 
-with the first one or two summation variables eliminated in favour of A.
-Even-A coefficients are plain integers; the remaining families carry one,
-two, or four powers of 1/pi, tracked exactly through ScaledValue.
+Here n_i = r l_i; W[s2, s1] sums prod_{i>=3} C(n_i, n_i/2 + k_i) over the
+tail lattice points k_3..k_j with s2 = sum (i-2) k_i and s1 = sum (i-1) k_i;
+H(x) = C(n1, n1/2 + x) when k_1 is eliminated too, and otherwise
+H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
+
+    family         A     1/pi power  k_1                  g
+    even           even  0           eliminated           -
+    odd            odd   2           eliminated           -
+    odd-sinc       odd   2           integers             sinc(d)
+    shifted        even  2           half-integer window  sinc(d)
+    antisym        even  2           half-integer window  1/(pi d)
+    antisym-exact  even  1           integers             (1 - cos(pi d))/(pi d)
+    four           even  4           eliminated           -, with k_3 and k_4
+                                                          on half-integer windows
+
+A binomial at a half-integer entry, like g at a half-integer d, is an exact
+rational times 1/pi, so every term is a plain rational and the family's
+power of 1/pi is attached once, through ScaledValue, to the finished sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, NamedTuple
 
 from .exact import (
     SHIFT_HALF,
@@ -25,7 +42,6 @@ from .exact import (
     Shift,
     newton_binomial,
     shifted_binomial,
-    sinc_at,
 )
 
 __all__ = [
@@ -128,46 +144,118 @@ class SumSpec:
         return self.r * self.l[i - 1] // 2
 
 
-def _tail_lattice(spec: SumSpec, start: int = 3) -> Iterator[tuple[int, int, int]]:
-    """Sweep k_start..k_j over their full ranges.
+class Family(str, Enum):
+    """Coefficient families exposed by the table builder and the CLI."""
 
-    Yields (s2, s1, w) with running s2 = sum (i-2) k_i, s1 = sum (i-1) k_i
-    and w = prod C(r l_i, r l_i/2 + k_i); the linear forms are accumulated
-    per axis instead of being re-summed at every lattice point.
-    """
-    axes = [(i, spec._half(i)) for i in range(start, spec.j + 1)]
+    EVEN = "even"
+    ODD = "odd"
+    ODD_SINC = "odd-sinc"
+    SHIFTED = "shifted"
+    ANTISYM = "antisym"
+    ANTISYM_EXACT = "antisym-exact"
+    FOUR = "four"
 
-    def rec(pos: int, s2: int, s1: int, w: int) -> Iterator[tuple[int, int, int]]:
-        if pos == len(axes):
-            yield s2, s1, w
-            return
-        i, half = axes[pos]
-        n = 2 * half
-        for k in range(-half, half + 1):
-            yield from rec(
-                pos + 1,
-                s2 + (i - 2) * k,
-                s1 + (i - 1) * k,
-                w * newton_binomial(n, half + k),
-            )
 
-    yield from rec(0, 0, 0, 1)
+# The k_1 weights g, as pi g(d) with d given doubled (d2 = 2d); 1/(pi d) is inline.
+def _sinc(d2: int) -> Fraction:
+    """pi sinc(d) = sin(pi d)/d at a half-integer d."""
+    return Fraction(-2 if ((d2 - 1) // 2) % 2 else 2, d2)
+
+
+def _one_minus_cos(d2: int) -> Fraction | int:
+    """(1 - cos(pi d))/d at an integer d: 2/d for odd d, else 0 (d = 0 too)."""
+    return Fraction(4, d2) if d2 % 4 else 0
+
+
+class _Form(NamedTuple):
+    """One row of the family table."""
+
+    parity: int  # A % 2 of every A the family takes
+    pi_exp: int  # power of 1/pi that every term carries
+    weight: Callable[[int], Fraction | int] | None = None  # None: k_1 eliminated
+    half_axes: tuple[int, ...] = ()  # i whose k_i runs over a size-m half-integer window
+
+
+_FAMILIES = {
+    Family.EVEN: _Form(parity=0, pi_exp=0),
+    Family.ODD: _Form(parity=1, pi_exp=2),
+    Family.ODD_SINC: _Form(parity=1, pi_exp=2, weight=_sinc),
+    Family.SHIFTED: _Form(parity=0, pi_exp=2, weight=_sinc, half_axes=(1,)),
+    Family.ANTISYM: _Form(parity=0, pi_exp=2, weight=lambda d2: Fraction(2, d2), half_axes=(1,)),
+    Family.ANTISYM_EXACT: _Form(parity=0, pi_exp=1, weight=_one_minus_cos),
+    Family.FOUR: _Form(parity=0, pi_exp=4, half_axes=(3, 4)),
+}
+
+
+def _pi_binomial(n: int, e2: int) -> Fraction | int:
+    """C(n, e2/2), times pi when e2/2 is a half-integer: always rational."""
+    if e2 % 2 == 0:
+        return newton_binomial(n, e2 // 2)
+    return shifted_binomial(n, HalfInt(e2), SHIFT_HALF).coeff
+
+
+def _axis(n: int, half: bool, m: int | None, window: Window) -> list[tuple[int, Fraction | int]]:
+    """(2k, pi^[k half-integer] C(n, n/2 + k)) over one summation index: the
+    integers |k| <= n/2, or the size-m half-integer window."""
+    k2s = [k.doubled for k in half_window(m, window)] if half else range(-n, n + 1, 2)
+    return [(k2, _pi_binomial(n, n + k2)) for k2 in k2s]
+
+
+def _tail_weights(
+    spec: SumSpec,
+    half_axes: tuple[int, ...] = (),
+    m: int | None = None,
+    window: Window = Window.SYMMETRIC,
+) -> dict[tuple[int, int], Fraction | int]:
+    """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
+    weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
+    weights: dict[tuple[int, int], Fraction | int] = {(0, 0): 1}
+    for i in range(3, spec.j + 1):
+        grown: defaultdict[tuple[int, int], Fraction | int] = defaultdict(int)
+        for k2, c in _axis(spec.r * spec.l[i - 1], i in half_axes, m, window):
+            for (s2, s1), w in weights.items():
+                grown[s2 + (i - 2) * k2, s1 + (i - 1) * k2] += w * c
+        weights = grown
+    return weights
+
+
+def coefficient(
+    spec: SumSpec,
+    family: Family,
+    A: int,
+    m: int | None = None,
+    window: Window = Window.SYMMETRIC,
+) -> ScaledValue:
+    """One coefficient of the requested family: the module docstring's sum."""
+    family = Family(family)
+    form = _FAMILIES[family]
+    if A % 2 != form.parity:
+        raise ValueError(f"A must be {'odd' if form.parity else 'even'}")
+    if form.half_axes and m is None:
+        raise ValueError(f"family {family.value} needs a truncation m")
+    if max(form.half_axes, default=0) > spec.j:
+        raise ValueError(f"family {family.value} needs at least {max(form.half_axes)} parts")
+    n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
+    # inner[2 s2] = sum over s1 of W[s2, s1] C(n2, n2/2 - A/2 - s1)
+    inner: defaultdict[int, Fraction | int] = defaultdict(int)
+    for (s2, s1), w in _tail_weights(spec, form.half_axes, m, window).items():
+        inner[s2] += w * _pi_binomial(n2, n2 - A - s1)
+    if form.weight is None:
+        total = sum(v * _pi_binomial(n1, n1 + A + s2) for s2, v in inner.items() if v)
+    else:
+        k1s = _axis(n1, 1 in form.half_axes, m, window)
+        total = sum(
+            v * sum(c * form.weight(A + s2 - k2) for k2, c in k1s)
+            for s2, v in inner.items()
+            if v
+        )
+    return ScaledValue(total, form.pi_exp, SHIFT_HALF)
 
 
 def even_A_coefficient(spec: SumSpec, A: int) -> int:
     """Coefficient of e^(i pi A p/q) for even A: the finite multiple sum of
     integer-entry binomials.  0 outside the support."""
-    if A % 2:
-        raise ValueError("A must be even")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    a = A // 2
-    total = 0
-    for s2, s1, w in _tail_lattice(spec):
-        total += (
-            newton_binomial(n1, h1 + a + s2) * newton_binomial(n2, h2 - a - s1) * w
-        )
-    return total
+    return coefficient(spec, Family.EVEN, A).coeff.numerator
 
 
 def even_A_support(spec: SumSpec) -> list[int]:
@@ -178,9 +266,9 @@ def even_A_support(spec: SumSpec) -> list[int]:
     """
     h1, h2 = spec._half(1), spec._half(2)
     sup: set[int] = set()
-    for s2, s1, _w in _tail_lattice(spec):
-        lo = max(-h1 - s2, -h2 - s1)
-        hi = min(h1 - s2, h2 - s1)
+    for s2, s1 in _tail_weights(spec):
+        lo = max(-h1 - s2 // 2, -h2 - s1 // 2)
+        hi = min(h1 - s2 // 2, h2 - s1 // 2)
         sup.update(2 * a for a in range(lo, hi + 1))
     return sorted(sup)
 
@@ -193,27 +281,10 @@ def support_bound(spec: SumSpec, g: int | None = None) -> int:
     return (g - 1) * spec.r * (spec.n**2 // 4)
 
 
-def _zero(shift: Shift = SHIFT_HALF) -> ScaledValue:
-    return ScaledValue.zero(shift)
-
-
 def odd_A_coefficient_direct(spec: SumSpec, A: int) -> ScaledValue:
     """Coefficient of e^(i pi A p/q) for odd A: both eliminated entries are
     half-integers, so the value carries 1/pi^2 (scale_exp 2)."""
-    if A % 2 == 0:
-        raise ValueError("A must be odd")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    total = _zero()
-    for s2, s1, w in _tail_lattice(spec):
-        e1 = HalfInt(n1 + A + 2 * s2)
-        e2 = HalfInt(n2 - A - 2 * s1)
-        total += (
-            shifted_binomial(n1, e1, SHIFT_HALF)
-            * shifted_binomial(n2, e2, SHIFT_HALF)
-            * w
-        )
-    return total
+    return coefficient(spec, Family.ODD, A)
 
 
 def odd_A_coefficient_sinc(spec: SumSpec, A: int) -> ScaledValue:
@@ -221,22 +292,7 @@ def odd_A_coefficient_sinc(spec: SumSpec, A: int) -> ScaledValue:
     over integers and a sinc factor at the half-integer A/2 - k_1 + s2
     supplies one of the two 1/pi powers.  Exactly equal to
     odd_A_coefficient_direct for every odd A."""
-    if A % 2 == 0:
-        raise ValueError("A must be odd")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    total = _zero()
-    for k1 in range(-h1, h1 + 1):
-        w1 = newton_binomial(n1, h1 + k1)
-        for s2, s1, w in _tail_lattice(spec):
-            arg = HalfInt(A - 2 * k1 + 2 * s2)
-            e2 = HalfInt(n2 - A - 2 * s1)
-            total += (
-                sinc_at(arg)
-                * shifted_binomial(n2, e2, SHIFT_HALF)
-                * (w1 * w)
-            )
-    return total
+    return coefficient(spec, Family.ODD_SINC, A)
 
 
 def even_A_shifted_partial(
@@ -248,19 +304,7 @@ def even_A_shifted_partial(
     Carries 1/pi^2; pi^2 times its value converges, as m grows, to the
     integer even_A_coefficient(spec, A).
     """
-    if A % 2:
-        raise ValueError("A must be even")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    a = A // 2
-    total = _zero()
-    for k1 in half_window(m, window):
-        w1 = shifted_binomial(n1, HalfInt(n1) + k1, SHIFT_HALF)
-        for s2, s1, w in _tail_lattice(spec):
-            arg = HalfInt(A + 2 * s2) - k1
-            e2 = h2 - a - s1
-            total += sinc_at(arg) * w1 * (newton_binomial(n2, e2) * w)
-    return total
+    return coefficient(spec, Family.SHIFTED, A, m, window)
 
 
 def even_A_antisym_partial(
@@ -274,20 +318,7 @@ def even_A_antisym_partial(
     coefficient multiplying -i e^(i pi A p/q).  Antisymmetric under A -> -A
     at symmetric truncation.
     """
-    if A % 2:
-        raise ValueError("A must be even")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    a = A // 2
-    total = _zero()
-    for k1 in half_window(m, window):
-        w1 = shifted_binomial(n1, HalfInt(n1) + k1, SHIFT_HALF)
-        for s2, s1, w in _tail_lattice(spec):
-            d = (HalfInt(A + 2 * s2) - k1).as_fraction()
-            factor = ScaledValue(1 / d, 1, SHIFT_HALF)
-            e2 = h2 - a - s1
-            total += factor * w1 * (newton_binomial(n2, e2) * w)
-    return total
+    return coefficient(spec, Family.ANTISYM, A, m, window)
 
 
 def even_A_antisym_exact(spec: SumSpec, A: int) -> ScaledValue:
@@ -295,23 +326,7 @@ def even_A_antisym_exact(spec: SumSpec, A: int) -> ScaledValue:
     finite integer range and the weight is (1 - cos(pi d))/(pi d) with
     integer d, i.e. 0 for even d (the indeterminate d = 0 term vanishes too)
     and 2/(pi d) for odd d.  Carries a single 1/pi."""
-    if A % 2:
-        raise ValueError("A must be even")
-    h1, h2 = spec._half(1), spec._half(2)
-    n1, n2 = 2 * h1, 2 * h2
-    a = A // 2
-    total = _zero()
-    for k1 in range(-h1, h1 + 1):
-        w1 = newton_binomial(n1, h1 + k1)
-        for s2, s1, w in _tail_lattice(spec):
-            d = a - k1 + s2
-            if d % 2 == 0:
-                continue
-            e2 = h2 - a - s1
-            total += ScaledValue(Fraction(2, d), 1, SHIFT_HALF) * (
-                w1 * newton_binomial(n2, e2) * w
-            )
-    return total
+    return coefficient(spec, Family.ANTISYM_EXACT, A)
 
 
 def antisym_A_bound(spec: SumSpec) -> int:
@@ -326,30 +341,7 @@ def four_shifted_coefficient(
     """Even-A coefficient of the four-fold shifted expansion: k_3 and k_4 run
     over half-integers (truncated to size-m windows), which makes both
     eliminated entries half-integers as well; four 1/pi powers total."""
-    if A % 2:
-        raise ValueError("A must be even")
-    if spec.j < 4:
-        raise ValueError("need at least four parts for the four-shifted form")
-    h1, h2, h3, h4 = (spec._half(i) for i in (1, 2, 3, 4))
-    n1, n2, n3, n4 = 2 * h1, 2 * h2, 2 * h3, 2 * h4
-    total = _zero()
-    for k3 in half_window(m, window):
-        w3 = shifted_binomial(n3, HalfInt(n3) + k3, SHIFT_HALF)
-        for k4 in half_window(m, window):
-            w4 = shifted_binomial(n4, HalfInt(n4) + k4, SHIFT_HALF)
-            w34 = w3 * w4
-            base2 = k3 + 2 * k4
-            base1 = 2 * k3 + 3 * k4
-            for s2, s1, w in _tail_lattice(spec, start=5):
-                e1 = HalfInt(n1 + A) + base2 + s2
-                e2 = HalfInt(n2 - A) - base1 - s1
-                total += (
-                    shifted_binomial(n1, e1, SHIFT_HALF)
-                    * shifted_binomial(n2, e2, SHIFT_HALF)
-                    * w34
-                    * w
-                )
-    return total
+    return coefficient(spec, Family.FOUR, A, m, window)
 
 
 def sum_rule_even(spec: SumSpec) -> int:
@@ -370,38 +362,13 @@ def chu_vandermonde_partial(
         raise ValueError("need 0 <= l1p <= l1 and 0 <= l2p <= l2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = _zero(shift)
+    total = ScaledValue.zero(shift)
     for k in range(-m, m + 1):
         a = shifted_binomial(l1, l1p + k + shift.s, shift)
         # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
         b = shifted_binomial(l2, l2 - l2p + k + shift.s, shift)
         total += a * b
     return total
-
-
-class Family(str, Enum):
-    """Coefficient families exposed by the table builder and the CLI."""
-
-    EVEN = "even"
-    ODD = "odd"
-    ODD_SINC = "odd-sinc"
-    SHIFTED = "shifted"
-    ANTISYM = "antisym"
-    ANTISYM_EXACT = "antisym-exact"
-    FOUR = "four"
-
-
-_FAMILY_PARITY = {
-    Family.EVEN: 0,
-    Family.ODD: 1,
-    Family.ODD_SINC: 1,
-    Family.SHIFTED: 0,
-    Family.ANTISYM: 0,
-    Family.ANTISYM_EXACT: 0,
-    Family.FOUR: 0,
-}
-
-_FAMILY_NEEDS_M = {Family.SHIFTED, Family.ANTISYM, Family.FOUR}
 
 
 @dataclass(frozen=True)
@@ -414,40 +381,11 @@ class CoeffTable:
 
     @property
     def parity(self) -> str:
-        return "odd" if _FAMILY_PARITY[self.family] else "even"
+        return "odd" if _FAMILIES[self.family].parity else "even"
 
     @property
     def antisymmetric(self) -> bool:
         return self.family in (Family.ANTISYM, Family.ANTISYM_EXACT)
-
-
-def coefficient(
-    spec: SumSpec,
-    family: Family,
-    A: int,
-    m: int | None = None,
-    window: Window = Window.SYMMETRIC,
-) -> ScaledValue:
-    """Evaluate one coefficient of the requested family."""
-    family = Family(family)
-    if family in _FAMILY_NEEDS_M:
-        if m is None:
-            raise ValueError(f"family {family.value} needs a truncation m")
-    if family is Family.EVEN:
-        return ScaledValue(Fraction(even_A_coefficient(spec, A)), 0, SHIFT_HALF)
-    if family is Family.ODD:
-        return odd_A_coefficient_direct(spec, A)
-    if family is Family.ODD_SINC:
-        return odd_A_coefficient_sinc(spec, A)
-    if family is Family.SHIFTED:
-        return even_A_shifted_partial(spec, A, m, window)
-    if family is Family.ANTISYM:
-        return even_A_antisym_partial(spec, A, m, window)
-    if family is Family.ANTISYM_EXACT:
-        return even_A_antisym_exact(spec, A)
-    if family is Family.FOUR:
-        return four_shifted_coefficient(spec, A, m, window)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def default_A_range(spec: SumSpec, family: Family) -> list[int]:
@@ -471,7 +409,7 @@ def build_coeff_table(
     family = Family(family)
     if A_values is None:
         A_values = default_A_range(spec, family)
-    parity = _FAMILY_PARITY[family]
+    parity = _FAMILIES[family].parity
     bad = [A for A in A_values if A % 2 != parity]
     if bad:
         raise ValueError(

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shiftbinom import cli
+from shiftbinom.exact import SHIFT_HALF, ScaledValue
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -100,6 +102,35 @@ def test_coeffs_rows_reparse_to_exact_values():
         assert row["pi_exp"] == expect.scale_exp
 
 
+def test_coeffs_float_overflow_csv():
+    # C(1200, 600)^2 is far outside double range: exact num/den, float "inf"
+    cp = run_cli("coeffs", "--family", "even", "--r", "2", "--l", "600,600")
+    assert cp.returncode == 0, cp.stderr
+    assert "Traceback" not in cp.stderr
+    rows = {r[0]: r for r in (line.split(",") for line in cp.stdout.splitlines()[1:])}
+    assert rows["0"][1:4] == [str(math.comb(1200, 600) ** 2), "1", "0"]
+    assert rows["0"][4] == "inf"
+    assert rows["-1200"][4] == "1.0"
+
+
+def test_coeffs_float_overflow_json():
+    cp = run_cli("coeffs", "--family", "even", "--r", "2", "--l", "600,600",
+                 "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert '"float": Infinity' in cp.stdout
+    rows = {row["A"]: row for row in json.loads(cp.stdout)}
+    assert rows[0]["num"] == str(math.comb(1200, 600) ** 2)
+    assert rows[0]["float"] == math.inf
+
+
+def test_float_column_outside_double_range():
+    big = Fraction(10**309)
+    assert cli._float(ScaledValue(big, 0, SHIFT_HALF)) == math.inf
+    assert cli._float(ScaledValue(-big, 1, SHIFT_HALF)) == -math.inf
+    # the rational overflows but its value 10^309 / pi^2 does not
+    assert cli._float(ScaledValue(big, 2, SHIFT_HALF)) == pytest.approx(10 * (1e308 / math.pi**2))
+
+
 def test_coeffs_wrong_parity_exits_2():
     cp = run_cli("coeffs", "--family", "odd", "--r", "2", "--l", "1,1",
                  "--a-min", "2", "--a-max", "2")
@@ -181,6 +212,19 @@ def test_determinism_byte_identical():
     c = run_cli("coeffs", "--family", "antisym-exact", "--r", "2", "--l", "1,1,1")
     d = run_cli("coeffs", "--family", "antisym-exact", "--r", "2", "--l", "1,1,1")
     assert c.stdout == d.stdout and c.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("seq", "pis", "--l", "3", "--s", "1/3", "--m", "1:3"),
+    ("seq", "cum", "--r", "2", "--l", "1,1", "--m", "0:3"),
+])
+def test_optimized_interpreter_output_identical(args):
+    # the beta-power invariants are real checks, so python -O changes nothing
+    base = run_cli(*args)
+    opt = subprocess.run([sys.executable, "-O", "-m", "shiftbinom", *args],
+                         capture_output=True, text=True)
+    assert base.returncode == opt.returncode == 0, opt.stderr
+    assert base.stdout == opt.stdout and base.stdout
 
 
 def test_workers_do_not_change_output():

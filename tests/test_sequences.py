@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from shiftbinom import sequences
 from shiftbinom.exact import (
     SHIFT_HALF,
     HalfInt,
+    ScaledValue,
     Shift,
     pi_times_half_binomial_check,
     shifted_binomial,
@@ -166,6 +168,19 @@ def test_odd_cumulative_monotone_for_positive_terms():
     spec = SumSpec(r=2, l=(1, 1))
     vals = [odd_A_cumulative_seq(spec, m).exact for m in range(6)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_wrong_beta_power_raises_runtime_error(monkeypatch):
+    # an internal invariant, checked without assert so python -O keeps it; not
+    # a ValueError, which the CLI reports as a usage error
+    beta2 = ScaledValue(Fraction(1), 2, SHIFT_HALF)
+    monkeypatch.setattr(sequences, "shifted_binomial", lambda *args: beta2)
+    with pytest.raises(RuntimeError):
+        pi_seq_t0(2, 1)
+    beta1 = ScaledValue(Fraction(1), 1, SHIFT_HALF)
+    monkeypatch.setattr(sequences, "odd_A_coefficient_direct", lambda spec, A: beta1)
+    with pytest.raises(RuntimeError):
+        odd_A_cumulative_seq(SumSpec(r=2, l=(1, 1)), 0)
 
 
 # ------------------------------ ratio sequences ------------------------------

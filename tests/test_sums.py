@@ -1,10 +1,18 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from shiftbinom.exact import SHIFT_HALF, SHIFT_ZERO, Shift, shifted_binomial, sinc_at
+from shiftbinom.exact import (
+    SHIFT_HALF,
+    SHIFT_ZERO,
+    ScaledValue,
+    Shift,
+    shifted_binomial,
+    sinc_at,
+)
 from shiftbinom.sums import (
     Family,
     SumSpec,
@@ -12,6 +20,7 @@ from shiftbinom.sums import (
     antisym_A_bound,
     build_coeff_table,
     chu_vandermonde_partial,
+    coefficient,
     even_A_antisym_exact,
     even_A_antisym_partial,
     even_A_coefficient,
@@ -34,20 +43,88 @@ GRID = [
 ]
 
 
-def brute_even_coefficient(spec: SumSpec, A: int) -> int:
-    """Oracle: full k_1..k_j lattice filtered by the two linear constraints
-    (no variable elimination shared with the implementation)."""
-    total = 0
-    ranges = [range(-spec.r * li // 2, spec.r * li // 2 + 1) for li in spec.l]
-    for ks in itertools.product(*ranges):
-        if sum(ks):
-            continue
-        if -2 * sum((i - 1) * k for i, k in enumerate(ks, start=1)) != A:
-            continue
-        total += math.prod(
-            math.comb(spec.r * li, spec.r * li // 2 + k) for li, k in zip(spec.l, ks)
-        )
+def _window(m: int, window: Window) -> list[Fraction]:
+    """Half-integers from -m-1/2 (symmetric) or -m+1/2 (paper) up to m+1/2."""
+    lo = -m - 1 if window is Window.SYMMETRIC else -m
+    return [Fraction(2 * k + 1, 2) for k in range(lo, m + 1)]
+
+
+# memoized only for speed: the oracle still visits every lattice point
+@functools.lru_cache(maxsize=None)
+def _binom(n: int, entry: Fraction) -> ScaledValue:
+    return shifted_binomial(n, entry, SHIFT_HALF if entry.denominator == 2 else SHIFT_ZERO)
+
+
+# family -> (weight g of a summed k_1, or None when k_1 is solved; the indices
+# i whose k_i runs over a half-integer window instead of |k_i| <= r l_i / 2)
+NAIVE_FAMILIES = {
+    Family.EVEN: (None, ()),
+    Family.ODD: (None, ()),
+    Family.ODD_SINC: (sinc_at, ()),
+    Family.SHIFTED: (sinc_at, (1,)),
+    Family.ANTISYM: (lambda d: ScaledValue(1 / d, 1, SHIFT_HALF), (1,)),
+    Family.ANTISYM_EXACT: (lambda d: ScaledValue(2 / d if d % 2 else 0, 1, SHIFT_HALF), ()),
+    Family.FOUR: (None, (3, 4)),
+}
+
+
+def naive_coefficient(
+    spec: SumSpec, family: Family, A: int, m: int | None = None,
+    window: Window = Window.SYMMETRIC,
+) -> ScaledValue:
+    """Oracle: every point of the k_3..k_j lattice, one by one, in ScaledValue
+    arithmetic.  k_2 solves A = -2 sum_{i>=2} (i-1) k_i; k_1 solves
+    sum_i k_i = 0, or is summed against g(solution - k_1).  No collapse of
+    the lattice and no reuse of any partial sum."""
+    weight, half_axes = NAIVE_FAMILIES[family]
+    n = [spec.r * li for li in spec.l]
+
+    def binom(i, k):  # C(r l_i, r l_i / 2 + k)
+        return _binom(n[i - 1], Fraction(n[i - 1], 2) + k)
+
+    def axis(i):
+        if i in half_axes:
+            return _window(m, window)
+        return [Fraction(k) for k in range(-n[i - 1] // 2, n[i - 1] // 2 + 1)]
+
+    tail_axes = [[(i, k, binom(i, k)) for k in axis(i)] for i in range(3, spec.j + 1)]
+    total = ScaledValue.zero()
+    for point in itertools.product(*tail_axes):
+        k2 = -Fraction(A, 2) - sum((i - 1) * k for i, k, _c in point)
+        k1 = -k2 - sum(k for _i, k, _c in point)
+        term = binom(2, k2)
+        for _i, _k, c in point:
+            term = term * c
+        if weight is None:
+            total += term * binom(1, k1)
+        else:
+            for k in axis(1):
+                total += term * binom(1, k) * weight(k1 - k)
     return total
+
+
+# ------------------------------ every family -------------------------------
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_every_family_matches_naive_lattice(family):
+    """Exact equality, coefficient and pi power, with the point-by-point
+    oracle over GRID, |A| <= 9, m in {1, 3} and both windows."""
+    parity = 1 if family in (Family.ODD, Family.ODD_SINC) else 0
+    truncations = (
+        [(m, w) for m in (1, 3) for w in Window]
+        if NAIVE_FAMILIES[family][1]
+        else [(None, Window.SYMMETRIC)]
+    )
+    for spec in GRID:
+        if family is Family.FOUR and spec.j < 4:
+            continue
+        for A in range(-9 + (1 - parity), 10, 2):
+            for m, window in truncations:
+                got = coefficient(spec, family, A, m, window)
+                assert got == naive_coefficient(spec, family, A, m, window), (
+                    spec.l, A, m, window, got,
+                )
 
 
 # ------------------------------- even family -------------------------------
@@ -66,10 +143,8 @@ def test_even_against_brute_force_lattice():
     for spec in GRID:
         bound = support_bound(spec) + 2
         for A in range(-bound, bound + 1, 2):
-            assert even_A_coefficient(spec, A) == brute_even_coefficient(spec, A), (
-                spec.l,
-                A,
-            )
+            expect = naive_coefficient(spec, Family.EVEN, A)
+            assert even_A_coefficient(spec, A) == expect.rational(), (spec.l, A)
 
 
 def test_even_support():
