@@ -25,12 +25,11 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import oracle, sequences, sums
-from .exact import Shift
+from .exact import Shift, as_float
 from .sums import Family, SumSpec, Window
 
 __all__ = ["main", "run"]
@@ -102,81 +101,6 @@ def _print_check(rec: dict) -> None:
     sys.stdout.write(json.dumps(rec) + "\n")
 
 
-def _float(sv) -> float:
-    """float(sv), or inf/-inf with the sign of sv when it is outside double range."""
-    try:
-        return float(sv)
-    except OverflowError:
-        pass
-    try:
-        # the rational factor alone overflowed; its product with beta^scale_exp may not
-        return float(sv.coeff * Fraction(sv.shift.beta) ** sv.scale_exp)
-    except OverflowError:
-        return math.inf if sv.coeff > 0 else -math.inf
-
-
-# ------------------------------ worker jobs -------------------------------
-# top-level functions so process pools can pickle them
-
-
-def _coeff_job(args) -> dict:
-    spec, family, A, m, window = args
-    sv = sums.coefficient(spec, family, A, m, window)
-    return {
-        "A": A,
-        "num": str(sv.coeff.numerator),
-        "den": str(sv.coeff.denominator),
-        "pi_exp": sv.scale_exp,
-        "float": _float(sv),
-    }
-
-
-def _seq_job(args) -> dict:
-    kind, params, m = args
-    rec = _seq_record(kind, params, m)
-    return {
-        "m": rec.m,
-        "num": str(rec.exact.numerator),
-        "den": str(rec.exact.denominator),
-        "float": rec.approx,
-        "target": f"{rec.target_tag}={rec.target_value!r}",
-        "abs_error": rec.abs_error,
-    }
-
-
-def _seq_record(kind: str, params: dict, m: int) -> sequences.SeqRecord:
-    window = params["window"]
-    if kind == "pi":
-        return sequences.pi_seq_t0(params["l_single"], m, window)
-    if kind == "pi2":
-        return sequences.pi2_seq(params["l_single"], m, window)
-    if kind == "pis":
-        return sequences.pi_over_sin_seq(params["l_single"], params["s"], m, window)
-    if kind == "pis2":
-        return sequences.pi_over_sin_sq_seq(params["l_single"], params["s"], m)
-    if kind == "pis-odd":
-        return sequences.pi_over_sin_cos_seq(params["l_single"], params["s"], m, window)
-    if kind == "cum":
-        return sequences.odd_A_cumulative_seq(params["spec"], m)
-    if kind == "agg":
-        return sequences.aggregate_composition_seq(
-            params["n"], params["g"], params["r"], m
-        )
-    if kind == "ratio-pi2":
-        return sequences.pi2_ratio_seq(params["spec"], params["A"], m, window)
-    if kind == "ratio-pi":
-        return sequences.pi_ratio_seq(params["spec"], params["A"], m, window)
-    raise UsageError(f"unknown sequence kind {kind!r}")
-
-
-def _pmap(fn, items, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
-
-
 # ------------------------------- subcommands ------------------------------
 
 
@@ -208,41 +132,26 @@ def _cmd_verify(ns) -> int:
     if any(c in names for c in ("identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule")):
         spec = _build_spec(ns)
 
-    if "identity" in names or "odd-integral" in names or "antisym-integral" in names:
+    # (check, oracle report entry, tolerance on its abs_err)
+    integrals = (
+        ("identity", "even-expansion", 1e-9),
+        ("odd-integral", "odd-expansion", 1e-6),
+        ("antisym-integral", "antisym-expansion", 1e-9),
+    )
+    if any(name in names for name, _, _ in integrals):
         report = {c["check"]: c for c in oracle.identity_report(spec, ns.odd_a_cut)}
-        if "identity" in names:
-            c = report["even-expansion"]
-            checks.append(
-                {
-                    "check": "identity",
-                    "lhs": c["lhs"],
-                    "rhs": c["rhs"],
-                    "abs_err": c["abs_err"],
-                    "pass": c["abs_err"] < 1e-9,
-                }
-            )
-        if "odd-integral" in names:
-            c = report["odd-expansion"]
-            checks.append(
-                {
-                    "check": "odd-integral",
-                    "lhs": c["lhs"],
-                    "rhs": c["rhs"],
-                    "abs_err": c["abs_err"],
-                    "pass": c["abs_err"] < 1e-6,
-                }
-            )
-        if "antisym-integral" in names:
-            c = report["antisym-expansion"]
-            checks.append(
-                {
-                    "check": "antisym-integral",
-                    "lhs": c["lhs"],
-                    "rhs": c["rhs"],
-                    "abs_err": c["abs_err"],
-                    "pass": c["abs_err"] < 1e-9,
-                }
-            )
+        for name, entry, tol in integrals:
+            if name in names:
+                c = report[entry]
+                checks.append(
+                    {
+                        "check": name,
+                        "lhs": c["lhs"],
+                        "rhs": c["rhs"],
+                        "abs_err": c["abs_err"],
+                        "pass": c["abs_err"] < tol,
+                    }
+                )
 
     if "odd-equality" in names:
         for A in range(1, ns.a_max + 1, 2):
@@ -309,22 +218,28 @@ def _cmd_coeffs(ns) -> int:
             A_values = sums.default_A_range(spec, family)
         except ValueError as e:
             raise UsageError(str(e) + "; give --a-max")
-    jobs = [(spec, family, A, m, ns.window) for A in A_values]
-    rows = _pmap(_coeff_job, jobs, ns.workers)
+    table = sums.build_coeff_table(spec, family, A_values, m, ns.window)
+    rows = [
+        {
+            "A": A,
+            "num": str(sv.coeff.numerator),
+            "den": str(sv.coeff.denominator),
+            "pi_exp": sv.scale_exp,
+            "float": as_float(sv),
+        }
+        for A, sv in table.entries.items()
+    ]
     _emit(rows, ["A", "num", "den", "pi_exp", "float"], ns.format, ns.out)
     return 0
 
 
-_SEQ_KINDS = ("pi", "pi2", "pis", "pis2", "pis-odd", "cum", "agg", "ratio-pi2", "ratio-pi")
-
-
 def _cmd_seq(ns) -> int:
-    params: dict = {"window": ns.window}
+    params: dict = {}
     kind = ns.kind
     if kind in ("pi", "pi2", "pis", "pis2", "pis-odd"):
         if ns.l is None or len(ns.l) != 1:
             raise UsageError(f"kind {kind} takes --l with a single value")
-        params["l_single"] = ns.l[0]
+        params["l"] = ns.l[0]
         if kind in ("pis", "pis2", "pis-odd"):
             if ns.s is None:
                 raise UsageError(f"kind {kind} needs --s")
@@ -341,10 +256,17 @@ def _cmd_seq(ns) -> int:
         params.update(n=ns.n, g=ns.g, r=ns.r)
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
-    # validate the first record up front so precondition violations exit 2
-    _seq_record(kind, params, ns.m[0])
-    jobs = [(kind, params, m) for m in ns.m]
-    rows = _pmap(_seq_job, jobs, ns.workers)
+    rows = [
+        {
+            "m": rec.m,
+            "num": str(rec.exact.numerator),
+            "den": str(rec.exact.denominator),
+            "float": rec.approx,
+            "target": f"{rec.target_tag}={rec.target_value!r}",
+            "abs_error": rec.abs_error,
+        }
+        for rec in sequences.sweep(kind, ns.m, ns.window, **params)
+    ]
     _emit(rows, ["m", "num", "den", "float", "target", "abs_error"], ns.format, ns.out)
     return 0
 
@@ -389,7 +311,6 @@ def _add_common(p: argparse.ArgumentParser, *, spec=False, table=False) -> None:
                        choices=list(Window), help="paper or symmetric")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="truncation for the windowed families")
 
     ps = sub.add_parser("seq", help="emit a convergence table over an m sweep")
-    ps.add_argument("kind", choices=_SEQ_KINDS)
+    ps.add_argument("kind", choices=tuple(sequences._KINDS))
     _add_common(ps, spec=True, table=True)
     ps.add_argument("--s", type=_parse_shift, default=None, help="shift, e.g. 1/3")
     ps.add_argument("--A", type=int, default=None)
@@ -436,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _HARD_DEFAULTS = {
     "verify": {"r": 2, "p": 1, "q": 3, "a_max": 9, "odd_a_cut": 399, "n": 4, "g": 2},
-    "coeffs": {"r": 2, "p": 1, "q": 0, "format": "csv", "workers": 1},
-    "seq": {"r": 2, "p": 1, "q": 0, "format": "csv", "workers": 1},
-    "compositions": {"format": "csv", "workers": 1, "check": False},
+    "coeffs": {"r": 2, "p": 1, "q": 0, "format": "csv"},
+    "seq": {"r": 2, "p": 1, "q": 0, "format": "csv"},
+    "compositions": {"format": "csv", "check": False},
 }
 
 _WINDOW_DEFAULT = {"coeffs": Window.SYMMETRIC, "seq": Window.PAPER}
@@ -459,7 +380,6 @@ _PARSERS = {
     "n": int,
     "g": int,
     "A": int,
-    "workers": int,
     "format": str,
     "out": str,
     "family": str,

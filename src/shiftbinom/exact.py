@@ -22,6 +22,7 @@ __all__ = [
     "HalfInt",
     "Shift",
     "ScaledValue",
+    "as_float",
     "SHIFT_ZERO",
     "SHIFT_HALF",
     "factorial",
@@ -255,6 +256,21 @@ class ScaledValue:
         if self.scale_exp == 0:
             return f"ScaledValue({self.coeff})"
         return f"ScaledValue({self.coeff} * beta({self.shift.s})^{self.scale_exp})"
+
+
+def as_float(x: ScaledValue | Fraction | int) -> float:
+    """float(x), or inf/-inf with the sign of x when x lies outside double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        pass
+    if isinstance(x, ScaledValue):
+        try:
+            # the rational factor alone overflowed; its product with beta^scale_exp may not
+            return float(x.coeff * Fraction(x.shift.beta) ** x.scale_exp)
+        except OverflowError:
+            x = x.coeff
+    return math.inf if x > 0 else -math.inf
 
 
 class _GammaLadders:

@@ -5,6 +5,17 @@ Each operation returns a SeqRecord whose `exact` field is a plain Fraction:
 the beta-power bookkeeping is stripped symbolically, never through floats.
 Sequence windows default to the one-sided 'paper' convention; the symmetric
 variant is available everywhere a half-integer window appears.
+
+`sweep` evaluates every kind from the table `_KINDS`, whose rows are
+documented by the single-m function of each kind.  A row checks the kind's
+parameters and gives the window of integer indices at m, the term at one
+index, an exact prefactor and the target; the value at m is the prefactor
+times the sum of the terms over the window.  The windows are nested: each
+holds index 0 and the window at every smaller m.  So `sweep` visits the
+requested m in ascending order and adds only the indices the previous window
+lacked, and a sweep costs a number of terms linear in its last m.  The ratio
+kinds take one truncated coefficient per m instead; its window is summed
+inside `sums`.
 """
 
 from __future__ import annotations
@@ -12,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
     SHIFT_HALF,
-    HalfInt,
     ScaledValue,
     Shift,
+    as_float,
     factorial,
     newton_binomial,
     shifted_binomial,
@@ -30,13 +42,13 @@ from .sums import (
     even_A_antisym_partial,
     even_A_coefficient,
     even_A_shifted_partial,
-    half_window,
     odd_A_coefficient_direct,
 )
 
 __all__ = [
     "SeqRecord",
     "GComposition",
+    "sweep",
     "pi_seq_t0",
     "pi2_seq",
     "pi_over_sin_seq",
@@ -66,15 +78,10 @@ class SeqRecord:
 
 
 def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
-    approx = float(exact)
-    return SeqRecord(
-        m=m,
-        exact=exact,
-        approx=approx,
-        target_tag=tag,
-        target_value=target,
-        abs_error=abs(approx - target),
-    )
+    approx = as_float(exact)
+    # past double range the float difference means nothing
+    abs_error = abs(approx - target) if math.isfinite(approx) else math.inf
+    return SeqRecord(m, exact, approx, tag, target, abs_error)
 
 
 def _rational(sv: ScaledValue, scale_exp: int) -> Fraction:
@@ -88,10 +95,189 @@ def _rational(sv: ScaledValue, scale_exp: int) -> Fraction:
     return sv.coeff
 
 
-def _strip(l: int, entry: HalfInt | Fraction, shift: Shift = SHIFT_HALF) -> Fraction:
-    """(pi/sin(pi s)) * C(l, entry) as the exact rational; pi * C(l, entry)
-    at the default s = 1/2."""
-    return _rational(shifted_binomial(l, entry, shift), 1)
+class _Kind(NamedTuple):
+    """A sequence kind with its parameters checked: the value at m is pref
+    times the sum of term(i) over the indices i in window(m)."""
+
+    tag: str
+    target: float
+    least_m: int
+    pref: Fraction | int
+    # indices at m; each window holds 0 and the window at every smaller m.
+    # None: term(m) is the whole sum at m
+    window: Callable[[int], range] | None
+    term: Callable[[int], Fraction]
+
+
+def _binomial_term(l: int, s: Shift, alternating: bool) -> Callable[[int], Fraction]:
+    """i -> (pi/sin(pi s)) C(l, l/2 + k + s), an exact rational, at k = i for
+    even l and k = i + 1/2 for odd l; times (-1)^i / (k + s) when alternating."""
+
+    def term(i: int) -> Fraction:
+        d = i + Fraction(l % 2, 2) + s.s
+        c = _rational(shifted_binomial(l, Fraction(l, 2) + d, s), 1)
+        return c * (-1 if i % 2 else 1) / d if alternating else c
+
+    return term
+
+
+def _pi_window(window: Window) -> Callable[[int], range]:
+    """The window of pi and pi2: k + s = i + 1/2 in [-m+1/2, m+1/2], from
+    -m-1/2 when symmetric."""
+    pad = 1 if window is Window.SYMMETRIC else 0
+    return lambda m: range(-m - pad, m + 1)
+
+
+def _shift_window(l: int, window: Window) -> Callable[[int], range]:
+    """The window of the generic-shift kinds: k = i in [-m, m] for even l, and
+    k = i + 1/2 in [-m-1/2, m-1/2] for odd l, to m+1/2 when symmetric."""
+    pad = 1 if window is Window.SYMMETRIC else 0
+    if l % 2:
+        return lambda m: range(-m - 1, m + pad)
+    return lambda m: range(-m, m + 1)
+
+
+def _central(l: int) -> Fraction:
+    """(l/2)!^2 / l!, without the factor pi that (l/2)!^2 carries for odd l."""
+    if l % 2 == 0:
+        return Fraction(factorial(l // 2) ** 2, factorial(l))
+    big_m = (l + 1) // 2
+    return Fraction(factorial(2 * big_m), 4**big_m * factorial(big_m)) ** 2 / factorial(l)
+
+
+def _pi(window: Window, l: int) -> _Kind:
+    if l <= 0 or l % 2:
+        raise ValueError("l must be a positive even integer")
+    return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _pi_window(window),
+                 _binomial_term(l, SHIFT_HALF, alternating=False))
+
+
+def _pi2(window: Window, l: int) -> _Kind:
+    if l <= 0 or l % 2:
+        raise ValueError("l must be a positive even integer")
+    return _Kind("pi^2", math.pi**2, 1, _central(l), _pi_window(window),
+                 _binomial_term(l, SHIFT_HALF, alternating=True))
+
+
+def _pis(window: Window, l: int, s: Shift) -> _Kind:
+    if s.is_zero:
+        raise ValueError("s = 0 has no 1/sin(pi s) scale; use the classical path")
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    target = math.pi / math.sin(math.pi * float(s.s))
+    return _Kind("pi/sin(pi*s)", target, 1, Fraction(1, 2**l), _shift_window(l, window),
+                 _binomial_term(l, s, alternating=False))
+
+
+def _pis2(window: Window, l: int, s: Shift) -> _Kind:
+    if s.is_zero:
+        raise ValueError("s = 0 has no 1/sin(pi s) scale")
+    if l < 0 or l % 2:
+        raise ValueError("l must be even; use pi_over_sin_cos_seq for odd l")
+    target = (math.pi / math.sin(math.pi * float(s.s))) ** 2
+    return _Kind("(pi/sin(pi*s))^2", target, 1, _central(l), _shift_window(l, window),
+                 _binomial_term(l, s, alternating=True))
+
+
+def _pis_odd(window: Window, l: int, s: Shift) -> _Kind:
+    if l < 1 or l % 2 == 0:
+        raise ValueError("l must be odd")
+    if s.is_zero or s.s == Fraction(1, 2):
+        raise ValueError("target pi/(sin cos) is undefined at s = 0 or s = 1/2")
+    x = float(s.s)
+    target = math.pi / (math.sin(math.pi * x) * math.cos(math.pi * x))
+    return _Kind("pi/(sin(pi*s)*cos(pi*s))", target, 1, _central(l), _shift_window(l, window),
+                 _binomial_term(l, s, alternating=True))
+
+
+def _odd_A_sums(
+    pref: int, weighted: list[tuple[Fraction | int, SumSpec]], tag: str, target: float
+) -> _Kind:
+    """Sums over (weight, spec) in weighted of weight times the pi^2-stripped
+    odd-A coefficient of spec, at A = 2i+1 for i = 0..m."""
+
+    def term(i: int) -> Fraction:
+        return sum(
+            w * _rational(odd_A_coefficient_direct(spec, 2 * i + 1), 2) for w, spec in weighted
+        )
+
+    return _Kind(tag, target, 0, pref, lambda m: range(m + 1), term)
+
+
+def _cum(window: Window, spec: SumSpec) -> _Kind:
+    target = math.pi**2 * as_float(math.comb(spec.r * spec.n, spec.r * spec.n // 2))
+    return _odd_A_sums(2, [(1, spec)], "pi^2*C(rn,rn/2)", target)
+
+
+def _agg(window: Window, n: int, g: int, r: int) -> _Kind:
+    weighted = [
+        (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp), q=None))
+        for comp in enumerate_g_compositions(n, g)
+    ]
+    target = (
+        math.pi**2 * as_float(math.comb(r * n, r * n // 2)) * as_float(math.comb(g * n, n))
+    )
+    return _odd_A_sums(2 * g * n, weighted, "pi^2*C(rn,rn/2)*C(gn,n)", target)
+
+
+def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
+    ref = even_A_coefficient(spec, A)
+    if ref == 0:
+        raise ValueError(f"A = {A} is outside the support; zero reference")
+    return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), None,
+                 lambda m: even_A_shifted_partial(spec, A, m, window).coeff)
+
+
+def _ratio_pi(window: Window, spec: SumSpec, A: int) -> _Kind:
+    ref = even_A_antisym_exact(spec, A)
+    if ref.is_zero:
+        raise ValueError(f"antisymmetric reference coefficient vanishes at A = {A}")
+    return _Kind("pi", math.pi, 1, 1 / ref.coeff, None,
+                 lambda m: even_A_antisym_partial(spec, A, m, window).coeff)
+
+
+_KINDS: dict[str, Callable[..., _Kind]] = {
+    "pi": _pi,
+    "pi2": _pi2,
+    "pis": _pis,
+    "pis2": _pis2,
+    "pis-odd": _pis_odd,
+    "cum": _cum,
+    "agg": _agg,
+    "ratio-pi2": _ratio_pi2,
+    "ratio-pi": _ratio_pi,
+}
+
+
+def sweep(
+    kind: str, ms: Iterable[int], window: Window = Window.PAPER, **params
+) -> list[SeqRecord]:
+    """The records of one sequence kind at each m of ms, in the order given.
+
+    Parameters by kind: `l` for pi and pi2; `l` and the Shift `s` for pis,
+    pis2 and pis-odd; `spec` for cum; `n`, `g` and `r` for agg; `spec` and
+    `A` for the ratio kinds.  `window` is the half-integer truncation
+    convention; kinds without a half-integer window ignore it.  Every
+    parameter and every m is checked before any term is computed.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    seq = _KINDS[kind](window, **params)
+    ms = list(ms)
+    if ms and min(ms) < seq.least_m:
+        raise ValueError(f"m must be >= {seq.least_m}")
+    records: dict[int, SeqRecord] = {}
+    total, done = Fraction(0), range(0)
+    for m in sorted(set(ms)):
+        if seq.window is None:
+            total = seq.term(m)
+        else:
+            win = seq.window(m)
+            for i in chain(range(win.start, done.start), range(done.stop, win.stop)):
+                total += seq.term(i)
+            done = win
+        records[m] = _record(m, seq.pref * total, seq.tag, seq.target)
+    return [records[m] for m in ms]
 
 
 def pi_seq_t0(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
@@ -100,36 +286,13 @@ def pi_seq_t0(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
     The value of the shifted expansion of (2 cos pi t)^l at t = 0; converges
     to pi as m grows.
     """
-    if l <= 0 or l % 2:
-        raise ValueError("l must be a positive even integer")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    total = Fraction(0)
-    for k in half_window(m, window):
-        total += _strip(l, HalfInt(l) + k)
-    return _record(m, total / 2**l, "pi", math.pi)
+    return sweep("pi", [m], window, l=l)[0]
 
 
 def pi2_seq(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
     """((l/2)!^2/l!) * sum of pi*C(l, l/2+k) * (-1)^(k-1/2)/k over the window;
     the term-wise integral of the same expansion, converging to pi^2."""
-    if l <= 0 or l % 2:
-        raise ValueError("l must be a positive even integer")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    pref = Fraction(factorial(l // 2) ** 2, factorial(l))
-    total = Fraction(0)
-    for k in half_window(m, window):
-        sign = -1 if ((k.doubled - 1) // 2) % 2 else 1
-        total += _strip(l, HalfInt(l) + k) * sign / k.as_fraction()
-    return _record(m, pref * total, "pi^2", math.pi**2)
-
-
-def _odd_l_window(m: int, window: Window) -> list[HalfInt]:
-    """Half-integer window used by the odd-l generic sequences:
-    [-m-1/2, m-1/2] one-sided, [-m-1/2, m+1/2] symmetric."""
-    hi = 2 * m + 1 if window is Window.SYMMETRIC else 2 * m - 1
-    return [HalfInt(d) for d in range(-2 * m - 1, hi + 1, 2)]
+    return sweep("pi2", [m], window, l=l)[0]
 
 
 def pi_over_sin_seq(
@@ -140,39 +303,13 @@ def pi_over_sin_seq(
     k runs over integers for even l and half-integers for odd l, so that the
     entry l/2 + k + s is always an integer plus s.
     """
-    if shift.is_zero:
-        raise ValueError("s = 0 has no 1/sin(pi s) scale; use the classical path")
-    if l < 0 or m < 1:
-        raise ValueError("need l >= 0 and m >= 1")
-    half_l = Fraction(l, 2)
-    if l % 2 == 0:
-        ks = [Fraction(k) for k in range(-m, m + 1)]
-    else:
-        ks = [k.as_fraction() for k in _odd_l_window(m, window)]
-    total = Fraction(0)
-    for k in ks:
-        total += _strip(l, half_l + k + shift.s, shift)
-    target = math.pi / math.sin(math.pi * float(shift.s))
-    return _record(m, total / 2**l, "pi/sin(pi*s)", target)
+    return sweep("pis", [m], window, l=l, s=shift)[0]
 
 
 def pi_over_sin_sq_seq(l: int, shift: Shift, m: int) -> SeqRecord:
     """((l/2)!^2/l!) * sum of (pi/sin pi s)*C(l, l/2+k+s) * (-1)^k/(k+s) for
     even l; target (pi/sin(pi s))^2."""
-    if shift.is_zero:
-        raise ValueError("s = 0 has no 1/sin(pi s) scale")
-    if l < 0 or l % 2:
-        raise ValueError("l must be even; use pi_over_sin_cos_seq for odd l")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    pref = Fraction(factorial(l // 2) ** 2, factorial(l))
-    half_l = Fraction(l, 2)
-    total = Fraction(0)
-    for k in range(-m, m + 1):
-        sign = -1 if k % 2 else 1
-        total += _strip(l, half_l + k + shift.s, shift) * sign / (k + shift.s)
-    target = (math.pi / math.sin(math.pi * float(shift.s))) ** 2
-    return _record(m, pref * total, "(pi/sin(pi*s))^2", target)
+    return sweep("pis2", [m], l=l, s=shift)[0]
 
 
 def pi_over_sin_cos_seq(
@@ -183,35 +320,13 @@ def pi_over_sin_cos_seq(
     (l/2)!^2 at half-integer l/2 contributes one extra pi, cancelled here
     symbolically: the prefactor becomes ((2M)!/(4^M M!))^2 / l!, M = (l+1)/2.
     """
-    if l < 1 or l % 2 == 0:
-        raise ValueError("l must be odd")
-    if shift.is_zero or shift.s == Fraction(1, 2):
-        raise ValueError("target pi/(sin cos) is undefined at s = 0 or s = 1/2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    big_m = (l + 1) // 2
-    pref = Fraction(factorial(2 * big_m), 4**big_m * factorial(big_m)) ** 2 / factorial(l)
-    half_l = Fraction(l, 2)
-    total = Fraction(0)
-    for kh in _odd_l_window(m, window):
-        k = kh.as_fraction()
-        sign = -1 if ((kh.doubled - 1) // 2) % 2 else 1
-        total += _strip(l, half_l + k + shift.s, shift) * sign / (k + shift.s)
-    s = float(shift.s)
-    target = math.pi / (math.sin(math.pi * s) * math.cos(math.pi * s))
-    return _record(m, pref * total, "pi/(sin(pi*s)*cos(pi*s))", target)
+    return sweep("pis-odd", [m], window, l=l, s=shift)[0]
 
 
 def odd_A_cumulative_seq(spec: SumSpec, m: int) -> SeqRecord:
     """2 * sum over odd A = 1..2m+1 of the pi^2-stripped odd-A coefficients;
     converges to pi^2 * C(rn, rn/2)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total = Fraction(0)
-    for a in range(m + 1):
-        total += _rational(odd_A_coefficient_direct(spec, 2 * a + 1), 2)
-    target = math.pi**2 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-    return _record(m, 2 * total, "pi^2*C(rn,rn/2)", target)
+    return sweep("cum", [m], spec=spec)[0]
 
 
 def pi2_ratio_seq(
@@ -219,11 +334,7 @@ def pi2_ratio_seq(
 ) -> SeqRecord:
     """Ratio of the truncated shifted even-A coefficient to its exact integer
     limit; a rational sequence converging to pi^2."""
-    ref = even_A_coefficient(spec, A)
-    if ref == 0:
-        raise ValueError(f"A = {A} is outside the support; zero reference")
-    num = even_A_shifted_partial(spec, A, m, window)
-    return _record(m, num.coeff / ref, "pi^2", math.pi**2)
+    return sweep("ratio-pi2", [m], window, spec=spec, A=A)[0]
 
 
 def pi_ratio_seq(
@@ -231,11 +342,7 @@ def pi_ratio_seq(
 ) -> SeqRecord:
     """Ratio of the truncated antisymmetric coefficient (two pi powers) to its
     exact one-pi-power limit; converges to pi."""
-    ref = even_A_antisym_exact(spec, A)
-    if ref.is_zero:
-        raise ValueError(f"antisymmetric reference coefficient vanishes at A = {A}")
-    num = even_A_antisym_partial(spec, A, m, window)
-    return _record(m, num.coeff / ref.coeff, "pi", math.pi)
+    return sweep("ratio-pi", [m], window, spec=spec, A=A)[0]
 
 
 def average_consecutive(records: list[SeqRecord]) -> list[SeqRecord]:
@@ -380,12 +487,4 @@ def _spec_parts(comp: GComposition) -> tuple[int, ...]:
 def aggregate_composition_seq(n: int, g: int, r: int, m: int) -> SeqRecord:
     """g*n * sum over g-compositions of cg_weight * odd-A cumulative value;
     converges to pi^2 * C(rn, rn/2) * C(gn, n)."""
-    total = Fraction(0)
-    for comp in enumerate_g_compositions(n, g):
-        spec = SumSpec(r=r, l=_spec_parts(comp), q=None)
-        total += cg_weight(comp) * odd_A_cumulative_seq(spec, m).exact
-    exact = g * n * total
-    target = (
-        math.pi**2 * math.comb(r * n, r * n // 2) * math.comb(g * n, n)
-    )
-    return _record(m, exact, "pi^2*C(rn,rn/2)*C(gn,n)", target)
+    return sweep("agg", [m], n=n, g=g, r=r)[0]

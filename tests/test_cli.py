@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from shiftbinom import cli
-from shiftbinom.exact import SHIFT_HALF, ScaledValue
+from shiftbinom.exact import SHIFT_HALF, ScaledValue, as_float
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -125,10 +127,46 @@ def test_coeffs_float_overflow_json():
 
 def test_float_column_outside_double_range():
     big = Fraction(10**309)
-    assert cli._float(ScaledValue(big, 0, SHIFT_HALF)) == math.inf
-    assert cli._float(ScaledValue(-big, 1, SHIFT_HALF)) == -math.inf
+    assert as_float(ScaledValue(big, 0, SHIFT_HALF)) == math.inf
+    assert as_float(ScaledValue(-big, 1, SHIFT_HALF)) == -math.inf
     # the rational overflows but its value 10^309 / pi^2 does not
-    assert cli._float(ScaledValue(big, 2, SHIFT_HALF)) == pytest.approx(10 * (1e308 / math.pi**2))
+    assert as_float(ScaledValue(big, 2, SHIFT_HALF)) == pytest.approx(10 * (1e308 / math.pi**2))
+    # the seq columns take plain rationals and integers
+    assert as_float(-big) == -math.inf
+    assert as_float(10**309) == math.inf
+    assert as_float(Fraction(1, 3)) == 1 / 3
+
+
+@pytest.mark.parametrize("args", [
+    ("seq", "cum", "--r", "2", "--l", "300,300", "--m", "0:1"),
+    # agg takes the same path; a small n keeps the composition count small
+    ("seq", "agg", "--n", "2", "--g", "2", "--r", "600", "--m", "0"),
+])
+def test_seq_float_overflow_csv(args):
+    # the partial sums and the target pi^2*C(1200,600)*... lie far outside double range
+    cp = run_cli(*args)
+    assert cp.returncode == 0, cp.stderr
+    assert "Traceback" not in cp.stderr
+    rows = list(csv.DictReader(io.StringIO(cp.stdout)))
+    assert rows
+    for row in rows:
+        assert Fraction(int(row["num"]), int(row["den"])) > 10**308
+        assert row["float"] == row["abs_error"] == "inf"
+        assert row["target"].endswith("=inf")
+
+
+def test_seq_float_overflow_json():
+    from shiftbinom.sequences import odd_A_cumulative_seq
+    from shiftbinom.sums import SumSpec
+
+    cp = run_cli("seq", "cum", "--r", "2", "--l", "300,300", "--m", "0", "--format", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert '"float": Infinity' in cp.stdout and '"abs_error": Infinity' in cp.stdout
+    [row] = json.loads(cp.stdout)
+    assert row["float"] == row["abs_error"] == math.inf
+    assert row["target"] == "pi^2*C(rn,rn/2)=inf"
+    exact = odd_A_cumulative_seq(SumSpec(r=2, l=(300, 300)), 0).exact
+    assert (row["num"], row["den"]) == (str(exact.numerator), str(exact.denominator))
 
 
 def test_coeffs_wrong_parity_exits_2():
@@ -227,12 +265,16 @@ def test_optimized_interpreter_output_identical(args):
     assert base.stdout == opt.stdout and base.stdout
 
 
-def test_workers_do_not_change_output():
-    base = run_cli("seq", "cum", "--r", "2", "--l", "1,1", "--m", "0:12:1")
-    par = run_cli("seq", "cum", "--r", "2", "--l", "1,1", "--m", "0:12:1",
-                  "--workers", "3")
-    assert base.returncode == par.returncode == 0
-    assert base.stdout == par.stdout
+def test_workers_option_is_rejected(tmp_path: Path):
+    # sweeps run in one process; the former --workers flag is a usage error
+    cp = run_cli("seq", "cum", "--r", "2", "--l", "1,1", "--m", "0:12:1", "--workers", "2")
+    assert cp.returncode == 2
+    assert "error:" in cp.stderr and "Traceback" not in cp.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers=2\n", encoding="utf-8")
+    cp = run_cli("seq", "cum", "--r", "2", "--l", "1,1", "--m", "0:12:1", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert "error:" in cp.stderr and "Traceback" not in cp.stderr
 
 
 def test_config_file_and_flag_override(tmp_path: Path):

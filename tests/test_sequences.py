@@ -324,3 +324,50 @@ def test_average_consecutive_accelerates_alternating_tail():
     with pytest.raises(ValueError):
         average_consecutive([pi2_seq(2, 5), pi_seq_t0(2, 5)])
     assert average_consecutive(records[:1]) == records[:1]
+
+
+# ---------------------------------- sweeps ----------------------------------
+
+SWEEP_MS = [1, 2, *range(5, 18, 4)]  # 1, 2, 5, 9, 13, 17
+SWEEPS = [
+    ("pi", {"l": 2}),
+    ("pi", {"l": 4}),
+    ("pi2", {"l": 2}),
+    ("pi2", {"l": 6}),
+    *[("pis", {"l": l, "s": s}) for l in (2, 3) for s in (S3, SHIFT_HALF)],
+    *[("pis2", {"l": l, "s": s}) for l in (2, 4) for s in (S3, SHIFT_HALF)],
+    ("pis-odd", {"l": 1, "s": S3}),
+    ("pis-odd", {"l": 3, "s": S3}),
+    ("cum", {"spec": SumSpec(r=2, l=(1, 1))}),
+    ("cum", {"spec": SumSpec(r=2, l=(1, 2, 1))}),
+    ("agg", {"n": 2, "g": 2, "r": 2}),
+    ("agg", {"n": 3, "g": 3, "r": 2}),
+    ("ratio-pi2", {"spec": SumSpec(r=2, l=(1, 1)), "A": 0}),
+    ("ratio-pi", {"spec": SumSpec(r=2, l=(1, 1)), "A": 2}),
+]
+
+
+@pytest.mark.parametrize("window", list(Window))
+@pytest.mark.parametrize("kind, params", SWEEPS)
+def test_sweep_adds_only_new_window_terms(kind, params, window):
+    # the incremental sweep against a from-scratch evaluation at every m
+    ms = ([0] if kind in ("cum", "agg") else []) + SWEEP_MS
+    swept = sequences.sweep(kind, ms, window, **params)
+    assert swept == [sequences.sweep(kind, [m], window, **params)[0] for m in ms]
+
+
+def test_sweep_order_and_validation(monkeypatch):
+    ms = [9, 1, 5, 5, 2]
+    assert sequences.sweep("pis", ms, l=3, s=S3) == [pi_over_sin_seq(3, S3, m) for m in ms]
+    assert sequences.sweep("pi", [], l=2) == []
+
+    def no_terms(*args):
+        raise AssertionError("a term was computed before the check")
+
+    monkeypatch.setattr(sequences, "shifted_binomial", no_terms)
+    with pytest.raises(ValueError):
+        sequences.sweep("pi", [3, 0], l=2)  # m = 0 is rejected up front
+    with pytest.raises(ValueError):
+        sequences.sweep("pi", [1], l=3)
+    with pytest.raises(ValueError):
+        sequences.sweep("no-such-kind", [1])
