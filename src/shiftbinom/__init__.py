@@ -9,7 +9,6 @@ from .exact import (
     ScaledValue,
     Shift,
     newton_binomial,
-    pi_times_half_binomial_check,
     shifted_binomial,
     sinc_at,
 )

@@ -2,17 +2,16 @@
 powers of beta(s) = sin(pi*s)/pi.
 
 A binomial coefficient whose entry is shifted off the integers by a rational
-s in (0, 1) equals an exact rational times one power of beta(s).  Both Gamma
-factors are reduced to finite Pochhammer ladders anchored at Gamma(1+s) and
-Gamma(1-s), and the leftover Gamma(1+s)Gamma(1-s) collapses through the
-reflection identity Gamma(z)Gamma(1-z) = pi/sin(pi*z).  Gamma is never
-evaluated in floating point on this path.
+s in (0, 1) equals an exact rational times one power of beta(s).  Writing
+Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x), the reflection identity
+Gamma(1+x)Gamma(1-x) = pi x/sin(pi x) collapses both Gamma factors, and
+C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s) at x = k + s: one
+closed product.  Gamma is never evaluated in floating point on this path.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,6 @@ __all__ = [
     "factorial",
     "newton_binomial",
     "shifted_binomial",
-    "pi_times_half_binomial_check",
     "sinc_at",
 ]
 
@@ -37,9 +35,11 @@ __all__ = [
 Rational = Fraction
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def factorial(n: int) -> int:
-    """n!, memoized; coefficient sweeps revisit the same n thousands of times."""
+    """n!, memoized; coefficient sweeps revisit the same few n thousands of
+    times.  The cache is bounded, so a long-lived process cannot grow it
+    without limit."""
     return math.factorial(n)
 
 
@@ -273,71 +273,17 @@ def as_float(x: ScaledValue | Fraction | int) -> float:
     return math.inf if x > 0 else -math.inf
 
 
-class _GammaLadders:
-    """Monotone-growing Pochhammer prefix products for one shift s.
-
-    up[k]   = (1+s)(2+s)...(k+s)      Gamma(k+s+1)  = Gamma(1+s) * up[k]
-    down[m] = s(s-1)...(s-m+1)        Gamma(1-m+s)  = Gamma(1+s) / down[m]
-    rise[m] = (1-s)(2-s)...(m-s)      Gamma(m+1-s)  = Gamma(1-s) * rise[m]
-    fall[m] = (-s)(-1-s)...(1-m-s)    Gamma(1-m-s)  = Gamma(1-s) / fall[m]
-
-    A zero factor (possible only at s = 0) poisons the tail of its ladder,
-    which is exactly right: those Gamma arguments sit on poles and the
-    reciprocal Gamma, hence the binomial, vanishes.
-    """
-
-    __slots__ = ("s", "_lock", "_up", "_down", "_rise", "_fall")
-
-    def __init__(self, s: Fraction):
-        self.s = s
-        self._lock = threading.Lock()
-        one = Fraction(1)
-        self._up = [one]
-        self._down = [one]
-        self._rise = [one]
-        self._fall = [one]
-
-    def _entry(self, cache: list, n: int, factor) -> Fraction:
-        if n >= len(cache):
-            with self._lock:
-                while len(cache) <= n:
-                    i = len(cache)
-                    cache.append(cache[-1] * factor(i))
-        return cache[n]
-
-    def up_ratio(self, k: int) -> Fraction:
-        """Gamma(k+s+1) / Gamma(1+s); raises ZeroDivisionError on a pole."""
-        s = self.s
-        if k >= 0:
-            return self._entry(self._up, k, lambda i: i + s)
-        return 1 / self._entry(self._down, -k, lambda i: s - (i - 1))
-
-    def rise_ratio(self, m: int) -> Fraction:
-        """Gamma(m+1-s) / Gamma(1-s); raises ZeroDivisionError on a pole."""
-        s = self.s
-        if m >= 0:
-            return self._entry(self._rise, m, lambda i: i - s)
-        return 1 / self._entry(self._fall, -m, lambda i: 1 - s - i)
-
-
-_LADDERS: dict[Fraction, _GammaLadders] = {}
-_LADDERS_LOCK = threading.Lock()
-
-
-def _ladders(s: Fraction) -> _GammaLadders:
-    lad = _LADDERS.get(s)
-    if lad is None:
-        with _LADDERS_LOCK:
-            lad = _LADDERS.setdefault(s, _GammaLadders(s))
-    return lad
-
-
 def shifted_binomial(l: int, entry, shift: Shift) -> ScaledValue:
     """C(l, entry) = l! / (Gamma(entry+1) Gamma(l-entry+1)) for entry = k + s.
 
     With s = 0 this is newton_binomial (scale_exp 0, poles giving exact 0).
-    With 0 < s < 1 the two Gamma factors reduce to exact ladder products and
-    one beta(s) survives:  coeff = l! / (s * up_ratio(k) * rise_ratio(l-k)).
+    With 0 < s < 1, Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x) and the
+    reflection identity give, at x = entry and s = a/b,
+
+        C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s)
+                = (-1)^(k+1) l! b^(l+1) / prod_{i=0..l} (b(i-k) - a) * beta(s),
+
+    one integer product whose factors never vanish.
     """
     if l < 0:
         raise ValueError("l must be non-negative")
@@ -348,32 +294,10 @@ def shifted_binomial(l: int, entry, shift: Shift) -> ScaledValue:
     k = int(k)
     if shift.is_zero:
         return ScaledValue(Fraction(newton_binomial(l, k)), 0, shift)
-    lad = _ladders(shift.s)
-    try:
-        u = lad.up_ratio(k)
-        v = lad.rise_ratio(l - k)
-        coeff = factorial(l) / (shift.s * u * v)
-    except ZeroDivisionError:
-        return ScaledValue(Fraction(0), 0, shift)
-    return ScaledValue(coeff, 1, shift)
-
-
-def pi_times_half_binomial_check(l: int, entry) -> Fraction:
-    """pi * C(l, entry) for a genuine half-integer entry, via the closed
-    product (-1)^(entry+1/2) * l! * prod_{k=entry}^{l+entry} 1/(l-k).
-
-    Redundant with shifted_binomial at s = 1/2; exists as a cross-check path.
-    """
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    h = HalfInt.of(entry)
-    if h.is_integer:
-        raise ValueError("entry must be a genuine half-integer")
-    sign = -1 if ((h.doubled + 1) // 2) % 2 else 1
-    denom = Fraction(1)
-    for i in range(l + 1):
-        denom *= Fraction(2 * l - h.doubled - 2 * i, 2)
-    return sign * factorial(l) / denom
+    a, b = shift.s.numerator, shift.s.denominator
+    sign = 1 if k % 2 else -1
+    denom = math.prod(b * (i - k) - a for i in range(l + 1))
+    return ScaledValue(Fraction(sign * factorial(l) * b ** (l + 1), denom), 1, shift)
 
 
 def sinc_at(x, shift: Shift = SHIFT_HALF) -> ScaledValue:

@@ -1,6 +1,6 @@
 """Independent floating-point evaluation of the integrals and series.
 
-Nothing here touches the exact Gamma ladders: binomials go through libm's
+Nothing here touches the exact path: binomials go through libm's
 lgamma, integrals through equally spaced sampling (exact for trigonometric
 polynomials by discrete orthogonality) or Gauss-Legendre nodes.  Agreement
 with the exact engine is therefore evidence, not circularity.
@@ -119,7 +119,7 @@ def shifted_series_eval(l: int, s, t: float, K: int) -> complex:
     with k integer for even l and half-integer for odd l.
 
     Converges to (2 cos(pi t))^l for |t| < 1/2; the binomials are float-Gamma
-    evaluations, independent of the exact ladders.
+    evaluations, independent of the exact path.
     """
     if abs(t) >= 0.5:
         raise ValueError("the expansion holds on the open interval |t| < 1/2")

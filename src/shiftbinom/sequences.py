@@ -14,8 +14,8 @@ times the sum of the terms over the window.  The windows are nested: each
 holds index 0 and the window at every smaller m.  So `sweep` visits the
 requested m in ascending order and adds only the indices the previous window
 lacked, and a sweep costs a number of terms linear in its last m.  The ratio
-kinds take one truncated coefficient per m instead; its window is summed
-inside `sums`.
+kinds use the same incremental window: their index is the half-integer k_1 of
+the truncated coefficient, whose term at one k_1 comes from `sums.k1_term`.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .exact import (
     shifted_binomial,
 )
 from .sums import (
+    Family,
     SumSpec,
     Window,
     even_A_antisym_exact,
-    even_A_antisym_partial,
     even_A_coefficient,
-    even_A_shifted_partial,
+    k1_term,
     odd_A_coefficient_direct,
 )
 
@@ -103,9 +103,8 @@ class _Kind(NamedTuple):
     target: float
     least_m: int
     pref: Fraction | int
-    # indices at m; each window holds 0 and the window at every smaller m.
-    # None: term(m) is the whole sum at m
-    window: Callable[[int], range] | None
+    # indices at m; each window holds 0 and the window at every smaller m
+    window: Callable[[int], range]
     term: Callable[[int], Fraction]
 
 
@@ -122,8 +121,8 @@ def _binomial_term(l: int, s: Shift, alternating: bool) -> Callable[[int], Fract
 
 
 def _pi_window(window: Window) -> Callable[[int], range]:
-    """The window of pi and pi2: k + s = i + 1/2 in [-m+1/2, m+1/2], from
-    -m-1/2 when symmetric."""
+    """The window of pi, pi2 and the ratio kinds: k + s = i + 1/2 in
+    [-m+1/2, m+1/2], from -m-1/2 when symmetric (sums.half_window)."""
     pad = 1 if window is Window.SYMMETRIC else 0
     return lambda m: range(-m - pad, m + 1)
 
@@ -224,16 +223,18 @@ def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
     ref = even_A_coefficient(spec, A)
     if ref == 0:
         raise ValueError(f"A = {A} is outside the support; zero reference")
-    return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), None,
-                 lambda m: even_A_shifted_partial(spec, A, m, window).coeff)
+    term = k1_term(spec, Family.SHIFTED, A)  # at k_1 = i + 1/2
+    return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), _pi_window(window),
+                 lambda i: term(2 * i + 1))
 
 
 def _ratio_pi(window: Window, spec: SumSpec, A: int) -> _Kind:
     ref = even_A_antisym_exact(spec, A)
     if ref.is_zero:
         raise ValueError(f"antisymmetric reference coefficient vanishes at A = {A}")
-    return _Kind("pi", math.pi, 1, 1 / ref.coeff, None,
-                 lambda m: even_A_antisym_partial(spec, A, m, window).coeff)
+    term = k1_term(spec, Family.ANTISYM, A)  # at k_1 = i + 1/2
+    return _Kind("pi", math.pi, 1, 1 / ref.coeff, _pi_window(window),
+                 lambda i: term(2 * i + 1))
 
 
 _KINDS: dict[str, Callable[..., _Kind]] = {
@@ -269,13 +270,10 @@ def sweep(
     records: dict[int, SeqRecord] = {}
     total, done = Fraction(0), range(0)
     for m in sorted(set(ms)):
-        if seq.window is None:
-            total = seq.term(m)
-        else:
-            win = seq.window(m)
-            for i in chain(range(win.start, done.start), range(done.stop, win.stop)):
-                total += seq.term(i)
-            done = win
+        win = seq.window(m)
+        for i in chain(range(win.start, done.start), range(done.stop, win.stop)):
+            total += seq.term(i)
+        done = win
         records[m] = _record(m, seq.pref * total, seq.tag, seq.target)
     return [records[m] for m in ms]
 

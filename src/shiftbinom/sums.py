@@ -50,6 +50,7 @@ __all__ = [
     "Family",
     "CoeffTable",
     "half_window",
+    "k1_term",
     "even_A_coefficient",
     "even_A_support",
     "support_bound",
@@ -194,11 +195,10 @@ def _pi_binomial(n: int, e2: int) -> Fraction | int:
     return shifted_binomial(n, HalfInt(e2), SHIFT_HALF).coeff
 
 
-def _axis(n: int, half: bool, m: int | None, window: Window) -> list[tuple[int, Fraction | int]]:
-    """(2k, pi^[k half-integer] C(n, n/2 + k)) over one summation index: the
-    integers |k| <= n/2, or the size-m half-integer window."""
-    k2s = [k.doubled for k in half_window(m, window)] if half else range(-n, n + 1, 2)
-    return [(k2, _pi_binomial(n, n + k2)) for k2 in k2s]
+def _axis(n: int, half: bool, m: int | None, window: Window) -> list[int] | range:
+    """2k over one summation index k of a C(n, n/2 + k): the integers
+    |k| <= n/2, or the size-m half-integer window."""
+    return [k.doubled for k in half_window(m, window)] if half else range(-n, n + 1, 2)
 
 
 def _tail_weights(
@@ -211,12 +211,56 @@ def _tail_weights(
     weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
     weights: dict[tuple[int, int], Fraction | int] = {(0, 0): 1}
     for i in range(3, spec.j + 1):
+        n = spec.r * spec.l[i - 1]
         grown: defaultdict[tuple[int, int], Fraction | int] = defaultdict(int)
-        for k2, c in _axis(spec.r * spec.l[i - 1], i in half_axes, m, window):
+        for k2 in _axis(n, i in half_axes, m, window):
+            c = _pi_binomial(n, n + k2)
             for (s2, s1), w in weights.items():
                 grown[s2 + (i - 2) * k2, s1 + (i - 1) * k2] += w * c
         weights = grown
     return weights
+
+
+def _form(spec: SumSpec, family: Family, A: int) -> _Form:
+    """The family's table row, once A and the number of parts fit it."""
+    form = _FAMILIES[family]
+    if A % 2 != form.parity:
+        raise ValueError(f"A must be {'odd' if form.parity else 'even'}")
+    if max(form.half_axes, default=0) > spec.j:
+        raise ValueError(f"family {family.value} needs at least {max(form.half_axes)} parts")
+    return form
+
+
+def _inner(
+    spec: SumSpec, form: _Form, A: int, m: int | None = None, window: Window = Window.SYMMETRIC
+) -> dict[int, Fraction | int]:
+    """inner[2 s2] = sum over s1 of W[s2, s1] C(n2, n2/2 - A/2 - s1), zeros dropped."""
+    n2 = spec.r * spec.l[1]
+    inner: defaultdict[int, Fraction | int] = defaultdict(int)
+    for (s2, s1), w in _tail_weights(spec, form.half_axes, m, window).items():
+        inner[s2] += w * _pi_binomial(n2, n2 - A - s1)
+    return {s2: v for s2, v in inner.items() if v}
+
+
+def k1_term(spec: SumSpec, family: Family, A: int) -> Callable[[int], Fraction | int]:
+    """k2 -> the term of a weighted-k_1 family's coefficient at k_1 = k2/2:
+
+        pi^[k_1 half-integer] C(n1, n1/2 + k_1) sum over s2 of inner[s2] pi g(A/2 + s2 - k_1)
+
+    The coefficient is the sum of these terms over the family's k_1 axis."""
+    family = Family(family)
+    form = _form(spec, family, A)
+    if form.weight is None:
+        raise ValueError(f"family {family.value} eliminates k_1")
+    n1 = spec.r * spec.l[0]
+    inner = _inner(spec, form, A)  # no weighted family truncates a tail axis
+
+    def term(k2: int) -> Fraction | int:
+        return _pi_binomial(n1, n1 + k2) * sum(
+            v * form.weight(A + s2 - k2) for s2, v in inner.items()
+        )
+
+    return term
 
 
 def coefficient(
@@ -228,27 +272,16 @@ def coefficient(
 ) -> ScaledValue:
     """One coefficient of the requested family: the module docstring's sum."""
     family = Family(family)
-    form = _FAMILIES[family]
-    if A % 2 != form.parity:
-        raise ValueError(f"A must be {'odd' if form.parity else 'even'}")
+    form = _form(spec, family, A)
     if form.half_axes and m is None:
         raise ValueError(f"family {family.value} needs a truncation m")
-    if max(form.half_axes, default=0) > spec.j:
-        raise ValueError(f"family {family.value} needs at least {max(form.half_axes)} parts")
-    n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
-    # inner[2 s2] = sum over s1 of W[s2, s1] C(n2, n2/2 - A/2 - s1)
-    inner: defaultdict[int, Fraction | int] = defaultdict(int)
-    for (s2, s1), w in _tail_weights(spec, form.half_axes, m, window).items():
-        inner[s2] += w * _pi_binomial(n2, n2 - A - s1)
+    n1 = spec.r * spec.l[0]
     if form.weight is None:
-        total = sum(v * _pi_binomial(n1, n1 + A + s2) for s2, v in inner.items() if v)
+        inner = _inner(spec, form, A, m, window)
+        total = sum(v * _pi_binomial(n1, n1 + A + s2) for s2, v in inner.items())
     else:
-        k1s = _axis(n1, 1 in form.half_axes, m, window)
-        total = sum(
-            v * sum(c * form.weight(A + s2 - k2) for k2, c in k1s)
-            for s2, v in inner.items()
-            if v
-        )
+        term = k1_term(spec, family, A)
+        total = sum(term(k2) for k2 in _axis(n1, 1 in form.half_axes, m, window))
     return ScaledValue(total, form.pi_exp, SHIFT_HALF)
 
 

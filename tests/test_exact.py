@@ -10,8 +10,8 @@ from shiftbinom.exact import (
     HalfInt,
     ScaledValue,
     Shift,
+    factorial,
     newton_binomial,
-    pi_times_half_binomial_check,
     shifted_binomial,
     sinc_at,
 )
@@ -34,6 +34,26 @@ def float_gamma_binomial(l: int, x: float) -> float:
     return sa * sb * math.exp(math.lgamma(l + 1.0) - la - lb)
 
 
+def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
+    """Independent exact route: pi/sin(pi s) * C(l, k+s) = l!/(s up(k) rise(l-k)).
+
+    up(k) = Gamma(k+s+1)/Gamma(1+s) and rise(m) = Gamma(m+1-s)/Gamma(1-s) are
+    written as explicit Pochhammer products, reciprocal for negative k or m.
+    """
+
+    def up(k):
+        if k >= 0:
+            return math.prod((i + s for i in range(1, k + 1)), start=Fraction(1))
+        return 1 / math.prod((s - i for i in range(-k)), start=Fraction(1))
+
+    def rise(m):
+        if m >= 0:
+            return math.prod((i - s for i in range(1, m + 1)), start=Fraction(1))
+        return 1 / math.prod((1 - s - i for i in range(1, -m + 1)), start=Fraction(1))
+
+    return math.factorial(l) / (s * up(k) * rise(l - k))
+
+
 # ----------------------------- newton_binomial -----------------------------
 
 
@@ -45,6 +65,15 @@ def test_newton_binomial_values():
     assert newton_binomial(5, -1) == 0
     with pytest.raises(ValueError):
         newton_binomial(-1, 0)
+
+
+def test_factorial_cache_is_bounded():
+    # a long-lived process must not grow the memo without limit
+    size = factorial.cache_info().maxsize
+    assert size is not None
+    for n in range(size + 10):
+        assert factorial(n) == math.factorial(n)
+    assert factorial.cache_info().currsize <= size
 
 
 # ----------------------------- shifted_binomial ----------------------------
@@ -79,7 +108,7 @@ def test_half_binomial_grid_against_product_formula_and_float_gamma():
             entry = Fraction(2 * k + 1, 2)
             v = shifted_binomial(l, entry, SHIFT_HALF)
             assert v.scale_exp == 1
-            assert v.coeff == pi_times_half_binomial_check(l, entry)
+            assert v.coeff == ladder_binomial(l, k, SHIFT_HALF.s)
             ref = math.pi * float_gamma_binomial(l, float(entry))
             got = float(v.coeff)
             scale = max(abs(ref), abs(got))
@@ -140,18 +169,38 @@ def test_generic_shift_against_float_gamma():
                 assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
-# ------------------------- pi_times_half_binomial_check --------------------
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)])
+def test_closed_product_matches_pochhammer_ladders(s):
+    shift = Shift(s)
+    for l in range(0, 13):
+        for k in range(-15, l + 16):
+            v = shifted_binomial(l, k + s, shift)
+            assert (v.coeff, v.scale_exp) == (ladder_binomial(l, k, s), 1), (l, k)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 7)])
+def test_shifted_binomial_term_ratio(s):
+    # C(l, x+1) (x+1) = C(l, x) (l-x): consecutive terms of a window sum
+    shift = Shift(s)
+    for l in range(0, 13):
+        for k in range(-15, l + 15):
+            x = k + s
+            lhs = shifted_binomial(l, x + 1, shift) * (x + 1)
+            assert lhs == shifted_binomial(l, x, shift) * (l - x), (l, k)
+
+
+# --------------------------- closed product at s = 1/2 ----------------------
 
 
 def test_product_formula_examples():
-    assert pi_times_half_binomial_check(2, Fraction(1, 2)) == Fraction(16, 3)
-    assert pi_times_half_binomial_check(2, Fraction(5, 2)) == Fraction(16, 15)
-    assert pi_times_half_binomial_check(0, Fraction(1, 2)) == Fraction(2)
+    assert shifted_binomial(2, Fraction(1, 2), SHIFT_HALF).coeff == Fraction(16, 3)
+    assert shifted_binomial(2, Fraction(5, 2), SHIFT_HALF).coeff == Fraction(16, 15)
+    assert shifted_binomial(0, Fraction(1, 2), SHIFT_HALF).coeff == Fraction(2)
 
 
 def test_product_formula_rejects_integer_entry():
     with pytest.raises(ValueError):
-        pi_times_half_binomial_check(2, 1)
+        shifted_binomial(2, 1, SHIFT_HALF)
 
 
 # ---------------------------------- sinc_at --------------------------------
@@ -276,8 +325,8 @@ def test_scaled_value_float_and_rational():
     assert ScaledValue(Fraction(5, 2), 0, SHIFT_ZERO).rational() == Fraction(5, 2)
 
 
-def test_ladder_caches_are_thread_safe():
-    # fresh shift so the threads race on growing the same new ladder caches
+def test_shifted_binomial_is_thread_safe():
+    # the closed product keeps no shared state; threads must agree exactly
     import threading
 
     shift = Shift(Fraction(2, 9))
@@ -290,8 +339,9 @@ def test_ladder_caches_are_thread_safe():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert None not in results and all(r == results[0] for r in results)
     # spot-check against the independent float route
     l, x = 4, 17 + shift.s
     beta = math.sin(math.pi * float(shift.s)) / math.pi

@@ -10,10 +10,16 @@ from shiftbinom.exact import (
     HalfInt,
     ScaledValue,
     Shift,
-    pi_times_half_binomial_check,
     shifted_binomial,
 )
-from shiftbinom.sums import SumSpec, Window
+from shiftbinom.sums import (
+    SumSpec,
+    Window,
+    even_A_antisym_exact,
+    even_A_antisym_partial,
+    even_A_coefficient,
+    even_A_shifted_partial,
+)
 from shiftbinom.sequences import (
     GComposition,
     aggregate_composition_seq,
@@ -33,19 +39,18 @@ from shiftbinom.sequences import (
 
 S3 = Shift(Fraction(1, 3))
 S4 = Shift(Fraction(1, 4))
+# pi C(2, x) at x = 1/2, 3/2, 5/2, pinned by hand from the closed product
+PI_C2 = {Fraction(1, 2): Fraction(16, 3), Fraction(3, 2): Fraction(16, 3),
+         Fraction(5, 2): Fraction(16, 15)}
 
 
 # -------------------------------- pi sequence -------------------------------
 
 
 def test_pi_seq_m1_pinned_value():
-    # independent recompute via the closed product formula:
+    # independent recompute from pinned values:
     # 2^-2 * (pi C(2,1/2) + pi C(2,3/2) + pi C(2,5/2))
-    expect = (
-        pi_times_half_binomial_check(2, Fraction(1, 2))
-        + pi_times_half_binomial_check(2, Fraction(3, 2))
-        + pi_times_half_binomial_check(2, Fraction(5, 2))
-    ) / 4
+    expect = sum(PI_C2.values()) / 4
     assert expect == Fraction(44, 15)
     rec = pi_seq_t0(2, 1)
     assert rec.exact == Fraction(44, 15)
@@ -85,7 +90,7 @@ def test_pi2_seq_m1_recomputed():
     for d in (-1, 1, 3):
         k = Fraction(d, 2)
         sign = -1 if ((d - 1) // 2) % 2 else 1
-        expect += pi_times_half_binomial_check(2, 1 + k) * sign / k
+        expect += PI_C2[1 + k] * sign / k
     expect /= 2
     rec = pi2_seq(2, 1)
     assert rec.exact == expect == Fraction(464, 45)
@@ -354,6 +359,27 @@ def test_sweep_adds_only_new_window_terms(kind, params, window):
     ms = ([0] if kind in ("cum", "agg") else []) + SWEEP_MS
     swept = sequences.sweep(kind, ms, window, **params)
     assert swept == [sequences.sweep(kind, [m], window, **params)[0] for m in ms]
+
+
+@pytest.mark.parametrize("window", list(Window))
+@pytest.mark.parametrize(
+    "kind, spec, A, partial, limit",
+    [
+        ("ratio-pi2", SumSpec(r=2, l=(1, 1)), 0, even_A_shifted_partial,
+         lambda spec, A: even_A_coefficient(spec, A)),
+        ("ratio-pi", SumSpec(r=2, l=(1, 2)), 2, even_A_antisym_partial,
+         lambda spec, A: even_A_antisym_exact(spec, A).coeff),
+        ("ratio-pi", SumSpec(r=2, l=(1, 1, 1)), -2, even_A_antisym_partial,
+         lambda spec, A: even_A_antisym_exact(spec, A).coeff),
+    ],
+)
+def test_ratio_sweep_matches_truncated_coefficient(kind, spec, A, partial, limit, window):
+    # the incremental k_1 window against the whole coefficient from sums at every m
+    ms = SWEEP_MS[:-1]  # 1, 2, 5, 9, 13
+    swept = sequences.sweep(kind, ms, window, spec=spec, A=A)
+    assert [r.exact for r in swept] == [
+        partial(spec, A, m, window).coeff / limit(spec, A) for m in ms
+    ]
 
 
 def test_sweep_order_and_validation(monkeypatch):
