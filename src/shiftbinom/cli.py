@@ -11,8 +11,10 @@ Examples:
     shiftbinom compositions --n 4 --g 3 --check
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  Identical invocations produce byte-identical output; `num` and `den`
-columns are exact decimal strings that re-parse to the in-memory rationals.
+error, 3 internal error (a bug, reported as one `internal error:` line on
+stderr).  Identical invocations produce byte-identical output; `num` and
+`den` columns are exact decimal strings that re-parse to the in-memory
+rationals.
 A coefficient whose value lies outside double range keeps exact `num` and
 `den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
 """
@@ -28,7 +30,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import oracle, sequences, sums
+from . import sequences, sums
 from .exact import Shift, as_float
 from .sums import Family, SumSpec, Window
 
@@ -114,10 +116,11 @@ def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
     """(g*n*sum(c_g), C(gn, n), whether both printed c_g forms agree) over the
     g-compositions of n."""
     comps = list(sequences.enumerate_g_compositions(n, g))
+    weights = [sequences.cg_weight(c) for c in comps]
     forms_ok = all(
-        sequences.cg_weight(c) == sequences.cg_weight_factorial_form(c) for c in comps
+        w == sequences.cg_weight_factorial_form(c) for w, c in zip(weights, comps)
     )
-    total = g * n * sum(sequences.cg_weight(c) for c in comps)
+    total = g * n * sum(weights)
     return total, math.comb(g * n, n), forms_ok
 
 
@@ -139,6 +142,9 @@ def _cmd_verify(ns) -> int:
         ("antisym-integral", "antisym-expansion", 1e-9),
     )
     if any(name in names for name, _, _ in integrals):
+        # the only numpy user; the other commands start without it
+        from . import oracle
+
         report = {c["check"]: c for c in oracle.identity_report(spec, ns.odd_a_cut)}
         for name, entry, tol in integrals:
             if name in names:
@@ -442,6 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        # a bug, not a failed check or a bad flag: keep it out of codes 1 and 2
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 3
 
 
 def run() -> None:

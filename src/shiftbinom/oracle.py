@@ -4,12 +4,17 @@ Nothing here touches the exact path: binomials go through libm's
 lgamma, integrals through equally spaced sampling (exact for trigonometric
 polynomials by discrete orthogonality) or Gauss-Legendre nodes.  Agreement
 with the exact engine is therefore evidence, not circularity.
+
+Each Gauss-Legendre rule is built once per node count and kept, in a
+bounded cache, as tuples of Python floats.  This module is the only one that
+imports numpy; the CLI imports it only for the `verify` integral checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +71,19 @@ def trig_integral_full(spec: SumSpec) -> QuadratureResult:
     return QuadratureResult(value=v2, samples=n2, est_error=est)
 
 
-def _gauss(spec: SumSpec, lo: float, hi: float, kind: str, nodes: int) -> float:
+@lru_cache(maxsize=32)
+def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], immutable so that every
+    caller can share the cached rule."""
     x, w = np.polynomial.legendre.leggauss(nodes)
+    return tuple(x.tolist()), tuple(w.tolist())
+
+
+def _gauss(spec: SumSpec, lo: float, hi: float, kind: str, nodes: int) -> float:
+    x, w = _legendre_rule(nodes)
     mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
     return rad * math.fsum(
-        wi * _product(spec, mid + rad * xi, kind)
-        for xi, wi in zip(x.tolist(), w.tolist())
+        wi * _product(spec, mid + rad * xi, kind) for xi, wi in zip(x, w)
     )
 
 

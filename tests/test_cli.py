@@ -71,6 +71,58 @@ def test_verify_failure_exits_1(monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("module, attr, argv", [
+    ("sequences", "sweep", ["seq", "pi", "--l", "2", "--m", "1:3"]),
+    ("sums", "build_coeff_table", ["coeffs", "--family", "even", "--r", "2", "--l", "1,1"]),
+])
+def test_internal_error_exits_3(monkeypatch, capsys, module, attr, argv):
+    # a bug is neither a failed check (1) nor a usage error (2)
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(getattr(cli, module), attr, broken)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: invariant broken\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+# Runs in a fresh interpreter; exits non-zero with a message on any breach,
+# without assert, so the check also holds under python -O.
+_NUMPY_FREE_CHILD = """
+import contextlib, os, sys
+from shiftbinom import cli
+
+def run(argv):
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv}: exit {code}")
+
+if "numpy" in sys.modules:
+    sys.exit("importing shiftbinom.cli imported numpy")
+for argv in (
+    ["seq", "pi", "--l", "2", "--m", "1:3"],
+    ["coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-min", "1", "--a-max", "5"],
+    ["compositions", "--n", "3", "--g", "3"],
+    ["verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "3"],
+):
+    run(argv)
+    if "numpy" in sys.modules:
+        sys.exit(f"{argv} imported numpy")
+run(["verify", "identity", "--r", "2", "--l", "1,1"])
+if "numpy" not in sys.modules:
+    sys.exit("verify identity ran without the numpy oracle")
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_only_verify_integrals_import_numpy(flags):
+    cp = subprocess.run([sys.executable, *flags, "-c", _NUMPY_FREE_CHILD],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_coeffs_even_support(tmp_path: Path):
     out = tmp_path / "even.csv"
     cp = run_cli("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--out", str(out))

@@ -129,3 +129,28 @@ def test_identity_report_small_grid():
         rep = identity_report(SumSpec(r=2, l=l, p=p, q=q))
         for c in rep:
             assert c["abs_err"] < 1e-8, (l, p, q, c)
+
+
+def test_each_legendre_rule_is_built_once(monkeypatch):
+    import numpy as np
+
+    from shiftbinom import oracle
+
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        built.append(nodes)
+        return leggauss(nodes)
+
+    oracle._legendre_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    try:
+        # the odd-expansion integral alone splits into several Gauss ranges
+        identity_report(SumSpec(r=2, l=(1, 1), p=1, q=3), odd_A_cut=9)
+    finally:
+        oracle._legendre_rule.cache_clear()
+    assert sorted(built) == [32, 64]
+    x, w = oracle._legendre_rule(32)
+    assert isinstance(x, tuple) and isinstance(w, tuple)
+    assert list(x) == leggauss(32)[0].tolist() and list(w) == leggauss(32)[1].tolist()
