@@ -74,7 +74,10 @@ def _parse_window(text: str) -> Window:
 
 
 def _parse_shift(text: str) -> Shift:
-    return Shift.parse(text)
+    try:
+        return Shift.parse(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"bad shift {text!r}; zero denominator")
 
 
 class UsageError(Exception):
@@ -82,6 +85,20 @@ class UsageError(Exception):
 
 
 # ----------------------------- output emission ----------------------------
+
+
+def _exact_str(x: int | Fraction) -> str:
+    """str(x), also past the interpreter's limit on int-to-str digits: the
+    limit is lifted for this one conversion only, and only when it bites."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
@@ -94,7 +111,10 @@ def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) ->
     else:
         text = json.dumps(rows, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise UsageError(f"cannot write --out {out}: {e.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -167,8 +187,8 @@ def _cmd_verify(ns) -> int:
             checks.append(
                 {
                     "check": f"odd-equality[A={A}]",
-                    "lhs": str(direct.coeff),
-                    "rhs": str(alt.coeff),
+                    "lhs": _exact_str(direct.coeff),
+                    "rhs": _exact_str(alt.coeff),
                     "abs_err": "exact" if equal else repr(float(direct) - float(alt)),
                     "pass": equal,
                 }
@@ -180,9 +200,9 @@ def _cmd_verify(ns) -> int:
         checks.append(
             {
                 "check": "sum-rule",
-                "lhs": str(total),
-                "rhs": str(target),
-                "abs_err": "exact" if total == target else str(total - target),
+                "lhs": _exact_str(total),
+                "rhs": _exact_str(target),
+                "abs_err": "exact" if total == target else _exact_str(total - target),
                 "pass": total == target,
             }
         )
@@ -193,9 +213,9 @@ def _cmd_verify(ns) -> int:
         checks.append(
             {
                 "check": "cg",
-                "lhs": str(total),
-                "rhs": str(target),
-                "abs_err": "exact" if ok else "form-mismatch" if not forms_ok else str(total - target),
+                "lhs": _exact_str(total),
+                "rhs": _exact_str(target),
+                "abs_err": "exact" if ok else "form-mismatch" if not forms_ok else _exact_str(total - target),
                 "pass": ok,
             }
         )
@@ -211,6 +231,8 @@ def _cmd_coeffs(ns) -> int:
     form = sums._FAMILIES[family]
     if form.half_axes and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
+    if ns.m is not None and len(ns.m) > 1:
+        raise UsageError("coeffs takes a single --m value, not a sweep")
     m = None if ns.m is None else ns.m[0]
     if ns.a_max is not None:
         a_min = ns.a_min if ns.a_min is not None else -ns.a_max
@@ -228,8 +250,8 @@ def _cmd_coeffs(ns) -> int:
     rows = [
         {
             "A": A,
-            "num": str(sv.coeff.numerator),
-            "den": str(sv.coeff.denominator),
+            "num": _exact_str(sv.coeff.numerator),
+            "den": _exact_str(sv.coeff.denominator),
             "pi_exp": sv.scale_exp,
             "float": as_float(sv),
         }
@@ -265,8 +287,8 @@ def _cmd_seq(ns) -> int:
     rows = [
         {
             "m": rec.m,
-            "num": str(rec.exact.numerator),
-            "den": str(rec.exact.denominator),
+            "num": _exact_str(rec.exact.numerator),
+            "den": _exact_str(rec.exact.denominator),
             "float": rec.approx,
             "target": f"{rec.target_tag}={rec.target_value!r}",
             "abs_error": rec.abs_error,
@@ -286,8 +308,8 @@ def _cmd_compositions(ns) -> int:
         rows.append(
             {
                 "parts": ",".join(str(v) for v in c.parts),
-                "num": str(w.numerator),
-                "den": str(w.denominator),
+                "num": _exact_str(w.numerator),
+                "den": _exact_str(w.denominator),
             }
         )
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)
@@ -295,7 +317,7 @@ def _cmd_compositions(ns) -> int:
         total, target, forms_ok = _cg_identity(ns.n, ns.g)
         ok = total == target and forms_ok
         sys.stderr.write(
-            f"check g*n*sum(c_g) = C(gn, n): {total} vs {target}: "
+            f"check g*n*sum(c_g) = C(gn, n): {_exact_str(total)} vs {_exact_str(target)}: "
             f"{'pass' if ok else 'FAIL'}\n"
         )
         return 0 if ok else 1
@@ -394,8 +416,12 @@ _PARSERS = {
 
 
 def _load_config(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read --config {path}: {e.strerror}")
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,12 +1,15 @@
-"""Exact scalars: big rationals, half-integers, and rational multiples of
-powers of beta(s) = sin(pi*s)/pi.
+"""Exact scalars: big rationals and rational multiples of powers of
+beta(s) = sin(pi*s)/pi.
 
 A binomial coefficient whose entry is shifted off the integers by a rational
 s in (0, 1) equals an exact rational times one power of beta(s).  Writing
 Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x), the reflection identity
 Gamma(1+x)Gamma(1-x) = pi x/sin(pi x) collapses both Gamma factors, and
 C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s) at x = k + s: one
-closed product.  Gamma is never evaluated in floating point on this path.
+closed product, `beta_coeff(l, k, s)`, of integers l and k and the shift s.
+`shifted_binomial` wraps it, with its checks, in a `ScaledValue`; the hot
+loops of `sums` and `sequences` call it directly.  Gamma is never evaluated
+in floating point on this path.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "Rational",
-    "HalfInt",
     "Shift",
     "ScaledValue",
     "as_float",
@@ -26,13 +27,9 @@ __all__ = [
     "SHIFT_HALF",
     "factorial",
     "newton_binomial",
+    "beta_coeff",
     "shifted_binomial",
-    "sinc_at",
 ]
-
-# The universal exact scalar.  fractions.Fraction already guarantees the
-# invariants (reduced form, positive denominator, exact field operations).
-Rational = Fraction
 
 
 @lru_cache(maxsize=1024)
@@ -50,81 +47,6 @@ def newton_binomial(l: int, entry: int) -> int:
     if entry < 0 or entry > l:
         return 0
     return math.comb(l, entry)
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An integer or half-integer stored as its doubled value.
-
-    Keeping the doubled integer makes parity and range logic plain integer
-    comparisons; nothing fractional leaks into index bookkeeping.
-    """
-
-    doubled: int
-
-    @staticmethod
-    def of(value) -> "HalfInt":
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        f = Fraction(value)
-        if f.denominator == 1:
-            return HalfInt(2 * f.numerator)
-        if f.denominator == 2:
-            return HalfInt(f.numerator)
-        raise ValueError(f"not an integer or half-integer: {value!r}")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def as_int(self) -> int:
-        if self.doubled % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.doubled + other.doubled)
-        if isinstance(other, int):
-            return HalfInt(self.doubled + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.doubled - other.doubled)
-        if isinstance(other, int):
-            return HalfInt(self.doubled - 2 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return HalfInt(2 * other - self.doubled)
-        return NotImplemented
-
-    def __neg__(self):
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.doubled * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __float__(self) -> float:
-        return self.doubled / 2.0
-
-    def __str__(self) -> str:
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
 
 
 @dataclass(frozen=True)
@@ -237,11 +159,6 @@ class ScaledValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ScaledValue(self.coeff / other, self.scale_exp, self.shift)
-        return NotImplemented
-
     def __eq__(self, other):
         if not isinstance(other, ScaledValue):
             return NotImplemented
@@ -273,46 +190,36 @@ def as_float(x: ScaledValue | Fraction | int) -> float:
     return math.inf if x > 0 else -math.inf
 
 
+def beta_coeff(l: int, k: int, s: Fraction) -> Fraction:
+    """The rational r with C(l, k + s) = r * beta(s), for l >= 0, an integer k
+    and 0 < s < 1.  With s = a/b the closed product reads
+
+        r = (-1)^(k+1) l! / prod_{i=0..l} (i-k-s)
+          = (-1)^(k+1) l! b^(l+1) / prod_{i=0..l} (b(i-k) - a),
+
+    one integer product whose factors never vanish.
+    """
+    a, b = s.numerator, s.denominator
+    sign = 1 if k % 2 else -1
+    denom = math.prod(b * (i - k) - a for i in range(l + 1))
+    return Fraction(sign * factorial(l) * b ** (l + 1), denom)
+
+
 def shifted_binomial(l: int, entry, shift: Shift) -> ScaledValue:
     """C(l, entry) = l! / (Gamma(entry+1) Gamma(l-entry+1)) for entry = k + s.
 
     With s = 0 this is newton_binomial (scale_exp 0, poles giving exact 0).
     With 0 < s < 1, Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x) and the
-    reflection identity give, at x = entry and s = a/b,
-
-        C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s)
-                = (-1)^(k+1) l! b^(l+1) / prod_{i=0..l} (b(i-k) - a) * beta(s),
-
-    one integer product whose factors never vanish.
+    reflection identity give the closed product beta_coeff(l, k, s) times
+    beta(s) (scale_exp 1).
     """
     if l < 0:
         raise ValueError("l must be non-negative")
-    x = entry.as_fraction() if isinstance(entry, HalfInt) else Fraction(entry)
+    x = Fraction(entry)
     k = x - shift.s
     if k.denominator != 1:
         raise ValueError(f"entry {x} is not an integer offset from shift {shift.s}")
     k = int(k)
     if shift.is_zero:
         return ScaledValue(Fraction(newton_binomial(l, k)), 0, shift)
-    a, b = shift.s.numerator, shift.s.denominator
-    sign = 1 if k % 2 else -1
-    denom = math.prod(b * (i - k) - a for i in range(l + 1))
-    return ScaledValue(Fraction(sign * factorial(l) * b ** (l + 1), denom), 1, shift)
-
-
-def sinc_at(x, shift: Shift = SHIFT_HALF) -> ScaledValue:
-    """sin(pi*x) / (pi*x), exactly.
-
-    1 at x = 0 (removable limit), 0 at nonzero integers, and for x = k + s
-    with integer k: (-1)^k / (k+s) times one power of beta(s).
-    """
-    f = x.as_fraction() if isinstance(x, HalfInt) else Fraction(x)
-    if f == 0:
-        return ScaledValue(Fraction(1), 0, shift)
-    if f.denominator == 1:
-        return ScaledValue(Fraction(0), 0, shift)
-    k = f - shift.s
-    if k.denominator != 1:
-        raise ValueError(f"{f} is neither an integer nor offset by shift {shift.s}")
-    sign = -1 if int(k) % 2 else 1
-    return ScaledValue(Fraction(sign) / f, 1, shift)
+    return ScaledValue(beta_coeff(l, k, shift.s), 1, shift)

@@ -1,9 +1,9 @@
 """Independent floating-point evaluation of the integrals and series.
 
-Nothing here touches the exact path: binomials go through libm's
-lgamma, integrals through equally spaced sampling (exact for trigonometric
-polynomials by discrete orthogonality) or Gauss-Legendre nodes.  Agreement
-with the exact engine is therefore evidence, not circularity.
+Nothing here touches the exact path: integrals go through equally spaced
+sampling (exact for trigonometric polynomials by discrete orthogonality) or
+Gauss-Legendre nodes.  Agreement with the exact engine is therefore
+evidence, not circularity.
 
 Each Gauss-Legendre rule is built once per node count and kept, in a
 bounded cache, as tuples of Python floats.  This module is the only one that
@@ -31,8 +31,6 @@ __all__ = [
     "QuadratureResult",
     "trig_integral_full",
     "trig_integral_halfrange",
-    "float_binomial",
-    "shifted_series_eval",
     "identity_report",
 ]
 
@@ -104,51 +102,6 @@ def trig_integral_halfrange(
     v2 = _gauss(spec, lo, hi, kind, 2 * nodes)
     est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
     return QuadratureResult(value=v2, samples=2 * nodes, est_error=est)
-
-
-def _signed_loggamma(x: float) -> tuple[float, int]:
-    """(log|Gamma(x)|, sign); sign 0 flags a pole at a non-positive integer."""
-    if x > 0:
-        return math.lgamma(x), 1
-    if x == math.floor(x):
-        return math.inf, 0
-    sign = -1 if math.floor(x) % 2 else 1
-    return math.lgamma(x), sign
-
-
-def float_binomial(l: int, x: float) -> float:
-    """l! / (Gamma(x+1) Gamma(l-x+1)) in doubles, via lgamma with explicit
-    sign tracking; 0 at the Gamma poles."""
-    la, sa = _signed_loggamma(x + 1.0)
-    lb, sb = _signed_loggamma(l - x + 1.0)
-    if sa == 0 or sb == 0:
-        return 0.0
-    return sa * sb * math.exp(math.lgamma(l + 1.0) - la - lb)
-
-
-def shifted_series_eval(l: int, s, t: float, K: int) -> complex:
-    """Truncated shifted expansion sum_{|k| <= K} C(l, l/2+k+s) e^(2 pi i (k+s) t),
-    with k integer for even l and half-integer for odd l.
-
-    Converges to (2 cos(pi t))^l for |t| < 1/2; the binomials are float-Gamma
-    evaluations, independent of the exact path.
-    """
-    if abs(t) >= 0.5:
-        raise ValueError("the expansion holds on the open interval |t| < 1/2")
-    sf = float(s)
-    half_l = l / 2.0
-    if l % 2 == 0:
-        ks = [float(k) for k in range(-K, K + 1)]
-    else:
-        ks = [k + 0.5 for k in range(-K - 1, K + 1)]
-    re = []
-    im = []
-    for k in ks:
-        c = float_binomial(l, half_l + k + sf)
-        phase = 2.0 * math.pi * (k + sf) * t
-        re.append(c * math.cos(phase))
-        im.append(c * math.sin(phase))
-    return complex(math.fsum(re), math.fsum(im))
 
 
 def _odd_total_integral(spec: SumSpec, nodes: int | None = None) -> float:

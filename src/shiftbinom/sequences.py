@@ -31,9 +31,9 @@ from .exact import (
     ScaledValue,
     Shift,
     as_float,
+    beta_coeff,
     factorial,
     newton_binomial,
-    shifted_binomial,
 )
 from .sums import (
     Family,
@@ -61,7 +61,6 @@ __all__ = [
     "cg_weight",
     "cg_weight_factorial_form",
     "aggregate_composition_seq",
-    "average_consecutive",
 ]
 
 
@@ -110,19 +109,21 @@ class _Kind(NamedTuple):
 
 def _binomial_term(l: int, s: Shift, alternating: bool) -> Callable[[int], Fraction]:
     """i -> (pi/sin(pi s)) C(l, l/2 + k + s), an exact rational, at k = i for
-    even l and k = i + 1/2 for odd l; times (-1)^i / (k + s) when alternating."""
+    even l and k = i + 1/2 for odd l; times (-1)^i / (k + s) when alternating.
+    The entry l/2 + k + s is the integer (l + l%2)/2 + i plus s."""
+    base, offset = (l + l % 2) // 2, Fraction(l % 2, 2) + s.s
 
     def term(i: int) -> Fraction:
-        d = i + Fraction(l % 2, 2) + s.s
-        c = _rational(shifted_binomial(l, Fraction(l, 2) + d, s), 1)
-        return c * (-1 if i % 2 else 1) / d if alternating else c
+        c = beta_coeff(l, base + i, s.s)
+        return c * (-1 if i % 2 else 1) / (i + offset) if alternating else c
 
     return term
 
 
 def _pi_window(window: Window) -> Callable[[int], range]:
     """The window of pi, pi2 and the ratio kinds: k + s = i + 1/2 in
-    [-m+1/2, m+1/2], from -m-1/2 when symmetric (sums.half_window)."""
+    [-m+1/2, m+1/2], from -m-1/2 when symmetric.  The same half-integers as
+    sums.half_window(m, window), which gives them doubled: 2i + 1."""
     pad = 1 if window is Window.SYMMETRIC else 0
     return lambda m: range(-m - pad, m + 1)
 
@@ -341,25 +342,6 @@ def pi_ratio_seq(
     """Ratio of the truncated antisymmetric coefficient (two pi powers) to its
     exact one-pi-power limit; converges to pi."""
     return sweep("ratio-pi", [m], window, spec=spec, A=A)[0]
-
-
-def average_consecutive(records: list[SeqRecord]) -> list[SeqRecord]:
-    """Optional acceleration post-process: pairwise means of consecutive
-    partial sums.
-
-    Not part of any defining sum, purely an extrapolation aid: for
-    alternating tails it cancels the leading error term, which otherwise
-    decays only as a power of m.  Exactness is preserved (means of
-    rationals).  Input records must share one target.
-    """
-    if len(records) < 2:
-        return list(records)
-    if len({(r.target_tag, r.target_value) for r in records}) != 1:
-        raise ValueError("records mix different targets")
-    out = []
-    for a, b in zip(records, records[1:]):
-        out.append(_record(b.m, (a.exact + b.exact) / 2, b.target_tag, b.target_value))
-    return out
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .exact import (
-    SHIFT_HALF,
-    HalfInt,
-    ScaledValue,
-    Shift,
-    newton_binomial,
-    shifted_binomial,
-)
+from .exact import SHIFT_HALF, ScaledValue, beta_coeff, newton_binomial
 
 __all__ = [
     "SumSpec",
@@ -53,7 +46,6 @@ __all__ = [
     "k1_term",
     "even_A_coefficient",
     "even_A_support",
-    "support_bound",
     "odd_A_coefficient_direct",
     "odd_A_coefficient_sinc",
     "even_A_shifted_partial",
@@ -62,7 +54,6 @@ __all__ = [
     "antisym_A_bound",
     "four_shifted_coefficient",
     "sum_rule_even",
-    "chu_vandermonde_partial",
     "build_coeff_table",
 ]
 
@@ -79,12 +70,14 @@ class Window(str, Enum):
     SYMMETRIC = "symmetric"
 
 
-def half_window(m: int, window: Window = Window.SYMMETRIC) -> list[HalfInt]:
-    """Half-integers of the truncation window at size m, ascending."""
+def half_window(m: int, window: Window = Window.SYMMETRIC) -> range:
+    """The half-integers k of the truncation window at size m, ascending, each
+    given doubled: the odd integers 2k from -2m+1 (from -2m-1 when symmetric)
+    to 2m+1."""
     if m < 1:
         raise ValueError("window size m must be >= 1")
     lo = -2 * m - 1 if window is Window.SYMMETRIC else -2 * m + 1
-    return [HalfInt(d) for d in range(lo, 2 * m + 2, 2)]
+    return range(lo, 2 * m + 2, 2)
 
 
 @dataclass(frozen=True)
@@ -189,16 +182,16 @@ _FAMILIES = {
 
 
 def _pi_binomial(n: int, e2: int) -> Fraction | int:
-    """C(n, e2/2), times pi when e2/2 is a half-integer: always rational."""
+    """C(n, e2/2), times pi when e2/2 = k + 1/2 is a half-integer: always rational."""
     if e2 % 2 == 0:
         return newton_binomial(n, e2 // 2)
-    return shifted_binomial(n, HalfInt(e2), SHIFT_HALF).coeff
+    return beta_coeff(n, (e2 - 1) // 2, SHIFT_HALF.s)
 
 
-def _axis(n: int, half: bool, m: int | None, window: Window) -> list[int] | range:
+def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
     """2k over one summation index k of a C(n, n/2 + k): the integers
-    |k| <= n/2, or the size-m half-integer window."""
-    return [k.doubled for k in half_window(m, window)] if half else range(-n, n + 1, 2)
+    |k| <= n/2, or the size-m half-integer window as half_window gives it."""
+    return half_window(m, window) if half else range(-n, n + 1, 2)
 
 
 def _tail_weights(
@@ -306,14 +299,6 @@ def even_A_support(spec: SumSpec) -> list[int]:
     return sorted(sup)
 
 
-def support_bound(spec: SumSpec, g: int | None = None) -> int:
-    """|A| bound (g-1) * r * floor(n^2/4) of the stated summation range,
-    read with g = j when no composition context is given."""
-    if g is None:
-        g = spec.j
-    return (g - 1) * spec.r * (spec.n**2 // 4)
-
-
 def odd_A_coefficient_direct(spec: SumSpec, A: int) -> ScaledValue:
     """Coefficient of e^(i pi A p/q) for odd A: both eliminated entries are
     half-integers, so the value carries 1/pi^2 (scale_exp 2)."""
@@ -381,27 +366,6 @@ def sum_rule_even(spec: SumSpec) -> int:
     """Sum of all even-A coefficients; equals C(rn, rn/2) exactly (the q ->
     infinity collapse of the expansion to an overall binomial count)."""
     return sum(even_A_coefficient(spec, A) for A in even_A_support(spec))
-
-
-def chu_vandermonde_partial(
-    l1: int, l2: int, l1p: int, l2p: int, shift: Shift, m: int
-) -> ScaledValue:
-    """Partial sum over k in [-m, m] of C(l1, l1p+k+s) C(l2, l2p-k-s).
-
-    Converges to C(l1+l2, l1p+l2p) as m grows; with s = 0 it terminates and
-    is exact (scale_exp 0) once m >= l1 + l2.
-    """
-    if not (0 <= l1p <= l1 and 0 <= l2p <= l2):
-        raise ValueError("need 0 <= l1p <= l1 and 0 <= l2p <= l2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total = ScaledValue.zero(shift)
-    for k in range(-m, m + 1):
-        a = shifted_binomial(l1, l1p + k + shift.s, shift)
-        # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
-        b = shifted_binomial(l2, l2 - l2p + k + shift.s, shift)
-        total += a * b
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,110 @@
+"""Cross-check helpers that only the tests use: independent routes to values
+the library computes, kept out of the package.  Not collected by pytest;
+test modules import it by name.
+
+    sinc_at                  exact sin(pi x)/(pi x) as a ScaledValue
+    chu_vandermonde_partial  exact partial sums of the shifted Chu-Vandermonde sum
+    support_bound            the stated |A| bound of the even-A summation range
+    float_binomial           C(l, x) in doubles through libm's lgamma
+    shifted_series_eval      the truncated shifted binomial expansion in doubles
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from shiftbinom.exact import SHIFT_HALF, ScaledValue, Shift, shifted_binomial
+from shiftbinom.sums import SumSpec
+
+
+def sinc_at(x, shift: Shift = SHIFT_HALF) -> ScaledValue:
+    """sin(pi*x) / (pi*x), exactly.
+
+    1 at x = 0 (removable limit), 0 at nonzero integers, and for x = k + s
+    with integer k: (-1)^k / (k+s) times one power of beta(s).
+    """
+    f = Fraction(x)
+    if f == 0:
+        return ScaledValue(Fraction(1), 0, shift)
+    if f.denominator == 1:
+        return ScaledValue(Fraction(0), 0, shift)
+    k = f - shift.s
+    if k.denominator != 1:
+        raise ValueError(f"{f} is neither an integer nor offset by shift {shift.s}")
+    sign = -1 if int(k) % 2 else 1
+    return ScaledValue(Fraction(sign) / f, 1, shift)
+
+
+def chu_vandermonde_partial(
+    l1: int, l2: int, l1p: int, l2p: int, shift: Shift, m: int
+) -> ScaledValue:
+    """Partial sum over k in [-m, m] of C(l1, l1p+k+s) C(l2, l2p-k-s).
+
+    Converges to C(l1+l2, l1p+l2p) as m grows; with s = 0 it terminates and
+    is exact (scale_exp 0) once m >= l1 + l2.
+    """
+    if not (0 <= l1p <= l1 and 0 <= l2p <= l2):
+        raise ValueError("need 0 <= l1p <= l1 and 0 <= l2p <= l2")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    total = ScaledValue.zero(shift)
+    for k in range(-m, m + 1):
+        a = shifted_binomial(l1, l1p + k + shift.s, shift)
+        # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
+        b = shifted_binomial(l2, l2 - l2p + k + shift.s, shift)
+        total += a * b
+    return total
+
+
+def support_bound(spec: SumSpec, g: int | None = None) -> int:
+    """|A| bound (g-1) * r * floor(n^2/4) of the stated summation range,
+    read with g = j when no composition context is given."""
+    if g is None:
+        g = spec.j
+    return (g - 1) * spec.r * (spec.n**2 // 4)
+
+
+def _signed_loggamma(x: float) -> tuple[float, int]:
+    """(log|Gamma(x)|, sign); sign 0 flags a pole at a non-positive integer."""
+    if x > 0:
+        return math.lgamma(x), 1
+    if x == math.floor(x):
+        return math.inf, 0
+    sign = -1 if math.floor(x) % 2 else 1
+    return math.lgamma(x), sign
+
+
+def float_binomial(l: int, x: float) -> float:
+    """l! / (Gamma(x+1) Gamma(l-x+1)) in doubles, via lgamma with explicit
+    sign tracking; 0 at the Gamma poles.  Shares nothing with the exact path."""
+    la, sa = _signed_loggamma(x + 1.0)
+    lb, sb = _signed_loggamma(l - x + 1.0)
+    if sa == 0 or sb == 0:
+        return 0.0
+    return sa * sb * math.exp(math.lgamma(l + 1.0) - la - lb)
+
+
+def shifted_series_eval(l: int, s, t: float, K: int) -> complex:
+    """Truncated shifted expansion sum_{|k| <= K} C(l, l/2+k+s) e^(2 pi i (k+s) t),
+    with k integer for even l and half-integer for odd l.
+
+    Converges to (2 cos(pi t))^l for |t| < 1/2; the binomials are float-Gamma
+    evaluations, independent of the exact path.
+    """
+    if abs(t) >= 0.5:
+        raise ValueError("the expansion holds on the open interval |t| < 1/2")
+    sf = float(s)
+    half_l = l / 2.0
+    if l % 2 == 0:
+        ks = [float(k) for k in range(-K, K + 1)]
+    else:
+        ks = [k + 0.5 for k in range(-K - 1, K + 1)]
+    re = []
+    im = []
+    for k in ks:
+        c = float_binomial(l, half_l + k + sf)
+        phase = 2.0 * math.pi * (k + sf) * t
+        re.append(c * math.cos(phase))
+        im.append(c * math.sin(phase))
+    return complex(math.fsum(re), math.fsum(im))

@@ -17,13 +17,12 @@ from shiftbinom.exact import (
     SHIFT_ZERO,
     Shift,
 )
-from shiftbinom.oracle import shifted_series_eval, trig_integral_full
+from shiftbinom.oracle import trig_integral_full
 from shiftbinom.sums import (
     Family,
     SumSpec,
     Window,
     build_coeff_table,
-    chu_vandermonde_partial,
     even_A_coefficient,
     even_A_support,
     odd_A_coefficient_direct,
@@ -42,6 +41,8 @@ from shiftbinom.sequences import (
     pi_ratio_seq,
     pi_seq_t0,
 )
+
+from reference import chu_vandermonde_partial, shifted_series_eval
 
 # r = 2 grid: every l-list with 2 <= j <= 4 parts and total n <= 4
 GRID_L = [

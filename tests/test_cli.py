@@ -87,6 +87,43 @@ def test_internal_error_exits_3(monkeypatch, capsys, module, attr, argv):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("seq", "pis", "--l", "2", "--s", "1/0", "--m", "1"),
+    ("seq", "pis", "--l", "2", "--m", "1", "--config", "{tmp}/zero.cfg"),
+    ("seq", "pi", "--l", "2", "--m", "1", "--config", "{tmp}/missing.cfg"),
+    ("seq", "pi", "--l", "2", "--m", "1", "--out", "{tmp}/missing/pi.csv"),
+    # coeffs evaluates one truncation; a sweep would silently lose all but its first m
+    ("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1", "--a-max", "2", "--m", "10:50"),
+], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep"])
+def test_bad_input_exits_2(tmp_path: Path, args):
+    (tmp_path / "zero.cfg").write_text("s=1/0\n", encoding="utf-8")
+    cp = run_cli(*(a.format(tmp=tmp_path) for a in args))
+    assert cp.returncode == 2
+    assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_digits_past_the_int_str_limit(capsys, fmt):
+    # the denominator at m = 5000 has more digits than str() allows by default
+    from shiftbinom.sequences import sweep
+
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli.main(["seq", "pi", "--l", "2", "--m", "5000", "--format", fmt]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else json.loads(out)
+        [row] = rows
+        exact = sweep("pi", [5000], l=2)[0].exact
+        assert len(row["den"]) > 4300
+        assert Fraction(int(row["num"]), int(row["den"])) == exact
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
 # Runs in a fresh interpreter; exits non-zero with a message on any breach,
 # without assert, so the check also holds under python -O.
 _NUMPY_FREE_CHILD = """

@@ -7,31 +7,15 @@ import pytest
 from shiftbinom.exact import (
     SHIFT_HALF,
     SHIFT_ZERO,
-    HalfInt,
     ScaledValue,
     Shift,
+    beta_coeff,
     factorial,
     newton_binomial,
     shifted_binomial,
-    sinc_at,
 )
 
-
-def float_gamma_binomial(l: int, x: float) -> float:
-    """Independent float route: l!/(Gamma(x+1)Gamma(l-x+1)) via lgamma."""
-
-    def signed(v):
-        if v > 0:
-            return math.lgamma(v), 1
-        if v == math.floor(v):
-            return math.inf, 0
-        return math.lgamma(v), (-1 if math.floor(v) % 2 else 1)
-
-    la, sa = signed(x + 1.0)
-    lb, sb = signed(l - x + 1.0)
-    if sa == 0 or sb == 0:
-        return 0.0
-    return sa * sb * math.exp(math.lgamma(l + 1.0) - la - lb)
+from reference import float_binomial, sinc_at
 
 
 def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
@@ -109,7 +93,7 @@ def test_half_binomial_grid_against_product_formula_and_float_gamma():
             v = shifted_binomial(l, entry, SHIFT_HALF)
             assert v.scale_exp == 1
             assert v.coeff == ladder_binomial(l, k, SHIFT_HALF.s)
-            ref = math.pi * float_gamma_binomial(l, float(entry))
+            ref = math.pi * float_binomial(l, float(entry))
             got = float(v.coeff)
             scale = max(abs(ref), abs(got))
             assert abs(got - ref) <= 1e-12 * scale
@@ -164,7 +148,7 @@ def test_generic_shift_against_float_gamma():
         for l in range(0, 9):
             for k in range(-8, 9):
                 v = shifted_binomial(l, k + s, shift)
-                ref = float_gamma_binomial(l, k + float(s))
+                ref = float_binomial(l, k + float(s))
                 got = float(v.coeff) * beta
                 assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
@@ -176,6 +160,7 @@ def test_closed_product_matches_pochhammer_ladders(s):
         for k in range(-15, l + 16):
             v = shifted_binomial(l, k + s, shift)
             assert (v.coeff, v.scale_exp) == (ladder_binomial(l, k, s), 1), (l, k)
+            assert beta_coeff(l, k, s) == v.coeff
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 7)])
@@ -232,26 +217,7 @@ def test_sinc_rejects_off_shift_argument():
         sinc_at(Fraction(1, 3), SHIFT_HALF)
 
 
-# ------------------------------- HalfInt / Shift ---------------------------
-
-
-def test_halfint_basics():
-    h = HalfInt.of(Fraction(3, 2))
-    assert not h.is_integer
-    assert h.as_fraction() == Fraction(3, 2)
-    assert (h + 1).doubled == 5
-    assert (1 + h).doubled == 5
-    assert (h - HalfInt.of(1)).doubled == 1
-    assert (-h).doubled == -3
-    assert (h * 2).doubled == 6
-    assert float(h) == 1.5
-    assert str(h) == "3/2"
-    assert str(HalfInt.of(2)) == "2"
-    assert HalfInt.of(2).as_int() == 2
-    with pytest.raises(ValueError):
-        h.as_int()
-    with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 3))
+# ---------------------------------- Shift ----------------------------------
 
 
 def test_shift_validation():
@@ -346,4 +312,4 @@ def test_shifted_binomial_is_thread_safe():
     l, x = 4, 17 + shift.s
     beta = math.sin(math.pi * float(shift.s)) / math.pi
     got = float(shifted_binomial(l, x, shift).coeff) * beta
-    assert got == pytest.approx(float_gamma_binomial(l, float(x)), rel=1e-10)
+    assert got == pytest.approx(float_binomial(l, float(x)), rel=1e-10)

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom.oracle import (
-    float_binomial,
     identity_report,
-    shifted_series_eval,
     trig_integral_full,
     trig_integral_halfrange,
 )
 from shiftbinom.sums import SumSpec, even_A_coefficient, even_A_support
+
+from reference import float_binomial, shifted_series_eval
 
 
 def test_full_integral_examples():

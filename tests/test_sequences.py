@@ -7,7 +7,6 @@ import pytest
 from shiftbinom import sequences
 from shiftbinom.exact import (
     SHIFT_HALF,
-    HalfInt,
     ScaledValue,
     Shift,
     shifted_binomial,
@@ -23,7 +22,6 @@ from shiftbinom.sums import (
 from shiftbinom.sequences import (
     GComposition,
     aggregate_composition_seq,
-    average_consecutive,
     cg_weight,
     cg_weight_factorial_form,
     enumerate_g_compositions,
@@ -73,10 +71,10 @@ def test_odd_l_footnote_identity():
     # C(l, l/2+k) = C(l-1, l/2+k) + C(l-1, l/2-k) for odd l, half-int entries
     for l in (1, 3, 5):
         for k in range(-6, 7):
-            e = HalfInt(l) + k  # l/2 + k, a half-integer
+            e = Fraction(l, 2) + k  # a half-integer
             lhs = shifted_binomial(l, e, SHIFT_HALF)
             rhs = shifted_binomial(l - 1, e, SHIFT_HALF) + shifted_binomial(
-                l - 1, HalfInt(l) - k, SHIFT_HALF
+                l - 1, Fraction(l, 2) - k, SHIFT_HALF
             )
             assert lhs == rhs
 
@@ -178,10 +176,6 @@ def test_odd_cumulative_monotone_for_positive_terms():
 def test_wrong_beta_power_raises_runtime_error(monkeypatch):
     # an internal invariant, checked without assert so python -O keeps it; not
     # a ValueError, which the CLI reports as a usage error
-    beta2 = ScaledValue(Fraction(1), 2, SHIFT_HALF)
-    monkeypatch.setattr(sequences, "shifted_binomial", lambda *args: beta2)
-    with pytest.raises(RuntimeError):
-        pi_seq_t0(2, 1)
     beta1 = ScaledValue(Fraction(1), 1, SHIFT_HALF)
     monkeypatch.setattr(sequences, "odd_A_coefficient_direct", lambda spec, A: beta1)
     with pytest.raises(RuntimeError):
@@ -318,19 +312,6 @@ def test_sequence_windows_selectable():
     assert abs(b.approx - math.pi) < 1
 
 
-def test_average_consecutive_accelerates_alternating_tail():
-    # pi_seq partial sums oscillate around the limit, so pairwise means
-    # cancel the leading tail term
-    records = [pi_seq_t0(2, m) for m in range(20, 31)]
-    smoothed = average_consecutive(records)
-    assert smoothed[-1].m == records[-1].m
-    assert smoothed[-1].exact == (records[-2].exact + records[-1].exact) / 2
-    assert smoothed[-1].abs_error < records[-1].abs_error / 5
-    with pytest.raises(ValueError):
-        average_consecutive([pi2_seq(2, 5), pi_seq_t0(2, 5)])
-    assert average_consecutive(records[:1]) == records[:1]
-
-
 # ---------------------------------- sweeps ----------------------------------
 
 SWEEP_MS = [1, 2, *range(5, 18, 4)]  # 1, 2, 5, 9, 13, 17
@@ -390,7 +371,7 @@ def test_sweep_order_and_validation(monkeypatch):
     def no_terms(*args):
         raise AssertionError("a term was computed before the check")
 
-    monkeypatch.setattr(sequences, "shifted_binomial", no_terms)
+    monkeypatch.setattr(sequences, "beta_coeff", no_terms)
     with pytest.raises(ValueError):
         sequences.sweep("pi", [3, 0], l=2)  # m = 0 is rejected up front
     with pytest.raises(ValueError):
