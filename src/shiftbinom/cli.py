@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import sequences, sums
-from .exact import Shift, as_float
+from .exact import ParameterError, Shift, as_float
 from .sums import Family, SumSpec, Window
 
 __all__ = ["main", "run"]
@@ -180,9 +180,11 @@ def _cmd_verify(ns) -> int:
                 )
 
     if "odd-equality" in names:
+        rows = sums.Rows()
+        direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
+        alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
         for A in range(1, ns.a_max + 1, 2):
-            direct = sums.odd_A_coefficient_direct(spec, A)
-            alt = sums.odd_A_coefficient_sinc(spec, A)
+            direct, alt = direct_of(A), alt_of(A)
             equal = direct == alt
             checks.append(
                 {
@@ -227,7 +229,10 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_coeffs(ns) -> int:
     spec = _build_spec(ns)
-    family = Family(ns.family)
+    try:
+        family = Family(ns.family)
+    except ValueError as e:  # --family missing, or a bad value from --config
+        raise UsageError(str(e))
     form = sums._FAMILIES[family]
     if form.half_axes and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
@@ -244,7 +249,7 @@ def _cmd_coeffs(ns) -> int:
     else:
         try:
             A_values = sums.default_A_range(spec, family)
-        except ValueError as e:
+        except ParameterError as e:
             raise UsageError(str(e) + "; give --a-max")
     table = sums.build_coeff_table(spec, family, A_values, m, ns.window)
     rows = [
@@ -335,8 +340,9 @@ def _add_common(p: argparse.ArgumentParser, *, spec=False, table=False) -> None:
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=_parse_q, default=None, help="positive integer or 'inf'")
     if table:
+        # the values, not the members, so that --help shows what to type
         p.add_argument("--window", type=_parse_window, default=None,
-                       choices=list(Window), help="paper or symmetric")
+                       choices=[w.value for w in Window], help="paper or symmetric")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -468,14 +474,12 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "compositions":
             return _cmd_compositions(ns)
         raise UsageError(f"unknown command {ns.command!r}")
-    except UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except ValueError as e:
+    except (UsageError, ParameterError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:
-        # a bug, not a failed check or a bad flag: keep it out of codes 1 and 2
+        # a bug, not a failed check or a bad flag: keep it out of codes 1 and 2;
+        # a ValueError that is not a ParameterError lands here too
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return 3
 

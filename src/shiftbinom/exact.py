@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "ParameterError",
     "Shift",
     "ScaledValue",
     "as_float",
@@ -30,6 +31,14 @@ __all__ = [
     "beta_coeff",
     "shifted_binomial",
 ]
+
+
+class ParameterError(ValueError):
+    """A parameter outside the domain of the library function that checks it.
+
+    The CLI reports this, and only this, ValueError as a usage error (exit
+    2); any other ValueError from the library is a bug.
+    """
 
 
 @lru_cache(maxsize=1024)
@@ -43,7 +52,7 @@ def factorial(n: int) -> int:
 def newton_binomial(l: int, entry: int) -> int:
     """C(l, entry) with the usual convention: 0 outside 0 <= entry <= l."""
     if l < 0:
-        raise ValueError("l must be non-negative")
+        raise ParameterError("l must be non-negative")
     if entry < 0 or entry > l:
         return 0
     return math.comb(l, entry)
@@ -63,7 +72,7 @@ class Shift:
         if not isinstance(self.s, Fraction):
             object.__setattr__(self, "s", Fraction(self.s))
         if not 0 <= self.s < 1:
-            raise ValueError("shift must satisfy 0 <= s < 1")
+            raise ParameterError("shift must satisfy 0 <= s < 1")
 
     @classmethod
     def parse(cls, text: str) -> "Shift":
@@ -214,11 +223,11 @@ def shifted_binomial(l: int, entry, shift: Shift) -> ScaledValue:
     beta(s) (scale_exp 1).
     """
     if l < 0:
-        raise ValueError("l must be non-negative")
+        raise ParameterError("l must be non-negative")
     x = Fraction(entry)
     k = x - shift.s
     if k.denominator != 1:
-        raise ValueError(f"entry {x} is not an integer offset from shift {shift.s}")
+        raise ParameterError(f"entry {x} is not an integer offset from shift {shift.s}")
     k = int(k)
     if shift.is_zero:
         return ScaledValue(Fraction(newton_binomial(l, k)), 0, shift)

@@ -18,14 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sums import (
-    SumSpec,
-    antisym_A_bound,
-    even_A_antisym_exact,
-    even_A_coefficient,
-    even_A_support,
-    odd_A_coefficient_direct,
-)
+from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
 
 __all__ = [
     "QuadratureResult",
@@ -134,21 +127,26 @@ def identity_report(spec: SumSpec, odd_A_cut: int = 199) -> list[dict]:
 
     Returns one dict per check with lhs (integral side), rhs (coefficient
     side), and abs_err.  The odd-A coefficient sum is truncated at
-    |A| <= odd_A_cut; the other two sides are finite.
+    |A| <= odd_A_cut; the other two sides are finite.  Each side evaluates
+    its family through one Coefficients object, and all three read one row
+    store.
     """
     checks = []
+    rows = Rows()
 
     lhs = trig_integral_full(spec).value
+    even = Coefficients(spec, Family.EVEN, rows=rows)
     rhs = math.fsum(
-        spec.weight_cos(A) * even_A_coefficient(spec, A) for A in even_A_support(spec)
+        spec.weight_cos(A) * even(A).coeff.numerator for A in even.default_A_range()
     )
     checks.append(
         {"check": "even-expansion", "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs)}
     )
 
     lhs = _odd_total_integral(spec)
+    odd = Coefficients(spec, Family.ODD, rows=rows)
     rhs = math.fsum(
-        2.0 * spec.weight_cos(A) * float(odd_A_coefficient_direct(spec, A))
+        2.0 * spec.weight_cos(A) * float(odd(A))
         for A in range(1, odd_A_cut + 1, 2)
     )
     checks.append(
@@ -160,8 +158,9 @@ def identity_report(spec: SumSpec, odd_A_cut: int = 199) -> list[dict]:
         - trig_integral_halfrange(spec, 0.0, 0.5, "sin").value
     )
     bound = antisym_A_bound(spec)
+    antisym = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)
     rhs = math.fsum(
-        spec.weight_sin(A) * float(even_A_antisym_exact(spec, A))
+        spec.weight_sin(A) * float(antisym(A))
         for A in range(-bound, bound + 1, 2)
     )
     checks.append(

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
     SHIFT_HALF,
+    ParameterError,
     ScaledValue,
     Shift,
     as_float,
@@ -36,13 +37,14 @@ from .exact import (
     newton_binomial,
 )
 from .sums import (
+    Coefficients,
     Family,
+    Rows,
     SumSpec,
     Window,
     even_A_antisym_exact,
     even_A_coefficient,
     k1_term,
-    odd_A_coefficient_direct,
 )
 
 __all__ = [
@@ -147,23 +149,23 @@ def _central(l: int) -> Fraction:
 
 def _pi(window: Window, l: int) -> _Kind:
     if l <= 0 or l % 2:
-        raise ValueError("l must be a positive even integer")
+        raise ParameterError("l must be a positive even integer")
     return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _pi_window(window),
                  _binomial_term(l, SHIFT_HALF, alternating=False))
 
 
 def _pi2(window: Window, l: int) -> _Kind:
     if l <= 0 or l % 2:
-        raise ValueError("l must be a positive even integer")
+        raise ParameterError("l must be a positive even integer")
     return _Kind("pi^2", math.pi**2, 1, _central(l), _pi_window(window),
                  _binomial_term(l, SHIFT_HALF, alternating=True))
 
 
 def _pis(window: Window, l: int, s: Shift) -> _Kind:
     if s.is_zero:
-        raise ValueError("s = 0 has no 1/sin(pi s) scale; use the classical path")
+        raise ParameterError("s = 0 has no 1/sin(pi s) scale; use the classical path")
     if l < 0:
-        raise ValueError("l must be >= 0")
+        raise ParameterError("l must be >= 0")
     target = math.pi / math.sin(math.pi * float(s.s))
     return _Kind("pi/sin(pi*s)", target, 1, Fraction(1, 2**l), _shift_window(l, window),
                  _binomial_term(l, s, alternating=False))
@@ -171,9 +173,9 @@ def _pis(window: Window, l: int, s: Shift) -> _Kind:
 
 def _pis2(window: Window, l: int, s: Shift) -> _Kind:
     if s.is_zero:
-        raise ValueError("s = 0 has no 1/sin(pi s) scale")
+        raise ParameterError("s = 0 has no 1/sin(pi s) scale")
     if l < 0 or l % 2:
-        raise ValueError("l must be even; use pi_over_sin_cos_seq for odd l")
+        raise ParameterError("l must be even; use pi_over_sin_cos_seq for odd l")
     target = (math.pi / math.sin(math.pi * float(s.s))) ** 2
     return _Kind("(pi/sin(pi*s))^2", target, 1, _central(l), _shift_window(l, window),
                  _binomial_term(l, s, alternating=True))
@@ -181,9 +183,9 @@ def _pis2(window: Window, l: int, s: Shift) -> _Kind:
 
 def _pis_odd(window: Window, l: int, s: Shift) -> _Kind:
     if l < 1 or l % 2 == 0:
-        raise ValueError("l must be odd")
+        raise ParameterError("l must be odd")
     if s.is_zero or s.s == Fraction(1, 2):
-        raise ValueError("target pi/(sin cos) is undefined at s = 0 or s = 1/2")
+        raise ParameterError("target pi/(sin cos) is undefined at s = 0 or s = 1/2")
     x = float(s.s)
     target = math.pi / (math.sin(math.pi * x) * math.cos(math.pi * x))
     return _Kind("pi/(sin(pi*s)*cos(pi*s))", target, 1, _central(l), _shift_window(l, window),
@@ -194,12 +196,14 @@ def _odd_A_sums(
     pref: int, weighted: list[tuple[Fraction | int, SumSpec]], tag: str, target: float
 ) -> _Kind:
     """Sums over (weight, spec) in weighted of weight times the pi^2-stripped
-    odd-A coefficient of spec, at A = 2i+1 for i = 0..m."""
+    odd-A coefficient of spec, at A = 2i+1 for i = 0..m.  Each spec keeps its
+    tail weights for the whole sweep, and since a binomial row depends only
+    on its n, every spec reads one row store."""
+    rows = Rows()
+    coeffs = [(w, Coefficients(spec, Family.ODD, rows=rows)) for w, spec in weighted]
 
     def term(i: int) -> Fraction:
-        return sum(
-            w * _rational(odd_A_coefficient_direct(spec, 2 * i + 1), 2) for w, spec in weighted
-        )
+        return sum(w * _rational(odd(2 * i + 1), 2) for w, odd in coeffs)
 
     return _Kind(tag, target, 0, pref, lambda m: range(m + 1), term)
 
@@ -223,7 +227,7 @@ def _agg(window: Window, n: int, g: int, r: int) -> _Kind:
 def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
     ref = even_A_coefficient(spec, A)
     if ref == 0:
-        raise ValueError(f"A = {A} is outside the support; zero reference")
+        raise ParameterError(f"A = {A} is outside the support; zero reference")
     term = k1_term(spec, Family.SHIFTED, A)  # at k_1 = i + 1/2
     return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), _pi_window(window),
                  lambda i: term(2 * i + 1))
@@ -232,7 +236,7 @@ def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
 def _ratio_pi(window: Window, spec: SumSpec, A: int) -> _Kind:
     ref = even_A_antisym_exact(spec, A)
     if ref.is_zero:
-        raise ValueError(f"antisymmetric reference coefficient vanishes at A = {A}")
+        raise ParameterError(f"antisymmetric reference coefficient vanishes at A = {A}")
     term = k1_term(spec, Family.ANTISYM, A)  # at k_1 = i + 1/2
     return _Kind("pi", math.pi, 1, 1 / ref.coeff, _pi_window(window),
                  lambda i: term(2 * i + 1))
@@ -263,11 +267,11 @@ def sweep(
     parameter and every m is checked before any term is computed.
     """
     if kind not in _KINDS:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        raise ParameterError(f"unknown sequence kind {kind!r}")
     seq = _KINDS[kind](window, **params)
     ms = list(ms)
     if ms and min(ms) < seq.least_m:
-        raise ValueError(f"m must be >= {seq.least_m}")
+        raise ParameterError(f"m must be >= {seq.least_m}")
     records: dict[int, SeqRecord] = {}
     total, done = Fraction(0), range(0)
     for m in sorted(set(ms)):
@@ -355,18 +359,18 @@ class GComposition:
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(int(v) for v in self.parts))
         if self.g < 2:
-            raise ValueError("g must be >= 2")
+            raise ParameterError("g must be >= 2")
         if not self.parts or any(v < 0 for v in self.parts):
-            raise ValueError("parts must be a nonempty tuple of non-negative ints")
+            raise ParameterError("parts must be a nonempty tuple of non-negative ints")
         if sum(self.parts) < 1:
-            raise ValueError("composition must have positive total")
+            raise ParameterError("composition must have positive total")
         if self.parts[0] == 0 or self.parts[-1] == 0:
-            raise ValueError("leading/trailing zero parts are not allowed")
+            raise ParameterError("leading/trailing zero parts are not allowed")
         run = 0
         for v in self.parts:
             run = run + 1 if v == 0 else 0
             if run > self.g - 2:
-                raise ValueError(f"more than {self.g - 2} consecutive zeros")
+                raise ParameterError(f"more than {self.g - 2} consecutive zeros")
 
     @property
     def n(self) -> int:
@@ -405,9 +409,9 @@ def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
     """All g-compositions of n, each exactly once, ordered by length and then
     lexicographically by parts."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     if g < 2:
-        raise ValueError("g must be >= 2")
+        raise ParameterError("g must be >= 2")
     j_max = n + (n - 1) * (g - 2)
     for j in range(1, j_max + 1):
         for parts in _fixed_length_compositions(n, j, g - 2):
@@ -435,7 +439,7 @@ def cg_weight(comp: GComposition) -> Fraction:
     for i in range(j - g + 1):
         top = sum(l[i : i + g]) - 1
         if top < 0:
-            raise ValueError("malformed composition for this g: empty window")
+            raise ParameterError("malformed composition for this g: empty window")
         w *= newton_binomial(top, l[i + g - 1])
     return w
 
@@ -450,7 +454,7 @@ def cg_weight_factorial_form(comp: GComposition) -> Fraction:
     for i in range(j - g + 1):
         top = sum(l[i : i + g]) - 1
         if top < 0:
-            raise ValueError("malformed composition for this g: empty window")
+            raise ParameterError("malformed composition for this g: empty window")
         num *= factorial(top)
     den = 1
     for i in range(j - g):

@@ -24,6 +24,14 @@ H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
 A binomial at a half-integer entry, like g at a half-integer d, is an exact
 rational times 1/pi, so every term is a plain rational and the family's
 power of 1/pi is attached once, through ScaledValue, to the finished sum.
+
+Every family is evaluated through one `Coefficients` object per call: a
+table, a sequence spec, a verify check.  It builds the tail weights W once,
+whatever the A, and reads every binomial entry from a `Rows` store that
+computes each (n, entry) once and may be shared across specs, since an entry
+depends only on n.  Nothing is cached at module level.  The sums themselves
+run over integer numerators and one common denominator per coefficient, and
+each coefficient becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -33,15 +41,17 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .exact import SHIFT_HALF, ScaledValue, beta_coeff, newton_binomial
+from .exact import SHIFT_HALF, ParameterError, ScaledValue, beta_coeff, newton_binomial
 
 __all__ = [
     "SumSpec",
     "Window",
     "Family",
     "CoeffTable",
+    "Coefficients",
+    "Rows",
     "half_window",
     "k1_term",
     "even_A_coefficient",
@@ -75,7 +85,7 @@ def half_window(m: int, window: Window = Window.SYMMETRIC) -> range:
     given doubled: the odd integers 2k from -2m+1 (from -2m-1 when symmetric)
     to 2m+1."""
     if m < 1:
-        raise ValueError("window size m must be >= 1")
+        raise ParameterError("window size m must be >= 1")
     lo = -2 * m - 1 if window is Window.SYMMETRIC else -2 * m + 1
     return range(lo, 2 * m + 2, 2)
 
@@ -96,16 +106,16 @@ class SumSpec:
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(int(v) for v in self.l))
         if self.r < 2 or self.r % 2:
-            raise ValueError("r must be a positive even integer")
+            raise ParameterError("r must be a positive even integer")
         if len(self.l) < 2:
-            raise ValueError("need at least two parts l_1, l_2")
+            raise ParameterError("need at least two parts l_1, l_2")
         if any(v < 0 for v in self.l):
-            raise ValueError("parts must be non-negative")
+            raise ParameterError("parts must be non-negative")
         if self.q is None:
             object.__setattr__(self, "p", 0)
         else:
             if self.q < 1:
-                raise ValueError("q must be positive (or None for infinity)")
+                raise ParameterError("q must be positive (or None for infinity)")
             f = Fraction(self.p, self.q)
             object.__setattr__(self, "p", f.numerator)
             object.__setattr__(self, "q", f.denominator)
@@ -150,15 +160,29 @@ class Family(str, Enum):
     FOUR = "four"
 
 
-# The k_1 weights g, as pi g(d) with d given doubled (d2 = 2d); 1/(pi d) is inline.
-def _sinc(d2: int) -> Fraction:
+Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
+
+
+# The k_1 weights g, as pi g(d) with d given doubled (d2 = 2d), each returned
+# as a Pair like every other term of the sums.
+def _over(c: int, d2: int) -> Pair:
+    """c/d2 with the sign moved into the numerator."""
+    return (c, d2) if d2 > 0 else (-c, -d2)
+
+
+def _sinc(d2: int) -> Pair:
     """pi sinc(d) = sin(pi d)/d at a half-integer d."""
-    return Fraction(-2 if ((d2 - 1) // 2) % 2 else 2, d2)
+    return _over(-2 if ((d2 - 1) // 2) % 2 else 2, d2)
 
 
-def _one_minus_cos(d2: int) -> Fraction | int:
+def _reciprocal(d2: int) -> Pair:
+    """pi/(pi d) at a half-integer d."""
+    return _over(2, d2)
+
+
+def _one_minus_cos(d2: int) -> Pair:
     """(1 - cos(pi d))/d at an integer d: 2/d for odd d, else 0 (d = 0 too)."""
-    return Fraction(4, d2) if d2 % 4 else 0
+    return _over(4, d2) if d2 % 4 else (0, 1)
 
 
 class _Form(NamedTuple):
@@ -166,7 +190,7 @@ class _Form(NamedTuple):
 
     parity: int  # A % 2 of every A the family takes
     pi_exp: int  # power of 1/pi that every term carries
-    weight: Callable[[int], Fraction | int] | None = None  # None: k_1 eliminated
+    weight: Callable[[int], Pair] | None = None  # None: k_1 eliminated
     half_axes: tuple[int, ...] = ()  # i whose k_i runs over a size-m half-integer window
 
 
@@ -175,17 +199,46 @@ _FAMILIES = {
     Family.ODD: _Form(parity=1, pi_exp=2),
     Family.ODD_SINC: _Form(parity=1, pi_exp=2, weight=_sinc),
     Family.SHIFTED: _Form(parity=0, pi_exp=2, weight=_sinc, half_axes=(1,)),
-    Family.ANTISYM: _Form(parity=0, pi_exp=2, weight=lambda d2: Fraction(2, d2), half_axes=(1,)),
+    Family.ANTISYM: _Form(parity=0, pi_exp=2, weight=_reciprocal, half_axes=(1,)),
     Family.ANTISYM_EXACT: _Form(parity=0, pi_exp=1, weight=_one_minus_cos),
     Family.FOUR: _Form(parity=0, pi_exp=4, half_axes=(3, 4)),
 }
 
 
-def _pi_binomial(n: int, e2: int) -> Fraction | int:
-    """C(n, e2/2), times pi when e2/2 = k + 1/2 is a half-integer: always rational."""
+def _pi_binomial(n: int, e2: int) -> Pair:
+    """C(n, e2/2), times pi when e2/2 = k + 1/2 is a half-integer: always
+    rational, and returned reduced."""
     if e2 % 2 == 0:
-        return newton_binomial(n, e2 // 2)
-    return beta_coeff(n, (e2 - 1) // 2, SHIFT_HALF.s)
+        return newton_binomial(n, e2 // 2), 1
+    c = beta_coeff(n, (e2 - 1) // 2, SHIFT_HALF.s)
+    return c.numerator, c.denominator
+
+
+class Rows(dict):
+    """The binomial row entries _pi_binomial(n, e2), keyed (n, e2), each
+    computed on first use and kept as long as the store is.  An entry depends
+    on n and e2 alone, so one store can serve every spec and family of a call.
+    """
+
+    def __missing__(self, key: tuple[int, int]) -> Pair:
+        value = self[key] = _pi_binomial(*key)
+        return value
+
+
+def _dot(terms: Iterable[tuple[Pair, Pair]]) -> Pair:
+    """The sum of x*y over the terms (x, y), as one integer numerator over
+    the least common multiple of the terms' denominators, unreduced."""
+    num, den = 0, 1
+    for (xp, xq), (yp, yq) in terms:
+        p = xp * yp
+        if p:
+            q = xq * yq
+            if den % q:
+                f = q // math.gcd(den, q)
+                num *= f
+                den *= f
+            num += p * (den // q)
+    return num, den
 
 
 def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
@@ -195,65 +248,144 @@ def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
 
 
 def _tail_weights(
-    spec: SumSpec,
-    half_axes: tuple[int, ...] = (),
-    m: int | None = None,
-    window: Window = Window.SYMMETRIC,
-) -> dict[tuple[int, int], Fraction | int]:
+    spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window, rows: Rows
+) -> dict[tuple[int, int], Pair]:
     """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
     weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
-    weights: dict[tuple[int, int], Fraction | int] = {(0, 0): 1}
+    weights: dict[tuple[int, int], Pair] = {(0, 0): (1, 1)}
     for i in range(3, spec.j + 1):
         n = spec.r * spec.l[i - 1]
-        grown: defaultdict[tuple[int, int], Fraction | int] = defaultdict(int)
+        grown: dict[tuple[int, int], Pair] = {}
         for k2 in _axis(n, i in half_axes, m, window):
-            c = _pi_binomial(n, n + k2)
+            c = rows[n, n + k2]
             for (s2, s1), w in weights.items():
-                grown[s2 + (i - 2) * k2, s1 + (i - 1) * k2] += w * c
+                key = s2 + (i - 2) * k2, s1 + (i - 1) * k2
+                grown[key] = _dot(((w, c), (grown.get(key, (0, 1)), (1, 1))))  # += w c
         weights = grown
     return weights
 
 
-def _form(spec: SumSpec, family: Family, A: int) -> _Form:
-    """The family's table row, once A and the number of parts fit it."""
-    form = _FAMILIES[family]
-    if A % 2 != form.parity:
-        raise ValueError(f"A must be {'odd' if form.parity else 'even'}")
-    if max(form.half_axes, default=0) > spec.j:
-        raise ValueError(f"family {family.value} needs at least {max(form.half_axes)} parts")
-    return form
+class Coefficients:
+    """One coefficient family of one spec at one truncation, evaluated at any A.
+
+    The tail weights W are built on the first evaluation and kept; every
+    binomial entry comes from `rows`, a store the caller may share across
+    specs.  Each sum runs over integer numerators and one common denominator,
+    and each coefficient becomes one Fraction at the end.
+    """
+
+    def __init__(
+        self,
+        spec: SumSpec,
+        family: Family,
+        m: int | None = None,
+        window: Window = Window.SYMMETRIC,
+        rows: Rows | None = None,
+    ):
+        self.spec, self.family, self.m, self.window = spec, Family(family), m, window
+        self.form = _FAMILIES[self.family]
+        self.rows = Rows() if rows is None else rows
+        self._tail: dict[int, list[tuple[int, Pair]]] | None = None
+
+    def _check(self, A: int) -> _Form:
+        """The family's table row, once A and the number of parts fit it."""
+        form = self.form
+        if A % 2 != form.parity:
+            raise ParameterError(f"A must be {'odd' if form.parity else 'even'}")
+        if max(form.half_axes, default=0) > self.spec.j:
+            raise ParameterError(
+                f"family {self.family.value} needs at least {max(form.half_axes)} parts"
+            )
+        return form
+
+    def _weights(self) -> dict[int, list[tuple[int, Pair]]]:
+        """W as {2 s2: [(2 s1, W[s2, s1])]}, built on first use."""
+        if self._tail is None:
+            self._tail = defaultdict(list)
+            for (s2, s1), w in _tail_weights(
+                self.spec, self.form.half_axes, self.m, self.window, self.rows
+            ).items():
+                self._tail[s2].append((s1, w))
+        return self._tail
+
+    def _inner(self, A: int) -> list[tuple[int, Pair]]:
+        """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
+        C(n2, n2/2 - A/2 - s1), and the zeros are dropped."""
+        n2, rows = self.spec.r * self.spec.l[1], self.rows
+        inner = []
+        for s2, group in self._weights().items():
+            v = _dot((w, rows[n2, n2 - A - s1]) for s1, w in group)
+            if v[0]:
+                inner.append((s2, v))
+        return inner
+
+    def _weighted(self, inner: list[tuple[int, Pair]], A: int, k2: int) -> Pair:
+        """The sum over s2 of inner[s2] pi g(A/2 + s2 - k_1), at k_1 = k2/2."""
+        g = self.form.weight
+        return _dot((v, g(A + s2 - k2)) for s2, v in inner)
+
+    def __call__(self, A: int) -> ScaledValue:
+        """The coefficient at A: the module docstring's sum."""
+        form = self._check(A)
+        if form.half_axes and self.m is None:
+            raise ParameterError(f"family {self.family.value} needs a truncation m")
+        n1, rows = self.spec.r * self.spec.l[0], self.rows
+        inner = self._inner(A)
+        if form.weight is None:
+            num, den = _dot((v, rows[n1, n1 + A + s2]) for s2, v in inner)
+        else:
+            num, den = _dot(
+                (rows[n1, n1 + k2], self._weighted(inner, A, k2))
+                for k2 in _axis(n1, 1 in form.half_axes, self.m, self.window)
+            )
+        return ScaledValue(Fraction(num, den), form.pi_exp, SHIFT_HALF)
+
+    def k1_term(self, A: int) -> Callable[[int], Fraction]:
+        """k2 -> the term of a weighted-k_1 family's coefficient at k_1 = k2/2:
+
+            pi^[k_1 half-integer] C(n1, n1/2 + k_1) sum over s2 of inner[s2] pi g(A/2 + s2 - k_1)
+
+        The coefficient is the sum of these terms over the family's k_1 axis."""
+        form = self._check(A)
+        if form.weight is None:
+            raise ParameterError(f"family {self.family.value} eliminates k_1")
+        n1, rows = self.spec.r * self.spec.l[0], self.rows
+        inner = self._inner(A)  # no weighted family truncates a tail axis
+
+        def term(k2: int) -> Fraction:
+            p, q = rows[n1, n1 + k2]
+            s, t = self._weighted(inner, A, k2)
+            return Fraction(p * s, q * t)
+
+        return term
+
+    def default_A_range(self) -> list[int]:
+        """The A values a table covers when no explicit range is requested.
+
+        For the even family, its support, by scanning entry feasibility: every
+        lattice term is a product of non-negative binomials, so A is in the
+        support iff some k_3..k_j puts both eliminated entries inside range.
+        For the antisymmetric limit, every even |A| <= antisym_A_bound.
+        """
+        spec = self.spec
+        if self.family is Family.EVEN:
+            h1, h2 = spec._half(1), spec._half(2)
+            sup: set[int] = set()
+            for s2, group in self._weights().items():
+                for s1, _ in group:
+                    lo = max(-h1 - s2 // 2, -h2 - s1 // 2)
+                    hi = min(h1 - s2 // 2, h2 - s1 // 2)
+                    sup.update(2 * a for a in range(lo, hi + 1))
+            return sorted(sup)
+        if self.family is Family.ANTISYM_EXACT:
+            b = antisym_A_bound(spec)
+            return list(range(-b, b + 1, 2))
+        raise ParameterError(f"family {self.family.value} has no finite default A range")
 
 
-def _inner(
-    spec: SumSpec, form: _Form, A: int, m: int | None = None, window: Window = Window.SYMMETRIC
-) -> dict[int, Fraction | int]:
-    """inner[2 s2] = sum over s1 of W[s2, s1] C(n2, n2/2 - A/2 - s1), zeros dropped."""
-    n2 = spec.r * spec.l[1]
-    inner: defaultdict[int, Fraction | int] = defaultdict(int)
-    for (s2, s1), w in _tail_weights(spec, form.half_axes, m, window).items():
-        inner[s2] += w * _pi_binomial(n2, n2 - A - s1)
-    return {s2: v for s2, v in inner.items() if v}
-
-
-def k1_term(spec: SumSpec, family: Family, A: int) -> Callable[[int], Fraction | int]:
-    """k2 -> the term of a weighted-k_1 family's coefficient at k_1 = k2/2:
-
-        pi^[k_1 half-integer] C(n1, n1/2 + k_1) sum over s2 of inner[s2] pi g(A/2 + s2 - k_1)
-
-    The coefficient is the sum of these terms over the family's k_1 axis."""
-    family = Family(family)
-    form = _form(spec, family, A)
-    if form.weight is None:
-        raise ValueError(f"family {family.value} eliminates k_1")
-    n1 = spec.r * spec.l[0]
-    inner = _inner(spec, form, A)  # no weighted family truncates a tail axis
-
-    def term(k2: int) -> Fraction | int:
-        return _pi_binomial(n1, n1 + k2) * sum(
-            v * form.weight(A + s2 - k2) for s2, v in inner.items()
-        )
-
-    return term
+def k1_term(spec: SumSpec, family: Family, A: int) -> Callable[[int], Fraction]:
+    """Coefficients(spec, family).k1_term(A)."""
+    return Coefficients(spec, family).k1_term(A)
 
 
 def coefficient(
@@ -264,18 +396,7 @@ def coefficient(
     window: Window = Window.SYMMETRIC,
 ) -> ScaledValue:
     """One coefficient of the requested family: the module docstring's sum."""
-    family = Family(family)
-    form = _form(spec, family, A)
-    if form.half_axes and m is None:
-        raise ValueError(f"family {family.value} needs a truncation m")
-    n1 = spec.r * spec.l[0]
-    if form.weight is None:
-        inner = _inner(spec, form, A, m, window)
-        total = sum(v * _pi_binomial(n1, n1 + A + s2) for s2, v in inner.items())
-    else:
-        term = k1_term(spec, family, A)
-        total = sum(term(k2) for k2 in _axis(n1, 1 in form.half_axes, m, window))
-    return ScaledValue(total, form.pi_exp, SHIFT_HALF)
+    return Coefficients(spec, family, m, window)(A)
 
 
 def even_A_coefficient(spec: SumSpec, A: int) -> int:
@@ -285,18 +406,8 @@ def even_A_coefficient(spec: SumSpec, A: int) -> int:
 
 
 def even_A_support(spec: SumSpec) -> list[int]:
-    """All even A with nonzero coefficient, by scanning entry feasibility.
-
-    Every lattice term is a product of non-negative binomials, so A is in the
-    support iff some k_3..k_j puts both eliminated entries inside range.
-    """
-    h1, h2 = spec._half(1), spec._half(2)
-    sup: set[int] = set()
-    for s2, s1 in _tail_weights(spec):
-        lo = max(-h1 - s2 // 2, -h2 - s1 // 2)
-        hi = min(h1 - s2 // 2, h2 - s1 // 2)
-        sup.update(2 * a for a in range(lo, hi + 1))
-    return sorted(sup)
+    """All even A with nonzero coefficient, by scanning entry feasibility."""
+    return Coefficients(spec, Family.EVEN).default_A_range()
 
 
 def odd_A_coefficient_direct(spec: SumSpec, A: int) -> ScaledValue:
@@ -365,7 +476,8 @@ def four_shifted_coefficient(
 def sum_rule_even(spec: SumSpec) -> int:
     """Sum of all even-A coefficients; equals C(rn, rn/2) exactly (the q ->
     infinity collapse of the expansion to an overall binomial count)."""
-    return sum(even_A_coefficient(spec, A) for A in even_A_support(spec))
+    even = Coefficients(spec, Family.EVEN)
+    return sum(even(A).coeff.numerator for A in even.default_A_range())
 
 
 @dataclass(frozen=True)
@@ -387,13 +499,7 @@ class CoeffTable:
 
 def default_A_range(spec: SumSpec, family: Family) -> list[int]:
     """A values a table covers when no explicit range is requested."""
-    family = Family(family)
-    if family is Family.EVEN:
-        return even_A_support(spec)
-    if family is Family.ANTISYM_EXACT:
-        b = antisym_A_bound(spec)
-        return list(range(-b, b + 1, 2))
-    raise ValueError(f"family {family.value} has no finite default A range")
+    return Coefficients(spec, family).default_A_range()
 
 
 def build_coeff_table(
@@ -403,14 +509,14 @@ def build_coeff_table(
     m: int | None = None,
     window: Window = Window.SYMMETRIC,
 ) -> CoeffTable:
-    family = Family(family)
+    coeffs = Coefficients(spec, family, m, window)
     if A_values is None:
-        A_values = default_A_range(spec, family)
-    parity = _FAMILIES[family].parity
+        A_values = coeffs.default_A_range()
+    parity = coeffs.form.parity
     bad = [A for A in A_values if A % 2 != parity]
     if bad:
-        raise ValueError(
-            f"family {family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
+        raise ParameterError(
+            f"family {coeffs.family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
         )
-    entries = {A: coefficient(spec, family, A, m, window) for A in A_values}
-    return CoeffTable(spec=spec, family=family, entries=entries)
+    entries = {A: coeffs(A) for A in A_values}
+    return CoeffTable(spec=spec, family=coeffs.family, entries=entries)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from shiftbinom import cli
-from shiftbinom.exact import SHIFT_HALF, ScaledValue, as_float
+from shiftbinom.exact import SHIFT_HALF, ParameterError, ScaledValue, as_float
+from shiftbinom.sums import Window
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -23,6 +24,18 @@ def test_help():
     assert cp.returncode == 0
     for sub in ("verify", "coeffs", "seq", "compositions"):
         assert sub in cp.stdout
+
+
+@pytest.mark.parametrize("argv", [["seq", "pi"], ["coeffs"], ["compositions"]],
+                         ids=lambda argv: argv[0])
+def test_window_help_shows_the_values_to_type(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        cli.main([argv[0], "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "--window {paper,symmetric}" in out and "Window." not in out
+    ns = cli._build_parser().parse_args([*argv, "--window", "symmetric"])
+    assert ns.window is Window.SYMMETRIC
 
 
 def test_verify_identity_passes():
@@ -85,6 +98,24 @@ def test_internal_error_exits_3(monkeypatch, capsys, module, attr, argv):
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: invariant broken\n"
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (ValueError("cannot add values with different beta scales"), 3,
+     "internal error: ValueError: cannot add values with different beta scales\n"),
+    (ParameterError("r must be a positive even integer"), 2,
+     "error: r must be a positive even integer\n"),
+], ids=["internal", "parameter"])
+def test_only_parameter_errors_exit_2(monkeypatch, capsys, error, code, err):
+    # a ValueError from inside the library is a bug; only a ParameterError
+    # (or the CLI's own UsageError) is a usage error
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.sums, "build_coeff_table", broken)
+    assert cli.main(["coeffs", "--family", "even", "--r", "2", "--l", "1,1"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
 
 
 @pytest.mark.parametrize("args", [

@@ -174,10 +174,10 @@ def test_odd_cumulative_monotone_for_positive_terms():
 
 
 def test_wrong_beta_power_raises_runtime_error(monkeypatch):
-    # an internal invariant, checked without assert so python -O keeps it; not
-    # a ValueError, which the CLI reports as a usage error
+    # an internal invariant, checked without assert so python -O keeps it; the
+    # evaluator that cum and agg build for each spec returns beta^1 here
     beta1 = ScaledValue(Fraction(1), 1, SHIFT_HALF)
-    monkeypatch.setattr(sequences, "odd_A_coefficient_direct", lambda spec, A: beta1)
+    monkeypatch.setattr(sequences, "Coefficients", lambda spec, family, rows: lambda A: beta1)
     with pytest.raises(RuntimeError):
         odd_A_cumulative_seq(SumSpec(r=2, l=(1, 1)), 0)
 

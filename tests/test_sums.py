@@ -1,10 +1,12 @@
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from shiftbinom import sequences, sums
 from shiftbinom.exact import (
     SHIFT_HALF,
     SHIFT_ZERO,
@@ -108,22 +110,65 @@ def naive_coefficient(
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_every_family_matches_naive_lattice(family):
     """Exact equality, coefficient and pi power, with the point-by-point
-    oracle over GRID, |A| <= 9, m in {1, 3} and both windows."""
+    oracle over GRID, |A| <= 9, m in {1, 3} and both windows: one A at a
+    time, and every A of one table."""
     parity = 1 if family in (Family.ODD, Family.ODD_SINC) else 0
     truncations = (
         [(m, w) for m in (1, 3) for w in Window]
         if NAIVE_FAMILIES[family][1]
         else [(None, Window.SYMMETRIC)]
     )
+    A_values = list(range(-9 + (1 - parity), 10, 2))
     for spec in GRID:
         if family is Family.FOUR and spec.j < 4:
             continue
-        for A in range(-9 + (1 - parity), 10, 2):
-            for m, window in truncations:
+        for m, window in truncations:
+            table = build_coeff_table(spec, family, A_values, m, window).entries
+            for A in A_values:
+                expect = naive_coefficient(spec, family, A, m, window)
                 got = coefficient(spec, family, A, m, window)
-                assert got == naive_coefficient(spec, family, A, m, window), (
-                    spec.l, A, m, window, got,
+                assert got == expect and table[A] == expect, (
+                    spec.l, A, m, window, got, table[A],
                 )
+
+
+def test_tables_are_built_once_per_call(monkeypatch):
+    """One tail-weight build per table and per spec of an agg sweep; each
+    binomial row entry computed once per call, across all the specs."""
+    builds, entries = [], Counter()
+    tail_weights, pi_binomial = sums._tail_weights, sums._pi_binomial
+
+    def counted_tail_weights(spec, *args):
+        builds.append(spec)
+        return tail_weights(spec, *args)
+
+    def counted_pi_binomial(n, e2):
+        entries[n, e2] += 1
+        return pi_binomial(n, e2)
+
+    monkeypatch.setattr(sums, "_tail_weights", counted_tail_weights)
+    monkeypatch.setattr(sums, "_pi_binomial", counted_pi_binomial)
+    spec = SumSpec(r=2, l=(1, 2, 1, 1))
+    odd, even = list(range(-9, 10, 2)), list(range(-8, 9, 2))
+    for family, A_values, m in [
+        (Family.EVEN, None, None),  # the support comes from the same W
+        (Family.ODD, odd, None),
+        (Family.ODD_SINC, odd, None),
+        (Family.SHIFTED, even, 3),
+        (Family.ANTISYM, even, 3),
+        (Family.ANTISYM_EXACT, None, None),
+        (Family.FOUR, even, 3),
+    ]:
+        builds.clear()
+        entries.clear()
+        build_coeff_table(spec, family, A_values, m)
+        assert builds == [spec], family
+        assert set(entries.values()) == {1}, family
+    builds.clear()
+    entries.clear()
+    sequences.sweep("agg", range(8), n=4, g=3, r=2)
+    assert len(builds) == len(list(sequences.enumerate_g_compositions(4, 3)))
+    assert set(entries.values()) == {1}
 
 
 # ------------------------------- even family -------------------------------
