@@ -17,6 +17,12 @@ stderr).  Identical invocations produce byte-identical output; `num` and
 rationals.
 A coefficient whose value lies outside double range keeps exact `num` and
 `den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
+
+`--q` takes a positive integer or `inf`.  `--config FILE` reads `key=value`
+lines; a key is a long flag name, with `-` or `_` (`a-max` or `a_max`), and
+its value is parsed and checked exactly as the flag's (a switch such as
+`check` is on for 1, true, yes or on).  Command-line flags win over the
+file; an unknown key exits 2.
 """
 
 from __future__ import annotations
@@ -48,10 +54,10 @@ def _parse_l(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_q(text: str) -> int:
-    # 0 marks the q -> infinity sentinel at the flag layer (a real q is >= 1)
+def _parse_q(text: str) -> int | None:
+    """An integer q, or None (SumSpec's q -> infinity) for inf; SumSpec rejects q < 1."""
     if text.lower() in ("inf", "infinity", "none"):
-        return 0
+        return None
     return int(text)
 
 
@@ -67,10 +73,6 @@ def _parse_m_sweep(text: str) -> list[int]:
     if stride < 1 or stop < start:
         raise argparse.ArgumentTypeError(f"bad m sweep {text!r}")
     return list(range(start, stop + 1, stride))
-
-
-def _parse_window(text: str) -> Window:
-    return Window(text)
 
 
 def _parse_shift(text: str) -> Shift:
@@ -129,7 +131,7 @@ def _print_check(rec: dict) -> None:
 def _build_spec(ns) -> SumSpec:
     if ns.l is None:
         raise UsageError("--l is required for this command")
-    return SumSpec(r=ns.r, l=ns.l, p=ns.p, q=None if ns.q == 0 else ns.q)
+    return SumSpec(r=ns.r, l=ns.l, p=ns.p, q=ns.q)
 
 
 def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
@@ -229,16 +231,16 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_coeffs(ns) -> int:
     spec = _build_spec(ns)
-    try:
-        family = Family(ns.family)
-    except ValueError as e:  # --family missing, or a bad value from --config
-        raise UsageError(str(e))
+    if ns.family is None:
+        raise UsageError("--family is required")
+    family = Family(ns.family)
     form = sums._FAMILIES[family]
     if form.half_axes and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
     if ns.m is not None and len(ns.m) > 1:
         raise UsageError("coeffs takes a single --m value, not a sweep")
     m = None if ns.m is None else ns.m[0]
+    A_values = None  # build_coeff_table's default: the family's finite support
     if ns.a_max is not None:
         a_min = ns.a_min if ns.a_min is not None else -ns.a_max
         A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == form.parity]
@@ -246,11 +248,6 @@ def _cmd_coeffs(ns) -> int:
             raise UsageError(
                 f"no A of {'odd' if form.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    else:
-        try:
-            A_values = sums.default_A_range(spec, family)
-        except ParameterError as e:
-            raise UsageError(str(e) + "; give --a-max")
     table = sums.build_coeff_table(spec, family, A_values, m, ns.window)
     rows = [
         {
@@ -332,19 +329,47 @@ def _cmd_compositions(ns) -> int:
 # ------------------------------ parser set-up -----------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, spec=False, table=False) -> None:
-    p.add_argument("--config", help="key=value file; command-line flags override it")
-    if spec:
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--l", type=_parse_l, default=None, help="comma list, e.g. 1,0,2")
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--q", type=_parse_q, default=None, help="positive integer or 'inf'")
-    if table:
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags that a --config file's key=value lines stand for.  A key is
+    a long flag of the subcommand, written with - or _; a later line wins.  A
+    switch such as --check is given when its value is 1, true, yes or on."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot read --config {path}: {e.strerror}")
+    flags: dict[str, str | None] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, val = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"unknown config key {key!r} for {parser.prog}")
+        if action.nargs == 0:
+            flags[flag] = flag if val.lower() in ("1", "true", "yes", "on") else None
+        else:
+            flags[flag] = f"{flag}={val}"
+    return [f for f in flags.values() if f]
+
+
+def _add_spec(p: argparse.ArgumentParser, q: int | None) -> None:
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--l", type=_parse_l, help="comma list, e.g. 1,0,2")
+    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--q", type=_parse_q, default=q, help="positive integer or 'inf'")
+
+
+def _add_table(p: argparse.ArgumentParser, window: Window | None = None) -> None:
+    if window is not None:
         # the values, not the members, so that --help shows what to type
-        p.add_argument("--window", type=_parse_window, default=None,
+        p.add_argument("--window", type=Window, default=window,
                        choices=[w.value for w in Window], help="paper or symmetric")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", help="output path (default stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,128 +377,61 @@ def _build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run exact/numeric verification checks")
+    def command(name: str, handler, about: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
+        # the subcommand's parser names the keys that a --config file may set
+        p.set_defaults(run=handler, parser=p)
+        p.add_argument("--config", help="key=value file; command-line flags override it")
+        return p
+
+    pv = command("verify", _cmd_verify, "run exact/numeric verification checks")
     pv.add_argument("check", choices=("identity", "odd-integral", "antisym-integral",
                                       "odd-equality", "sum-rule", "cg", "all"))
-    _add_common(pv, spec=True)
-    pv.add_argument("--a-max", type=int, default=None)
-    pv.add_argument("--odd-a-cut", type=int, default=None)
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--g", type=int, default=None)
+    _add_spec(pv, q=3)
+    pv.add_argument("--a-max", type=int, default=9)
+    pv.add_argument("--odd-a-cut", type=int, default=399)
+    pv.add_argument("--n", type=int, default=4)
+    pv.add_argument("--g", type=int, default=2)
 
-    pc = sub.add_parser("coeffs", help="emit one coefficient family as a table")
-    _add_common(pc, spec=True, table=True)
-    pc.add_argument("--family", choices=[f.value for f in Family], default=None)
-    pc.add_argument("--a-min", type=int, default=None)
-    pc.add_argument("--a-max", type=int, default=None)
-    pc.add_argument("--m", type=_parse_m_sweep, default=None,
-                    help="truncation for the windowed families")
+    pc = command("coeffs", _cmd_coeffs, "emit one coefficient family as a table")
+    _add_spec(pc, q=None)
+    _add_table(pc, Window.SYMMETRIC)
+    pc.add_argument("--family", choices=[f.value for f in Family])
+    pc.add_argument("--a-min", type=int)
+    pc.add_argument("--a-max", type=int)
+    pc.add_argument("--m", type=_parse_m_sweep, help="truncation for the windowed families")
 
-    ps = sub.add_parser("seq", help="emit a convergence table over an m sweep")
+    ps = command("seq", _cmd_seq, "emit a convergence table over an m sweep")
     ps.add_argument("kind", choices=tuple(sequences._KINDS))
-    _add_common(ps, spec=True, table=True)
-    ps.add_argument("--s", type=_parse_shift, default=None, help="shift, e.g. 1/3")
-    ps.add_argument("--A", type=int, default=None)
-    ps.add_argument("--m", type=_parse_m_sweep, default=None,
+    _add_spec(ps, q=None)
+    _add_table(ps, Window.PAPER)
+    ps.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
+    ps.add_argument("--A", type=int)
+    ps.add_argument("--m", type=_parse_m_sweep,
                     help="single value or start:stop:stride (inclusive)")
-    ps.add_argument("--n", type=int, default=None)
-    ps.add_argument("--g", type=int, default=None)
+    ps.add_argument("--n", type=int)
+    ps.add_argument("--g", type=int)
 
-    pk = sub.add_parser("compositions", help="list g-compositions with weights")
-    _add_common(pk, table=True)
-    pk.add_argument("--n", type=int, default=None)
-    pk.add_argument("--g", type=int, default=None)
-    pk.add_argument("--check", action="store_true", default=None,
+    pk = command("compositions", _cmd_compositions, "list g-compositions with weights")
+    _add_table(pk)
+    pk.add_argument("--n", type=int)
+    pk.add_argument("--g", type=int)
+    pk.add_argument("--check", action="store_true",
                     help="also verify g*n*sum(c_g) = C(gn, n)")
 
     return ap
 
 
-_HARD_DEFAULTS = {
-    "verify": {"r": 2, "p": 1, "q": 3, "a_max": 9, "odd_a_cut": 399, "n": 4, "g": 2},
-    "coeffs": {"r": 2, "p": 1, "q": 0, "format": "csv"},
-    "seq": {"r": 2, "p": 1, "q": 0, "format": "csv"},
-    "compositions": {"format": "csv", "check": False},
-}
-
-_WINDOW_DEFAULT = {"coeffs": Window.SYMMETRIC, "seq": Window.PAPER}
-
-_BOOL_KEYS = {"check"}
-
-_PARSERS = {
-    "l": _parse_l,
-    "q": _parse_q,
-    "m": _parse_m_sweep,
-    "s": _parse_shift,
-    "window": _parse_window,
-    "r": int,
-    "p": int,
-    "a_min": int,
-    "a_max": int,
-    "odd_a_cut": int,
-    "n": int,
-    "g": int,
-    "A": int,
-    "format": str,
-    "out": str,
-    "family": str,
-    "check": None,
-}
-
-
-def _load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise UsageError(f"cannot read --config {path}: {e.strerror}")
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _apply_config_and_defaults(ns: argparse.Namespace) -> argparse.Namespace:
-    cfg = _load_config(ns.config) if getattr(ns, "config", None) else {}
-    for key, raw in cfg.items():
-        if not hasattr(ns, key):
-            raise UsageError(f"unknown config key {key!r} for command {ns.command}")
-        if getattr(ns, key) is None or (key in _BOOL_KEYS and getattr(ns, key) is None):
-            if key in _BOOL_KEYS:
-                setattr(ns, key, raw.lower() in ("1", "true", "yes", "on"))
-                continue
-            parser = _PARSERS.get(key, str)
-            try:
-                setattr(ns, key, parser(raw))
-            except (ValueError, argparse.ArgumentTypeError) as e:
-                raise UsageError(f"bad config value {key}={raw!r}: {e}")
-    for key, default in _HARD_DEFAULTS[ns.command].items():
-        if getattr(ns, key) is None:
-            setattr(ns, key, default)
-    if hasattr(ns, "window") and ns.window is None:
-        ns.window = _WINDOW_DEFAULT.get(ns.command, Window.SYMMETRIC)
-    return ns
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
-        ns = _apply_config_and_defaults(ns)
-        if ns.command == "verify":
-            return _cmd_verify(ns)
-        if ns.command == "coeffs":
-            return _cmd_coeffs(ns)
-        if ns.command == "seq":
-            return _cmd_seq(ns)
-        if ns.command == "compositions":
-            return _cmd_compositions(ns)
-        raise UsageError(f"unknown command {ns.command!r}")
+        ns = ap.parse_args(argv)
+        if ns.config:
+            # argv[0] is the subcommand; the file's flags go after it and
+            # before the command line's own, which therefore win
+            ns = ap.parse_args([argv[0], *_config_flags(ns.config, ns.parser), *argv[1:]])
+        return ns.run(ns)
     except (UsageError, ParameterError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

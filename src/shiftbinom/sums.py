@@ -497,11 +497,6 @@ class CoeffTable:
         return self.family in (Family.ANTISYM, Family.ANTISYM_EXACT)
 
 
-def default_A_range(spec: SumSpec, family: Family) -> list[int]:
-    """A values a table covers when no explicit range is requested."""
-    return Coefficients(spec, family).default_A_range()
-
-
 def build_coeff_table(
     spec: SumSpec,
     family: Family,

@@ -26,8 +26,7 @@ def test_help():
         assert sub in cp.stdout
 
 
-@pytest.mark.parametrize("argv", [["seq", "pi"], ["coeffs"], ["compositions"]],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [["seq", "pi"], ["coeffs"]], ids=lambda argv: argv[0])
 def test_window_help_shows_the_values_to_type(capsys, argv):
     with pytest.raises(SystemExit) as done:
         cli.main([argv[0], "--help"])
@@ -118,6 +117,16 @@ def test_only_parameter_errors_exit_2(monkeypatch, capsys, error, code, err):
     assert captured.err == err and captured.out == ""
 
 
+_BAD_CONFIGS = {
+    "zero.cfg": "s=1/0\n",
+    "q0.cfg": "q=0\n",
+    "xml.cfg": "format=xml\n",
+    "kind.cfg": "kind=pi2\n",
+    "check.cfg": "check=all\n",
+    "window.cfg": "window=symmetric\n",
+}
+
+
 @pytest.mark.parametrize("args", [
     ("seq", "pis", "--l", "2", "--s", "1/0", "--m", "1"),
     ("seq", "pis", "--l", "2", "--m", "1", "--config", "{tmp}/zero.cfg"),
@@ -125,9 +134,24 @@ def test_only_parameter_errors_exit_2(monkeypatch, capsys, error, code, err):
     ("seq", "pi", "--l", "2", "--m", "1", "--out", "{tmp}/missing/pi.csv"),
     # coeffs evaluates one truncation; a sweep would silently lose all but its first m
     ("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1", "--a-max", "2", "--m", "10:50"),
-], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep"])
+    ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1"),
+    # q = 0 is not a spelling of q -> infinity
+    ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--q", "0"),
+    ("verify", "identity", "--r", "2", "--l", "1,1", "--config", "{tmp}/q0.cfg"),
+    # a config value is checked as the flag's own value
+    ("seq", "pi", "--l", "2", "--m", "1", "--config", "{tmp}/xml.cfg"),
+    # positional arguments are not config keys
+    ("seq", "pi", "--l", "2", "--m", "1", "--config", "{tmp}/kind.cfg"),
+    ("verify", "cg", "--config", "{tmp}/check.cfg"),
+    # only seq and coeffs have half-integer windows
+    ("compositions", "--n", "2", "--g", "2", "--window", "symmetric"),
+    ("compositions", "--n", "2", "--g", "2", "--config", "{tmp}/window.cfg"),
+], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep",
+        "odd-no-a-max", "q-zero", "config-q-zero", "config-format", "config-positional-kind",
+        "config-positional-check", "compositions-window", "config-compositions-window"])
 def test_bad_input_exits_2(tmp_path: Path, args):
-    (tmp_path / "zero.cfg").write_text("s=1/0\n", encoding="utf-8")
+    for name, text in _BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     cp = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
@@ -408,6 +432,42 @@ def test_config_file_and_flag_override(tmp_path: Path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense\n", encoding="utf-8")
     assert run_cli("seq", "pi", "--l", "2", "--m", "1", "--config", str(bad)).returncode == 2
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    (("seq", "pi"), "l=2\nm=1:3:1\nformat=json\nwindow=symmetric\n",
+     ("--l", "2", "--m", "1:3:1", "--format", "json", "--window", "symmetric")),
+    (("seq", "pis"), "l=3\ns=1/3\nm=1:4\n", ("--l", "3", "--s", "1/3", "--m", "1:4")),
+    # a-max and a_max name the same flag
+    (("coeffs",), "family=odd\nr=2\nl=1,1\na-min=1\na_max=7\n",
+     ("--family", "odd", "--r", "2", "--l", "1,1", "--a-min", "1", "--a-max", "7")),
+    (("verify", "identity"), "r=2\nl=1,1\nq=inf\n", ("--r", "2", "--l", "1,1", "--q", "inf")),
+    (("compositions",), "n=4\ng=3\ncheck=yes\n", ("--n", "4", "--g", "3", "--check")),
+    (("compositions",), "n=4\ng=3\ncheck=no\n", ("--n", "4", "--g", "3")),
+], ids=["seq-pi", "seq-pis", "coeffs-odd", "verify-q-inf", "check-yes", "check-no"])
+def test_config_file_matches_flags(tmp_path: Path, command, config, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    by_flags = run_cli(*command, *flags)
+    by_file = run_cli(*command, "--config", str(cfg))
+    assert by_flags.returncode == by_file.returncode == 0, by_file.stderr
+    assert by_file.stdout == by_flags.stdout and by_file.stdout
+    assert by_file.stderr == by_flags.stderr
+
+
+def test_coeffs_default_range_builds_tail_weights_once(monkeypatch, capsys):
+    # the even support and the table come from one set of tail weights
+    builds = []
+    tail_weights = cli.sums._tail_weights
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return tail_weights(*args, **kwargs)
+
+    monkeypatch.setattr(cli.sums, "_tail_weights", counting)
+    assert cli.main(["coeffs", "--family", "even", "--r", "2", "--l", "3,3,3,3,3"]) == 0
+    assert capsys.readouterr().out.startswith("A,num,den,pi_exp,float\n")
+    assert len(builds) == 1
 
 
 def test_q_infinity_sentinel():
