@@ -146,15 +146,15 @@ def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
     return total, math.comb(g * n, n), forms_ok
 
 
+# the verify checks, in the order `all` runs them; every one but cg needs a spec
+_CHECKS = ("identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule", "cg")
+
+
 def _cmd_verify(ns) -> int:
     checks: list[dict] = []
-    names = (
-        ["identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule", "cg"]
-        if ns.check == "all"
-        else [ns.check]
-    )
+    names = _CHECKS if ns.check == "all" else (ns.check,)
     spec = None
-    if any(c in names for c in ("identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule")):
+    if any(c != "cg" for c in names):
         spec = _build_spec(ns)
 
     # (check, oracle report entry, tolerance on its abs_err)
@@ -257,7 +257,7 @@ def _cmd_coeffs(ns) -> int:
             "pi_exp": sv.scale_exp,
             "float": as_float(sv),
         }
-        for A, sv in table.entries.items()
+        for A, sv in table.items()
     ]
     _emit(rows, ["A", "num", "den", "pi_exp", "float"], ns.format, ns.out)
     return 0
@@ -385,8 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     pv = command("verify", _cmd_verify, "run exact/numeric verification checks")
-    pv.add_argument("check", choices=("identity", "odd-integral", "antisym-integral",
-                                      "odd-equality", "sum-rule", "cg", "all"))
+    pv.add_argument("check", choices=(*_CHECKS, "all"))
     _add_spec(pv, q=3)
     pv.add_argument("--a-max", type=int, default=9)
     pv.add_argument("--odd-a-cut", type=int, default=399)

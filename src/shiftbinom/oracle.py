@@ -129,7 +129,7 @@ def identity_report(spec: SumSpec, odd_A_cut: int = 199) -> list[dict]:
     side), and abs_err.  The odd-A coefficient sum is truncated at
     |A| <= odd_A_cut; the other two sides are finite.  Each side evaluates
     its family through one Coefficients object, and all three read one row
-    store.
+    store, which builds the spec's tail weights once for the three.
     """
     checks = []
     rows = Rows()

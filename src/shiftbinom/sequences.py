@@ -6,16 +6,17 @@ the beta-power bookkeeping is stripped symbolically, never through floats.
 Sequence windows default to the one-sided 'paper' convention; the symmetric
 variant is available everywhere a half-integer window appears.
 
-`sweep` evaluates every kind from the table `_KINDS`, whose rows are
-documented by the single-m function of each kind.  A row checks the kind's
-parameters and gives the window of integer indices at m, the term at one
-index, an exact prefactor and the target; the value at m is the prefactor
-times the sum of the terms over the window.  The windows are nested: each
-holds index 0 and the window at every smaller m.  So `sweep` visits the
-requested m in ascending order and adds only the indices the previous window
-lacked, and a sweep costs a number of terms linear in its last m.  The ratio
-kinds use the same incremental window: their index is the half-integer k_1 of
-the truncated coefficient, whose term at one k_1 comes from `sums.k1_term`.
+`sweep(kind, ms, window, **params)` is the one entry point: it evaluates
+every kind from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each
+document their kind.  A builder checks the kind's parameters and gives the
+window of integer indices at m, the term at one index, an exact prefactor and
+the target; the value at m is the prefactor times the sum of the terms over
+the window.  The windows are nested: each holds index 0 and the window at
+every smaller m.  So `sweep` visits the requested m in ascending order and
+adds only the indices the previous window lacked, and a sweep costs a number
+of terms linear in its last m.  The ratio kinds use the same incremental
+window: their index is the half-integer k_1 of the truncated coefficient,
+whose term at one k_1 comes from `sums.Coefficients.k1_term`.
 """
 
 from __future__ import annotations
@@ -36,33 +37,15 @@ from .exact import (
     factorial,
     newton_binomial,
 )
-from .sums import (
-    Coefficients,
-    Family,
-    Rows,
-    SumSpec,
-    Window,
-    even_A_antisym_exact,
-    even_A_coefficient,
-    k1_term,
-)
+from .sums import Coefficients, Family, Rows, SumSpec, Window
 
 __all__ = [
     "SeqRecord",
     "GComposition",
     "sweep",
-    "pi_seq_t0",
-    "pi2_seq",
-    "pi_over_sin_seq",
-    "pi_over_sin_sq_seq",
-    "pi_over_sin_cos_seq",
-    "odd_A_cumulative_seq",
-    "pi2_ratio_seq",
-    "pi_ratio_seq",
     "enumerate_g_compositions",
     "cg_weight",
     "cg_weight_factorial_form",
-    "aggregate_composition_seq",
 ]
 
 
@@ -148,6 +131,7 @@ def _central(l: int) -> Fraction:
 
 
 def _pi(window: Window, l: int) -> _Kind:
+    """2^-l sum of pi C(l, l/2 + k), k half-integer: the shifted (2 cos pi t)^l at t = 0."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
     return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _pi_window(window),
@@ -155,6 +139,7 @@ def _pi(window: Window, l: int) -> _Kind:
 
 
 def _pi2(window: Window, l: int) -> _Kind:
+    """((l/2)!^2/l!) sum of pi C(l, l/2 + k) (-1)^(k-1/2)/k: the term-wise integral."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
     return _Kind("pi^2", math.pi**2, 1, _central(l), _pi_window(window),
@@ -162,6 +147,7 @@ def _pi2(window: Window, l: int) -> _Kind:
 
 
 def _pis(window: Window, l: int, s: Shift) -> _Kind:
+    """pi with the shift s; k runs over integers for even l, half-integers for odd l."""
     if s.is_zero:
         raise ParameterError("s = 0 has no 1/sin(pi s) scale; use the classical path")
     if l < 0:
@@ -172,16 +158,18 @@ def _pis(window: Window, l: int, s: Shift) -> _Kind:
 
 
 def _pis2(window: Window, l: int, s: Shift) -> _Kind:
+    """pi2 with shift s, for even l: sign (-1)^k and denominator k + s."""
     if s.is_zero:
         raise ParameterError("s = 0 has no 1/sin(pi s) scale")
     if l < 0 or l % 2:
-        raise ParameterError("l must be even; use pi_over_sin_cos_seq for odd l")
+        raise ParameterError("l must be even; use kind pis-odd for odd l")
     target = (math.pi / math.sin(math.pi * float(s.s))) ** 2
     return _Kind("(pi/sin(pi*s))^2", target, 1, _central(l), _shift_window(l, window),
                  _binomial_term(l, s, alternating=True))
 
 
 def _pis_odd(window: Window, l: int, s: Shift) -> _Kind:
+    """pis2 for odd l; _central drops the extra pi of (l/2)!^2 at half-integer l/2."""
     if l < 1 or l % 2 == 0:
         raise ParameterError("l must be odd")
     if s.is_zero or s.s == Fraction(1, 2):
@@ -209,11 +197,13 @@ def _odd_A_sums(
 
 
 def _cum(window: Window, spec: SumSpec) -> _Kind:
+    """2 sum over odd A = 1..2m+1 of the pi^2-stripped odd coefficients."""
     target = math.pi**2 * as_float(math.comb(spec.r * spec.n, spec.r * spec.n // 2))
     return _odd_A_sums(2, [(1, spec)], "pi^2*C(rn,rn/2)", target)
 
 
 def _agg(window: Window, n: int, g: int, r: int) -> _Kind:
+    """g n sum over the g-compositions of n of cg_weight times their cum terms."""
     weighted = [
         (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp), q=None))
         for comp in enumerate_g_compositions(n, g)
@@ -225,19 +215,24 @@ def _agg(window: Window, n: int, g: int, r: int) -> _Kind:
 
 
 def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
-    ref = even_A_coefficient(spec, A)
+    """The truncated shifted coefficient over its exact even-family limit."""
+    rows = Rows()
+    ref = Coefficients(spec, Family.EVEN, rows=rows)(A).coeff
     if ref == 0:
         raise ParameterError(f"A = {A} is outside the support; zero reference")
-    term = k1_term(spec, Family.SHIFTED, A)  # at k_1 = i + 1/2
+    term = Coefficients(spec, Family.SHIFTED, rows=rows).k1_term(A)  # at k_1 = i + 1/2
     return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), _pi_window(window),
                  lambda i: term(2 * i + 1))
 
 
 def _ratio_pi(window: Window, spec: SumSpec, A: int) -> _Kind:
-    ref = even_A_antisym_exact(spec, A)
+    """The truncated antisym coefficient (two pi powers) over its antisym-exact
+    limit (one)."""
+    rows = Rows()
+    ref = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)(A)
     if ref.is_zero:
         raise ParameterError(f"antisymmetric reference coefficient vanishes at A = {A}")
-    term = k1_term(spec, Family.ANTISYM, A)  # at k_1 = i + 1/2
+    term = Coefficients(spec, Family.ANTISYM, rows=rows).k1_term(A)  # at k_1 = i + 1/2
     return _Kind("pi", math.pi, 1, 1 / ref.coeff, _pi_window(window),
                  lambda i: term(2 * i + 1))
 
@@ -281,71 +276,6 @@ def sweep(
         done = win
         records[m] = _record(m, seq.pref * total, seq.tag, seq.target)
     return [records[m] for m in ms]
-
-
-def pi_seq_t0(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
-    """2^-l * sum over the window of pi*C(l, l/2+k), k half-integer.
-
-    The value of the shifted expansion of (2 cos pi t)^l at t = 0; converges
-    to pi as m grows.
-    """
-    return sweep("pi", [m], window, l=l)[0]
-
-
-def pi2_seq(l: int, m: int, window: Window = Window.PAPER) -> SeqRecord:
-    """((l/2)!^2/l!) * sum of pi*C(l, l/2+k) * (-1)^(k-1/2)/k over the window;
-    the term-wise integral of the same expansion, converging to pi^2."""
-    return sweep("pi2", [m], window, l=l)[0]
-
-
-def pi_over_sin_seq(
-    l: int, shift: Shift, m: int, window: Window = Window.PAPER
-) -> SeqRecord:
-    """Generic-shift analogue of pi_seq_t0; target pi/sin(pi s).
-
-    k runs over integers for even l and half-integers for odd l, so that the
-    entry l/2 + k + s is always an integer plus s.
-    """
-    return sweep("pis", [m], window, l=l, s=shift)[0]
-
-
-def pi_over_sin_sq_seq(l: int, shift: Shift, m: int) -> SeqRecord:
-    """((l/2)!^2/l!) * sum of (pi/sin pi s)*C(l, l/2+k+s) * (-1)^k/(k+s) for
-    even l; target (pi/sin(pi s))^2."""
-    return sweep("pis2", [m], l=l, s=shift)[0]
-
-
-def pi_over_sin_cos_seq(
-    l: int, shift: Shift, m: int, window: Window = Window.PAPER
-) -> SeqRecord:
-    """Odd-l companion of pi_over_sin_sq_seq; target pi/(sin(pi s) cos(pi s)).
-
-    (l/2)!^2 at half-integer l/2 contributes one extra pi, cancelled here
-    symbolically: the prefactor becomes ((2M)!/(4^M M!))^2 / l!, M = (l+1)/2.
-    """
-    return sweep("pis-odd", [m], window, l=l, s=shift)[0]
-
-
-def odd_A_cumulative_seq(spec: SumSpec, m: int) -> SeqRecord:
-    """2 * sum over odd A = 1..2m+1 of the pi^2-stripped odd-A coefficients;
-    converges to pi^2 * C(rn, rn/2)."""
-    return sweep("cum", [m], spec=spec)[0]
-
-
-def pi2_ratio_seq(
-    spec: SumSpec, A: int, m: int, window: Window = Window.PAPER
-) -> SeqRecord:
-    """Ratio of the truncated shifted even-A coefficient to its exact integer
-    limit; a rational sequence converging to pi^2."""
-    return sweep("ratio-pi2", [m], window, spec=spec, A=A)[0]
-
-
-def pi_ratio_seq(
-    spec: SumSpec, A: int, m: int, window: Window = Window.PAPER
-) -> SeqRecord:
-    """Ratio of the truncated antisymmetric coefficient (two pi powers) to its
-    exact one-pi-power limit; converges to pi."""
-    return sweep("ratio-pi", [m], window, spec=spec, A=A)[0]
 
 
 @dataclass(frozen=True)
@@ -467,8 +397,3 @@ def _spec_parts(comp: GComposition) -> tuple[int, ...]:
     # which leaves the integrand and the q->infinity sum rule unchanged
     return comp.parts if comp.j >= 2 else comp.parts + (0,)
 
-
-def aggregate_composition_seq(n: int, g: int, r: int, m: int) -> SeqRecord:
-    """g*n * sum over g-compositions of cg_weight * odd-A cumulative value;
-    converges to pi^2 * C(rn, rn/2) * C(gn, n)."""
-    return sweep("agg", [m], n=n, g=g, r=r)[0]

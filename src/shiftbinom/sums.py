@@ -25,13 +25,15 @@ A binomial at a half-integer entry, like g at a half-integer d, is an exact
 rational times 1/pi, so every term is a plain rational and the family's
 power of 1/pi is attached once, through ScaledValue, to the finished sum.
 
-Every family is evaluated through one `Coefficients` object per call: a
-table, a sequence spec, a verify check.  It builds the tail weights W once,
-whatever the A, and reads every binomial entry from a `Rows` store that
-computes each (n, entry) once and may be shared across specs, since an entry
-depends only on n.  Nothing is cached at module level.  The sums themselves
-run over integer numerators and one common denominator per coefficient, and
-each coefficient becomes one Fraction at the end.
+`Coefficients(spec, family, m, window, rows)` is the one entry point: one
+object per call (a table, a sequence spec, a verify check), evaluated at any
+A.  `build_coeff_table` maps it over a set of A, and `sum_rule_even` over the
+even support.  Every binomial entry and every set of tail weights W comes
+from a `Rows` store that builds each once.  An entry depends only on (n,
+entry), and W only on the spec and its half-integer tail axes, so one store
+may serve several families and specs.  Nothing is cached at module level.
+The sums run over integer numerators and one common denominator per
+coefficient, and each coefficient becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -49,20 +51,10 @@ __all__ = [
     "SumSpec",
     "Window",
     "Family",
-    "CoeffTable",
     "Coefficients",
     "Rows",
     "half_window",
-    "k1_term",
-    "even_A_coefficient",
-    "even_A_support",
-    "odd_A_coefficient_direct",
-    "odd_A_coefficient_sinc",
-    "even_A_shifted_partial",
-    "even_A_antisym_partial",
-    "even_A_antisym_exact",
     "antisym_A_bound",
-    "four_shifted_coefficient",
     "sum_rule_even",
     "build_coeff_table",
 ]
@@ -149,15 +141,16 @@ class SumSpec:
 
 
 class Family(str, Enum):
-    """Coefficient families exposed by the table builder and the CLI."""
+    """Coefficient families exposed by the table builder and the CLI; each is
+    the coefficient of e^(i pi A p/q) in its expansion."""
 
-    EVEN = "even"
-    ODD = "odd"
-    ODD_SINC = "odd-sinc"
-    SHIFTED = "shifted"
-    ANTISYM = "antisym"
-    ANTISYM_EXACT = "antisym-exact"
-    FOUR = "four"
+    EVEN = "even"  # an integer, 0 outside the finite support
+    ODD = "odd"  # both eliminated entries are half-integers, hence 1/pi^2
+    ODD_SINC = "odd-sinc"  # the odd coefficient again, exactly, at every odd A
+    SHIFTED = "shifted"  # pi^2 times it tends to the even coefficient as m grows
+    ANTISYM = "antisym"  # of -i e^(i pi A p/q) in the sine expansion over [0, 1]
+    ANTISYM_EXACT = "antisym-exact"  # the m -> infinity limit of antisym
+    FOUR = "four"  # half-integer k_3, k_4 make both eliminated entries half-integers
 
 
 Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
@@ -214,15 +207,37 @@ def _pi_binomial(n: int, e2: int) -> Pair:
     return c.numerator, c.denominator
 
 
+Tail = dict[int, list[tuple[int, Pair]]]  # W as {2 s2: [(2 s1, W[s2, s1])]}
+
+
 class Rows(dict):
     """The binomial row entries _pi_binomial(n, e2), keyed (n, e2), each
     computed on first use and kept as long as the store is.  An entry depends
     on n and e2 alone, so one store can serve every spec and family of a call.
+
+    The store keeps the tail weights W it builds too.  W depends on the r and
+    l of the spec and on which tail axes (i >= 3) run over a half-integer
+    window; m and the window matter only when some axis does.  So every
+    family of one spec whose tail axes are all integer reads one W.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.tails: dict[tuple, Tail] = {}
 
     def __missing__(self, key: tuple[int, int]) -> Pair:
         value = self[key] = _pi_binomial(*key)
         return value
+
+    def tail(
+        self, spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window
+    ) -> Tail:
+        """W of spec with half_axes on half-integer windows, built on first use."""
+        half = tuple(i for i in half_axes if i >= 3)
+        key = (spec.r, spec.l, half) + ((m, window) if half else ())
+        if key not in self.tails:
+            self.tails[key] = _tail_weights(spec, half, m, window, self)
+        return self.tails[key]
 
 
 def _dot(terms: Iterable[tuple[Pair, Pair]]) -> Pair:
@@ -249,9 +264,9 @@ def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
 
 def _tail_weights(
     spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window, rows: Rows
-) -> dict[tuple[int, int], Pair]:
+) -> Tail:
     """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
-    weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
+    weights W[2 s2, 2 s1] of the points sharing (s2, s1), grouped by 2 s2."""
     weights: dict[tuple[int, int], Pair] = {(0, 0): (1, 1)}
     for i in range(3, spec.j + 1):
         n = spec.r * spec.l[i - 1]
@@ -262,14 +277,17 @@ def _tail_weights(
                 key = s2 + (i - 2) * k2, s1 + (i - 1) * k2
                 grown[key] = _dot(((w, c), (grown.get(key, (0, 1)), (1, 1))))  # += w c
         weights = grown
-    return weights
+    tail: Tail = defaultdict(list)
+    for (s2, s1), w in weights.items():
+        tail[s2].append((s1, w))
+    return tail
 
 
 class Coefficients:
     """One coefficient family of one spec at one truncation, evaluated at any A.
 
-    The tail weights W are built on the first evaluation and kept; every
-    binomial entry comes from `rows`, a store the caller may share across
+    The tail weights W and every binomial entry come from `rows`, a store
+    that builds each once and that the caller may share across families and
     specs.  Each sum runs over integer numerators and one common denominator,
     and each coefficient becomes one Fraction at the end.
     """
@@ -285,7 +303,6 @@ class Coefficients:
         self.spec, self.family, self.m, self.window = spec, Family(family), m, window
         self.form = _FAMILIES[self.family]
         self.rows = Rows() if rows is None else rows
-        self._tail: dict[int, list[tuple[int, Pair]]] | None = None
 
     def _check(self, A: int) -> _Form:
         """The family's table row, once A and the number of parts fit it."""
@@ -298,15 +315,8 @@ class Coefficients:
             )
         return form
 
-    def _weights(self) -> dict[int, list[tuple[int, Pair]]]:
-        """W as {2 s2: [(2 s1, W[s2, s1])]}, built on first use."""
-        if self._tail is None:
-            self._tail = defaultdict(list)
-            for (s2, s1), w in _tail_weights(
-                self.spec, self.form.half_axes, self.m, self.window, self.rows
-            ).items():
-                self._tail[s2].append((s1, w))
-        return self._tail
+    def _weights(self) -> Tail:
+        return self.rows.tail(self.spec, self.form.half_axes, self.m, self.window)
 
     def _inner(self, A: int) -> list[tuple[int, Pair]]:
         """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
@@ -383,94 +393,10 @@ class Coefficients:
         raise ParameterError(f"family {self.family.value} has no finite default A range")
 
 
-def k1_term(spec: SumSpec, family: Family, A: int) -> Callable[[int], Fraction]:
-    """Coefficients(spec, family).k1_term(A)."""
-    return Coefficients(spec, family).k1_term(A)
-
-
-def coefficient(
-    spec: SumSpec,
-    family: Family,
-    A: int,
-    m: int | None = None,
-    window: Window = Window.SYMMETRIC,
-) -> ScaledValue:
-    """One coefficient of the requested family: the module docstring's sum."""
-    return Coefficients(spec, family, m, window)(A)
-
-
-def even_A_coefficient(spec: SumSpec, A: int) -> int:
-    """Coefficient of e^(i pi A p/q) for even A: the finite multiple sum of
-    integer-entry binomials.  0 outside the support."""
-    return coefficient(spec, Family.EVEN, A).coeff.numerator
-
-
-def even_A_support(spec: SumSpec) -> list[int]:
-    """All even A with nonzero coefficient, by scanning entry feasibility."""
-    return Coefficients(spec, Family.EVEN).default_A_range()
-
-
-def odd_A_coefficient_direct(spec: SumSpec, A: int) -> ScaledValue:
-    """Coefficient of e^(i pi A p/q) for odd A: both eliminated entries are
-    half-integers, so the value carries 1/pi^2 (scale_exp 2)."""
-    return coefficient(spec, Family.ODD, A)
-
-
-def odd_A_coefficient_sinc(spec: SumSpec, A: int) -> ScaledValue:
-    """The same odd-A coefficient in its alternative finite form: k_1 runs
-    over integers and a sinc factor at the half-integer A/2 - k_1 + s2
-    supplies one of the two 1/pi powers.  Exactly equal to
-    odd_A_coefficient_direct for every odd A."""
-    return coefficient(spec, Family.ODD_SINC, A)
-
-
-def even_A_shifted_partial(
-    spec: SumSpec, A: int, m: int, window: Window = Window.SYMMETRIC
-) -> ScaledValue:
-    """Even-A coefficient of the expansion in which k_1 runs over
-    half-integers, truncated to the size-m window.
-
-    Carries 1/pi^2; pi^2 times its value converges, as m grows, to the
-    integer even_A_coefficient(spec, A).
-    """
-    return coefficient(spec, Family.SHIFTED, A, m, window)
-
-
-def even_A_antisym_partial(
-    spec: SumSpec, A: int, m: int, window: Window = Window.SYMMETRIC
-) -> ScaledValue:
-    """Even-A coefficient of the sine expansion obtained from the [0,1]
-    integration range: the sinc factor is replaced by 1/(pi d) with
-    d = A/2 - k_1 + s2 a half-integer.
-
-    The overall -i prefactor is not stored; the returned value is the real
-    coefficient multiplying -i e^(i pi A p/q).  Antisymmetric under A -> -A
-    at symmetric truncation.
-    """
-    return coefficient(spec, Family.ANTISYM, A, m, window)
-
-
-def even_A_antisym_exact(spec: SumSpec, A: int) -> ScaledValue:
-    """Exact m -> infinity limit of even_A_antisym_partial: k_1 is back to a
-    finite integer range and the weight is (1 - cos(pi d))/(pi d) with
-    integer d, i.e. 0 for even d (the indeterminate d = 0 term vanishes too)
-    and 2/(pi d) for odd d.  Carries a single 1/pi."""
-    return coefficient(spec, Family.ANTISYM_EXACT, A)
-
-
 def antisym_A_bound(spec: SumSpec) -> int:
-    """|A| beyond which even_A_antisym_exact vanishes identically."""
+    """|A| beyond which the antisym-exact coefficient vanishes identically."""
     s1_max = sum((i - 1) * spec._half(i) for i in range(3, spec.j + 1))
     return 2 * (spec._half(2) + s1_max)
-
-
-def four_shifted_coefficient(
-    spec: SumSpec, A: int, m: int, window: Window = Window.SYMMETRIC
-) -> ScaledValue:
-    """Even-A coefficient of the four-fold shifted expansion: k_3 and k_4 run
-    over half-integers (truncated to size-m windows), which makes both
-    eliminated entries half-integers as well; four 1/pi powers total."""
-    return coefficient(spec, Family.FOUR, A, m, window)
 
 
 def sum_rule_even(spec: SumSpec) -> int:
@@ -480,30 +406,15 @@ def sum_rule_even(spec: SumSpec) -> int:
     return sum(even(A).coeff.numerator for A in even.default_A_range())
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """One coefficient family evaluated over a set of A values."""
-
-    spec: SumSpec
-    family: Family
-    entries: dict[int, ScaledValue]
-
-    @property
-    def parity(self) -> str:
-        return "odd" if _FAMILIES[self.family].parity else "even"
-
-    @property
-    def antisymmetric(self) -> bool:
-        return self.family in (Family.ANTISYM, Family.ANTISYM_EXACT)
-
-
 def build_coeff_table(
     spec: SumSpec,
     family: Family,
     A_values: list[int] | None = None,
     m: int | None = None,
     window: Window = Window.SYMMETRIC,
-) -> CoeffTable:
+) -> dict[int, ScaledValue]:
+    """{A: coefficient} of one family over A_values, by default the family's
+    finite A range (Coefficients.default_A_range)."""
     coeffs = Coefficients(spec, family, m, window)
     if A_values is None:
         A_values = coeffs.default_A_range()
@@ -513,5 +424,4 @@ def build_coeff_table(
         raise ParameterError(
             f"family {coeffs.family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
         )
-    entries = {A: coeffs(A) for A in A_values}
-    return CoeffTable(spec=spec, family=coeffs.family, entries=entries)
+    return {A: coeffs(A) for A in A_values}

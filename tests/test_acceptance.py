@@ -19,27 +19,18 @@ from shiftbinom.exact import (
 )
 from shiftbinom.oracle import trig_integral_full
 from shiftbinom.sums import (
+    Coefficients,
     Family,
     SumSpec,
     Window,
     build_coeff_table,
-    even_A_coefficient,
-    even_A_support,
-    odd_A_coefficient_direct,
-    odd_A_coefficient_sinc,
     sum_rule_even,
 )
 from shiftbinom.sequences import (
     cg_weight,
     cg_weight_factorial_form,
     enumerate_g_compositions,
-    odd_A_cumulative_seq,
-    pi2_ratio_seq,
-    pi2_seq,
-    pi_over_sin_seq,
-    pi_over_sin_sq_seq,
-    pi_ratio_seq,
-    pi_seq_t0,
+    sweep,
 )
 
 from reference import chu_vandermonde_partial, shifted_series_eval
@@ -67,9 +58,10 @@ def test_criterion_01_even_expansion_identity():
         for p, q in ((1, 3), (1, 5), (2, 7)):
             spec = SumSpec(r=2, l=l, p=p, q=q)
             lhs = trig_integral_full(spec).value
+            even = Coefficients(spec, Family.EVEN)
             rhs = math.fsum(
-                spec.weight_cos(A) * even_A_coefficient(spec, A)
-                for A in even_A_support(spec)
+                spec.weight_cos(A) * even(A).coeff.numerator
+                for A in even.default_A_range()
             )
             worst = max(worst, abs(lhs - rhs))
     elapsed = time.monotonic() - t0
@@ -87,9 +79,10 @@ def test_criterion_02_odd_forms_identical():
     ok = True
     for l in GRID_L:
         spec = SumSpec(r=2, l=l)
+        direct, sinc = Coefficients(spec, Family.ODD), Coefficients(spec, Family.ODD_SINC)
         for A in range(-9, 10, 2):
             checked += 1
-            if odd_A_coefficient_direct(spec, A) != odd_A_coefficient_sinc(spec, A):
+            if direct(A) != sinc(A):
                 ok = False
     report(2, ok, f"odd-A direct vs sinc forms: {checked} rational-exact equalities")
 
@@ -104,8 +97,8 @@ def test_criterion_03_sum_rules_and_cumulative_decay():
     spec = SumSpec(r=2, l=(1, 1))
     target = 6 * PI_50 * PI_50
     errs = [
-        abs(odd_A_cumulative_seq(spec, m).exact - target) / target
-        for m in (20, 200, 2000)
+        abs(rec.exact - target) / target
+        for rec in sweep("cum", [20, 200, 2000], spec=spec)
     ]
     decay_ok = errs[2] < errs[1] < errs[0]
     ratio = errs[1] / errs[2]
@@ -120,8 +113,8 @@ def test_criterion_03_sum_rules_and_cumulative_decay():
 
 
 def test_criterion_04_pi_sequence():
-    pinned = pi_seq_t0(2, 1).exact == Fraction(44, 15)
-    errs = [pi_seq_t0(4, m).abs_error for m in (10, 100, 1000)]
+    pinned = sweep("pi", [1], l=2)[0].exact == Fraction(44, 15)
+    errs = [rec.abs_error for rec in sweep("pi", [10, 100, 1000], l=4)]
     ok = pinned and errs[2] < errs[1] < errs[0] and errs[2] < 1e-4
     report(
         4,
@@ -134,8 +127,7 @@ def test_criterion_04_pi_sequence():
 def test_criterion_05_pi_squared_sequence():
     errs = []
     rational_ok = True
-    for m in (10, 100, 1000):
-        rec = pi2_seq(2, m)
+    for rec in sweep("pi2", [10, 100, 1000], l=2):
         rational_ok &= isinstance(rec.exact, Fraction)
         errs.append(rec.abs_error)
     ok = rational_ok and errs[2] < errs[1] < errs[0]
@@ -151,13 +143,14 @@ def test_criterion_06_generic_shift_sequences():
     ok = True
     detail = []
     for s in (Shift(Fraction(1, 3)), Shift(Fraction(1, 4))):
-        e1 = [pi_over_sin_seq(2, s, m).abs_error for m in (10, 100, 1000)]
-        e2 = [pi_over_sin_sq_seq(2, s, m).abs_error for m in (10, 100, 1000)]
+        e1 = [rec.abs_error for rec in sweep("pis", [10, 100, 1000], l=2, s=s)]
+        e2 = [rec.abs_error for rec in sweep("pis2", [10, 100, 1000], l=2, s=s)]
         ok &= e1[2] < e1[1] < e1[0] and e2[2] < e2[1] < e2[0]
         detail.append(f"s={s.s}: {e1[2]:.1e}/{e2[2]:.1e}")
-    for m in (1, 10, 50):
-        ok &= pi_over_sin_seq(2, SHIFT_HALF, m).exact == pi_seq_t0(2, m).exact
-        ok &= pi_over_sin_sq_seq(2, SHIFT_HALF, m).exact == pi2_seq(2, m).exact
+    for shifted, plain in (("pis", "pi"), ("pis2", "pi2")):
+        a = sweep(shifted, [1, 10, 50], l=2, s=SHIFT_HALF)
+        b = sweep(plain, [1, 10, 50], l=2)
+        ok &= [rec.exact for rec in a] == [rec.exact for rec in b]
     report(
         6,
         ok,
@@ -212,9 +205,8 @@ def test_criterion_09_ratio_sequences():
     ok = True
     e51 = []
     e52 = []
-    for m in (10, 100, 1000):
-        r1 = pi2_ratio_seq(spec, 0, m)
-        r2 = pi_ratio_seq(spec, 2, m)
+    ms = (10, 100, 1000)
+    for r1, r2 in zip(sweep("ratio-pi2", ms, spec=spec, A=0), sweep("ratio-pi", ms, spec=spec, A=2)):
         ok &= isinstance(r1.exact, Fraction) and isinstance(r2.exact, Fraction)
         e51.append(r1.abs_error)
         e52.append(r2.abs_error)
@@ -265,24 +257,24 @@ def test_criterion_11_symmetry_ledger():
     odd_As = list(range(-7, 8, 2))
     for spec in specs:
         t = build_coeff_table(spec, Family.EVEN)
-        ok &= all(t.entries[A] == t.entries[-A] for A in t.entries)
+        ok &= all(t[A] == t[-A] for A in t)
         for fam in (Family.ODD, Family.ODD_SINC):
             t = build_coeff_table(spec, fam, A_values=odd_As)
-            ok &= all(t.entries[A] == t.entries[-A] for A in odd_As)
+            ok &= all(t[A] == t[-A] for A in odd_As)
         t = build_coeff_table(
             spec, Family.SHIFTED, A_values=even_As, m=2, window=Window.SYMMETRIC
         )
-        ok &= all(t.entries[A] == t.entries[-A] for A in even_As)
+        ok &= all(t[A] == t[-A] for A in even_As)
         for fam in (Family.ANTISYM, Family.ANTISYM_EXACT):
             t = build_coeff_table(
                 spec, fam, A_values=even_As, m=2, window=Window.SYMMETRIC
             )
-            ok &= all(t.entries[A] == -t.entries[-A] for A in even_As)
+            ok &= all(t[A] == -t[-A] for A in even_As)
     spec4 = SumSpec(r=2, l=(1, 1, 1, 1))
     t = build_coeff_table(
         spec4, Family.FOUR, A_values=even_As, m=2, window=Window.SYMMETRIC
     )
-    ok &= all(t.entries[A] == t.entries[-A] for A in even_As)
+    ok &= all(t[A] == t[-A] for A in even_As)
     report(
         11,
         ok,

@@ -236,14 +236,14 @@ def test_coeffs_odd_range():
 
 
 def test_coeffs_rows_reparse_to_exact_values():
-    from shiftbinom.sums import SumSpec, odd_A_coefficient_direct
+    from shiftbinom.sums import Coefficients, Family, SumSpec
 
     cp = run_cli("coeffs", "--family", "odd", "--r", "2", "--l", "1,1",
                  "--a-min", "1", "--a-max", "7", "--format", "json")
     assert cp.returncode == 0
-    spec = SumSpec(r=2, l=(1, 1))
+    odd = Coefficients(SumSpec(r=2, l=(1, 1)), Family.ODD)
     for row in json.loads(cp.stdout):
-        expect = odd_A_coefficient_direct(spec, row["A"])
+        expect = odd(row["A"])
         assert Fraction(int(row["num"]), int(row["den"])) == expect.coeff
         assert row["pi_exp"] == expect.scale_exp
 
@@ -300,7 +300,7 @@ def test_seq_float_overflow_csv(args):
 
 
 def test_seq_float_overflow_json():
-    from shiftbinom.sequences import odd_A_cumulative_seq
+    from shiftbinom.sequences import sweep
     from shiftbinom.sums import SumSpec
 
     cp = run_cli("seq", "cum", "--r", "2", "--l", "300,300", "--m", "0", "--format", "json")
@@ -309,7 +309,7 @@ def test_seq_float_overflow_json():
     [row] = json.loads(cp.stdout)
     assert row["float"] == row["abs_error"] == math.inf
     assert row["target"] == "pi^2*C(rn,rn/2)=inf"
-    exact = odd_A_cumulative_seq(SumSpec(r=2, l=(300, 300)), 0).exact
+    exact = sweep("cum", [0], spec=SumSpec(r=2, l=(300, 300)))[0].exact
     assert (row["num"], row["den"]) == (str(exact.numerator), str(exact.denominator))
 
 

@@ -7,32 +7,18 @@ import pytest
 from shiftbinom import sequences
 from shiftbinom.exact import (
     SHIFT_HALF,
+    SHIFT_ZERO,
     ScaledValue,
     Shift,
     shifted_binomial,
 )
-from shiftbinom.sums import (
-    SumSpec,
-    Window,
-    even_A_antisym_exact,
-    even_A_antisym_partial,
-    even_A_coefficient,
-    even_A_shifted_partial,
-)
+from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 from shiftbinom.sequences import (
     GComposition,
-    aggregate_composition_seq,
     cg_weight,
     cg_weight_factorial_form,
     enumerate_g_compositions,
-    odd_A_cumulative_seq,
-    pi2_ratio_seq,
-    pi2_seq,
-    pi_over_sin_cos_seq,
-    pi_over_sin_seq,
-    pi_over_sin_sq_seq,
-    pi_ratio_seq,
-    pi_seq_t0,
+    sweep,
 )
 
 S3 = Shift(Fraction(1, 3))
@@ -50,21 +36,21 @@ def test_pi_seq_m1_pinned_value():
     # 2^-2 * (pi C(2,1/2) + pi C(2,3/2) + pi C(2,5/2))
     expect = sum(PI_C2.values()) / 4
     assert expect == Fraction(44, 15)
-    rec = pi_seq_t0(2, 1)
+    [rec] = sweep("pi", [1], l=2)
     assert rec.exact == Fraction(44, 15)
     assert rec.target_tag == "pi"
     assert rec.abs_error == abs(float(rec.exact) - math.pi)
 
 
 def test_pi_seq_error_decays():
-    assert pi_seq_t0(2, 100).abs_error < pi_seq_t0(2, 10).abs_error
+    m10, m100 = sweep("pi", [10, 100], l=2)
+    assert m100.abs_error < m10.abs_error
 
 
 def test_pi_seq_rejects_odd_or_nonpositive_l():
-    with pytest.raises(ValueError):
-        pi_seq_t0(3, 5)
-    with pytest.raises(ValueError):
-        pi_seq_t0(0, 5)
+    for l in (3, 0):
+        with pytest.raises(ValueError):
+            sweep("pi", [5], l=l)
 
 
 def test_odd_l_footnote_identity():
@@ -90,86 +76,78 @@ def test_pi2_seq_m1_recomputed():
         sign = -1 if ((d - 1) // 2) % 2 else 1
         expect += PI_C2[1 + k] * sign / k
     expect /= 2
-    rec = pi2_seq(2, 1)
+    [rec] = sweep("pi2", [1], l=2)
     assert rec.exact == expect == Fraction(464, 45)
 
 
 def test_pi2_seq_error_decays_and_terms_rational():
-    errs = []
-    for m in (10, 100):
-        rec = pi2_seq(2, m)
-        assert isinstance(rec.exact, Fraction)
-        errs.append(rec.abs_error)
-    assert errs[1] < errs[0]
+    recs = sweep("pi2", [10, 100], l=2)
+    assert all(isinstance(rec.exact, Fraction) for rec in recs)
+    assert recs[1].abs_error < recs[0].abs_error
 
 
 # ----------------------------- generic-s sequences ---------------------------
 
 
 def test_pi_over_sin_reduces_to_pi_seq_at_half():
-    for m in (1, 5, 23):
-        assert pi_over_sin_seq(2, SHIFT_HALF, m).exact == pi_seq_t0(2, m).exact
-        assert pi_over_sin_sq_seq(2, SHIFT_HALF, m).exact == pi2_seq(2, m).exact
+    def exact(kind, **params):
+        return [rec.exact for rec in sweep(kind, (1, 5, 23), **params)]
+
+    assert exact("pis", l=2, s=SHIFT_HALF) == exact("pi", l=2)
+    assert exact("pis2", l=2, s=SHIFT_HALF) == exact("pi2", l=2)
 
 
 def test_pi_over_sin_seq_converges():
     for s in (S3, S4):
-        errs = [pi_over_sin_seq(2, s, m).abs_error for m in (10, 100)]
-        assert errs[1] < errs[0]
-        rec = pi_over_sin_seq(2, s, 100)
-        assert rec.target_value == pytest.approx(math.pi / math.sin(math.pi * float(s.s)))
+        m10, m100 = sweep("pis", [10, 100], l=2, s=s)
+        assert m100.abs_error < m10.abs_error
+        assert m100.target_value == pytest.approx(math.pi / math.sin(math.pi * float(s.s)))
 
 
 def test_pi_over_sin_seq_l0_and_odd_l():
-    errs = [pi_over_sin_seq(0, S3, m).abs_error for m in (10, 100, 1000)]
-    assert errs[2] < errs[1] < errs[0]
-    errs = [pi_over_sin_seq(1, S3, m).abs_error for m in (10, 100, 1000)]
-    assert errs[2] < errs[1] < errs[0]
+    for l in (0, 1):
+        errs = [rec.abs_error for rec in sweep("pis", [10, 100, 1000], l=l, s=S3)]
+        assert errs[2] < errs[1] < errs[0]
 
 
 def test_pi_over_sin_seq_rejects_zero_shift():
-    from shiftbinom.exact import SHIFT_ZERO
-
     with pytest.raises(ValueError):
-        pi_over_sin_seq(2, SHIFT_ZERO, 5)
+        sweep("pis", [5], l=2, s=SHIFT_ZERO)
 
 
 def test_pi_over_sin_sq_seq_converges():
-    rec = pi_over_sin_sq_seq(2, S4, 10)
+    rec, m100 = sweep("pis2", [10, 100], l=2, s=S4)
     assert rec.target_value == pytest.approx(
         (math.pi / math.sin(math.pi / 4)) ** 2
     )
-    assert pi_over_sin_sq_seq(2, S4, 100).abs_error < rec.abs_error
+    assert m100.abs_error < rec.abs_error
     with pytest.raises(ValueError):
-        pi_over_sin_sq_seq(1, S4, 5)
+        sweep("pis2", [5], l=1, s=S4)
 
 
 def test_pi_over_sin_cos_seq():
-    rec10 = pi_over_sin_cos_seq(1, S4, 10)
-    assert rec10.target_value == pytest.approx(2 * math.pi)  # sin*cos = 1/2 at s=1/4
-    errs = [pi_over_sin_cos_seq(1, S4, m).abs_error for m in (10, 100, 1000)]
+    recs = sweep("pis-odd", [10, 100, 1000], l=1, s=S4)
+    assert recs[0].target_value == pytest.approx(2 * math.pi)  # sin*cos = 1/2 at s=1/4
+    errs = [rec.abs_error for rec in recs]
     assert errs[2] < errs[1] < errs[0]
     with pytest.raises(ValueError):
-        pi_over_sin_cos_seq(2, S4, 5)
+        sweep("pis-odd", [5], l=2, s=S4)
     with pytest.raises(ValueError):
-        pi_over_sin_cos_seq(1, SHIFT_HALF, 5)  # cos(pi/2) pole
+        sweep("pis-odd", [5], l=1, s=SHIFT_HALF)  # cos(pi/2) pole
 
 
 # ------------------------------ cumulative sums ------------------------------
 
 
 def test_odd_cumulative_values():
-    spec = SumSpec(r=2, l=(1, 1))
-    rec0 = odd_A_cumulative_seq(spec, 0)
+    rec0, rec1 = sweep("cum", [0, 1], spec=SumSpec(r=2, l=(1, 1)))
     assert rec0.exact == Fraction(512, 9)
-    rec1 = odd_A_cumulative_seq(spec, 1)
     assert rec1.exact == Fraction(512, 9) + Fraction(512, 225)
     assert rec1.target_value == pytest.approx(6 * math.pi**2)
 
 
 def test_odd_cumulative_monotone_for_positive_terms():
-    spec = SumSpec(r=2, l=(1, 1))
-    vals = [odd_A_cumulative_seq(spec, m).exact for m in range(6)]
+    vals = [rec.exact for rec in sweep("cum", range(6), spec=SumSpec(r=2, l=(1, 1)))]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -179,7 +157,7 @@ def test_wrong_beta_power_raises_runtime_error(monkeypatch):
     beta1 = ScaledValue(Fraction(1), 1, SHIFT_HALF)
     monkeypatch.setattr(sequences, "Coefficients", lambda spec, family, rows: lambda A: beta1)
     with pytest.raises(RuntimeError):
-        odd_A_cumulative_seq(SumSpec(r=2, l=(1, 1)), 0)
+        sweep("cum", [0], spec=SumSpec(r=2, l=(1, 1)))
 
 
 # ------------------------------ ratio sequences ------------------------------
@@ -187,20 +165,19 @@ def test_wrong_beta_power_raises_runtime_error(monkeypatch):
 
 def test_pi2_ratio_seq():
     spec = SumSpec(r=2, l=(1, 1))
-    errs = [pi2_ratio_seq(spec, 0, m).abs_error for m in (10, 100)]
-    assert errs[1] < errs[0]
-    rec = pi2_ratio_seq(spec, 0, 10)
+    rec, m100 = sweep("ratio-pi2", [10, 100], spec=spec, A=0)
+    assert m100.abs_error < rec.abs_error
     assert isinstance(rec.exact, Fraction)
     with pytest.raises(ValueError):
-        pi2_ratio_seq(spec, 4, 10)  # outside the support
+        sweep("ratio-pi2", [10], spec=spec, A=4)  # outside the support
 
 
 def test_pi_ratio_seq():
     spec = SumSpec(r=2, l=(1, 1))
-    errs = [pi_ratio_seq(spec, 2, m).abs_error for m in (10, 100)]
-    assert errs[1] < errs[0]
+    m10, m100 = sweep("ratio-pi", [10, 100], spec=spec, A=2)
+    assert m100.abs_error < m10.abs_error
     with pytest.raises(ValueError):
-        pi_ratio_seq(spec, 0, 10)  # antisymmetric coefficient vanishes
+        sweep("ratio-pi", [10], spec=spec, A=0)  # antisymmetric coefficient vanishes
 
 
 # ------------------------------- compositions --------------------------------
@@ -280,34 +257,34 @@ def test_cg_sum_rule_identity():
 
 def test_aggregate_composes_prior_pieces():
     # n=2, g=2, m=0: g*n*(c(2)*cum((2,0)) + c(1,1)*cum((1,1)))
-    cum2 = odd_A_cumulative_seq(SumSpec(r=2, l=(2, 0)), 0).exact
-    cum11 = odd_A_cumulative_seq(SumSpec(r=2, l=(1, 1)), 0).exact
-    expect = 4 * (Fraction(1, 2) * cum2 + 1 * cum11)
-    rec = aggregate_composition_seq(2, 2, 2, 0)
+    [cum2] = sweep("cum", [0], spec=SumSpec(r=2, l=(2, 0)))
+    [cum11] = sweep("cum", [0], spec=SumSpec(r=2, l=(1, 1)))
+    expect = 4 * (Fraction(1, 2) * cum2.exact + 1 * cum11.exact)
+    [rec] = sweep("agg", [0], n=2, g=2, r=2)
     assert rec.exact == expect
 
 
 def test_aggregate_single_part_padding():
     # n=1: the lone composition (1) lifts to the two-part spec (1, 0)
-    rec = aggregate_composition_seq(1, 2, 2, 3)
-    direct = 2 * 1 * odd_A_cumulative_seq(SumSpec(r=2, l=(1, 0)), 3).exact
-    assert rec.exact == direct
+    [rec] = sweep("agg", [3], n=1, g=2, r=2)
+    [cum] = sweep("cum", [3], spec=SumSpec(r=2, l=(1, 0)))
+    assert rec.exact == 2 * 1 * cum.exact
     assert rec.target_value == pytest.approx(math.pi**2 * 2 * 2)
 
 
 def test_aggregate_converges():
-    errs = [aggregate_composition_seq(2, 2, 2, m).abs_error for m in (2, 8, 32)]
+    recs = sweep("agg", [2, 8, 32], n=2, g=2, r=2)
+    errs = [rec.abs_error for rec in recs]
     assert errs[2] < errs[1] < errs[0]
-    rec = aggregate_composition_seq(2, 2, 2, 8)
-    assert rec.target_value == pytest.approx(36 * math.pi**2)
+    assert recs[1].target_value == pytest.approx(36 * math.pi**2)
 
 
 # ------------------------------ window policies ------------------------------
 
 
 def test_sequence_windows_selectable():
-    a = pi_seq_t0(2, 3, Window.PAPER)
-    b = pi_seq_t0(2, 3, Window.SYMMETRIC)
+    [a] = sweep("pi", [3], Window.PAPER, l=2)
+    [b] = sweep("pi", [3], Window.SYMMETRIC, l=2)
     assert a.exact != b.exact  # symmetric window has one extra term
     assert abs(b.approx - math.pi) < 1
 
@@ -346,26 +323,26 @@ def test_sweep_adds_only_new_window_terms(kind, params, window):
 @pytest.mark.parametrize(
     "kind, spec, A, partial, limit",
     [
-        ("ratio-pi2", SumSpec(r=2, l=(1, 1)), 0, even_A_shifted_partial,
-         lambda spec, A: even_A_coefficient(spec, A)),
-        ("ratio-pi", SumSpec(r=2, l=(1, 2)), 2, even_A_antisym_partial,
-         lambda spec, A: even_A_antisym_exact(spec, A).coeff),
-        ("ratio-pi", SumSpec(r=2, l=(1, 1, 1)), -2, even_A_antisym_partial,
-         lambda spec, A: even_A_antisym_exact(spec, A).coeff),
+        ("ratio-pi2", SumSpec(r=2, l=(1, 1)), 0, Family.SHIFTED, Family.EVEN),
+        ("ratio-pi", SumSpec(r=2, l=(1, 2)), 2, Family.ANTISYM, Family.ANTISYM_EXACT),
+        ("ratio-pi", SumSpec(r=2, l=(1, 1, 1)), -2, Family.ANTISYM, Family.ANTISYM_EXACT),
     ],
 )
 def test_ratio_sweep_matches_truncated_coefficient(kind, spec, A, partial, limit, window):
     # the incremental k_1 window against the whole coefficient from sums at every m
     ms = SWEEP_MS[:-1]  # 1, 2, 5, 9, 13
     swept = sequences.sweep(kind, ms, window, spec=spec, A=A)
+    ref = Coefficients(spec, limit)(A).coeff
     assert [r.exact for r in swept] == [
-        partial(spec, A, m, window).coeff / limit(spec, A) for m in ms
+        Coefficients(spec, partial, m, window)(A).coeff / ref for m in ms
     ]
 
 
 def test_sweep_order_and_validation(monkeypatch):
     ms = [9, 1, 5, 5, 2]
-    assert sequences.sweep("pis", ms, l=3, s=S3) == [pi_over_sin_seq(3, S3, m) for m in ms]
+    assert sequences.sweep("pis", ms, l=3, s=S3) == [
+        sequences.sweep("pis", [m], l=3, s=S3)[0] for m in ms
+    ]
     assert sequences.sweep("pi", [], l=2) == []
 
     def no_terms(*args):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftbinom import sequences, sums
+from shiftbinom import cli, oracle, sequences, sums
 from shiftbinom.exact import (
     SHIFT_HALF,
     SHIFT_ZERO,
@@ -15,21 +15,13 @@ from shiftbinom.exact import (
     shifted_binomial,
 )
 from shiftbinom.sums import (
+    Coefficients,
     Family,
     SumSpec,
     Window,
     antisym_A_bound,
     build_coeff_table,
-    coefficient,
-    even_A_antisym_exact,
-    even_A_antisym_partial,
-    even_A_coefficient,
-    even_A_shifted_partial,
-    even_A_support,
-    four_shifted_coefficient,
     half_window,
-    odd_A_coefficient_direct,
-    odd_A_coefficient_sinc,
     sum_rule_even,
 )
 
@@ -123,18 +115,21 @@ def test_every_family_matches_naive_lattice(family):
         if family is Family.FOUR and spec.j < 4:
             continue
         for m, window in truncations:
-            table = build_coeff_table(spec, family, A_values, m, window).entries
+            coeffs = Coefficients(spec, family, m, window)
+            table = build_coeff_table(spec, family, A_values, m, window)
             for A in A_values:
                 expect = naive_coefficient(spec, family, A, m, window)
-                got = coefficient(spec, family, A, m, window)
+                got = coeffs(A)
                 assert got == expect and table[A] == expect, (
                     spec.l, A, m, window, got, table[A],
                 )
 
 
 def test_tables_are_built_once_per_call(monkeypatch):
-    """One tail-weight build per table and per spec of an agg sweep; each
-    binomial row entry computed once per call, across all the specs."""
+    """One tail-weight build per table, per spec of an agg sweep, per ratio
+    sweep, per odd-equality check and per oracle report (its three families
+    share one W); each binomial row entry computed once per call, across all
+    the specs."""
     builds, entries = [], Counter()
     tail_weights, pi_binomial = sums._tail_weights, sums._pi_binomial
 
@@ -169,41 +164,54 @@ def test_tables_are_built_once_per_call(monkeypatch):
     sequences.sweep("agg", range(8), n=4, g=3, r=2)
     assert len(builds) == len(list(sequences.enumerate_g_compositions(4, 3)))
     assert set(entries.values()) == {1}
+    for name, run in [
+        ("ratio-pi2", lambda: sequences.sweep("ratio-pi2", range(1, 9), spec=spec, A=2)),
+        ("ratio-pi", lambda: sequences.sweep("ratio-pi", range(1, 9), Window.SYMMETRIC,
+                                             spec=spec, A=2)),
+        ("odd-equality", lambda: cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,2,1,1"])),
+        ("identity_report", lambda: oracle.identity_report(spec, 9)),
+    ]:
+        builds.clear()
+        entries.clear()
+        run()
+        assert [b.l for b in builds] == [spec.l], name
+        assert set(entries.values()) == {1}, name
 
 
 # ------------------------------- even family -------------------------------
 
 
 def test_even_examples():
-    spec = SumSpec(r=2, l=(1, 1))
-    assert even_A_coefficient(spec, 0) == 4
-    assert even_A_coefficient(spec, 2) == 1
-    assert even_A_coefficient(spec, 4) == 0
+    even = Coefficients(SumSpec(r=2, l=(1, 1)), Family.EVEN)
+    assert [even(A).coeff for A in (0, 2, 4)] == [4, 1, 0]
+    assert even(0).scale_exp == 0
     with pytest.raises(ValueError):
-        even_A_coefficient(spec, 1)
+        even(1)
 
 
 def test_even_against_brute_force_lattice():
     for spec in GRID:
+        even = Coefficients(spec, Family.EVEN)
         bound = support_bound(spec) + 2
         for A in range(-bound, bound + 1, 2):
             expect = naive_coefficient(spec, Family.EVEN, A)
-            assert even_A_coefficient(spec, A) == expect.rational(), (spec.l, A)
+            assert even(A).coeff == expect.rational(), (spec.l, A)
 
 
 def test_even_support():
-    assert even_A_support(SumSpec(r=2, l=(1, 1))) == [-2, 0, 2]
-    assert even_A_support(SumSpec(r=2, l=(0, 0))) == [0]
-    sup = even_A_support(SumSpec(r=2, l=(1, 1, 1)))
+    for l, expect in [((1, 1), [-2, 0, 2]), ((0, 0), [0])]:
+        assert Coefficients(SumSpec(r=2, l=l), Family.EVEN).default_A_range() == expect
+    sup = Coefficients(SumSpec(r=2, l=(1, 1, 1)), Family.EVEN).default_A_range()
     assert sup == sorted(-A for A in sup)
 
 
 def test_support_containment_and_positivity():
     for spec in GRID:
+        even = Coefficients(spec, Family.EVEN)
         bound = support_bound(spec)
-        for A in even_A_support(spec):
+        for A in even.default_A_range():
             assert abs(A) <= bound
-            assert even_A_coefficient(spec, A) > 0
+            assert even(A).coeff > 0
 
 
 def test_sum_rule_even():
@@ -220,45 +228,44 @@ def test_sum_rule_even():
 
 def test_odd_direct_examples():
     spec = SumSpec(r=2, l=(1, 1))
-    v = odd_A_coefficient_direct(spec, 1)
+    odd = Coefficients(spec, Family.ODD)
+    v = odd(1)
     expect = shifted_binomial(2, Fraction(3, 2), SHIFT_HALF) * shifted_binomial(
         2, Fraction(1, 2), SHIFT_HALF
     )
     assert v == expect
     assert (v.coeff, v.scale_exp) == (Fraction(256, 9), 2)
-    v3 = odd_A_coefficient_direct(spec, 3)
-    assert v3.coeff == Fraction(256, 225)
+    assert odd(3).coeff == Fraction(256, 225)
     with pytest.raises(ValueError):
-        odd_A_coefficient_direct(spec, 2)
+        odd(2)
     with pytest.raises(ValueError):
-        odd_A_coefficient_sinc(spec, 2)
+        Coefficients(spec, Family.ODD_SINC)(2)
 
 
 def test_odd_symmetry():
     for spec in GRID[:40]:
+        direct, sinc = Coefficients(spec, Family.ODD), Coefficients(spec, Family.ODD_SINC)
         for A in (1, 3, 5):
-            assert odd_A_coefficient_direct(spec, A) == odd_A_coefficient_direct(
-                spec, -A
-            )
-            assert odd_A_coefficient_sinc(spec, A) == odd_A_coefficient_sinc(spec, -A)
+            assert direct(A) == direct(-A)
+            assert sinc(A) == sinc(-A)
 
 
 def test_odd_direct_equals_sinc_form_exactly():
     # rational-exact, zero tolerance, over the full grid and |A| <= 9
     for spec in GRID:
+        direct, sinc = Coefficients(spec, Family.ODD), Coefficients(spec, Family.ODD_SINC)
         for A in range(-9, 10, 2):
-            d = odd_A_coefficient_direct(spec, A)
-            s = odd_A_coefficient_sinc(spec, A)
+            d, s = direct(A), sinc(A)
             assert d == s, (spec.l, A, d, s)
 
 
 def test_odd_sinc_handles_zero_parts():
     # C(0, half-integer) factors still contribute: C(0, x) = sinc(x)
     spec = SumSpec(r=2, l=(0, 0))
-    v = odd_A_coefficient_direct(spec, 1)
+    v = Coefficients(spec, Family.ODD)(1)
     assert v == sinc_at(Fraction(1, 2)) * sinc_at(Fraction(-1, 2))
     assert v.coeff == 4
-    assert v == odd_A_coefficient_sinc(spec, 1)
+    assert v == Coefficients(spec, Family.ODD_SINC)(1)
 
 
 # -------------------------- windowed even families --------------------------
@@ -275,15 +282,14 @@ def test_half_window_shapes():
 
 def test_shifted_partial_m1_value():
     # recomputed term by term: k1 in {-1/2, 1/2, 3/2}
-    spec = SumSpec(r=2, l=(1, 1))
+    got = Coefficients(SumSpec(r=2, l=(1, 1)), Family.SHIFTED, 1, Window.PAPER)(0)
     expect = sum(
         (
             sinc_at(-k) * shifted_binomial(2, Fraction(1) + k, SHIFT_HALF) * 2
             for k in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
         ),
-        start=even_A_shifted_partial(spec, 0, 1, Window.PAPER) * 0,
+        start=got * 0,
     )
-    got = even_A_shifted_partial(spec, 0, 1, Window.PAPER)
     assert got == expect
     assert got.coeff == Fraction(1856, 45)
     assert got.scale_exp == 2
@@ -291,9 +297,9 @@ def test_shifted_partial_m1_value():
 
 def test_shifted_partial_converges_to_even_coefficient():
     spec = SumSpec(r=2, l=(1, 1))
-    target = even_A_coefficient(spec, 0)
+    target = Coefficients(spec, Family.EVEN)(0).coeff
     errs = [
-        abs(float(even_A_shifted_partial(spec, 0, m, Window.PAPER)) - target)
+        abs(float(Coefficients(spec, Family.SHIFTED, m, Window.PAPER)(0)) - target)
         for m in (5, 25, 125)
     ]
     assert errs[2] < errs[1] < errs[0]
@@ -302,25 +308,22 @@ def test_shifted_partial_converges_to_even_coefficient():
 
 def test_shifted_partial_symmetry_at_symmetric_window():
     for spec in (SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(1, 1, 1))):
+        shifted = Coefficients(spec, Family.SHIFTED, 3, Window.SYMMETRIC)
         for A in (0, 2):
-            a = even_A_shifted_partial(spec, A, 3, Window.SYMMETRIC)
-            b = even_A_shifted_partial(spec, -A, 3, Window.SYMMETRIC)
-            assert a == b
+            assert shifted(A) == shifted(-A)
 
 
 def test_antisym_partial_antisymmetry_and_zero_at_origin():
-    spec = SumSpec(r=2, l=(1, 1))
-    assert even_A_antisym_partial(spec, 0, 4, Window.SYMMETRIC).is_zero
+    antisym = Coefficients(SumSpec(r=2, l=(1, 1)), Family.ANTISYM, 4, Window.SYMMETRIC)
+    assert antisym(0).is_zero
     for A in (2, -2):
-        a = even_A_antisym_partial(spec, A, 4, Window.SYMMETRIC)
-        b = even_A_antisym_partial(spec, -A, 4, Window.SYMMETRIC)
+        a, b = antisym(A), antisym(-A)
         assert a == -b
         assert a.scale_exp == 2
 
 
 def test_antisym_partial_m1_is_finite_exact():
-    spec = SumSpec(r=2, l=(1, 1))
-    v = even_A_antisym_partial(spec, 2, 1, Window.PAPER)
+    v = Coefficients(SumSpec(r=2, l=(1, 1)), Family.ANTISYM, 1, Window.PAPER)(2)
     # k1 in {-1/2, 1/2, 3/2}, d = 1 - k1, second binomial entry 0
     expect = Fraction(0)
     for k1 in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
@@ -330,19 +333,19 @@ def test_antisym_partial_m1_is_finite_exact():
 
 
 def test_antisym_exact_values():
-    spec = SumSpec(r=2, l=(1, 1))
-    z = even_A_antisym_exact(spec, 2)
+    exact = Coefficients(SumSpec(r=2, l=(1, 1)), Family.ANTISYM_EXACT)
+    z = exact(2)
     assert (z.coeff, z.scale_exp) == (Fraction(4), 1)
-    assert even_A_antisym_exact(spec, 0).is_zero  # d = 0 terms vanish
+    assert exact(0).is_zero  # d = 0 terms vanish
     for A in (2, 4, 6):
-        assert even_A_antisym_exact(spec, A) == -even_A_antisym_exact(spec, -A)
+        assert exact(A) == -exact(-A)
 
 
 def test_antisym_exact_is_limit_of_partial():
     spec = SumSpec(r=2, l=(1, 1))
-    z = float(even_A_antisym_exact(spec, 2))
+    z = float(Coefficients(spec, Family.ANTISYM_EXACT)(2))
     errs = [
-        abs(float(even_A_antisym_partial(spec, 2, m, Window.PAPER)) - z)
+        abs(float(Coefficients(spec, Family.ANTISYM, m, Window.PAPER)(2)) - z)
         for m in (10, 100, 1000)
     ]
     assert errs[2] < errs[1] < errs[0]
@@ -352,8 +355,9 @@ def test_antisym_bound():
     spec = SumSpec(r=2, l=(1, 1))
     b = antisym_A_bound(spec)
     assert b == 2
+    exact = Coefficients(spec, Family.ANTISYM_EXACT)
     for A in (b + 2, -b - 2, b + 6):
-        assert even_A_antisym_exact(spec, A).is_zero
+        assert exact(A).is_zero
 
 
 # ------------------------------- four-shifted -------------------------------
@@ -361,26 +365,25 @@ def test_antisym_bound():
 
 def test_four_shifted_basic():
     spec = SumSpec(r=2, l=(1, 1, 1, 1))
-    v = four_shifted_coefficient(spec, 0, 1)
+    four = Coefficients(spec, Family.FOUR, 1)
+    v = four(0)
     assert v.scale_exp == 4
     assert v.coeff.denominator > 0  # exact rational
-    a = four_shifted_coefficient(spec, 2, 2)
-    b = four_shifted_coefficient(spec, -2, 2)
-    assert a == b
+    four2 = Coefficients(spec, Family.FOUR, 2)
+    assert four2(2) == four2(-2)
     with pytest.raises(ValueError):
-        four_shifted_coefficient(SumSpec(r=2, l=(1, 1)), 0, 1)
+        Coefficients(SumSpec(r=2, l=(1, 1)), Family.FOUR, 1)(0)
     with pytest.raises(ValueError):
-        four_shifted_coefficient(spec, 1, 1)
+        four(1)
 
 
 def test_four_shifted_cumulative_approaches_central_binomial():
     spec = SumSpec(r=2, l=(1, 1, 1, 1))
     errs = []
     for m in (2, 5, 12):
+        four = Coefficients(spec, Family.FOUR, m)
         cut = 4 * m + 8
-        total = math.fsum(
-            float(four_shifted_coefficient(spec, A, m)) for A in range(-cut, cut + 1, 2)
-        )
+        total = math.fsum(float(four(A)) for A in range(-cut, cut + 1, 2))
         errs.append(abs(total - 70.0))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-5
@@ -438,16 +441,13 @@ def test_sumspec_validation():
     assert inf.p == 0 and inf.weight_cos(3) == 1.0
 
 
-# -------------------------------- CoeffTable --------------------------------
+# ---------------------------- build_coeff_table -----------------------------
 
 
 def test_build_coeff_table_even_defaults_to_support():
-    spec = SumSpec(r=2, l=(1, 1))
-    table = build_coeff_table(spec, Family.EVEN)
-    assert sorted(table.entries) == [-2, 0, 2]
-    assert table.parity == "even"
-    assert not table.antisymmetric
-    assert all(v.scale_exp == 0 for v in table.entries.values())
+    table = build_coeff_table(SumSpec(r=2, l=(1, 1)), Family.EVEN)
+    assert {A: v.coeff for A, v in table.items()} == {-2: 1, 0: 4, 2: 1}
+    assert all(v.scale_exp == 0 for v in table.values())
 
 
 def test_build_coeff_table_parity_check():
@@ -462,27 +462,34 @@ def test_coeff_table_symmetry_ledger():
     """Every family carries its declared (anti)symmetry exactly."""
     specs = [SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(1, 1, 1)), SumSpec(r=2, l=(2, 1))]
     for spec in specs:
-        sup = even_A_support(spec)
         t = build_coeff_table(spec, Family.EVEN)
-        assert all(t.entries[A] == t.entries[-A] for A in sup)
+        assert all(t[A] == t[-A] for A in t)
         odd_As = list(range(-7, 8, 2))
         for fam in (Family.ODD, Family.ODD_SINC):
             t = build_coeff_table(spec, fam, A_values=odd_As)
-            assert all(t.entries[A] == t.entries[-A] for A in odd_As)
+            assert all(t[A] == t[-A] for A in odd_As)
         even_As = list(range(-6, 7, 2))
         t = build_coeff_table(
             spec, Family.SHIFTED, A_values=even_As, m=2, window=Window.SYMMETRIC
         )
-        assert all(t.entries[A] == t.entries[-A] for A in even_As)
+        assert all(t[A] == t[-A] for A in even_As)
         for fam in (Family.ANTISYM, Family.ANTISYM_EXACT):
             t = build_coeff_table(
                 spec, fam, A_values=even_As, m=2, window=Window.SYMMETRIC
             )
-            assert t.antisymmetric
-            assert all(t.entries[A] == -t.entries[-A] for A in even_As)
+            assert all(t[A] == -t[-A] for A in even_As)
     spec4 = SumSpec(r=2, l=(1, 1, 1, 1))
     even_As = list(range(-4, 5, 2))
     t = build_coeff_table(
         spec4, Family.FOUR, A_values=even_As, m=2, window=Window.SYMMETRIC
     )
-    assert all(t.entries[A] == t.entries[-A] for A in even_As)
+    assert all(t[A] == t[-A] for A in even_As)
+
+
+# ------------------------------- public names -------------------------------
+
+
+@pytest.mark.parametrize("module", ["exact", "sums", "sequences", "oracle", "cli"])
+def test_star_import_finds_every_public_name(module):
+    # raises AttributeError for a name left in __all__ after its definition went
+    exec(f"from shiftbinom.{module} import *", {})
