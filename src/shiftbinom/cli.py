@@ -163,11 +163,13 @@ def _cmd_verify(ns) -> int:
         ("odd-integral", "odd-expansion", 1e-6),
         ("antisym-integral", "antisym-expansion", 1e-9),
     )
+    # one store for every check of the run: they all read the spec's one W
+    rows = sums.Rows()
     if any(name in names for name, _, _ in integrals):
-        # the only numpy user; the other commands start without it
+        # imported here, so that only the checks that integrate load the oracle
         from . import oracle
 
-        report = {c["check"]: c for c in oracle.identity_report(spec, ns.odd_a_cut)}
+        report = {c["check"]: c for c in oracle.identity_report(spec, ns.odd_a_cut, rows)}
         for name, entry, tol in integrals:
             if name in names:
                 c = report[entry]
@@ -182,7 +184,6 @@ def _cmd_verify(ns) -> int:
                 )
 
     if "odd-equality" in names:
-        rows = sums.Rows()
         direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
         alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
         for A in range(1, ns.a_max + 1, 2):
@@ -199,7 +200,7 @@ def _cmd_verify(ns) -> int:
             )
 
     if "sum-rule" in names:
-        total = sums.sum_rule_even(spec)
+        total = sums.sum_rule_even(spec, rows)
         target = math.comb(spec.r * spec.n, spec.r * spec.n // 2)
         checks.append(
             {
@@ -234,8 +235,7 @@ def _cmd_coeffs(ns) -> int:
     if ns.family is None:
         raise UsageError("--family is required")
     family = Family(ns.family)
-    form = sums._FAMILIES[family]
-    if form.half_axes and ns.m is None:
+    if family.needs_m and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
     if ns.m is not None and len(ns.m) > 1:
         raise UsageError("coeffs takes a single --m value, not a sweep")
@@ -243,10 +243,10 @@ def _cmd_coeffs(ns) -> int:
     A_values = None  # build_coeff_table's default: the family's finite support
     if ns.a_max is not None:
         a_min = ns.a_min if ns.a_min is not None else -ns.a_max
-        A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == form.parity]
+        A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == family.parity]
         if not A_values:
             raise UsageError(
-                f"no A of {'odd' if form.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
+                f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
     table = sums.build_coeff_table(spec, family, A_values, m, ns.window)
     rows = [

@@ -5,9 +5,15 @@ sampling (exact for trigonometric polynomials by discrete orthogonality) or
 Gauss-Legendre nodes.  Agreement with the exact engine is therefore
 evidence, not circularity.
 
-Each Gauss-Legendre rule is built once per node count and kept, in a
-bounded cache, as tuples of Python floats.  This module is the only one that
-imports numpy; the CLI imports it only for the `verify` integral checks.
+The Gauss-Legendre rules are computed here, in pure Python: Newton's method
+on the three-term Legendre recurrence, from the starting guesses
+cos(pi (i + 3/4) / (n + 1/2)), gives the nodes; the weights are
+2 / ((1 - x^2) P_n'(x)^2).  Checked against a 40-digit rule for n in {32,
+48, 64, 96, 128, 192}, every node is within 6.5e-17 and every weight within
+1.4e-16 of the exact one, so both are within 2^-52 (the smallest weights,
+at the ends, to 4e-13 relative at n = 192); the nodes are within 3 ulp of
+numpy's leggauss.  Each rule is built once per node count and kept, in a
+bounded cache, as tuples of Python floats.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
 
@@ -62,12 +66,55 @@ def trig_integral_full(spec: SumSpec) -> QuadratureResult:
     return QuadratureResult(value=v2, samples=n2, est_error=est)
 
 
+# a bound, not a setting: a node took at most 4 steps for every n in 1..300,
+# 1248 and 2448
+_NEWTON_STEPS = 10
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x), by the three-term recurrence, for n >= 1 and |x| < 1."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    # P_n' = n (P_{n-1} - x P_n) / (1 - x^2); factored, 1 - x^2 keeps its digits near |x| = 1
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and their
+    weights.  The positive nodes are found by Newton's method and mirrored
+    exactly, x[n-1-i] = -x[i]; for odd n the middle node is exactly 0."""
+    xs, ws = [], []  # the positive nodes, descending
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(_NEWTON_STEPS):
+            p, dp = _legendre(n, x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) < 1e-14:  # quadratic convergence: x is now exact to roundoff
+                break
+        else:
+            raise RuntimeError(
+                f"Gauss-Legendre node {i} of {n} did not converge in {_NEWTON_STEPS} steps"
+            )
+        _, dp = _legendre(n, x)
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x) * (1.0 + x) * dp * dp))
+    mid_x, mid_w = [], []
+    if n % 2:
+        _, dp = _legendre(n, 0.0)
+        mid_x, mid_w = [0.0], [2.0 / (dp * dp)]
+    return (
+        tuple([-x for x in xs] + mid_x + xs[::-1]),
+        tuple(ws + mid_w + ws[::-1]),
+    )
+
+
 @lru_cache(maxsize=32)
 def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes and weights on [-1, 1], immutable so that every
     caller can share the cached rule."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return tuple(x.tolist()), tuple(w.tolist())
+    return _gauss_legendre(nodes)
 
 
 def _gauss(spec: SumSpec, lo: float, hi: float, kind: str, nodes: int) -> float:
@@ -122,17 +169,20 @@ def _odd_total_integral(spec: SumSpec, nodes: int | None = None) -> float:
     return total
 
 
-def identity_report(spec: SumSpec, odd_A_cut: int = 199) -> list[dict]:
+def identity_report(
+    spec: SumSpec, odd_A_cut: int = 199, rows: Rows | None = None
+) -> list[dict]:
     """Cross-checks of every expansion against an independent integral.
 
     Returns one dict per check with lhs (integral side), rhs (coefficient
     side), and abs_err.  The odd-A coefficient sum is truncated at
     |A| <= odd_A_cut; the other two sides are finite.  Each side evaluates
     its family through one Coefficients object, and all three read one row
-    store, which builds the spec's tail weights once for the three.
+    store, which builds the spec's tail weights once for the three.  rows,
+    if given, is that store, and may be shared with other checks of the spec.
     """
     checks = []
-    rows = Rows()
+    rows = Rows() if rows is None else rows
 
     lhs = trig_integral_full(spec).value
     even = Coefficients(spec, Family.EVEN, rows=rows)

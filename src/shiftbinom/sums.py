@@ -152,6 +152,17 @@ class Family(str, Enum):
     ANTISYM_EXACT = "antisym-exact"  # the m -> infinity limit of antisym
     FOUR = "four"  # half-integer k_3, k_4 make both eliminated entries half-integers
 
+    @property
+    def parity(self) -> int:
+        """A % 2 of every A the family takes."""
+        return _FAMILIES[self].parity
+
+    @property
+    def needs_m(self) -> bool:
+        """Whether some k_i runs over a size-m half-integer window, so that
+        the family takes a truncation m."""
+        return bool(_FAMILIES[self].half_axes)
+
 
 Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
 
@@ -399,10 +410,11 @@ def antisym_A_bound(spec: SumSpec) -> int:
     return 2 * (spec._half(2) + s1_max)
 
 
-def sum_rule_even(spec: SumSpec) -> int:
+def sum_rule_even(spec: SumSpec, rows: Rows | None = None) -> int:
     """Sum of all even-A coefficients; equals C(rn, rn/2) exactly (the q ->
-    infinity collapse of the expansion to an overall binomial count)."""
-    even = Coefficients(spec, Family.EVEN)
+    infinity collapse of the expansion to an overall binomial count).  rows,
+    if given, is the store to read, and may be shared with other checks."""
+    even = Coefficients(spec, Family.EVEN, rows=rows)
     return sum(even(A).coeff.numerator for A in even.default_A_range())
 
 

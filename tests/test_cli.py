@@ -75,7 +75,7 @@ def test_verify_failure_exits_1(monkeypatch):
     # force a wrong reference value through the library layer
     from shiftbinom import oracle
 
-    def broken(spec, cut=199):
+    def broken(spec, cut=199, rows=None):
         return [{"check": "even-expansion", "lhs": 1.0, "rhs": 2.0, "abs_err": 1.0}]
 
     monkeypatch.setattr(oracle, "identity_report", broken)
@@ -179,10 +179,22 @@ def test_exact_digits_past_the_int_str_limit(capsys, fmt):
         sys.set_int_max_str_digits(outer)
 
 
-# Runs in a fresh interpreter; exits non-zero with a message on any breach,
-# without assert, so the check also holds under python -O.
+# Runs in a fresh interpreter in which importing numpy fails and is recorded,
+# so a caught ImportError (a fallback) is seen too; exits non-zero with a
+# message on any breach, without assert, so the check also holds under -O.
 _NUMPY_FREE_CHILD = """
 import contextlib, os, sys
+
+attempts = []
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            attempts.append(name)
+            raise ImportError(f"numpy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, NoNumpy())
 from shiftbinom import cli
 
 def run(argv):
@@ -191,25 +203,29 @@ def run(argv):
     if code != 0:
         sys.exit(f"{argv}: exit {code}")
 
-if "numpy" in sys.modules:
-    sys.exit("importing shiftbinom.cli imported numpy")
+spec = ["--r", "2", "--l", "1,1"]
 for argv in (
+    [],
     ["seq", "pi", "--l", "2", "--m", "1:3"],
-    ["coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-min", "1", "--a-max", "5"],
+    ["coeffs", "--family", "odd", *spec, "--a-min", "1", "--a-max", "5"],
     ["compositions", "--n", "3", "--g", "3"],
-    ["verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "3"],
+    ["verify", "odd-equality", *spec, "--a-max", "3"],
+    ["verify", "identity", *spec],
+    ["verify", "odd-integral", *spec],
+    ["verify", "antisym-integral", *spec],
+    ["verify", "all", *spec, "--n", "3", "--g", "2"],
 ):
-    run(argv)
-    if "numpy" in sys.modules:
-        sys.exit(f"{argv} imported numpy")
-run(["verify", "identity", "--r", "2", "--l", "1,1"])
-if "numpy" not in sys.modules:
-    sys.exit("verify identity ran without the numpy oracle")
+    if argv:
+        run(argv)
+    if attempts or "numpy" in sys.modules:
+        sys.exit(f"{argv or 'import shiftbinom.cli'} imported numpy: {attempts}")
+if "shiftbinom.oracle" not in sys.modules:
+    sys.exit("the verify integral checks ran without the oracle")
 """
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
-def test_only_verify_integrals_import_numpy(flags):
+def test_no_subcommand_imports_numpy(flags):
     cp = subprocess.run([sys.executable, *flags, "-c", _NUMPY_FREE_CHILD],
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
@@ -467,6 +483,23 @@ def test_coeffs_default_range_builds_tail_weights_once(monkeypatch, capsys):
     monkeypatch.setattr(cli.sums, "_tail_weights", counting)
     assert cli.main(["coeffs", "--family", "even", "--r", "2", "--l", "3,3,3,3,3"]) == 0
     assert capsys.readouterr().out.startswith("A,num,den,pi_exp,float\n")
+    assert len(builds) == 1
+
+
+def test_verify_all_builds_tail_weights_once(monkeypatch, capsys):
+    # the oracle report, odd-equality and sum-rule read one store
+    builds = []
+    tail_weights = cli.sums._tail_weights
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return tail_weights(*args, **kwargs)
+
+    monkeypatch.setattr(cli.sums, "_tail_weights", counting)
+    argv = ["verify", "all", "--r", "4", "--l", "2,2,2", "--p", "2", "--q", "7",
+            "--n", "6", "--g", "3"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
     assert len(builds) == 1
 
 

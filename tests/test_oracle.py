@@ -132,25 +132,76 @@ def test_identity_report_small_grid():
 
 
 def test_each_legendre_rule_is_built_once(monkeypatch):
-    import numpy as np
-
     from shiftbinom import oracle
 
     built = []
-    leggauss = np.polynomial.legendre.leggauss
+    build = oracle._gauss_legendre
 
     def counting(nodes):
         built.append(nodes)
-        return leggauss(nodes)
+        return build(nodes)
 
     oracle._legendre_rule.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    monkeypatch.setattr(oracle, "_gauss_legendre", counting)
     try:
         # the odd-expansion integral alone splits into several Gauss ranges
         identity_report(SumSpec(r=2, l=(1, 1), p=1, q=3), odd_A_cut=9)
+        x, w = oracle._legendre_rule(32)
     finally:
         oracle._legendre_rule.cache_clear()
     assert sorted(built) == [32, 64]
-    x, w = oracle._legendre_rule(32)
     assert isinstance(x, tuple) and isinstance(w, tuple)
-    assert list(x) == leggauss(32)[0].tolist() and list(w) == leggauss(32)[1].tolist()
+    assert (x, w) == build(32)
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """(ints, e) with values[i] == ints[i] / 2**e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(q.bit_length() - 1 for _, q in ratios)
+    return [p << (e - q.bit_length() + 1) for p, q in ratios], e
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 96])
+def test_legendre_rule_integrates_every_monomial_below_degree_2n(n):
+    """The exact n-point rule integrates x^k over [-1, 1] exactly for
+    k < 2n: sum_i w_i x_i^k = 2/(k+1) for even k, 0 for odd k.
+
+    Write x, w for the exact rule and x~, w~ for the float one, each within
+    d = 2^-52 of the exact (the accuracy the oracle docstring states).
+    Every node lies in [-1, 1], so |x~^k - x^k| <= k d, and the exact
+    weights sum to 2.  So
+
+        |sum w~ x~^k - sum w x^k| <= sum |w~ - w| |x~|^k + sum w |x~^k - x^k|
+                                  <= n d + 2 k d,
+
+    which is the bound checked here, in exact arithmetic: the floats are
+    read as integers over a power of 2, so no rounding enters the sums.
+    """
+    from shiftbinom import oracle
+
+    x, w = oracle._gauss_legendre(n)
+    assert len(x) == len(w) == n
+    assert list(x) == sorted(x) and all(-1.0 < v < 1.0 for v in x)
+    assert all(x[n - 1 - i] == -x[i] and w[n - 1 - i] == w[i] for i in range(n))
+    assert all(v > 0.0 for v in w)
+    nodes, ex = _scaled(x)
+    terms, ew = _scaled(w)  # w_i x_i^k as integers over 2**(ew + k ex)
+    for k in range(2 * n):
+        moment = Fraction(sum(terms), 2 ** (ew + k * ex))
+        exact = Fraction(2, k + 1) if k % 2 == 0 else 0
+        assert abs(moment - exact) <= Fraction(n + 2 * k, 2**52), k
+        terms = [t * v for t, v in zip(terms, nodes)]
+
+
+def test_legendre_rule_odd_n_and_non_convergence(monkeypatch):
+    from shiftbinom import oracle
+
+    x, w = oracle._gauss_legendre(33)
+    assert x[16] == 0.0 and x == tuple(-v for v in reversed(x))
+    assert oracle._gauss_legendre(1) == ((0.0,), (2.0,))
+    x, w = oracle._gauss_legendre(2)
+    assert x == pytest.approx((-3**-0.5, 3**-0.5)) and w == pytest.approx((1.0, 1.0))
+    # one Newton step from the starting guess cannot reach roundoff
+    monkeypatch.setattr(oracle, "_NEWTON_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        oracle._gauss_legendre(32)

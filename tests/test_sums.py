@@ -125,6 +125,13 @@ def test_every_family_matches_naive_lattice(family):
                 )
 
 
+def test_family_parity_and_needs_m():
+    # the facts the CLI reads off a family, against the naive table above
+    for family in Family:
+        assert family.parity == (1 if family in (Family.ODD, Family.ODD_SINC) else 0)
+        assert family.needs_m is bool(NAIVE_FAMILIES[family][1]), family
+
+
 def test_tables_are_built_once_per_call(monkeypatch):
     """One tail-weight build per table, per spec of an agg sweep, per ratio
     sweep, per odd-equality check and per oracle report (its three families
