@@ -18,11 +18,13 @@ rationals.
 A coefficient whose value lies outside double range keeps exact `num` and
 `den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
 
-`--q` takes a positive integer or `inf`.  `--config FILE` reads `key=value`
-lines; a key is a long flag name, with `-` or `_` (`a-max` or `a_max`), and
-its value is parsed and checked exactly as the flag's (a switch such as
-`check` is on for 1, true, yes or on).  Command-line flags win over the
-file; an unknown key exits 2.
+`--p`/`--q`, the phase of the integrand, are `verify` flags; `--q` takes a
+positive integer or `inf`.  A `seq` kind takes the flags its builder in
+`sequences._KINDS` names, and any other given kind flag exits 2.
+`--config FILE` reads `key=value` lines; a key is a long flag name, with `-`
+or `_` (`a-max` or `a_max`), and its value is parsed and checked exactly as
+the flag's (a switch such as `check` is on for 1, true, yes or on).
+Command-line flags win over the file; an unknown key exits 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import inspect
 import json
 import math
 import sys
@@ -55,10 +58,13 @@ def _parse_l(text: str) -> tuple[int, ...]:
 
 
 def _parse_q(text: str) -> int | None:
-    """An integer q, or None (SumSpec's q -> infinity) for inf; SumSpec rejects q < 1."""
+    """A positive integer q, or None for inf: q -> infinity, the phase 0."""
     if text.lower() in ("inf", "infinity", "none"):
         return None
-    return int(text)
+    q = int(text)
+    if q < 1:
+        raise argparse.ArgumentTypeError(f"q must be positive or inf, not {text!r}")
+    return q
 
 
 def _parse_m_sweep(text: str) -> list[int]:
@@ -129,9 +135,15 @@ def _print_check(rec: dict) -> None:
 
 
 def _build_spec(ns) -> SumSpec:
+    """The spec of --r and --l; --r defaults to 2."""
     if ns.l is None:
         raise UsageError("--l is required for this command")
-    return SumSpec(r=ns.r, l=ns.l, p=ns.p, q=ns.q)
+    return SumSpec(r=2 if ns.r is None else ns.r, l=ns.l)
+
+
+def _window(ns) -> dict:
+    """--window as a keyword argument if given, else none: the library's default."""
+    return {} if ns.window is None else {"window": ns.window}
 
 
 def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
@@ -146,7 +158,7 @@ def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
     return total, math.comb(g * n, n), forms_ok
 
 
-# the verify checks, in the order `all` runs them; every one but cg needs a spec
+# the verify checks, in the order `all` runs them; all but cg need a spec
 _CHECKS = ("identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule", "cg")
 
 
@@ -157,31 +169,33 @@ def _cmd_verify(ns) -> int:
     if any(c != "cg" for c in names):
         spec = _build_spec(ns)
 
-    # (check, oracle report entry, tolerance on its abs_err)
-    integrals = (
-        ("identity", "even-expansion", 1e-9),
-        ("odd-integral", "odd-expansion", 1e-6),
-        ("antisym-integral", "antisym-expansion", 1e-9),
-    )
     # one store for every check of the run: they all read the spec's one W
     rows = sums.Rows()
-    if any(name in names for name, _, _ in integrals):
+    if not set(names).isdisjoint(_CHECKS[:3]):  # a check that integrates
         # imported here, so that only the checks that integrate load the oracle
         from . import oracle
 
-        report = {c["check"]: c for c in oracle.identity_report(spec, ns.odd_a_cut, rows)}
-        for name, entry, tol in integrals:
+        phase = Fraction(0) if ns.q is None else Fraction(ns.p, ns.q)
+        # (check, its expansion's (lhs, rhs), tolerance on abs_err): each
+        # check computes its own expansion and no other
+        integrals = (
+            ("identity", lambda: oracle.even_expansion(spec, phase, rows), 1e-9),
+            ("odd-integral",
+             lambda: oracle.odd_expansion(spec, phase, ns.odd_a_cut, rows), 1e-6),
+            ("antisym-integral", lambda: oracle.antisym_expansion(spec, phase, rows), 1e-9),
+        )
+        for name, expansion, tol in integrals:
             if name in names:
-                c = report[entry]
+                lhs, rhs = expansion()
+                err = abs(lhs - rhs)
                 checks.append(
-                    {
-                        "check": name,
-                        "lhs": c["lhs"],
-                        "rhs": c["rhs"],
-                        "abs_err": c["abs_err"],
-                        "pass": c["abs_err"] < tol,
-                    }
+                    {"check": name, "lhs": lhs, "rhs": rhs, "abs_err": err, "pass": err < tol}
                 )
+
+    def exact_check(check: str, lhs, rhs, ok: bool, abs_err: str) -> None:
+        """The record of an exact check; abs_err is "exact" when it passes."""
+        checks.append({"check": check, "lhs": _exact_str(lhs), "rhs": _exact_str(rhs),
+                       "abs_err": "exact" if ok else abs_err, "pass": ok})
 
     if "odd-equality" in names:
         direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
@@ -189,41 +203,18 @@ def _cmd_verify(ns) -> int:
         for A in range(1, ns.a_max + 1, 2):
             direct, alt = direct_of(A), alt_of(A)
             equal = direct == alt
-            checks.append(
-                {
-                    "check": f"odd-equality[A={A}]",
-                    "lhs": _exact_str(direct.coeff),
-                    "rhs": _exact_str(alt.coeff),
-                    "abs_err": "exact" if equal else repr(float(direct) - float(alt)),
-                    "pass": equal,
-                }
-            )
+            exact_check(f"odd-equality[A={A}]", direct.coeff, alt.coeff, equal,
+                        "" if equal else repr(float(direct) - float(alt)))
 
     if "sum-rule" in names:
         total = sums.sum_rule_even(spec, rows)
         target = math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-        checks.append(
-            {
-                "check": "sum-rule",
-                "lhs": _exact_str(total),
-                "rhs": _exact_str(target),
-                "abs_err": "exact" if total == target else _exact_str(total - target),
-                "pass": total == target,
-            }
-        )
+        exact_check("sum-rule", total, target, total == target, _exact_str(total - target))
 
     if "cg" in names:
         total, target, forms_ok = _cg_identity(ns.n, ns.g)
-        ok = forms_ok and total == target
-        checks.append(
-            {
-                "check": "cg",
-                "lhs": _exact_str(total),
-                "rhs": _exact_str(target),
-                "abs_err": "exact" if ok else "form-mismatch" if not forms_ok else _exact_str(total - target),
-                "pass": ok,
-            }
-        )
+        exact_check("cg", total, target, forms_ok and total == target,
+                    "form-mismatch" if not forms_ok else _exact_str(total - target))
 
     for rec in checks:
         _print_check(rec)
@@ -237,18 +228,23 @@ def _cmd_coeffs(ns) -> int:
     family = Family(ns.family)
     if family.needs_m and ns.m is None:
         raise UsageError(f"family {family.value} needs --m")
+    for flag in ("m", "window"):
+        if not family.needs_m and getattr(ns, flag) is not None:
+            raise UsageError(f"family {family.value} has no window and takes no --{flag}")
+    if ns.a_min is not None and ns.a_max is None:
+        raise UsageError("--a-min needs --a-max")
     if ns.m is not None and len(ns.m) > 1:
         raise UsageError("coeffs takes a single --m value, not a sweep")
     m = None if ns.m is None else ns.m[0]
     A_values = None  # build_coeff_table's default: the family's finite support
     if ns.a_max is not None:
-        a_min = ns.a_min if ns.a_min is not None else -ns.a_max
+        a_min = -ns.a_max if ns.a_min is None else ns.a_min
         A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == family.parity]
         if not A_values:
             raise UsageError(
                 f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    table = sums.build_coeff_table(spec, family, A_values, m, ns.window)
+    table = sums.build_coeff_table(spec, family, A_values, m, **_window(ns))
     rows = [
         {
             "A": A,
@@ -263,27 +259,36 @@ def _cmd_coeffs(ns) -> int:
     return 0
 
 
+def _kind_params(kind: str) -> list[inspect.Parameter]:
+    """The parameters of kind's builder after its window: the one list of
+    what the kind takes."""
+    return list(inspect.signature(sequences._KINDS[kind]).parameters.values())[1:]
+
+
+def _kind_flags(kind: str) -> list[str]:
+    """The seq flags that kind takes: spec stands for --r and --l, and any
+    other builder parameter for the flag of its name."""
+    return [f for p in _kind_params(kind) for f in (("r", "l") if p.name == "spec" else (p.name,))]
+
+
 def _cmd_seq(ns) -> int:
+    kind, takes = ns.kind, _kind_flags(ns.kind)
+    for other in sequences._KINDS:
+        for flag in _kind_flags(other):
+            if flag not in takes and getattr(ns, flag) is not None:
+                raise UsageError(f"kind {kind} does not take --{flag}")
     params: dict = {}
-    kind = ns.kind
-    if kind in ("pi", "pi2", "pis", "pis2", "pis-odd"):
-        if ns.l is None or len(ns.l) != 1:
-            raise UsageError(f"kind {kind} takes --l with a single value")
-        params["l"] = ns.l[0]
-        if kind in ("pis", "pis2", "pis-odd"):
-            if ns.s is None:
-                raise UsageError(f"kind {kind} needs --s")
-            params["s"] = ns.s
-    elif kind in ("cum", "ratio-pi2", "ratio-pi"):
-        params["spec"] = _build_spec(ns)
-        if kind in ("ratio-pi2", "ratio-pi"):
-            if ns.A is None:
-                raise UsageError(f"kind {kind} needs --A")
-            params["A"] = ns.A
-    elif kind == "agg":
-        if ns.n is None or ns.g is None:
-            raise UsageError("kind agg needs --n and --g")
-        params.update(n=ns.n, g=ns.g, r=ns.r)
+    for param in _kind_params(kind):
+        name = param.name
+        value = _build_spec(ns) if name == "spec" else getattr(ns, name)
+        if name == "l":  # a kind that takes l outside a spec takes one value
+            if value is None or len(value) != 1:
+                raise UsageError(f"kind {kind} takes --l with a single value")
+            value = value[0]
+        if value is not None:
+            params[name] = value
+        elif param.default is param.empty:
+            raise UsageError(f"kind {kind} needs --{name}")
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
     rows = [
@@ -295,7 +300,7 @@ def _cmd_seq(ns) -> int:
             "target": f"{rec.target_tag}={rec.target_value!r}",
             "abs_error": rec.abs_error,
         }
-        for rec in sequences.sweep(kind, ns.m, ns.window, **params)
+        for rec in sequences.sweep(kind, ns.m, **_window(ns), **params)
     ]
     _emit(rows, ["m", "num", "den", "float", "target", "abs_error"], ns.format, ns.out)
     return 0
@@ -356,18 +361,17 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     return [f for f in flags.values() if f]
 
 
-def _add_spec(p: argparse.ArgumentParser, q: int | None) -> None:
-    p.add_argument("--r", type=int, default=2)
+def _add_spec(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=int, help="a positive even integer (default 2)")
     p.add_argument("--l", type=_parse_l, help="comma list, e.g. 1,0,2")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=_parse_q, default=q, help="positive integer or 'inf'")
 
 
 def _add_table(p: argparse.ArgumentParser, window: Window | None = None) -> None:
     if window is not None:
-        # the values, not the members, so that --help shows what to type
-        p.add_argument("--window", type=Window, default=window,
-                       choices=[w.value for w in Window], help="paper or symmetric")
+        # the values, not the members, so that --help shows what to type; no
+        # default, so that coeffs can tell a given --window (see _window)
+        p.add_argument("--window", type=Window, choices=[w.value for w in Window],
+                       help=f"paper or symmetric (default {window.value})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
 
@@ -386,14 +390,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = command("verify", _cmd_verify, "run exact/numeric verification checks")
     pv.add_argument("check", choices=(*_CHECKS, "all"))
-    _add_spec(pv, q=3)
+    _add_spec(pv)
+    # the phase p/q of the integrand, which only the integral checks read
+    pv.add_argument("--p", type=int, default=1)
+    pv.add_argument("--q", type=_parse_q, default=3, help="positive integer or 'inf'")
     pv.add_argument("--a-max", type=int, default=9)
     pv.add_argument("--odd-a-cut", type=int, default=399)
     pv.add_argument("--n", type=int, default=4)
     pv.add_argument("--g", type=int, default=2)
 
     pc = command("coeffs", _cmd_coeffs, "emit one coefficient family as a table")
-    _add_spec(pc, q=None)
+    _add_spec(pc)
     _add_table(pc, Window.SYMMETRIC)
     pc.add_argument("--family", choices=[f.value for f in Family])
     pc.add_argument("--a-min", type=int)
@@ -402,12 +409,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = command("seq", _cmd_seq, "emit a convergence table over an m sweep")
     ps.add_argument("kind", choices=tuple(sequences._KINDS))
-    _add_spec(ps, q=None)
     _add_table(ps, Window.PAPER)
-    ps.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
-    ps.add_argument("--A", type=int)
     ps.add_argument("--m", type=_parse_m_sweep,
                     help="single value or start:stop:stride (inclusive)")
+    # the flags of the kinds: each kind takes those its builder names (see
+    # _cmd_seq), so none has a default here, and a given one can be told
+    _add_spec(ps)
+    ps.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
+    ps.add_argument("--A", type=int)
     ps.add_argument("--n", type=int)
     ps.add_argument("--g", type=int)
 

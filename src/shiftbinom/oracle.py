@@ -14,12 +14,17 @@ cos(pi (i + 3/4) / (n + 1/2)), gives the nodes; the weights are
 at the ends, to 4e-13 relative at n = 192); the nodes are within 3 ulp of
 numpy's leggauss.  Each rule is built once per node count and kept, in a
 bounded cache, as tuples of Python floats.
+
+The integrand is prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i): every function
+takes its phase p/q as the Fraction `phase`, 0 for q -> infinity, and forms
+floats from the reduced p and q, as p / q and pi A p / q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
@@ -28,7 +33,9 @@ __all__ = [
     "QuadratureResult",
     "trig_integral_full",
     "trig_integral_halfrange",
-    "identity_report",
+    "even_expansion",
+    "odd_expansion",
+    "antisym_expansion",
 ]
 
 
@@ -39,9 +46,9 @@ class QuadratureResult:
     est_error: float
 
 
-def _product(spec: SumSpec, t: float, kind: str = "cos") -> float:
+def _product(spec: SumSpec, phase: Fraction, t: float, kind: str = "cos") -> float:
     fn = math.cos if kind == "cos" else math.sin
-    pq = spec.pq
+    pq = phase.numerator / phase.denominator
     out = 1.0
     for i, li in enumerate(spec.l, start=1):
         if li:
@@ -49,7 +56,7 @@ def _product(spec: SumSpec, t: float, kind: str = "cos") -> float:
     return out
 
 
-def trig_integral_full(spec: SumSpec) -> QuadratureResult:
+def trig_integral_full(spec: SumSpec, phase: Fraction) -> QuadratureResult:
     """Integral over one period of the cosine-power product, as the mean over
     N equally spaced samples.
 
@@ -59,9 +66,9 @@ def trig_integral_full(spec: SumSpec) -> QuadratureResult:
     """
     deg = spec.r * spec.n
     n1 = deg + 1
-    v1 = math.fsum(_product(spec, j / n1) for j in range(n1)) / n1
+    v1 = math.fsum(_product(spec, phase, j / n1) for j in range(n1)) / n1
     n2 = 2 * n1
-    v2 = math.fsum(_product(spec, j / n2) for j in range(n2)) / n2
+    v2 = math.fsum(_product(spec, phase, j / n2) for j in range(n2)) / n2
     est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
     return QuadratureResult(value=v2, samples=n2, est_error=est)
 
@@ -117,16 +124,19 @@ def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _gauss_legendre(nodes)
 
 
-def _gauss(spec: SumSpec, lo: float, hi: float, kind: str, nodes: int) -> float:
+def _gauss(
+    spec: SumSpec, phase: Fraction, lo: float, hi: float, kind: str, nodes: int
+) -> float:
     x, w = _legendre_rule(nodes)
     mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
     return rad * math.fsum(
-        wi * _product(spec, mid + rad * xi, kind) for xi, wi in zip(x, w)
+        wi * _product(spec, phase, mid + rad * xi, kind) for xi, wi in zip(x, w)
     )
 
 
 def trig_integral_halfrange(
     spec: SumSpec,
+    phase: Fraction,
     lo: float = -0.5,
     hi: float = 0.5,
     kind: str = "cos",
@@ -138,20 +148,20 @@ def trig_integral_halfrange(
         raise ValueError("kind must be 'cos' or 'sin'")
     if nodes is None:
         nodes = max(32, spec.r * spec.n + 24)
-    v1 = _gauss(spec, lo, hi, kind, nodes)
-    v2 = _gauss(spec, lo, hi, kind, 2 * nodes)
+    v1 = _gauss(spec, phase, lo, hi, kind, nodes)
+    v2 = _gauss(spec, phase, lo, hi, kind, 2 * nodes)
     est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
     return QuadratureResult(value=v2, samples=2 * nodes, est_error=est)
 
 
-def _odd_total_integral(spec: SumSpec, nodes: int | None = None) -> float:
+def _odd_total_integral(spec: SumSpec, phase: Fraction, nodes: int | None = None) -> float:
     """Integral form of the total odd-A cosine expansion.
 
     Trading the second cosine for its half-integer expansion flips the sign
     of the integrand each time t - p/q crosses a half-odd integer, so the
     period integral splits at those points with alternating signs.
     """
-    pq = spec.pq
+    pq = phase.numerator / phase.denominator
     cuts = [-0.5]
     z = math.floor(pq)
     while pq - 0.5 + z < 0.5:
@@ -165,60 +175,59 @@ def _odd_total_integral(spec: SumSpec, nodes: int | None = None) -> float:
         if b - a < 1e-12:
             continue
         sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0
-        total += sign * trig_integral_halfrange(spec, a, b, "cos", nodes).value
+        total += sign * trig_integral_halfrange(spec, phase, a, b, "cos", nodes).value
     return total
 
 
-def identity_report(
-    spec: SumSpec, odd_A_cut: int = 199, rows: Rows | None = None
-) -> list[dict]:
-    """Cross-checks of every expansion against an independent integral.
+# Each expansion returns (integral side, coefficient side), and evaluates its
+# family through one Coefficients object on `rows`: the expansions of one spec
+# that share a store build the spec's tail weights once.
 
-    Returns one dict per check with lhs (integral side), rhs (coefficient
-    side), and abs_err.  The odd-A coefficient sum is truncated at
-    |A| <= odd_A_cut; the other two sides are finite.  Each side evaluates
-    its family through one Coefficients object, and all three read one row
-    store, which builds the spec's tail weights once for the three.  rows,
-    if given, is that store, and may be shared with other checks of the spec.
-    """
-    checks = []
-    rows = Rows() if rows is None else rows
 
-    lhs = trig_integral_full(spec).value
+def even_expansion(
+    spec: SumSpec, phase: Fraction, rows: Rows | None = None
+) -> tuple[float, float]:
+    """The period integral, and the sum over the even support of
+    cos(pi A p/q) times the even coefficient."""
+    p, q = phase.numerator, phase.denominator
+    lhs = trig_integral_full(spec, phase).value
     even = Coefficients(spec, Family.EVEN, rows=rows)
     rhs = math.fsum(
-        spec.weight_cos(A) * even(A).coeff.numerator for A in even.default_A_range()
+        math.cos(math.pi * A * p / q) * even(A).coeff.numerator
+        for A in even.default_A_range()
     )
-    checks.append(
-        {"check": "even-expansion", "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs)}
-    )
+    return lhs, rhs
 
-    lhs = _odd_total_integral(spec)
+
+def odd_expansion(
+    spec: SumSpec, phase: Fraction, odd_A_cut: int = 199, rows: Rows | None = None
+) -> tuple[float, float]:
+    """The integral of the total odd-A expansion, and the sum over odd
+    |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
+    p, q = phase.numerator, phase.denominator
+    lhs = _odd_total_integral(spec, phase)
     odd = Coefficients(spec, Family.ODD, rows=rows)
     rhs = math.fsum(
-        2.0 * spec.weight_cos(A) * float(odd(A))
+        2.0 * math.cos(math.pi * A * p / q) * float(odd(A))
         for A in range(1, odd_A_cut + 1, 2)
     )
-    checks.append(
-        {"check": "odd-expansion", "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs)}
-    )
+    return lhs, rhs
 
+
+def antisym_expansion(
+    spec: SumSpec, phase: Fraction, rows: Rows | None = None
+) -> tuple[float, float]:
+    """The cosine minus the sine integral over [0, 1/2], and the sum over
+    |A| <= antisym_A_bound of sin(pi A p/q) times the antisym-exact coefficient."""
+    p, q = phase.numerator, phase.denominator
     lhs = (
-        trig_integral_halfrange(spec, 0.0, 0.5, "cos").value
-        - trig_integral_halfrange(spec, 0.0, 0.5, "sin").value
+        trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos").value
+        - trig_integral_halfrange(spec, phase, 0.0, 0.5, "sin").value
     )
     bound = antisym_A_bound(spec)
     antisym = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)
     rhs = math.fsum(
-        spec.weight_sin(A) * float(antisym(A))
+        math.sin(math.pi * A * p / q) * float(antisym(A))
         for A in range(-bound, bound + 1, 2)
     )
-    checks.append(
-        {
-            "check": "antisym-expansion",
-            "lhs": lhs,
-            "rhs": rhs,
-            "abs_err": abs(lhs - rhs),
-        }
-    )
-    return checks
+    return lhs, rhs

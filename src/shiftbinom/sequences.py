@@ -202,10 +202,10 @@ def _cum(window: Window, spec: SumSpec) -> _Kind:
     return _odd_A_sums(2, [(1, spec)], "pi^2*C(rn,rn/2)", target)
 
 
-def _agg(window: Window, n: int, g: int, r: int) -> _Kind:
+def _agg(window: Window, n: int, g: int, r: int = 2) -> _Kind:
     """g n sum over the g-compositions of n of cg_weight times their cum terms."""
     weighted = [
-        (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp), q=None))
+        (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp)))
         for comp in enumerate_g_compositions(n, g)
     ]
     target = (
@@ -255,11 +255,12 @@ def sweep(
 ) -> list[SeqRecord]:
     """The records of one sequence kind at each m of ms, in the order given.
 
-    Parameters by kind: `l` for pi and pi2; `l` and the Shift `s` for pis,
-    pis2 and pis-odd; `spec` for cum; `n`, `g` and `r` for agg; `spec` and
-    `A` for the ratio kinds.  `window` is the half-integer truncation
-    convention; kinds without a half-integer window ignore it.  Every
-    parameter and every m is checked before any term is computed.
+    params are the keyword parameters of the kind's builder in `_KINDS`,
+    after its window; that signature is the one list of what a kind takes,
+    and the CLI's `seq` reads its flags from it.  `window` is the
+    half-integer truncation convention; kinds without a half-integer window
+    ignore it.  Every parameter and every m is checked before any term is
+    computed.
     """
     if kind not in _KINDS:
         raise ParameterError(f"unknown sequence kind {kind!r}")
@@ -394,6 +395,6 @@ def cg_weight_factorial_form(comp: GComposition) -> Fraction:
 
 def _spec_parts(comp: GComposition) -> tuple[int, ...]:
     # sum specs need j >= 2; a single-part composition gets one zero appended,
-    # which leaves the integrand and the q->infinity sum rule unchanged
+    # which leaves the integrand and the sum rule unchanged
     return comp.parts if comp.j >= 2 else comp.parts + (0,)
 

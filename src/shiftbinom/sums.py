@@ -2,7 +2,9 @@
 
 Each family is one A-coefficient of the cosine (sine, for the antisymmetric
 families) expansion of prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), with k_1
-and k_2 eliminated in favour of A.  One lattice sum evaluates all seven:
+and k_2 eliminated in favour of A.  The coefficient of e^(i pi A p/q) does
+not depend on p/q, so a spec is (r, l) alone; the phase is an argument of
+the oracle, which sums the coefficients against it.  One lattice sum evaluates all seven:
 
     coeff(A) = sum over (s2, s1) of W[s2, s1] C(n2, n2/2 - A/2 - s1) H(A/2 + s2)
 
@@ -84,16 +86,15 @@ def half_window(m: int, window: Window = Window.SYMMETRIC) -> range:
 
 @dataclass(frozen=True)
 class SumSpec:
-    """Parameter bundle (r, l_1..l_j, p/q) of one integral/sum family.
+    """Parameter bundle (r, l_1..l_j) of one integral/sum family.
 
-    q = None is the q -> infinity sentinel: the phase weight e^(i pi A p/q)
-    is identically 1 and no limiting process is involved.
+    The phase p/q of the integral is no part of it: every family is the
+    coefficient of e^(i pi A p/q), whatever p/q, and the phase enters only
+    the oracle's side of an identity.
     """
 
     r: int
     l: tuple[int, ...]
-    p: int = 0
-    q: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "l", tuple(int(v) for v in self.l))
@@ -103,14 +104,6 @@ class SumSpec:
             raise ParameterError("need at least two parts l_1, l_2")
         if any(v < 0 for v in self.l):
             raise ParameterError("parts must be non-negative")
-        if self.q is None:
-            object.__setattr__(self, "p", 0)
-        else:
-            if self.q < 1:
-                raise ParameterError("q must be positive (or None for infinity)")
-            f = Fraction(self.p, self.q)
-            object.__setattr__(self, "p", f.numerator)
-            object.__setattr__(self, "q", f.denominator)
 
     @property
     def n(self) -> int:
@@ -119,21 +112,6 @@ class SumSpec:
     @property
     def j(self) -> int:
         return len(self.l)
-
-    @property
-    def pq(self) -> float:
-        return 0.0 if self.q is None else self.p / self.q
-
-    def weight_cos(self, A: int) -> float:
-        """cos(pi A p / q); 1 for the q = infinity sentinel."""
-        if self.q is None:
-            return 1.0
-        return math.cos(math.pi * A * self.p / self.q)
-
-    def weight_sin(self, A: int) -> float:
-        if self.q is None:
-            return 0.0
-        return math.sin(math.pi * A * self.p / self.q)
 
     def _half(self, i: int) -> int:
         """r*l_i/2 for the 1-based factor index i."""

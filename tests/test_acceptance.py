@@ -17,7 +17,7 @@ from shiftbinom.exact import (
     SHIFT_ZERO,
     Shift,
 )
-from shiftbinom.oracle import trig_integral_full
+from shiftbinom.oracle import even_expansion
 from shiftbinom.sums import (
     Coefficients,
     Family,
@@ -56,13 +56,7 @@ def test_criterion_01_even_expansion_identity():
     worst = 0.0
     for l in GRID_L:
         for p, q in ((1, 3), (1, 5), (2, 7)):
-            spec = SumSpec(r=2, l=l, p=p, q=q)
-            lhs = trig_integral_full(spec).value
-            even = Coefficients(spec, Family.EVEN)
-            rhs = math.fsum(
-                spec.weight_cos(A) * even(A).coeff.numerator
-                for A in even.default_A_range()
-            )
+            lhs, rhs = even_expansion(SumSpec(r=2, l=l), Fraction(p, q))
             worst = max(worst, abs(lhs - rhs))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 10.0

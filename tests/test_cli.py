@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -75,12 +77,31 @@ def test_verify_failure_exits_1(monkeypatch):
     # force a wrong reference value through the library layer
     from shiftbinom import oracle
 
-    def broken(spec, cut=199, rows=None):
-        return [{"check": "even-expansion", "lhs": 1.0, "rhs": 2.0, "abs_err": 1.0}]
+    def broken(spec, phase, rows=None):
+        return 1.0, 2.0
 
-    monkeypatch.setattr(oracle, "identity_report", broken)
+    monkeypatch.setattr(oracle, "even_expansion", broken)
     code = cli.main(["verify", "identity", "--r", "2", "--l", "1,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("check, expansion", [
+    ("identity", "even_expansion"),
+    ("odd-integral", "odd_expansion"),
+    ("antisym-integral", "antisym_expansion"),
+])
+def test_verify_integral_check_computes_only_its_expansion(monkeypatch, capsys, check, expansion):
+    from shiftbinom import oracle
+
+    def unused(*args, **kwargs):
+        raise RuntimeError("an expansion of another check ran")
+
+    for other in ("even_expansion", "odd_expansion", "antisym_expansion"):
+        if other != expansion:
+            monkeypatch.setattr(oracle, other, unused)
+    assert cli.main(["verify", check, "--r", "2", "--l", "1,1,1", "--p", "1", "--q", "5"]) == 0
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rec["check"] == check and rec["pass"]
 
 
 @pytest.mark.parametrize("module, attr, argv", [
@@ -136,8 +157,9 @@ _BAD_CONFIGS = {
     ("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1", "--a-max", "2", "--m", "10:50"),
     ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1"),
     # q = 0 is not a spelling of q -> infinity
-    ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--q", "0"),
+    ("verify", "identity", "--r", "2", "--l", "1,1", "--q", "0"),
     ("verify", "identity", "--r", "2", "--l", "1,1", "--config", "{tmp}/q0.cfg"),
+    ("verify", "cg", "--q", "0"),
     # a config value is checked as the flag's own value
     ("seq", "pi", "--l", "2", "--m", "1", "--config", "{tmp}/xml.cfg"),
     # positional arguments are not config keys
@@ -146,9 +168,26 @@ _BAD_CONFIGS = {
     # only seq and coeffs have half-integer windows
     ("compositions", "--n", "2", "--g", "2", "--window", "symmetric"),
     ("compositions", "--n", "2", "--g", "2", "--config", "{tmp}/window.cfg"),
+    # a seq kind takes only the flags its builder names
+    ("seq", "pi", "--l", "2", "--m", "3", "--r", "3"),
+    ("seq", "pi", "--l", "2", "--m", "2", "--A", "7"),
+    ("seq", "cum", "--r", "2", "--l", "1,1", "--m", "2", "--s", "1/3"),
+    ("seq", "agg", "--n", "2", "--g", "2", "--m", "1", "--l", "5"),
+    # the phase p/q is a verify flag alone: no family or kind depends on it
+    ("seq", "pi", "--l", "2", "--m", "3", "--q", "0"),
+    ("seq", "pi", "--l", "2", "--m", "3", "--p", "2"),
+    ("seq", "agg", "--n", "2", "--g", "2", "--m", "1", "--q", "0", "--l", "5"),
+    ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--q", "5"),
+    # coeffs rejects the flags it would ignore
+    ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-max", "5", "--m", "7"),
+    ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-max", "5", "--window", "paper"),
+    ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--a-min", "2"),
 ], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep",
-        "odd-no-a-max", "q-zero", "config-q-zero", "config-format", "config-positional-kind",
-        "config-positional-check", "compositions-window", "config-compositions-window"])
+        "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
+        "config-positional-kind", "config-positional-check", "compositions-window",
+        "config-compositions-window", "seq-pi-r", "seq-pi-A", "seq-cum-s", "seq-agg-l",
+        "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
+        "coeffs-no-window-window", "coeffs-a-min-alone"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, text in _BAD_CONFIGS.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -156,6 +195,31 @@ def test_bad_input_exits_2(tmp_path: Path, args):
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+def _seq_parser() -> argparse.ArgumentParser:
+    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices["seq"]
+
+
+def test_seq_flags_are_the_builder_parameters():
+    """Every parameter of a `_KINDS` builder after its window maps onto a seq
+    flag (spec onto --r and --l), and every seq flag that not every kind
+    takes is a parameter of some builder."""
+    from shiftbinom.sequences import _KINDS
+
+    seq = _seq_parser()
+    parser_flags = {a.dest for a in seq._actions if a.option_strings}
+    builder_flags = set()
+    for kind, build in _KINDS.items():
+        assert next(iter(inspect.signature(build).parameters)) == "window", kind
+        assert set(cli._kind_flags(kind)) <= parser_flags, kind
+        builder_flags.update(cli._kind_flags(kind))
+    assert cli._kind_flags("ratio-pi") == ["r", "l", "A"]
+    assert cli._kind_flags("agg") == ["n", "g", "r"]
+    assert parser_flags - {"help", "config", "window", "format", "out", "m"} == builder_flags
+    # a kind flag has no parser default, so that a given one can be told
+    assert all(a.default is None for a in seq._actions if a.dest in builder_flags)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -439,7 +503,8 @@ def test_workers_option_is_rejected(tmp_path: Path):
 
 def test_config_file_and_flag_override(tmp_path: Path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("r=2\nl=1,1\nm=1:3:1\nformat=json\n", encoding="utf-8")
+    # no r=2 here: a config value is a given flag, and kind pi takes no --r
+    cfg.write_text("l=1,1\nm=1:3:1\nformat=json\n", encoding="utf-8")
     cp = run_cli("seq", "pi", "--l", "2", "--config", str(cfg))
     assert cp.returncode == 0, cp.stderr
     rows = json.loads(cp.stdout)  # format came from the file

@@ -4,54 +4,60 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom.oracle import (
-    identity_report,
+    antisym_expansion,
+    even_expansion,
+    odd_expansion,
     trig_integral_full,
     trig_integral_halfrange,
 )
-from shiftbinom.sums import SumSpec, sum_rule_even
+from shiftbinom.sums import Rows, SumSpec, sum_rule_even
 
 from reference import float_binomial, shifted_series_eval
 
 
+ZERO = Fraction(0)  # the phase of q -> infinity
+
+
 def test_full_integral_examples():
-    assert trig_integral_full(SumSpec(r=2, l=(1, 1))).value == pytest.approx(6.0)
-    assert trig_integral_full(SumSpec(r=2, l=(1, 1), p=1, q=2)).value == pytest.approx(
+    assert trig_integral_full(SumSpec(r=2, l=(1, 1)), ZERO).value == pytest.approx(6.0)
+    assert trig_integral_full(SumSpec(r=2, l=(1, 1)), Fraction(1, 2)).value == pytest.approx(
         2.0
     )
-    assert trig_integral_full(SumSpec(r=2, l=(0, 0))).value == pytest.approx(1.0)
+    assert trig_integral_full(SumSpec(r=2, l=(0, 0)), ZERO).value == pytest.approx(1.0)
 
 
 def test_full_integral_doubling_stability():
     # N = rn+1 is already exact by discrete orthogonality; doubling moves
     # nothing beyond roundoff, which est_error reports
-    for spec in (SumSpec(r=2, l=(1, 1, 1), p=1, q=5), SumSpec(r=2, l=(2, 2), p=2, q=7)):
-        res = trig_integral_full(spec)
+    for spec, phase in ((SumSpec(r=2, l=(1, 1, 1)), Fraction(1, 5)),
+                        (SumSpec(r=2, l=(2, 2)), Fraction(2, 7))):
+        res = trig_integral_full(spec, phase)
         assert res.est_error < 1e-12 * max(1.0, abs(res.value))
         assert res.samples == 2 * (spec.r * spec.n + 1)
 
 
 def test_halfrange_matches_full_for_even_integrand():
-    spec = SumSpec(r=2, l=(1, 1), p=1, q=3)
-    a = trig_integral_halfrange(spec, -0.5, 0.5, "cos")
-    b = trig_integral_full(spec)
+    spec, phase = SumSpec(r=2, l=(1, 1)), Fraction(1, 3)
+    a = trig_integral_halfrange(spec, phase, -0.5, 0.5, "cos")
+    b = trig_integral_full(spec, phase)
     assert a.value == pytest.approx(b.value, abs=1e-12)
 
 
 def test_halfrange_sin_of_all_zero_parts_is_range_length():
-    res = trig_integral_halfrange(SumSpec(r=2, l=(0, 0)), 0.0, 0.5, "sin")
+    res = trig_integral_halfrange(SumSpec(r=2, l=(0, 0)), ZERO, 0.0, 0.5, "sin")
     assert res.value == pytest.approx(0.5)
 
 
 def test_halfrange_refinement_shrinks_error():
-    spec = SumSpec(r=2, l=(2, 2), p=1, q=3)
-    coarse = trig_integral_halfrange(spec, 0.0, 0.5, "cos", nodes=3)
-    fine = trig_integral_halfrange(spec, 0.0, 0.5, "cos", nodes=48)
+    spec, phase = SumSpec(r=2, l=(2, 2)), Fraction(1, 3)
+    coarse = trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos", nodes=3)
+    fine = trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos", nodes=48)
     assert fine.est_error < coarse.est_error
 
 
 def test_halfrange_rejects_bad_kind():
     with pytest.raises(ValueError):
-        trig_integral_halfrange(SumSpec(r=2, l=(1, 1)), 0.0, 0.5, "tan")
+        trig_integral_halfrange(SumSpec(r=2, l=(1, 1)), ZERO, 0.0, 0.5, "tan")
 
 
 # ------------------------------ float binomial ------------------------------
@@ -105,30 +111,50 @@ def test_series_rejects_boundary_t():
         shifted_series_eval(2, 0.5, 0.5, 10)
 
 
-# ------------------------------ identity report ------------------------------
+# -------------------------------- expansions --------------------------------
 
 
-def test_identity_report_example_spec():
-    rep = {c["check"]: c for c in identity_report(SumSpec(r=2, l=(1, 1, 1), p=1, q=5))}
-    assert rep["even-expansion"]["abs_err"] < 1e-10
-    assert rep["odd-expansion"]["abs_err"] < 1e-8
-    assert rep["antisym-expansion"]["abs_err"] < 1e-10
+def _abs_err(sides: tuple[float, float]) -> float:
+    lhs, rhs = sides
+    return abs(lhs - rhs)
 
 
-def test_identity_report_q_infinity_collapses_to_central_binomial():
+def test_expansions_example_spec():
+    spec, phase = SumSpec(r=2, l=(1, 1, 1)), Fraction(1, 5)
+    assert _abs_err(even_expansion(spec, phase)) < 1e-10
+    assert _abs_err(odd_expansion(spec, phase)) < 1e-8
+    assert _abs_err(antisym_expansion(spec, phase)) < 1e-10
+
+
+def test_expansions_q_infinity_collapse_to_central_binomial():
     spec = SumSpec(r=2, l=(1, 1))
-    rep = {c["check"]: c for c in identity_report(spec)}
-    assert rep["even-expansion"]["rhs"] == pytest.approx(6.0)
-    assert rep["odd-expansion"]["lhs"] == pytest.approx(6.0)
-    assert rep["odd-expansion"]["abs_err"] < 1e-9
+    assert even_expansion(spec, ZERO)[1] == pytest.approx(6.0)
+    odd = odd_expansion(spec, ZERO)
+    assert odd[0] == pytest.approx(6.0)
+    assert _abs_err(odd) < 1e-9
     assert sum_rule_even(spec) == 6
 
 
-def test_identity_report_small_grid():
+def test_expansions_small_grid():
     for l, p, q in [((1, 1), 1, 3), ((2, 1), 2, 7), ((1, 1, 1, 1), 1, 3), ((1, 2, 1), 1, 5)]:
-        rep = identity_report(SumSpec(r=2, l=l, p=p, q=q))
-        for c in rep:
-            assert c["abs_err"] < 1e-8, (l, p, q, c)
+        spec, phase, rows = SumSpec(r=2, l=l), Fraction(p, q), Rows()
+        for expansion in (even_expansion, odd_expansion, antisym_expansion):
+            assert _abs_err(expansion(spec, phase, rows=rows)) < 1e-8, (l, p, q, expansion)
+
+
+def test_phase_normalisation():
+    """A phase is a Fraction, so p/q is reduced before any float is formed:
+    2/4 gives the floats of 1/2 bit for bit, and phase 0, q -> infinity,
+    gives every cosine weight 1 and every sine weight 0."""
+    spec = SumSpec(r=2, l=(1, 1, 1))
+    for expansion in (even_expansion, odd_expansion, antisym_expansion):
+        assert expansion(spec, Fraction(2, 4)) == expansion(spec, Fraction(1, 2))
+        assert expansion(spec, Fraction(-7, 21)) == expansion(spec, Fraction(-1, 3))
+    assert trig_integral_full(spec, Fraction(2, 4)) == trig_integral_full(spec, Fraction(1, 2))
+    # with phase 0 the coefficient sides are the plain sums of the coefficients
+    even = even_expansion(spec, ZERO)[1]
+    assert even == sum_rule_even(spec) == math.comb(6, 3)
+    assert antisym_expansion(spec, ZERO)[1] == 0.0
 
 
 def test_each_legendre_rule_is_built_once(monkeypatch):
@@ -145,7 +171,7 @@ def test_each_legendre_rule_is_built_once(monkeypatch):
     monkeypatch.setattr(oracle, "_gauss_legendre", counting)
     try:
         # the odd-expansion integral alone splits into several Gauss ranges
-        identity_report(SumSpec(r=2, l=(1, 1), p=1, q=3), odd_A_cut=9)
+        odd_expansion(SumSpec(r=2, l=(1, 1)), Fraction(1, 3), odd_A_cut=9)
         x, w = oracle._legendre_rule(32)
     finally:
         oracle._legendre_rule.cache_clear()

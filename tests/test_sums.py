@@ -132,11 +132,18 @@ def test_family_parity_and_needs_m():
         assert family.needs_m is bool(NAIVE_FAMILIES[family][1]), family
 
 
+def _expansions(spec: SumSpec) -> None:
+    rows, phase = sums.Rows(), Fraction(0)
+    oracle.even_expansion(spec, phase, rows)
+    oracle.odd_expansion(spec, phase, 9, rows)
+    oracle.antisym_expansion(spec, phase, rows)
+
+
 def test_tables_are_built_once_per_call(monkeypatch):
     """One tail-weight build per table, per spec of an agg sweep, per ratio
-    sweep, per odd-equality check and per oracle report (its three families
-    share one W); each binomial row entry computed once per call, across all
-    the specs."""
+    sweep, per odd-equality check and per run of the three oracle expansions
+    on one row store (their three families share one W); each binomial row
+    entry computed once per call, across all the specs."""
     builds, entries = [], Counter()
     tail_weights, pi_binomial = sums._tail_weights, sums._pi_binomial
 
@@ -176,7 +183,7 @@ def test_tables_are_built_once_per_call(monkeypatch):
         ("ratio-pi", lambda: sequences.sweep("ratio-pi", range(1, 9), Window.SYMMETRIC,
                                              spec=spec, A=2)),
         ("odd-equality", lambda: cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,2,1,1"])),
-        ("identity_report", lambda: oracle.identity_report(spec, 9)),
+        ("expansions", lambda: _expansions(spec)),
     ]:
         builds.clear()
         entries.clear()
@@ -440,12 +447,9 @@ def test_sumspec_validation():
         SumSpec(r=2, l=(1,))
     with pytest.raises(ValueError):
         SumSpec(r=2, l=(1, -1))
-    with pytest.raises(ValueError):
-        SumSpec(r=2, l=(1, 1), p=1, q=0)
-    spec = SumSpec(r=2, l=(1, 1), p=2, q=4)
-    assert (spec.p, spec.q) == (1, 2)
-    inf = SumSpec(r=2, l=(1, 1), p=7, q=None)
-    assert inf.p == 0 and inf.weight_cos(3) == 1.0
+    # the phase p/q is no field of a spec (see test_oracle.test_phase_normalisation)
+    with pytest.raises(TypeError):
+        SumSpec(r=2, l=(1, 1), p=1, q=3)
 
 
 # ---------------------------- build_coeff_table -----------------------------
