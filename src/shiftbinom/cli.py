@@ -20,7 +20,8 @@ A coefficient whose value lies outside double range keeps exact `num` and
 
 `--p`/`--q`, the phase of the integrand, are `verify` flags; `--q` takes a
 positive integer or `inf`.  A `seq` kind takes the flags its builder in
-`sequences._KINDS` names, and any other given kind flag exits 2.
+`sequences._KINDS` names, and a `verify` check those `_CHECKS` names; any
+other given flag of theirs exits 2.
 `--config FILE` reads `key=value` lines; a key is a long flag name, with `-`
 or `_` (`a-max` or `a_max`), and its value is parsed and checked exactly as
 the flag's (a switch such as `check` is on for 1, true, yes or on).
@@ -35,6 +36,7 @@ import io
 import inspect
 import json
 import math
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,14 +59,18 @@ def _parse_l(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_q(text: str) -> int | None:
-    """A positive integer q, or None for inf: q -> infinity, the phase 0."""
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return value
+
+
+def _parse_q(text: str) -> int | float:
+    """A positive integer q, or math.inf: q -> infinity, the phase 0."""
     if text.lower() in ("inf", "infinity", "none"):
-        return None
-    q = int(text)
-    if q < 1:
-        raise argparse.ArgumentTypeError(f"q must be positive or inf, not {text!r}")
-    return q
+        return math.inf
+    return _parse_positive(text)
 
 
 def _parse_m_sweep(text: str) -> list[int]:
@@ -158,30 +164,48 @@ def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
     return total, math.comb(g * n, n), forms_ok
 
 
-# the verify checks, in the order `all` runs them; all but cg need a spec
-_CHECKS = ("identity", "odd-integral", "antisym-integral", "odd-equality", "sum-rule", "cg")
+# the verify checks, in the order `all` runs them, and the flags each reads;
+# `all` takes every flag, a single check only its own
+_CHECKS = {
+    "identity": ("r", "l", "p", "q"),
+    "odd-integral": ("r", "l", "p", "q", "odd_a_cut"),
+    "antisym-integral": ("r", "l", "p", "q"),
+    "odd-equality": ("r", "l", "a_max"),
+    "sum-rule": ("r", "l"),
+    "cg": ("n", "g"),
+}
 
 
 def _cmd_verify(ns) -> int:
+    names = tuple(_CHECKS) if ns.check == "all" else (ns.check,)
+    reads = {flag for name in names for flag in _CHECKS[name]}
+    for flag in dict.fromkeys(f for flags in _CHECKS.values() for f in flags):
+        if flag not in reads and getattr(ns, flag) is not None:
+            raise UsageError(f"verify {ns.check} does not take --{flag.replace('_', '-')}")
+
+    def read(flag: str, default: int) -> int | float:
+        """The flag's value, or its default: applied here, where the flag is
+        read, so that a given flag can be told from a defaulted one above."""
+        value = getattr(ns, flag)
+        return default if value is None else value
+
     checks: list[dict] = []
-    names = _CHECKS if ns.check == "all" else (ns.check,)
-    spec = None
-    if any(c != "cg" for c in names):
-        spec = _build_spec(ns)
+    spec = _build_spec(ns) if "l" in reads else None
 
     # one store for every check of the run: they all read the spec's one W
     rows = sums.Rows()
-    if not set(names).isdisjoint(_CHECKS[:3]):  # a check that integrates
+    if "q" in reads:  # a check that integrates: only those read the phase
         # imported here, so that only the checks that integrate load the oracle
         from . import oracle
 
-        phase = Fraction(0) if ns.q is None else Fraction(ns.p, ns.q)
+        p, q = read("p", 1), read("q", 3)
+        phase = Fraction(0) if q == math.inf else Fraction(p, q)
         # (check, its expansion's (lhs, rhs), tolerance on abs_err): each
         # check computes its own expansion and no other
         integrals = (
             ("identity", lambda: oracle.even_expansion(spec, phase, rows), 1e-9),
             ("odd-integral",
-             lambda: oracle.odd_expansion(spec, phase, ns.odd_a_cut, rows), 1e-6),
+             lambda: oracle.odd_expansion(spec, phase, read("odd_a_cut", 399), rows), 1e-6),
             ("antisym-integral", lambda: oracle.antisym_expansion(spec, phase, rows), 1e-9),
         )
         for name, expansion, tol in integrals:
@@ -200,7 +224,7 @@ def _cmd_verify(ns) -> int:
     if "odd-equality" in names:
         direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
         alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
-        for A in range(1, ns.a_max + 1, 2):
+        for A in range(1, read("a_max", 9) + 1, 2):
             direct, alt = direct_of(A), alt_of(A)
             equal = direct == alt
             exact_check(f"odd-equality[A={A}]", direct.coeff, alt.coeff, equal,
@@ -212,7 +236,7 @@ def _cmd_verify(ns) -> int:
         exact_check("sum-rule", total, target, total == target, _exact_str(total - target))
 
     if "cg" in names:
-        total, target, forms_ok = _cg_identity(ns.n, ns.g)
+        total, target, forms_ok = _cg_identity(read("n", 4), read("g", 2))
         exact_check("cg", total, target, forms_ok and total == target,
                     "form-mismatch" if not forms_ok else _exact_str(total - target))
 
@@ -391,13 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = command("verify", _cmd_verify, "run exact/numeric verification checks")
     pv.add_argument("check", choices=(*_CHECKS, "all"))
     _add_spec(pv)
-    # the phase p/q of the integrand, which only the integral checks read
-    pv.add_argument("--p", type=int, default=1)
-    pv.add_argument("--q", type=_parse_q, default=3, help="positive integer or 'inf'")
-    pv.add_argument("--a-max", type=int, default=9)
-    pv.add_argument("--odd-a-cut", type=int, default=399)
-    pv.add_argument("--n", type=int, default=4)
-    pv.add_argument("--g", type=int, default=2)
+    # no parser defaults, so that a flag a check does not read can be told
+    # (see _cmd_verify); the phase p/q is read only by the integral checks
+    pv.add_argument("--p", type=int, help="(default 1)")
+    pv.add_argument("--q", type=_parse_q, help="positive integer or 'inf' (default 3)")
+    pv.add_argument("--a-max", type=_parse_positive, help="(default 9)")
+    pv.add_argument("--odd-a-cut", type=_parse_positive, help="(default 399)")
+    pv.add_argument("--n", type=int, help="(default 4)")
+    pv.add_argument("--g", type=int, help="(default 2)")
 
     pc = command("coeffs", _cmd_coeffs, "emit one coefficient family as a table")
     _add_spec(pc)
@@ -451,4 +476,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The console script and `python -m shiftbinom`: main(), except that a
+    reader that closes stdout early ends the process as it ends `cat`, by
+    SIGPIPE, with nothing on stderr."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -1,31 +1,28 @@
 """Independent floating-point evaluation of the integrals and series.
 
-Nothing here touches the exact path: integrals go through equally spaced
-sampling (exact for trigonometric polynomials by discrete orthogonality) or
-Gauss-Legendre nodes.  Agreement with the exact engine is therefore
-evidence, not circularity.
+Every integrand here is the cosine-power product
+prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), or its sine form: with r even, a
+real trigonometric polynomial in 2 pi t of degree r*n/2 and period 1.  One
+method integrates it.  Discrete orthogonality turns N > r*n equally spaced
+samples into its Fourier modes, exactly up to roundoff, and each mode
+integrates in closed form over any interval; the full period is the mean of
+the samples.  The integral side of each expansion is evaluated with libm
+cosines and sines alone and reads nothing from `exact` or `sums`; only the
+coefficient side calls the exact families.  Agreement with the exact engine
+is therefore evidence, not circularity.
 
-The Gauss-Legendre rules are computed here, in pure Python: Newton's method
-on the three-term Legendre recurrence, from the starting guesses
-cos(pi (i + 3/4) / (n + 1/2)), gives the nodes; the weights are
-2 / ((1 - x^2) P_n'(x)^2).  Checked against a 40-digit rule for n in {32,
-48, 64, 96, 128, 192}, every node is within 6.5e-17 and every weight within
-1.4e-16 of the exact one, so both are within 2^-52 (the smallest weights,
-at the ends, to 4e-13 relative at n = 192); the nodes are within 3 ulp of
-numpy's leggauss.  Each rule is built once per node count and kept, in a
-bounded cache, as tuples of Python floats.
-
-The integrand is prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i): every function
-takes its phase p/q as the Fraction `phase`, 0 for q -> infinity, and forms
-floats from the reduced p and q, as p / q and pi A p / q.
+Every function takes its phase p/q as the Fraction `phase`, 0 for
+q -> infinity, and forms floats from the reduced p and q, as p / q and
+pi A p / q.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
 
@@ -56,81 +53,53 @@ def _product(spec: SumSpec, phase: Fraction, t: float, kind: str = "cos") -> flo
     return out
 
 
+def _doubled(spec: SumSpec, value: Callable[[int], float]) -> QuadratureResult:
+    """value(N) from N = r*n + 1 samples and from 2N.  The integrand has no
+    frequency above r*n/2 in 2 pi t, so any N above r*n is exact up to
+    roundoff, and the two evaluations differ by roundoff alone, which
+    est_error bounds."""
+    n1 = spec.r * spec.n + 1
+    v1, v2 = value(n1), value(2 * n1)
+    est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
+    return QuadratureResult(value=v2, samples=2 * n1, est_error=est)
+
+
 def trig_integral_full(spec: SumSpec, phase: Fraction) -> QuadratureResult:
     """Integral over one period of the cosine-power product, as the mean over
-    N equally spaced samples.
+    N equally spaced samples."""
+    return _doubled(spec, lambda n: math.fsum(_product(spec, phase, j / n) for j in range(n)) / n)
 
-    The integrand is a trigonometric polynomial of degree r*n, so any N
-    above the degree is exact up to roundoff; N = r*n + 1 is used and a
-    doubled-N evaluation bounds the roundoff.
+
+def _modes(spec: SumSpec, phase: Fraction, kind: str, n: int) -> list[complex]:
+    """The modes a_0..a_{rn/2} of the cosine- or sine-power product, which
+    equals Re sum_k a_k e^(2 pi i k t), from n equally spaced samples, with
+    n above r * spec.n.
+
+    By discrete orthogonality a_k is 2/n (1/n for a_0) times the sum of the
+    samples times e^(-2 pi i k j / n), read from a table of the n roots of
+    unity; with r even the product has no frequency above r*n/2, so none
+    aliases onto another.
     """
-    deg = spec.r * spec.n
-    n1 = deg + 1
-    v1 = math.fsum(_product(spec, phase, j / n1) for j in range(n1)) / n1
-    n2 = 2 * n1
-    v2 = math.fsum(_product(spec, phase, j / n2) for j in range(n2)) / n2
-    est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
-    return QuadratureResult(value=v2, samples=n2, est_error=est)
+    f = [_product(spec, phase, j / n, kind) for j in range(n)]
+    roots = [cmath.exp(-2j * math.pi * m / n) for m in range(n)]
+    modes = []
+    for k in range(spec.r * spec.n // 2 + 1):
+        terms = [fj * roots[k * j % n] for j, fj in enumerate(f)]
+        c = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        modes.append(c / n if k == 0 else 2.0 * c / n)
+    return modes
 
 
-# a bound, not a setting: a node took at most 4 steps for every n in 1..300,
-# 1248 and 2448
-_NEWTON_STEPS = 10
-
-
-def _legendre(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x), by the three-term recurrence, for n >= 1 and |x| < 1."""
-    p0, p1 = 1.0, x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    # P_n' = n (P_{n-1} - x P_n) / (1 - x^2); factored, 1 - x^2 keeps its digits near |x| = 1
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-
-
-def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The n-point Gauss-Legendre nodes on [-1, 1], ascending, and their
-    weights.  The positive nodes are found by Newton's method and mirrored
-    exactly, x[n-1-i] = -x[i]; for odd n the middle node is exactly 0."""
-    xs, ws = [], []  # the positive nodes, descending
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(_NEWTON_STEPS):
-            p, dp = _legendre(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < 1e-14:  # quadratic convergence: x is now exact to roundoff
-                break
-        else:
-            raise RuntimeError(
-                f"Gauss-Legendre node {i} of {n} did not converge in {_NEWTON_STEPS} steps"
-            )
-        _, dp = _legendre(n, x)
-        xs.append(x)
-        ws.append(2.0 / ((1.0 - x) * (1.0 + x) * dp * dp))
-    mid_x, mid_w = [], []
-    if n % 2:
-        _, dp = _legendre(n, 0.0)
-        mid_x, mid_w = [0.0], [2.0 / (dp * dp)]
-    return (
-        tuple([-x for x in xs] + mid_x + xs[::-1]),
-        tuple(ws + mid_w + ws[::-1]),
-    )
-
-
-@lru_cache(maxsize=32)
-def _legendre_rule(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights on [-1, 1], immutable so that every
-    caller can share the cached rule."""
-    return _gauss_legendre(nodes)
-
-
-def _gauss(
-    spec: SumSpec, phase: Fraction, lo: float, hi: float, kind: str, nodes: int
-) -> float:
-    x, w = _legendre_rule(nodes)
-    mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return rad * math.fsum(
-        wi * _product(spec, phase, mid + rad * xi, kind) for xi, wi in zip(x, w)
+def _integrate(modes: list[complex], lo: float, hi: float) -> float:
+    """The integral over [lo, hi] of Re sum_k a_k e^(2 pi i k t), in closed form:
+    a_0 (hi - lo) plus Im(a_k (e^(2 pi i k hi) - e^(2 pi i k lo))) / (2 pi k)."""
+    return math.fsum(
+        [modes[0].real * (hi - lo)]
+        + [
+            (a * (cmath.exp(2j * math.pi * k * hi) - cmath.exp(2j * math.pi * k * lo))).imag
+            / (2.0 * math.pi * k)
+            for k, a in enumerate(modes[1:], start=1)
+        ]
     )
 
 
@@ -140,26 +109,21 @@ def trig_integral_halfrange(
     lo: float = -0.5,
     hi: float = 0.5,
     kind: str = "cos",
-    nodes: int | None = None,
 ) -> QuadratureResult:
-    """Gauss-Legendre integral of the cosine- or sine-power product over
-    [lo, hi]; est_error from node-count doubling."""
+    """Integral of the cosine- or sine-power product over [lo, hi], from its
+    modes."""
     if kind not in ("cos", "sin"):
         raise ValueError("kind must be 'cos' or 'sin'")
-    if nodes is None:
-        nodes = max(32, spec.r * spec.n + 24)
-    v1 = _gauss(spec, phase, lo, hi, kind, nodes)
-    v2 = _gauss(spec, phase, lo, hi, kind, 2 * nodes)
-    est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
-    return QuadratureResult(value=v2, samples=2 * nodes, est_error=est)
+    return _doubled(spec, lambda n: _integrate(_modes(spec, phase, kind, n), lo, hi))
 
 
-def _odd_total_integral(spec: SumSpec, phase: Fraction, nodes: int | None = None) -> float:
+def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     """Integral form of the total odd-A cosine expansion.
 
     Trading the second cosine for its half-integer expansion flips the sign
     of the integrand each time t - p/q crosses a half-odd integer, so the
-    period integral splits at those points with alternating signs.
+    period integral splits at those points with alternating signs; every
+    piece is integrated from the one set of modes.
     """
     pq = phase.numerator / phase.denominator
     cuts = [-0.5]
@@ -170,12 +134,11 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction, nodes: int | None = None
             cuts.append(c)
         z += 1
     cuts.append(0.5)
+    modes = _modes(spec, phase, "cos", 2 * (spec.r * spec.n + 1))
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
-        if b - a < 1e-12:
-            continue
         sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0
-        total += sign * trig_integral_halfrange(spec, phase, a, b, "cos", nodes).value
+        total += sign * _integrate(modes, a, b)
     return total
 
 

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -182,12 +183,23 @@ _BAD_CONFIGS = {
     ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-max", "5", "--m", "7"),
     ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-max", "5", "--window", "paper"),
     ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--a-min", "2"),
+    # a verify check takes only the flags it reads
+    ("verify", "cg", "--n", "3", "--g", "2", "--r", "3", "--l", "1", "--a-max", "-4"),
+    ("verify", "sum-rule", "--r", "2", "--l", "1,1", "--p", "5", "--odd-a-cut", "1", "--n", "0"),
+    ("verify", "cg", "--n", "3", "--g", "2", "--r", "2"),
+    ("verify", "identity", "--r", "2", "--l", "1,1", "--a-max", "3"),
+    # a check with no A to check is a usage error, not a vacuous pass
+    ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "0"),
+    ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "-4"),
+    ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--odd-a-cut", "-1"),
 ], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
         "config-positional-kind", "config-positional-check", "compositions-window",
         "config-compositions-window", "seq-pi-r", "seq-pi-A", "seq-cum-s", "seq-agg-l",
         "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
-        "coeffs-no-window-window", "coeffs-a-min-alone"])
+        "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
+        "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
+        "odd-a-cut-negative"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, text in _BAD_CONFIGS.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -195,6 +207,23 @@ def test_bad_input_exits_2(tmp_path: Path, args):
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    """A reader that closes stdout early ends the process as it ends `cat`:
+    by SIGPIPE, with nothing on stderr.  The table (98 kB) is more than a
+    pipe buffers, so the child writes to the closed pipe even if it started
+    writing before the read end was closed."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "shiftbinom", "seq", "pi", "--l", "2", "--m", "1:300"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 def _seq_parser() -> argparse.ArgumentParser:

@@ -36,23 +36,57 @@ def test_full_integral_doubling_stability():
         assert res.samples == 2 * (spec.r * spec.n + 1)
 
 
+def test_closed_form_at_phase_zero():
+    """At phase 0 with r = 2, l = (1, 1) the products are (2 cos pi t)^4 =
+    6 + 8 cos 2pi t + 2 cos 4pi t and (2 sin pi t)^4 = 6 - 8 cos 2pi t +
+    2 cos 4pi t, whose antiderivatives are 6t +- (4/pi) sin 2pi t +
+    (1/(2pi)) sin 4pi t.
+
+    Roundoff bound, 2^-40 (9.1e-13): every sample is at most 2^4; it passes
+    through fewer than 2^4 roundings of relative size 2^-53 (the sample,
+    the product with its root of unity) before the exactly rounded sums; a
+    mode is twice such a mean; and its three modes, each times a difference
+    of two unit exponentials over 2 pi k, sum to less than 2^4 times the
+    largest.  A zero-width interval integrates to exactly 0.
+    """
+    spec = SumSpec(r=2, l=(1, 1))
+
+    def antiderivative(t, sign):
+        return (6 * t + sign * 4 / math.pi * math.sin(2 * math.pi * t)
+                + math.sin(4 * math.pi * t) / (2 * math.pi))
+
+    # the whole period, the antisym half range, the cut pieces of the odd
+    # integral at phase 1/3 (cut at -1/6), and an interval off the grid
+    for lo, hi in ((-0.5, 0.5), (0.0, 0.5), (-0.5, -1 / 6), (-1 / 6, 0.5), (0.1, 0.37)):
+        for kind, sign in (("cos", 1), ("sin", -1)):
+            res = trig_integral_halfrange(spec, ZERO, lo, hi, kind)
+            exact = antiderivative(hi, sign) - antiderivative(lo, sign)
+            assert abs(res.value - exact) <= 2**-40, (lo, hi, kind)
+            assert res.samples == 2 * (spec.r * spec.n + 1)
+    assert trig_integral_halfrange(spec, ZERO, 0.3, 0.3, "cos").value == 0.0
+
+
 def test_halfrange_matches_full_for_even_integrand():
-    spec, phase = SumSpec(r=2, l=(1, 1)), Fraction(1, 3)
-    a = trig_integral_halfrange(spec, phase, -0.5, 0.5, "cos")
-    b = trig_integral_full(spec, phase)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    """[-1/2, 1/2] gives the period integral, and integrals over adjacent
+    intervals add up, both to roundoff relative to C(rn, rn/2), which bounds
+    the integrand's mean."""
+    for spec, phase in ((SumSpec(r=2, l=(1, 1)), Fraction(1, 3)),
+                        (SumSpec(r=2, l=(1, 2, 1)), Fraction(1, 5)),
+                        (SumSpec(r=4, l=(1, 1, 1)), Fraction(3, 8))):
+        full = trig_integral_full(spec, phase).value
+        tol = 1e-14 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
+        whole = trig_integral_halfrange(spec, phase, -0.5, 0.5, "cos").value
+        assert whole == pytest.approx(full, abs=tol), spec
+        for kind in ("cos", "sin"):
+            for a, b, c in ((-0.5, -0.1, 0.5), (0.0, 0.2, 0.5), (-0.3, 0.05, 0.45)):
+                ab, bc, ac = (trig_integral_halfrange(spec, phase, lo, hi, kind).value
+                              for lo, hi in ((a, b), (b, c), (a, c)))
+                assert ab + bc == pytest.approx(ac, abs=tol), (spec, kind, a, b, c)
 
 
 def test_halfrange_sin_of_all_zero_parts_is_range_length():
     res = trig_integral_halfrange(SumSpec(r=2, l=(0, 0)), ZERO, 0.0, 0.5, "sin")
     assert res.value == pytest.approx(0.5)
-
-
-def test_halfrange_refinement_shrinks_error():
-    spec, phase = SumSpec(r=2, l=(2, 2)), Fraction(1, 3)
-    coarse = trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos", nodes=3)
-    fine = trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos", nodes=48)
-    assert fine.est_error < coarse.est_error
 
 
 def test_halfrange_rejects_bad_kind():
@@ -155,79 +189,3 @@ def test_phase_normalisation():
     even = even_expansion(spec, ZERO)[1]
     assert even == sum_rule_even(spec) == math.comb(6, 3)
     assert antisym_expansion(spec, ZERO)[1] == 0.0
-
-
-def test_each_legendre_rule_is_built_once(monkeypatch):
-    from shiftbinom import oracle
-
-    built = []
-    build = oracle._gauss_legendre
-
-    def counting(nodes):
-        built.append(nodes)
-        return build(nodes)
-
-    oracle._legendre_rule.cache_clear()
-    monkeypatch.setattr(oracle, "_gauss_legendre", counting)
-    try:
-        # the odd-expansion integral alone splits into several Gauss ranges
-        odd_expansion(SumSpec(r=2, l=(1, 1)), Fraction(1, 3), odd_A_cut=9)
-        x, w = oracle._legendre_rule(32)
-    finally:
-        oracle._legendre_rule.cache_clear()
-    assert sorted(built) == [32, 64]
-    assert isinstance(x, tuple) and isinstance(w, tuple)
-    assert (x, w) == build(32)
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """(ints, e) with values[i] == ints[i] / 2**e exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    e = max(q.bit_length() - 1 for _, q in ratios)
-    return [p << (e - q.bit_length() + 1) for p, q in ratios], e
-
-
-@pytest.mark.parametrize("n", [32, 48, 64, 96])
-def test_legendre_rule_integrates_every_monomial_below_degree_2n(n):
-    """The exact n-point rule integrates x^k over [-1, 1] exactly for
-    k < 2n: sum_i w_i x_i^k = 2/(k+1) for even k, 0 for odd k.
-
-    Write x, w for the exact rule and x~, w~ for the float one, each within
-    d = 2^-52 of the exact (the accuracy the oracle docstring states).
-    Every node lies in [-1, 1], so |x~^k - x^k| <= k d, and the exact
-    weights sum to 2.  So
-
-        |sum w~ x~^k - sum w x^k| <= sum |w~ - w| |x~|^k + sum w |x~^k - x^k|
-                                  <= n d + 2 k d,
-
-    which is the bound checked here, in exact arithmetic: the floats are
-    read as integers over a power of 2, so no rounding enters the sums.
-    """
-    from shiftbinom import oracle
-
-    x, w = oracle._gauss_legendre(n)
-    assert len(x) == len(w) == n
-    assert list(x) == sorted(x) and all(-1.0 < v < 1.0 for v in x)
-    assert all(x[n - 1 - i] == -x[i] and w[n - 1 - i] == w[i] for i in range(n))
-    assert all(v > 0.0 for v in w)
-    nodes, ex = _scaled(x)
-    terms, ew = _scaled(w)  # w_i x_i^k as integers over 2**(ew + k ex)
-    for k in range(2 * n):
-        moment = Fraction(sum(terms), 2 ** (ew + k * ex))
-        exact = Fraction(2, k + 1) if k % 2 == 0 else 0
-        assert abs(moment - exact) <= Fraction(n + 2 * k, 2**52), k
-        terms = [t * v for t, v in zip(terms, nodes)]
-
-
-def test_legendre_rule_odd_n_and_non_convergence(monkeypatch):
-    from shiftbinom import oracle
-
-    x, w = oracle._gauss_legendre(33)
-    assert x[16] == 0.0 and x == tuple(-v for v in reversed(x))
-    assert oracle._gauss_legendre(1) == ((0.0,), (2.0,))
-    x, w = oracle._gauss_legendre(2)
-    assert x == pytest.approx((-3**-0.5, 3**-0.5)) and w == pytest.approx((1.0, 1.0))
-    # one Newton step from the starting guess cannot reach roundoff
-    monkeypatch.setattr(oracle, "_NEWTON_STEPS", 1)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        oracle._gauss_legendre(32)
