@@ -59,10 +59,13 @@ def _parse_l(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_positive(text: str) -> int:
-    value = int(text)
+def _parse_positive(text: str, expected: str = "a positive integer") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: reported below
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, not {text!r}")
     return value
 
 
@@ -70,28 +73,34 @@ def _parse_q(text: str) -> int | float:
     """A positive integer q, or math.inf: q -> infinity, the phase 0."""
     if text.lower() in ("inf", "infinity", "none"):
         return math.inf
-    return _parse_positive(text)
+    return _parse_positive(text, "a positive integer or inf")
 
 
 def _parse_m_sweep(text: str) -> list[int]:
-    if ":" not in text:
-        return [int(text)]
     fields = text.split(":")
     if len(fields) == 2:
         fields.append("1")
-    if len(fields) != 3:
-        raise argparse.ArgumentTypeError(f"bad m sweep {text!r}; expected start:stop:stride")
-    start, stop, stride = (int(v) for v in fields)
-    if stride < 1 or stop < start:
-        raise argparse.ArgumentTypeError(f"bad m sweep {text!r}")
+    try:
+        values = [int(v) for v in fields]
+    except ValueError:
+        values = []  # not integers: reported below
+    if len(values) == 1:
+        return values
+    if len(values) != 3 or values[2] < 1 or values[1] < values[0]:
+        raise argparse.ArgumentTypeError(
+            f"bad m sweep {text!r}; expected an integer or start:stop:stride, stop >= start"
+        )
+    start, stop, stride = values
     return list(range(start, stop + 1, stride))
 
 
 def _parse_shift(text: str) -> Shift:
     try:
         return Shift.parse(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"bad shift {text!r}; zero denominator")
+    except ParameterError as e:
+        raise argparse.ArgumentTypeError(f"bad shift {text!r}: {e}")
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad shift {text!r}; expected a fraction such as 1/3")
 
 
 class UsageError(Exception):
@@ -145,11 +154,6 @@ def _build_spec(ns) -> SumSpec:
     if ns.l is None:
         raise UsageError("--l is required for this command")
     return SumSpec(r=2 if ns.r is None else ns.r, l=ns.l)
-
-
-def _window(ns) -> dict:
-    """--window as a keyword argument if given, else none: the library's default."""
-    return {} if ns.window is None else {"window": ns.window}
 
 
 def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
@@ -268,7 +272,8 @@ def _cmd_coeffs(ns) -> int:
             raise UsageError(
                 f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    table = sums.build_coeff_table(spec, family, A_values, m, **_window(ns))
+    window = {} if ns.window is None else {"window": ns.window}  # else the library's default
+    table = sums.build_coeff_table(spec, family, A_values, m, **window)
     rows = [
         {
             "A": A,
@@ -284,9 +289,8 @@ def _cmd_coeffs(ns) -> int:
 
 
 def _kind_params(kind: str) -> list[inspect.Parameter]:
-    """The parameters of kind's builder after its window: the one list of
-    what the kind takes."""
-    return list(inspect.signature(sequences._KINDS[kind]).parameters.values())[1:]
+    """The parameters of kind's builder: the one list of what the kind takes."""
+    return list(inspect.signature(sequences._KINDS[kind]).parameters.values())
 
 
 def _kind_flags(kind: str) -> list[str]:
@@ -324,7 +328,7 @@ def _cmd_seq(ns) -> int:
             "target": f"{rec.target_tag}={rec.target_value!r}",
             "abs_error": rec.abs_error,
         }
-        for rec in sequences.sweep(kind, ns.m, **_window(ns), **params)
+        for rec in sequences.sweep(kind, ns.m, **params)
     ]
     _emit(rows, ["m", "num", "den", "float", "target", "abs_error"], ns.format, ns.out)
     return 0
@@ -366,6 +370,8 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read --config {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read --config {path}: not UTF-8 text")
     flags: dict[str, str | None] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -393,7 +399,8 @@ def _add_spec(p: argparse.ArgumentParser) -> None:
 def _add_table(p: argparse.ArgumentParser, window: Window | None = None) -> None:
     if window is not None:
         # the values, not the members, so that --help shows what to type; no
-        # default, so that coeffs can tell a given --window (see _window)
+        # default, so that a given --window can be told: coeffs and seq reject
+        # it on a family or kind without a window
         p.add_argument("--window", type=Window, choices=[w.value for w in Window],
                        help=f"paper or symmetric (default {window.value})")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -3,10 +3,12 @@
 Every integrand here is the cosine-power product
 prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), or its sine form: with r even, a
 real trigonometric polynomial in 2 pi t of degree r*n/2 and period 1.  One
-method integrates it.  Discrete orthogonality turns N > r*n equally spaced
-samples into its Fourier modes, exactly up to roundoff, and each mode
-integrates in closed form over any interval; the full period is the mean of
-the samples.  The integral side of each expansion is evaluated with libm
+set of samples per product serves every integral of it.  The product is
+sampled once, at N = 2(r*n + 1) equally spaced points, more than its degree
+r*n needs.  The period integral is the mean of those samples.  Discrete
+orthogonality turns the same samples into the product's Fourier modes,
+exactly up to roundoff, and each mode integrates in closed form over any
+interval.  The integral side of each expansion is evaluated with libm
 cosines and sines alone and reads nothing from `exact` or `sums`; only the
 coefficient side calls the exact families.  Agreement with the exact engine
 is therefore evidence, not circularity.
@@ -20,67 +22,39 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
 
-__all__ = [
-    "QuadratureResult",
-    "trig_integral_full",
-    "trig_integral_halfrange",
-    "even_expansion",
-    "odd_expansion",
-    "antisym_expansion",
-]
+__all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    samples: int
-    est_error: float
-
-
-def _product(spec: SumSpec, phase: Fraction, t: float, kind: str = "cos") -> float:
+def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
+    """The cosine- or sine-power product at t = j/N, j = 0..N-1, with
+    N = 2(r*n + 1)."""
     fn = math.cos if kind == "cos" else math.sin
     pq = phase.numerator / phase.denominator
-    out = 1.0
-    for i, li in enumerate(spec.l, start=1):
-        if li:
-            out *= (2.0 * fn(math.pi * t - math.pi * (i - 1) * pq)) ** (spec.r * li)
-    return out
+    n = 2 * (spec.r * spec.n + 1)
+    samples = []
+    for j in range(n):
+        t, out = j / n, 1.0
+        for i, li in enumerate(spec.l, start=1):
+            if li:
+                out *= (2.0 * fn(math.pi * t - math.pi * (i - 1) * pq)) ** (spec.r * li)
+        samples.append(out)
+    return samples
 
 
-def _doubled(spec: SumSpec, value: Callable[[int], float]) -> QuadratureResult:
-    """value(N) from N = r*n + 1 samples and from 2N.  The integrand has no
-    frequency above r*n/2 in 2 pi t, so any N above r*n is exact up to
-    roundoff, and the two evaluations differ by roundoff alone, which
-    est_error bounds."""
-    n1 = spec.r * spec.n + 1
-    v1, v2 = value(n1), value(2 * n1)
-    est = abs(v1 - v2) + 1e-15 * (1.0 + abs(v2))
-    return QuadratureResult(value=v2, samples=2 * n1, est_error=est)
+def _modes(spec: SumSpec, f: list[float]) -> list[complex]:
+    """The modes a_0..a_{rn/2} of the product sampled as f, which equals
+    Re sum_k a_k e^(2 pi i k t).
 
-
-def trig_integral_full(spec: SumSpec, phase: Fraction) -> QuadratureResult:
-    """Integral over one period of the cosine-power product, as the mean over
-    N equally spaced samples."""
-    return _doubled(spec, lambda n: math.fsum(_product(spec, phase, j / n) for j in range(n)) / n)
-
-
-def _modes(spec: SumSpec, phase: Fraction, kind: str, n: int) -> list[complex]:
-    """The modes a_0..a_{rn/2} of the cosine- or sine-power product, which
-    equals Re sum_k a_k e^(2 pi i k t), from n equally spaced samples, with
-    n above r * spec.n.
-
-    By discrete orthogonality a_k is 2/n (1/n for a_0) times the sum of the
-    samples times e^(-2 pi i k j / n), read from a table of the n roots of
+    By discrete orthogonality a_k is 2/N (1/N for a_0) times the sum of the
+    N samples times e^(-2 pi i k j / N), read from a table of the N roots of
     unity; with r even the product has no frequency above r*n/2, so none
     aliases onto another.
     """
-    f = [_product(spec, phase, j / n, kind) for j in range(n)]
+    n = len(f)
     roots = [cmath.exp(-2j * math.pi * m / n) for m in range(n)]
     modes = []
     for k in range(spec.r * spec.n // 2 + 1):
@@ -103,20 +77,6 @@ def _integrate(modes: list[complex], lo: float, hi: float) -> float:
     )
 
 
-def trig_integral_halfrange(
-    spec: SumSpec,
-    phase: Fraction,
-    lo: float = -0.5,
-    hi: float = 0.5,
-    kind: str = "cos",
-) -> QuadratureResult:
-    """Integral of the cosine- or sine-power product over [lo, hi], from its
-    modes."""
-    if kind not in ("cos", "sin"):
-        raise ValueError("kind must be 'cos' or 'sin'")
-    return _doubled(spec, lambda n: _integrate(_modes(spec, phase, kind, n), lo, hi))
-
-
 def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     """Integral form of the total odd-A cosine expansion.
 
@@ -134,7 +94,7 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
             cuts.append(c)
         z += 1
     cuts.append(0.5)
-    modes = _modes(spec, phase, "cos", 2 * (spec.r * spec.n + 1))
+    modes = _modes(spec, _samples(spec, phase, "cos"))
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
         sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0
@@ -150,10 +110,11 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
 def even_expansion(
     spec: SumSpec, phase: Fraction, rows: Rows | None = None
 ) -> tuple[float, float]:
-    """The period integral, and the sum over the even support of
-    cos(pi A p/q) times the even coefficient."""
+    """The period integral, the mean of the cosine samples, and the sum over
+    the even support of cos(pi A p/q) times the even coefficient."""
     p, q = phase.numerator, phase.denominator
-    lhs = trig_integral_full(spec, phase).value
+    f = _samples(spec, phase, "cos")
+    lhs = math.fsum(f) / len(f)
     even = Coefficients(spec, Family.EVEN, rows=rows)
     rhs = math.fsum(
         math.cos(math.pi * A * p / q) * even(A).coeff.numerator
@@ -163,7 +124,7 @@ def even_expansion(
 
 
 def odd_expansion(
-    spec: SumSpec, phase: Fraction, odd_A_cut: int = 199, rows: Rows | None = None
+    spec: SumSpec, phase: Fraction, odd_A_cut: int, rows: Rows | None = None
 ) -> tuple[float, float]:
     """The integral of the total odd-A expansion, and the sum over odd
     |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
@@ -184,8 +145,8 @@ def antisym_expansion(
     |A| <= antisym_A_bound of sin(pi A p/q) times the antisym-exact coefficient."""
     p, q = phase.numerator, phase.denominator
     lhs = (
-        trig_integral_halfrange(spec, phase, 0.0, 0.5, "cos").value
-        - trig_integral_halfrange(spec, phase, 0.0, 0.5, "sin").value
+        _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
+        - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
     bound = antisym_A_bound(spec)
     antisym = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)

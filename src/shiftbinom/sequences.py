@@ -4,11 +4,12 @@ g-composition enumeration and their combinatorial weights.
 Each operation returns a SeqRecord whose `exact` field is a plain Fraction:
 the beta-power bookkeeping is stripped symbolically, never through floats.
 Sequence windows default to the one-sided 'paper' convention; the symmetric
-variant is available everywhere a half-integer window appears.
+variant is available everywhere a half-integer window appears, as the
+`window` parameter of the builders that have one.
 
-`sweep(kind, ms, window, **params)` is the one entry point: it evaluates
-every kind from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each
-document their kind.  A builder checks the kind's parameters and gives the
+`sweep(kind, ms, **params)` is the one entry point: it evaluates every kind
+from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each document
+their kind.  A builder checks the kind's parameters and gives the
 window of integer indices at m, the term at one index, an exact prefactor and
 the target; the value at m is the prefactor times the sum of the terms over
 the window.  The windows are nested: each holds index 0 and the window at
@@ -130,7 +131,7 @@ def _central(l: int) -> Fraction:
     return Fraction(factorial(2 * big_m), 4**big_m * factorial(big_m)) ** 2 / factorial(l)
 
 
-def _pi(window: Window, l: int) -> _Kind:
+def _pi(l: int, window: Window = Window.PAPER) -> _Kind:
     """2^-l sum of pi C(l, l/2 + k), k half-integer: the shifted (2 cos pi t)^l at t = 0."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
@@ -138,7 +139,7 @@ def _pi(window: Window, l: int) -> _Kind:
                  _binomial_term(l, SHIFT_HALF, alternating=False))
 
 
-def _pi2(window: Window, l: int) -> _Kind:
+def _pi2(l: int, window: Window = Window.PAPER) -> _Kind:
     """((l/2)!^2/l!) sum of pi C(l, l/2 + k) (-1)^(k-1/2)/k: the term-wise integral."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
@@ -146,7 +147,7 @@ def _pi2(window: Window, l: int) -> _Kind:
                  _binomial_term(l, SHIFT_HALF, alternating=True))
 
 
-def _pis(window: Window, l: int, s: Shift) -> _Kind:
+def _pis(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
     """pi with the shift s; k runs over integers for even l, half-integers for odd l."""
     if s.is_zero:
         raise ParameterError("s = 0 has no 1/sin(pi s) scale; use the classical path")
@@ -157,7 +158,7 @@ def _pis(window: Window, l: int, s: Shift) -> _Kind:
                  _binomial_term(l, s, alternating=False))
 
 
-def _pis2(window: Window, l: int, s: Shift) -> _Kind:
+def _pis2(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
     """pi2 with shift s, for even l: sign (-1)^k and denominator k + s."""
     if s.is_zero:
         raise ParameterError("s = 0 has no 1/sin(pi s) scale")
@@ -168,7 +169,7 @@ def _pis2(window: Window, l: int, s: Shift) -> _Kind:
                  _binomial_term(l, s, alternating=True))
 
 
-def _pis_odd(window: Window, l: int, s: Shift) -> _Kind:
+def _pis_odd(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
     """pis2 for odd l; _central drops the extra pi of (l/2)!^2 at half-integer l/2."""
     if l < 1 or l % 2 == 0:
         raise ParameterError("l must be odd")
@@ -196,13 +197,13 @@ def _odd_A_sums(
     return _Kind(tag, target, 0, pref, lambda m: range(m + 1), term)
 
 
-def _cum(window: Window, spec: SumSpec) -> _Kind:
+def _cum(spec: SumSpec) -> _Kind:
     """2 sum over odd A = 1..2m+1 of the pi^2-stripped odd coefficients."""
     target = math.pi**2 * as_float(math.comb(spec.r * spec.n, spec.r * spec.n // 2))
     return _odd_A_sums(2, [(1, spec)], "pi^2*C(rn,rn/2)", target)
 
 
-def _agg(window: Window, n: int, g: int, r: int = 2) -> _Kind:
+def _agg(n: int, g: int, r: int = 2) -> _Kind:
     """g n sum over the g-compositions of n of cg_weight times their cum terms."""
     weighted = [
         (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp)))
@@ -214,7 +215,7 @@ def _agg(window: Window, n: int, g: int, r: int = 2) -> _Kind:
     return _odd_A_sums(2 * g * n, weighted, "pi^2*C(rn,rn/2)*C(gn,n)", target)
 
 
-def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
+def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated shifted coefficient over its exact even-family limit."""
     rows = Rows()
     ref = Coefficients(spec, Family.EVEN, rows=rows)(A).coeff
@@ -225,7 +226,7 @@ def _ratio_pi2(window: Window, spec: SumSpec, A: int) -> _Kind:
                  lambda i: term(2 * i + 1))
 
 
-def _ratio_pi(window: Window, spec: SumSpec, A: int) -> _Kind:
+def _ratio_pi(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated antisym coefficient (two pi powers) over its antisym-exact
     limit (one)."""
     rows = Rows()
@@ -250,21 +251,19 @@ _KINDS: dict[str, Callable[..., _Kind]] = {
 }
 
 
-def sweep(
-    kind: str, ms: Iterable[int], window: Window = Window.PAPER, **params
-) -> list[SeqRecord]:
+def sweep(kind: str, ms: Iterable[int], **params) -> list[SeqRecord]:
     """The records of one sequence kind at each m of ms, in the order given.
 
-    params are the keyword parameters of the kind's builder in `_KINDS`,
-    after its window; that signature is the one list of what a kind takes,
-    and the CLI's `seq` reads its flags from it.  `window` is the
-    half-integer truncation convention; kinds without a half-integer window
-    ignore it.  Every parameter and every m is checked before any term is
+    params are the keyword parameters of the kind's builder in `_KINDS`;
+    that signature is the one list of what a kind takes, and the CLI's `seq`
+    reads its flags from it.  The kinds with a half-integer window take
+    `window`, its truncation convention, default `Window.PAPER`; the others
+    do not.  Every parameter and every m is checked before any term is
     computed.
     """
     if kind not in _KINDS:
         raise ParameterError(f"unknown sequence kind {kind!r}")
-    seq = _KINDS[kind](window, **params)
+    seq = _KINDS[kind](**params)
     ms = list(ms)
     if ms and min(ms) < seq.least_m:
         raise ParameterError(f"m must be >= {seq.least_m}")

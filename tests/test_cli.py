@@ -1,6 +1,5 @@
 import argparse
 import csv
-import inspect
 import io
 import json
 import math
@@ -140,12 +139,13 @@ def test_only_parameter_errors_exit_2(monkeypatch, capsys, error, code, err):
 
 
 _BAD_CONFIGS = {
-    "zero.cfg": "s=1/0\n",
-    "q0.cfg": "q=0\n",
-    "xml.cfg": "format=xml\n",
-    "kind.cfg": "kind=pi2\n",
-    "check.cfg": "check=all\n",
-    "window.cfg": "window=symmetric\n",
+    "zero.cfg": b"s=1/0\n",
+    "q0.cfg": b"q=0\n",
+    "xml.cfg": b"format=xml\n",
+    "kind.cfg": b"kind=pi2\n",
+    "check.cfg": b"check=all\n",
+    "window.cfg": b"window=symmetric\n",
+    "latin1.cfg": b"m=1:3\n\xff\xfe=1\n",
 }
 
 
@@ -153,6 +153,7 @@ _BAD_CONFIGS = {
     ("seq", "pis", "--l", "2", "--s", "1/0", "--m", "1"),
     ("seq", "pis", "--l", "2", "--m", "1", "--config", "{tmp}/zero.cfg"),
     ("seq", "pi", "--l", "2", "--m", "1", "--config", "{tmp}/missing.cfg"),
+    ("seq", "pi", "--l", "2", "--config", "{tmp}/latin1.cfg"),
     ("seq", "pi", "--l", "2", "--m", "1", "--out", "{tmp}/missing/pi.csv"),
     # coeffs evaluates one truncation; a sweep would silently lose all but its first m
     ("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1", "--a-max", "2", "--m", "10:50"),
@@ -174,6 +175,10 @@ _BAD_CONFIGS = {
     ("seq", "pi", "--l", "2", "--m", "2", "--A", "7"),
     ("seq", "cum", "--r", "2", "--l", "1,1", "--m", "2", "--s", "1/3"),
     ("seq", "agg", "--n", "2", "--g", "2", "--m", "1", "--l", "5"),
+    # only the kinds with a half-integer window take --window
+    ("seq", "cum", "--r", "2", "--l", "1,1", "--m", "3", "--window", "symmetric"),
+    ("seq", "agg", "--n", "2", "--g", "2", "--m", "1", "--window", "symmetric"),
+    ("seq", "cum", "--r", "2", "--l", "1,1", "--m", "3", "--config", "{tmp}/window.cfg"),
     # the phase p/q is a verify flag alone: no family or kind depends on it
     ("seq", "pi", "--l", "2", "--m", "3", "--q", "0"),
     ("seq", "pi", "--l", "2", "--m", "3", "--p", "2"),
@@ -192,21 +197,38 @@ _BAD_CONFIGS = {
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "0"),
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "-4"),
     ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--odd-a-cut", "-1"),
-], ids=["shift", "config-shift", "missing-config", "out-directory", "coeffs-m-sweep",
+], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
+        "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
         "config-positional-kind", "config-positional-check", "compositions-window",
         "config-compositions-window", "seq-pi-r", "seq-pi-A", "seq-cum-s", "seq-agg-l",
+        "seq-cum-window", "seq-agg-window", "config-seq-cum-window",
         "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
         "odd-a-cut-negative"])
 def test_bad_input_exits_2(tmp_path: Path, args):
-    for name, text in _BAD_CONFIGS.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, data in _BAD_CONFIGS.items():
+        (tmp_path / name).write_bytes(data)
     cp = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+@pytest.mark.parametrize("args, hint", [
+    (("seq", "pi", "--l", "2", "--m", "abc"), "expected an integer or start:stop:stride"),
+    (("seq", "pi", "--l", "2", "--m", "1:x"), "expected an integer or start:stop:stride"),
+    (("verify", "odd-equality", "--l", "1,1", "--a-max", "x"), "expected a positive integer"),
+    (("verify", "identity", "--l", "1,1", "--q", "2.5"), "expected a positive integer or inf"),
+    (("seq", "pis", "--l", "3", "--s", "1.5", "--m", "3"), "shift must satisfy 0 <= s < 1"),
+], ids=["m-word", "m-sweep-word", "a-max-word", "q-fraction", "shift-range"])
+def test_bad_flag_value_says_what_to_type(args, hint):
+    # argparse names the type function when it raises a bare ValueError
+    cp = run_cli(*args)
+    assert cp.returncode == 2 and cp.stdout == ""
+    [error] = [line for line in cp.stderr.splitlines() if "error:" in line]
+    assert hint in error and "_parse" not in cp.stderr and "Traceback" not in cp.stderr
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
@@ -232,21 +254,20 @@ def _seq_parser() -> argparse.ArgumentParser:
 
 
 def test_seq_flags_are_the_builder_parameters():
-    """Every parameter of a `_KINDS` builder after its window maps onto a seq
-    flag (spec onto --r and --l), and every seq flag that not every kind
-    takes is a parameter of some builder."""
+    """Every parameter of a `_KINDS` builder maps onto a seq flag (spec onto
+    --r and --l), and every seq flag that not every kind takes is a
+    parameter of some builder."""
     from shiftbinom.sequences import _KINDS
 
     seq = _seq_parser()
     parser_flags = {a.dest for a in seq._actions if a.option_strings}
     builder_flags = set()
     for kind, build in _KINDS.items():
-        assert next(iter(inspect.signature(build).parameters)) == "window", kind
         assert set(cli._kind_flags(kind)) <= parser_flags, kind
         builder_flags.update(cli._kind_flags(kind))
-    assert cli._kind_flags("ratio-pi") == ["r", "l", "A"]
+    assert cli._kind_flags("ratio-pi") == ["r", "l", "A", "window"]
     assert cli._kind_flags("agg") == ["n", "g", "r"]
-    assert parser_flags - {"help", "config", "window", "format", "out", "m"} == builder_flags
+    assert parser_flags - {"help", "config", "format", "out", "m"} == builder_flags
     # a kind flag has no parser default, so that a given one can be told
     assert all(a.default is None for a in seq._actions if a.dest in builder_flags)
 

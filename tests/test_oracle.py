@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from shiftbinom.oracle import (
+    _integrate,
+    _modes,
+    _samples,
     antisym_expansion,
     even_expansion,
     odd_expansion,
-    trig_integral_full,
-    trig_integral_halfrange,
 )
 from shiftbinom.sums import Rows, SumSpec, sum_rule_even
 
@@ -17,23 +19,26 @@ from reference import float_binomial, shifted_series_eval
 
 ZERO = Fraction(0)  # the phase of q -> infinity
 
+# the three expansions, the odd one cut at |A| <= 199
+EXPANSIONS = (even_expansion, partial(odd_expansion, odd_A_cut=199), antisym_expansion)
+
+
+def _period(spec: SumSpec, phase: Fraction) -> float:
+    """The period integral as even_expansion forms it: the mean of the samples."""
+    f = _samples(spec, phase, "cos")
+    return math.fsum(f) / len(f)
+
+
+def _integral(spec: SumSpec, phase: Fraction, lo: float, hi: float, kind: str) -> float:
+    """The integral of the cosine- or sine-power product over [lo, hi], from
+    its modes."""
+    return _integrate(_modes(spec, _samples(spec, phase, kind)), lo, hi)
+
 
 def test_full_integral_examples():
-    assert trig_integral_full(SumSpec(r=2, l=(1, 1)), ZERO).value == pytest.approx(6.0)
-    assert trig_integral_full(SumSpec(r=2, l=(1, 1)), Fraction(1, 2)).value == pytest.approx(
-        2.0
-    )
-    assert trig_integral_full(SumSpec(r=2, l=(0, 0)), ZERO).value == pytest.approx(1.0)
-
-
-def test_full_integral_doubling_stability():
-    # N = rn+1 is already exact by discrete orthogonality; doubling moves
-    # nothing beyond roundoff, which est_error reports
-    for spec, phase in ((SumSpec(r=2, l=(1, 1, 1)), Fraction(1, 5)),
-                        (SumSpec(r=2, l=(2, 2)), Fraction(2, 7))):
-        res = trig_integral_full(spec, phase)
-        assert res.est_error < 1e-12 * max(1.0, abs(res.value))
-        assert res.samples == 2 * (spec.r * spec.n + 1)
+    assert _period(SumSpec(r=2, l=(1, 1)), ZERO) == pytest.approx(6.0)
+    assert _period(SumSpec(r=2, l=(1, 1)), Fraction(1, 2)) == pytest.approx(2.0)
+    assert _period(SumSpec(r=2, l=(0, 0)), ZERO) == pytest.approx(1.0)
 
 
 def test_closed_form_at_phase_zero():
@@ -59,11 +64,10 @@ def test_closed_form_at_phase_zero():
     # integral at phase 1/3 (cut at -1/6), and an interval off the grid
     for lo, hi in ((-0.5, 0.5), (0.0, 0.5), (-0.5, -1 / 6), (-1 / 6, 0.5), (0.1, 0.37)):
         for kind, sign in (("cos", 1), ("sin", -1)):
-            res = trig_integral_halfrange(spec, ZERO, lo, hi, kind)
             exact = antiderivative(hi, sign) - antiderivative(lo, sign)
-            assert abs(res.value - exact) <= 2**-40, (lo, hi, kind)
-            assert res.samples == 2 * (spec.r * spec.n + 1)
-    assert trig_integral_halfrange(spec, ZERO, 0.3, 0.3, "cos").value == 0.0
+            assert abs(_integral(spec, ZERO, lo, hi, kind) - exact) <= 2**-40, (lo, hi, kind)
+    assert _integral(spec, ZERO, 0.3, 0.3, "cos") == 0.0
+    assert len(_samples(spec, ZERO, "cos")) == 2 * (spec.r * spec.n + 1)
 
 
 def test_halfrange_matches_full_for_even_integrand():
@@ -73,25 +77,19 @@ def test_halfrange_matches_full_for_even_integrand():
     for spec, phase in ((SumSpec(r=2, l=(1, 1)), Fraction(1, 3)),
                         (SumSpec(r=2, l=(1, 2, 1)), Fraction(1, 5)),
                         (SumSpec(r=4, l=(1, 1, 1)), Fraction(3, 8))):
-        full = trig_integral_full(spec, phase).value
+        full = _period(spec, phase)
         tol = 1e-14 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-        whole = trig_integral_halfrange(spec, phase, -0.5, 0.5, "cos").value
+        whole = _integral(spec, phase, -0.5, 0.5, "cos")
         assert whole == pytest.approx(full, abs=tol), spec
         for kind in ("cos", "sin"):
             for a, b, c in ((-0.5, -0.1, 0.5), (0.0, 0.2, 0.5), (-0.3, 0.05, 0.45)):
-                ab, bc, ac = (trig_integral_halfrange(spec, phase, lo, hi, kind).value
+                ab, bc, ac = (_integral(spec, phase, lo, hi, kind)
                               for lo, hi in ((a, b), (b, c), (a, c)))
                 assert ab + bc == pytest.approx(ac, abs=tol), (spec, kind, a, b, c)
 
 
 def test_halfrange_sin_of_all_zero_parts_is_range_length():
-    res = trig_integral_halfrange(SumSpec(r=2, l=(0, 0)), ZERO, 0.0, 0.5, "sin")
-    assert res.value == pytest.approx(0.5)
-
-
-def test_halfrange_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        trig_integral_halfrange(SumSpec(r=2, l=(1, 1)), ZERO, 0.0, 0.5, "tan")
+    assert _integral(SumSpec(r=2, l=(0, 0)), ZERO, 0.0, 0.5, "sin") == pytest.approx(0.5)
 
 
 # ------------------------------ float binomial ------------------------------
@@ -156,14 +154,14 @@ def _abs_err(sides: tuple[float, float]) -> float:
 def test_expansions_example_spec():
     spec, phase = SumSpec(r=2, l=(1, 1, 1)), Fraction(1, 5)
     assert _abs_err(even_expansion(spec, phase)) < 1e-10
-    assert _abs_err(odd_expansion(spec, phase)) < 1e-8
+    assert _abs_err(odd_expansion(spec, phase, 199)) < 1e-8
     assert _abs_err(antisym_expansion(spec, phase)) < 1e-10
 
 
 def test_expansions_q_infinity_collapse_to_central_binomial():
     spec = SumSpec(r=2, l=(1, 1))
     assert even_expansion(spec, ZERO)[1] == pytest.approx(6.0)
-    odd = odd_expansion(spec, ZERO)
+    odd = odd_expansion(spec, ZERO, 199)
     assert odd[0] == pytest.approx(6.0)
     assert _abs_err(odd) < 1e-9
     assert sum_rule_even(spec) == 6
@@ -172,7 +170,7 @@ def test_expansions_q_infinity_collapse_to_central_binomial():
 def test_expansions_small_grid():
     for l, p, q in [((1, 1), 1, 3), ((2, 1), 2, 7), ((1, 1, 1, 1), 1, 3), ((1, 2, 1), 1, 5)]:
         spec, phase, rows = SumSpec(r=2, l=l), Fraction(p, q), Rows()
-        for expansion in (even_expansion, odd_expansion, antisym_expansion):
+        for expansion in EXPANSIONS:
             assert _abs_err(expansion(spec, phase, rows=rows)) < 1e-8, (l, p, q, expansion)
 
 
@@ -181,10 +179,11 @@ def test_phase_normalisation():
     2/4 gives the floats of 1/2 bit for bit, and phase 0, q -> infinity,
     gives every cosine weight 1 and every sine weight 0."""
     spec = SumSpec(r=2, l=(1, 1, 1))
-    for expansion in (even_expansion, odd_expansion, antisym_expansion):
+    for expansion in EXPANSIONS:
         assert expansion(spec, Fraction(2, 4)) == expansion(spec, Fraction(1, 2))
         assert expansion(spec, Fraction(-7, 21)) == expansion(spec, Fraction(-1, 3))
-    assert trig_integral_full(spec, Fraction(2, 4)) == trig_integral_full(spec, Fraction(1, 2))
+    for kind in ("cos", "sin"):
+        assert _samples(spec, Fraction(2, 4), kind) == _samples(spec, Fraction(1, 2), kind)
     # with phase 0 the coefficient sides are the plain sums of the coefficients
     even = even_expansion(spec, ZERO)[1]
     assert even == sum_rule_even(spec) == math.comb(6, 3)

@@ -283,8 +283,8 @@ def test_aggregate_converges():
 
 
 def test_sequence_windows_selectable():
-    [a] = sweep("pi", [3], Window.PAPER, l=2)
-    [b] = sweep("pi", [3], Window.SYMMETRIC, l=2)
+    [a] = sweep("pi", [3], l=2, window=Window.PAPER)
+    [b] = sweep("pi", [3], l=2, window=Window.SYMMETRIC)
     assert a.exact != b.exact  # symmetric window has one extra term
     assert abs(b.approx - math.pi) < 1
 
@@ -314,9 +314,13 @@ SWEEPS = [
 @pytest.mark.parametrize("kind, params", SWEEPS)
 def test_sweep_adds_only_new_window_terms(kind, params, window):
     # the incremental sweep against a from-scratch evaluation at every m
-    ms = ([0] if kind in ("cum", "agg") else []) + SWEEP_MS
-    swept = sequences.sweep(kind, ms, window, **params)
-    assert swept == [sequences.sweep(kind, [m], window, **params)[0] for m in ms]
+    # cum and agg have no half-integer window and take no window parameter
+    if kind in ("cum", "agg"):
+        ms = [0, *SWEEP_MS]
+    else:
+        ms, params = SWEEP_MS, {**params, "window": window}
+    swept = sequences.sweep(kind, ms, **params)
+    assert swept == [sequences.sweep(kind, [m], **params)[0] for m in ms]
 
 
 @pytest.mark.parametrize("window", list(Window))
@@ -331,7 +335,7 @@ def test_sweep_adds_only_new_window_terms(kind, params, window):
 def test_ratio_sweep_matches_truncated_coefficient(kind, spec, A, partial, limit, window):
     # the incremental k_1 window against the whole coefficient from sums at every m
     ms = SWEEP_MS[:-1]  # 1, 2, 5, 9, 13
-    swept = sequences.sweep(kind, ms, window, spec=spec, A=A)
+    swept = sequences.sweep(kind, ms, spec=spec, A=A, window=window)
     ref = Coefficients(spec, limit)(A).coeff
     assert [r.exact for r in swept] == [
         Coefficients(spec, partial, m, window)(A).coeff / ref for m in ms

@@ -180,8 +180,8 @@ def test_tables_are_built_once_per_call(monkeypatch):
     assert set(entries.values()) == {1}
     for name, run in [
         ("ratio-pi2", lambda: sequences.sweep("ratio-pi2", range(1, 9), spec=spec, A=2)),
-        ("ratio-pi", lambda: sequences.sweep("ratio-pi", range(1, 9), Window.SYMMETRIC,
-                                             spec=spec, A=2)),
+        ("ratio-pi", lambda: sequences.sweep("ratio-pi", range(1, 9), spec=spec, A=2,
+                                             window=Window.SYMMETRIC)),
         ("odd-equality", lambda: cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,2,1,1"])),
         ("expansions", lambda: _expansions(spec)),
     ]:
