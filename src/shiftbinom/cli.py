@@ -230,9 +230,8 @@ def _cmd_verify(ns) -> int:
         alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
         for A in range(1, read("a_max", 9) + 1, 2):
             direct, alt = direct_of(A), alt_of(A)
-            equal = direct == alt
-            exact_check(f"odd-equality[A={A}]", direct.coeff, alt.coeff, equal,
-                        "" if equal else repr(float(direct) - float(alt)))
+            exact_check(f"odd-equality[A={A}]", direct, alt, direct == alt,
+                        _exact_str(direct - alt))
 
     if "sum-rule" in names:
         total = sums.sum_rule_even(spec, rows)

@@ -99,10 +99,9 @@ SHIFT_HALF = Shift(Fraction(1, 2))
 class ScaledValue:
     """coeff * beta(s)^scale_exp, with beta(s) = sin(pi*s)/pi.
 
-    scale_exp == 0 means the value is exactly rational; the canonical zero is
-    coeff 0 with scale_exp 0 and absorbs into sums regardless of scale.
-    Addition otherwise requires matching (shift, scale_exp); multiplication
-    requires matching shifts once both sides carry beta factors.
+    scale_exp == 0 means the value is exactly rational; a zero coeff always
+    has scale_exp 0, so every zero is one value.  The value records an exact
+    result and does no arithmetic: callers compute with coeff.
     """
 
     coeff: Fraction
@@ -117,56 +116,8 @@ class ScaledValue:
         if self.coeff == 0 and self.scale_exp != 0:
             object.__setattr__(self, "scale_exp", 0)
 
-    @staticmethod
-    def zero(shift: Shift = SHIFT_HALF) -> "ScaledValue":
-        return ScaledValue(Fraction(0), 0, shift)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def rational(self) -> Fraction:
-        if self.scale_exp:
-            raise ValueError("value carries beta factors; not a plain rational")
-        return self.coeff
-
     def __float__(self) -> float:
         return float(self.coeff) * self.shift.beta ** self.scale_exp
-
-    def __add__(self, other):
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.scale_exp != other.scale_exp or (
-            self.scale_exp and self.shift != other.shift
-        ):
-            raise ValueError("cannot add values with different beta scales")
-        return ScaledValue(self.coeff + other.coeff, self.scale_exp, self.shift)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ScaledValue(-self.coeff, self.scale_exp, self.shift)
-
-    def __mul__(self, other):
-        if isinstance(other, ScaledValue):
-            if self.scale_exp and other.scale_exp and self.shift != other.shift:
-                raise ValueError("cannot multiply values with different shifts")
-            shift = self.shift if self.scale_exp else other.shift
-            return ScaledValue(
-                self.coeff * other.coeff, self.scale_exp + other.scale_exp, shift
-            )
-        if isinstance(other, (int, Fraction)):
-            return ScaledValue(self.coeff * other, self.scale_exp, self.shift)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ScaledValue):

