@@ -3,8 +3,6 @@ rational sequences converging to powers of pi."""
 
 from .exact import (
     SHIFT_HALF,
-    SHIFT_ZERO,
-    ScaledValue,
     Shift,
     newton_binomial,
     shifted_binomial,

@@ -220,28 +220,27 @@ def _cmd_verify(ns) -> int:
                     {"check": name, "lhs": lhs, "rhs": rhs, "abs_err": err, "pass": err < tol}
                 )
 
-    def exact_check(check: str, lhs, rhs, ok: bool, abs_err: str) -> None:
-        """The record of an exact check; abs_err is "exact" when it passes."""
+    def exact_check(check: str, lhs, rhs, forms_ok: bool = True) -> None:
+        """The record of an exact check of lhs == rhs: abs_err is "exact" when
+        it passes, and otherwise |lhs - rhs|, or "form-mismatch" when forms_ok
+        is false."""
+        ok = forms_ok and lhs == rhs
+        err = _exact_str(abs(lhs - rhs)) if forms_ok else "form-mismatch"
         checks.append({"check": check, "lhs": _exact_str(lhs), "rhs": _exact_str(rhs),
-                       "abs_err": "exact" if ok else abs_err, "pass": ok})
+                       "abs_err": "exact" if ok else err, "pass": ok})
 
     if "odd-equality" in names:
         direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
         alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
         for A in range(1, read("a_max", 9) + 1, 2):
-            direct, alt = direct_of(A), alt_of(A)
-            exact_check(f"odd-equality[A={A}]", direct, alt, direct == alt,
-                        _exact_str(direct - alt))
+            exact_check(f"odd-equality[A={A}]", direct_of(A), alt_of(A))
 
     if "sum-rule" in names:
-        total = sums.sum_rule_even(spec, rows)
         target = math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-        exact_check("sum-rule", total, target, total == target, _exact_str(total - target))
+        exact_check("sum-rule", sums.sum_rule_even(spec, rows), target)
 
     if "cg" in names:
-        total, target, forms_ok = _cg_identity(read("n", 4), read("g", 2))
-        exact_check("cg", total, target, forms_ok and total == target,
-                    "form-mismatch" if not forms_ok else _exact_str(total - target))
+        exact_check("cg", *_cg_identity(read("n", 4), read("g", 2)))
 
     for rec in checks:
         _print_check(rec)
@@ -273,15 +272,16 @@ def _cmd_coeffs(ns) -> int:
             )
     window = {} if ns.window is None else {"window": ns.window}  # else the library's default
     table = sums.build_coeff_table(spec, family, A_values, m, **window)
+    # each coefficient carries its family's power of 1/pi, and a zero none
     rows = [
         {
             "A": A,
-            "num": _exact_str(sv.coeff.numerator),
-            "den": _exact_str(sv.coeff.denominator),
-            "pi_exp": sv.scale_exp,
-            "float": as_float(sv),
+            "num": _exact_str(c.numerator),
+            "den": _exact_str(c.denominator),
+            "pi_exp": family.pi_exp if c else 0,
+            "float": as_float(c, family.pi_exp),
         }
-        for A, sv in table.items()
+        for A, c in table.items()
     ]
     _emit(rows, ["A", "num", "den", "pi_exp", "float"], ns.format, ns.out)
     return 0

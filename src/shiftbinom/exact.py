@@ -7,9 +7,12 @@ Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x), the reflection identity
 Gamma(1+x)Gamma(1-x) = pi x/sin(pi x) collapses both Gamma factors, and
 C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s) at x = k + s: one
 closed product, `beta_coeff(l, k, s)`, of integers l and k and the shift s.
-`shifted_binomial` wraps it, with its checks, in a `ScaledValue`; the hot
-loops of `sums` and `sequences` call it directly.  Gamma is never evaluated
-in floating point on this path.
+`shifted_binomial` reads k and s from the entry and returns that rational, or
+the classical binomial when s = 0; the hot loops of `sums` and `sequences`
+call `beta_coeff` directly.  Every value is a plain Fraction: the power of
+beta that it carries is fixed by the shift of the entry or by the coefficient
+family, and `as_float` takes it where the float is formed.  Gamma is never
+evaluated in floating point on this path.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from functools import lru_cache
 __all__ = [
     "ParameterError",
     "Shift",
-    "ScaledValue",
     "as_float",
-    "SHIFT_ZERO",
     "SHIFT_HALF",
     "factorial",
     "newton_binomial",
@@ -82,72 +83,26 @@ class Shift:
     def is_zero(self) -> bool:
         return self.s == 0
 
-    @property
-    def beta(self) -> float:
-        """float image of sin(pi*s)/pi, the transcendental scale of this shift."""
-        return math.sin(math.pi * float(self.s)) / math.pi
-
     def __str__(self) -> str:
         return str(self.s)
 
 
-SHIFT_ZERO = Shift(Fraction(0))
 SHIFT_HALF = Shift(Fraction(1, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledValue:
-    """coeff * beta(s)^scale_exp, with beta(s) = sin(pi*s)/pi.
-
-    scale_exp == 0 means the value is exactly rational; a zero coeff always
-    has scale_exp 0, so every zero is one value.  The value records an exact
-    result and does no arithmetic: callers compute with coeff.
-    """
-
-    coeff: Fraction
-    scale_exp: int
-    shift: Shift
-
-    def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.scale_exp < 0:
-            raise ValueError("scale_exp must be non-negative")
-        if self.coeff == 0 and self.scale_exp != 0:
-            object.__setattr__(self, "scale_exp", 0)
-
-    def __float__(self) -> float:
-        return float(self.coeff) * self.shift.beta ** self.scale_exp
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledValue):
-            return NotImplemented
-        if self.coeff != other.coeff or self.scale_exp != other.scale_exp:
-            return False
-        return self.scale_exp == 0 or self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.coeff, self.scale_exp, self.shift if self.scale_exp else None))
-
-    def __repr__(self) -> str:
-        if self.scale_exp == 0:
-            return f"ScaledValue({self.coeff})"
-        return f"ScaledValue({self.coeff} * beta({self.shift.s})^{self.scale_exp})"
-
-
-def as_float(x: ScaledValue | Fraction | int) -> float:
-    """float(x), or inf/-inf with the sign of x when x lies outside double range."""
+def as_float(x: Fraction | int, pi_exp: int = 0) -> float:
+    """x / pi^pi_exp as a float, or inf/-inf with the sign of x when it lies
+    outside double range.  The float is float(x) * beta^pi_exp with the float
+    beta = beta(1/2) = 1/pi; when float(x) alone overflows, the product is
+    formed exactly first, from the Fraction of that float beta."""
+    beta = math.sin(math.pi / 2) / math.pi
     try:
-        return float(x)
+        return float(x) * beta**pi_exp
     except OverflowError:
-        pass
-    if isinstance(x, ScaledValue):
         try:
-            # the rational factor alone overflowed; its product with beta^scale_exp may not
-            return float(x.coeff * Fraction(x.shift.beta) ** x.scale_exp)
+            return float(x * Fraction(beta) ** pi_exp)
         except OverflowError:
-            x = x.coeff
-    return math.inf if x > 0 else -math.inf
+            return math.inf if x > 0 else -math.inf
 
 
 def beta_coeff(l: int, k: int, s: Fraction) -> Fraction:
@@ -165,21 +120,18 @@ def beta_coeff(l: int, k: int, s: Fraction) -> Fraction:
     return Fraction(sign * factorial(l) * b ** (l + 1), denom)
 
 
-def shifted_binomial(l: int, entry, shift: Shift) -> ScaledValue:
-    """C(l, entry) = l! / (Gamma(entry+1) Gamma(l-entry+1)) for entry = k + s.
+def shifted_binomial(l: int, entry) -> Fraction:
+    """C(l, entry) = l! / (Gamma(entry+1) Gamma(l-entry+1)), as the rational
+    factor of its power of beta(s) at entry = k + s, k = floor(entry).
 
-    With s = 0 this is newton_binomial (scale_exp 0, poles giving exact 0).
-    With 0 < s < 1, Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x) and the
-    reflection identity give the closed product beta_coeff(l, k, s) times
-    beta(s) (scale_exp 1).
+    With s = 0 this is newton_binomial, the poles giving an exact 0.  With
+    0 < s < 1, Gamma(l+1-x) = Gamma(1-x) prod_{i=1..l} (i-x) and the
+    reflection identity give the closed product beta_coeff(l, k, s), which
+    times beta(s) is the binomial.
     """
     if l < 0:
         raise ParameterError("l must be non-negative")
     x = Fraction(entry)
-    k = x - shift.s
-    if k.denominator != 1:
-        raise ParameterError(f"entry {x} is not an integer offset from shift {shift.s}")
-    k = int(k)
-    if shift.is_zero:
-        return ScaledValue(Fraction(newton_binomial(l, k)), 0, shift)
-    return ScaledValue(beta_coeff(l, k, shift.s), 1, shift)
+    k = math.floor(x)
+    s = x - k
+    return Fraction(newton_binomial(l, k)) if s == 0 else beta_coeff(l, k, s)

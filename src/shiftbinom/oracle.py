@@ -32,7 +32,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exact import ParameterError
+from .exact import ParameterError, as_float
 from .sums import Family, Rows, SumSpec, build_coeff_table
 
 __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
@@ -126,7 +126,9 @@ def even_expansion(
     f = _samples(spec, phase, "cos")
     lhs = math.fsum(f) / len(f)
     even = build_coeff_table(spec, Family.EVEN, rows=rows)
-    rhs = math.fsum(math.cos(math.pi * A * p / q) * float(v) for A, v in even.items())
+    rhs = math.fsum(
+        math.cos(math.pi * A * p / q) * as_float(v, Family.EVEN.pi_exp) for A, v in even.items()
+    )
     return lhs, rhs
 
 
@@ -138,7 +140,10 @@ def odd_expansion(
     p, q = phase.numerator, phase.denominator
     lhs = _odd_total_integral(spec, phase)
     odd = build_coeff_table(spec, Family.ODD, list(range(1, odd_A_cut + 1, 2)), rows=rows)
-    rhs = math.fsum(2.0 * math.cos(math.pi * A * p / q) * float(v) for A, v in odd.items())
+    rhs = math.fsum(
+        2.0 * math.cos(math.pi * A * p / q) * as_float(v, Family.ODD.pi_exp)
+        for A, v in odd.items()
+    )
     return lhs, rhs
 
 
@@ -153,5 +158,8 @@ def antisym_expansion(
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
     antisym = build_coeff_table(spec, Family.ANTISYM_EXACT, rows=rows)
-    rhs = math.fsum(math.sin(math.pi * A * p / q) * float(v) for A, v in antisym.items())
+    rhs = math.fsum(
+        math.sin(math.pi * A * p / q) * as_float(v, Family.ANTISYM_EXACT.pi_exp)
+        for A, v in antisym.items()
+    )
     return lhs, rhs

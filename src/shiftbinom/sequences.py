@@ -39,7 +39,7 @@ from .exact import (
     factorial,
     newton_binomial,
 )
-from .sums import Coefficients, Family, Rows, SumSpec, Window
+from .sums import Coefficients, Family, Rows, SumSpec, Window, half_window
 
 __all__ = [
     "SeqRecord",
@@ -97,11 +97,14 @@ def _binomial_term(l: int, s: Shift, alternating: bool) -> Callable[[int], Fract
 
 
 def _pi_window(window: Window) -> Callable[[int], range]:
-    """The window of pi, pi2 and the ratio kinds: k + s = i + 1/2 in
-    [-m+1/2, m+1/2], from -m-1/2 when symmetric.  The same half-integers as
-    sums.half_window(m, window), which gives them doubled: 2i + 1."""
-    pad = 1 if window is Window.SYMMETRIC else 0
-    return lambda m: range(-m - pad, m + 1)
+    """The window of pi, pi2 and the ratio kinds: the half-integers k + s =
+    i + 1/2 of sums.half_window(m, window), which gives them doubled as 2i + 1."""
+
+    def indices(m: int) -> range:
+        h = half_window(m, window)
+        return range(h.start // 2, h.stop // 2)
+
+    return indices
 
 
 def _shift_window(l: int, window: Window) -> Callable[[int], range]:

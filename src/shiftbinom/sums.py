@@ -25,9 +25,10 @@ H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
 
 A binomial at a half-integer entry, like g at a half-integer d, is an exact
 rational times 1/pi, so every term is a plain rational, and each family
-carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` returns
-the rational, the coefficient times pi^pi_exp; only `build_coeff_table`
-pairs it with its power, as a ScaledValue.
+carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` and
+`build_coeff_table` return that rational, the coefficient times pi^pi_exp, as
+a plain Fraction; a reader that needs the coefficient's float takes the power
+from the family, as `exact.as_float(c, family.pi_exp)`.
 
 `Coefficients(spec, family, m, window, rows)` is the one entry point: one
 object per call (a table, a sequence spec, a verify check), evaluated at any
@@ -49,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import SHIFT_HALF, ParameterError, ScaledValue, beta_coeff, newton_binomial
+from .exact import SHIFT_HALF, ParameterError, beta_coeff, newton_binomial
 
 __all__ = [
     "SumSpec",
@@ -410,10 +411,10 @@ def build_coeff_table(
     m: int | None = None,
     window: Window = Window.SYMMETRIC,
     rows: Rows | None = None,
-) -> dict[int, ScaledValue]:
-    """{A: coefficient} of one family over A_values, by default the family's
-    finite A range (Coefficients.default_A_range), each coefficient with its
-    power of 1/pi.  rows, if given, is the store to read, as for Coefficients."""
+) -> dict[int, Fraction]:
+    """{A: coefficient times pi^pi_exp} of one family over A_values, by
+    default the family's finite A range (Coefficients.default_A_range).  rows,
+    if given, is the store to read, as for Coefficients."""
     coeffs = Coefficients(spec, family, m, window, rows)
     if A_values is None:
         A_values = coeffs.default_A_range()
@@ -423,5 +424,4 @@ def build_coeff_table(
         raise ParameterError(
             f"family {coeffs.family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
         )
-    pi_exp = coeffs.family.pi_exp
-    return {A: ScaledValue(coeffs(A), pi_exp, SHIFT_HALF) for A in A_values}
+    return {A: coeffs(A) for A in A_values}

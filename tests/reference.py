@@ -2,7 +2,8 @@
 the library computes, kept out of the package.  Not collected by pytest;
 test modules import it by name.
 
-    Scaled                   ScaledValue with the exact algebra the sums below use
+    Scaled                   coeff * beta(s)^scale_exp, with the exact algebra of the sums below
+    scaled_binomial          a shifted binomial as a Scaled, with its power of beta(s)
     sinc_at                  exact sin(pi x)/(pi x) as a Scaled
     chu_vandermonde_partial  exact partial sums of the shifted Chu-Vandermonde sum
     support_bound            the stated |A| bound of the even-A summation range
@@ -13,22 +14,32 @@ test modules import it by name.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from shiftbinom.exact import SHIFT_HALF, ScaledValue, Shift, shifted_binomial
+from shiftbinom.exact import SHIFT_HALF, Shift, shifted_binomial
 from shiftbinom.sums import SumSpec
 
 
-class Scaled(ScaledValue):
-    """A ScaledValue that adds and multiplies exactly.  The zero absorbs into
-    a sum whatever its scale; addition otherwise requires matching (shift,
-    scale_exp), and multiplication matching shifts once both sides carry
-    beta factors.  Either operand may be a plain ScaledValue; every result
-    is a Scaled."""
+@dataclass(frozen=True, eq=False)
+class Scaled:
+    """coeff * beta(s)^scale_exp, with beta(s) = sin(pi*s)/pi, that adds and
+    multiplies exactly.  A zero coeff always has scale_exp 0, so every zero
+    is one value; the zero absorbs into a sum whatever its scale.  Addition
+    otherwise requires matching (shift, scale_exp), and multiplication
+    matching shifts once both sides carry beta factors."""
 
-    @classmethod
-    def of(cls, v: ScaledValue) -> "Scaled":
-        return cls(v.coeff, v.scale_exp, v.shift)
+    coeff: Fraction
+    scale_exp: int
+    shift: Shift
+
+    def __post_init__(self):
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if self.scale_exp < 0:
+            raise ValueError("scale_exp must be non-negative")
+        if self.coeff == 0 and self.scale_exp != 0:
+            object.__setattr__(self, "scale_exp", 0)
 
     @classmethod
     def zero(cls, shift: Shift = SHIFT_HALF) -> "Scaled":
@@ -43,12 +54,26 @@ class Scaled(ScaledValue):
             raise ValueError("value carries beta factors; not a plain rational")
         return self.coeff
 
+    def __float__(self) -> float:
+        beta = math.sin(math.pi * float(self.shift.s)) / math.pi
+        return float(self.coeff) * beta**self.scale_exp
+
+    def __eq__(self, other):
+        if not isinstance(other, Scaled):
+            return NotImplemented
+        if self.coeff != other.coeff or self.scale_exp != other.scale_exp:
+            return False
+        return self.scale_exp == 0 or self.shift == other.shift
+
+    def __hash__(self):
+        return hash((self.coeff, self.scale_exp, self.shift if self.scale_exp else None))
+
     def __add__(self, other):
-        if not isinstance(other, ScaledValue):
+        if not isinstance(other, Scaled):
             return NotImplemented
         if self.is_zero:
-            return Scaled.of(other)
-        if other.coeff == 0:
+            return other
+        if other.is_zero:
             return self
         if self.scale_exp != other.scale_exp or (
             self.scale_exp and self.shift != other.shift
@@ -57,15 +82,15 @@ class Scaled(ScaledValue):
         return Scaled(self.coeff + other.coeff, self.scale_exp, self.shift)
 
     def __sub__(self, other):
-        if not isinstance(other, ScaledValue):
+        if not isinstance(other, Scaled):
             return NotImplemented
-        return self + (-Scaled.of(other))
+        return self + (-other)
 
     def __neg__(self):
         return Scaled(-self.coeff, self.scale_exp, self.shift)
 
     def __mul__(self, other):
-        if isinstance(other, ScaledValue):
+        if isinstance(other, Scaled):
             if self.scale_exp and other.scale_exp and self.shift != other.shift:
                 raise ValueError("cannot multiply values with different shifts")
             shift = self.shift if self.scale_exp else other.shift
@@ -75,6 +100,14 @@ class Scaled(ScaledValue):
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+def scaled_binomial(l: int, entry) -> Scaled:
+    """C(l, entry) at entry = k + s as a Scaled: the library's rational
+    factor with the power beta(s)^[s > 0] that the shift of the entry fixes."""
+    x = Fraction(entry)
+    s = x - math.floor(x)
+    return Scaled(shifted_binomial(l, x), 1 if s else 0, Shift(s))
 
 
 def sinc_at(x, shift: Shift = SHIFT_HALF) -> Scaled:
@@ -109,9 +142,9 @@ def chu_vandermonde_partial(
         raise ValueError("m must be >= 0")
     total = Scaled.zero(shift)
     for k in range(-m, m + 1):
-        a = Scaled.of(shifted_binomial(l1, l1p + k + shift.s, shift))
+        a = scaled_binomial(l1, l1p + k + shift.s)
         # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
-        b = shifted_binomial(l2, l2 - l2p + k + shift.s, shift)
+        b = scaled_binomial(l2, l2 - l2p + k + shift.s)
         total += a * b
     return total
 

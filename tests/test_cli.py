@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from shiftbinom import cli, sums
-from shiftbinom.exact import SHIFT_HALF, ParameterError, ScaledValue, as_float
+from shiftbinom.exact import ParameterError, as_float
 from shiftbinom.sums import Family, Window
 
 
@@ -86,16 +86,24 @@ def test_verify_failure_exits_1(monkeypatch):
 
 
 def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):
-    # a sinc form twice the true one: every A fails, by exactly -lhs
+    # a sinc form twice the true one: every A fails, by exactly |lhs|
     sinc = sums._FAMILIES[Family.ODD_SINC]
     doubled = sinc._replace(weight=lambda d2: (2 * sums._sinc(d2)[0], sums._sinc(d2)[1]))
     monkeypatch.setitem(sums._FAMILIES, Family.ODD_SINC, doubled)
     assert cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "3"]) == 1
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) for rec in recs] == [
-        ("256/9", "512/9", "-256/9", False),
-        ("256/225", "512/225", "-256/225", False),
+        ("256/9", "512/9", "256/9", False),
+        ("256/225", "512/225", "256/225", False),
     ]
+
+
+def test_sum_rule_mismatch_reports_absolute_difference(monkeypatch, capsys):
+    # a total below C(4, 2) = 6: abs_err is |total - target|, never negative
+    monkeypatch.setattr(sums, "sum_rule_even", lambda spec, rows=None: 1)
+    assert cli.main(["verify", "sum-rule", "--r", "2", "--l", "1,1"]) == 1
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert (rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) == ("1", "6", "5", False)
 
 
 @pytest.mark.parametrize("check, expansion", [
@@ -416,10 +424,10 @@ def test_coeffs_float_overflow_json():
 
 def test_float_column_outside_double_range():
     big = Fraction(10**309)
-    assert as_float(ScaledValue(big, 0, SHIFT_HALF)) == math.inf
-    assert as_float(ScaledValue(-big, 1, SHIFT_HALF)) == -math.inf
+    assert as_float(big, 0) == math.inf
+    assert as_float(-big, 1) == -math.inf
     # the rational overflows but its value 10^309 / pi^2 does not
-    assert as_float(ScaledValue(big, 2, SHIFT_HALF)) == pytest.approx(10 * (1e308 / math.pi**2))
+    assert as_float(big, 2) == pytest.approx(10 * (1e308 / math.pi**2))
     # the seq columns take plain rationals and integers
     assert as_float(-big) == -math.inf
     assert as_float(10**309) == math.inf

@@ -6,16 +6,15 @@ import pytest
 
 from shiftbinom.exact import (
     SHIFT_HALF,
-    SHIFT_ZERO,
-    ScaledValue,
     Shift,
+    as_float,
     beta_coeff,
     factorial,
     newton_binomial,
     shifted_binomial,
 )
 
-from reference import Scaled, float_binomial, sinc_at
+from reference import Scaled, float_binomial, scaled_binomial, sinc_at
 
 
 def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
@@ -64,25 +63,31 @@ def test_factorial_cache_is_bounded():
 
 
 def test_shifted_binomial_half_examples():
-    v = shifted_binomial(0, Fraction(1, 2), SHIFT_HALF)
+    v = scaled_binomial(0, Fraction(1, 2))
     assert (v.coeff, v.scale_exp) == (Fraction(2), 1)
-    v = shifted_binomial(2, Fraction(1, 2), SHIFT_HALF)
+    v = scaled_binomial(2, Fraction(1, 2))
     assert (v.coeff, v.scale_exp) == (Fraction(16, 3), 1)
 
 
 def test_shifted_binomial_s0_reduces_to_newton():
     for l in range(0, 12):
         for k in range(-4, l + 5):
-            v = shifted_binomial(l, k, SHIFT_ZERO)
+            v = scaled_binomial(l, k)
             assert v.scale_exp == 0
             assert v.coeff == newton_binomial(l, k)
 
 
-def test_shifted_binomial_rejects_malformed_entry():
-    with pytest.raises(ValueError):
-        shifted_binomial(2, Fraction(1, 3), SHIFT_HALF)
-    with pytest.raises(ValueError):
-        shifted_binomial(2, Fraction(1, 2), SHIFT_ZERO)
+def test_shifted_binomial_reads_the_shift_from_the_entry():
+    # k = floor(entry), s = entry - k: the classical binomial at s = 0, also
+    # outside 0 <= k <= l, and the closed product otherwise
+    for l in range(0, 9):
+        for k in range(-6, l + 7):
+            got = shifted_binomial(l, k)
+            assert type(got) is Fraction and got == newton_binomial(l, k), (l, k)
+            assert shifted_binomial(l, Fraction(k)) == got
+            for s in (Fraction(1, 2), Fraction(1, 3)):
+                got = shifted_binomial(l, k + s)
+                assert type(got) is Fraction and got == beta_coeff(l, k, s), (l, k, s)
 
 
 def test_half_binomial_grid_against_product_formula_and_float_gamma():
@@ -90,7 +95,7 @@ def test_half_binomial_grid_against_product_formula_and_float_gamma():
     for l in range(0, 21):
         for k in range(-20, 21):
             entry = Fraction(2 * k + 1, 2)
-            v = shifted_binomial(l, entry, SHIFT_HALF)
+            v = scaled_binomial(l, entry)
             assert v.scale_exp == 1
             assert v.coeff == ladder_binomial(l, k, SHIFT_HALF.s)
             ref = math.pi * float_binomial(l, float(entry))
@@ -103,18 +108,16 @@ def test_symmetry_half_shift():
     for l in range(0, 15):
         for k in range(-10, 11):
             x = Fraction(2 * k + 1, 2)
-            assert shifted_binomial(l, x, SHIFT_HALF) == shifted_binomial(
-                l, l - x, SHIFT_HALF
-            )
+            assert scaled_binomial(l, x) == scaled_binomial(l, l - x)
 
 
 def test_symmetry_generic_shift_swaps_s_for_one_minus_s():
-    s = Shift(Fraction(1, 3))
-    s_c = Shift(Fraction(2, 3))
+    s = Fraction(1, 3)
     for l in range(0, 8):
         for k in range(-6, 7):
-            a = shifted_binomial(l, k + s.s, s)
-            b = shifted_binomial(l, l - k - s.s, s_c)
+            a = scaled_binomial(l, k + s)
+            b = scaled_binomial(l, l - k - s)
+            assert (a.shift.s, b.shift.s) == (s, 1 - s)
             # beta(s) = beta(1-s), so the stripped coefficients must match
             assert a.coeff == b.coeff
             assert a.scale_exp == b.scale_exp == 1
@@ -124,41 +127,37 @@ def test_pascal_identity_at_half_integers():
     for l in range(1, 12):
         for d in range(-15, 16):
             h = Fraction(2 * d + 1, 2)
-            lhs = shifted_binomial(l, h, SHIFT_HALF)
-            rhs = Scaled.of(shifted_binomial(l - 1, h, SHIFT_HALF)) + shifted_binomial(
-                l - 1, h - 1, SHIFT_HALF
-            )
+            lhs = scaled_binomial(l, h)
+            rhs = scaled_binomial(l - 1, h) + scaled_binomial(l - 1, h - 1)
             assert lhs == rhs
 
 
 def test_pascal_identity_generic_shift():
-    s = Shift(Fraction(2, 7))
+    s = Fraction(2, 7)
     for l in range(1, 8):
         for k in range(-6, 7):
-            x = k + s.s
-            assert shifted_binomial(l, x, s) == Scaled.of(
-                shifted_binomial(l - 1, x, s)
-            ) + shifted_binomial(l - 1, x - 1, s)
+            x = k + s
+            assert scaled_binomial(l, x) == scaled_binomial(l - 1, x) + scaled_binomial(
+                l - 1, x - 1
+            )
 
 
 def test_generic_shift_against_float_gamma():
     for s in (Fraction(1, 3), Fraction(1, 4), Fraction(3, 5)):
-        shift = Shift(s)
         beta = math.sin(math.pi * float(s)) / math.pi
         for l in range(0, 9):
             for k in range(-8, 9):
-                v = shifted_binomial(l, k + s, shift)
+                v = shifted_binomial(l, k + s)
                 ref = float_binomial(l, k + float(s))
-                got = float(v.coeff) * beta
+                got = float(v) * beta
                 assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)])
 def test_closed_product_matches_pochhammer_ladders(s):
-    shift = Shift(s)
     for l in range(0, 13):
         for k in range(-15, l + 16):
-            v = shifted_binomial(l, k + s, shift)
+            v = scaled_binomial(l, k + s)
             assert (v.coeff, v.scale_exp) == (ladder_binomial(l, k, s), 1), (l, k)
             assert beta_coeff(l, k, s) == v.coeff
 
@@ -166,33 +165,27 @@ def test_closed_product_matches_pochhammer_ladders(s):
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 7)])
 def test_shifted_binomial_term_ratio(s):
     # C(l, x+1) (x+1) = C(l, x) (l-x): consecutive terms of a window sum
-    shift = Shift(s)
     for l in range(0, 13):
         for k in range(-15, l + 15):
             x = k + s
-            lhs = Scaled.of(shifted_binomial(l, x + 1, shift)) * (x + 1)
-            assert lhs == Scaled.of(shifted_binomial(l, x, shift)) * (l - x), (l, k)
+            lhs = scaled_binomial(l, x + 1) * (x + 1)
+            assert lhs == scaled_binomial(l, x) * (l - x), (l, k)
 
 
 # --------------------------- closed product at s = 1/2 ----------------------
 
 
 def test_product_formula_examples():
-    assert shifted_binomial(2, Fraction(1, 2), SHIFT_HALF).coeff == Fraction(16, 3)
-    assert shifted_binomial(2, Fraction(5, 2), SHIFT_HALF).coeff == Fraction(16, 15)
-    assert shifted_binomial(0, Fraction(1, 2), SHIFT_HALF).coeff == Fraction(2)
-
-
-def test_product_formula_rejects_integer_entry():
-    with pytest.raises(ValueError):
-        shifted_binomial(2, 1, SHIFT_HALF)
+    assert shifted_binomial(2, Fraction(1, 2)) == Fraction(16, 3)
+    assert shifted_binomial(2, Fraction(5, 2)) == Fraction(16, 15)
+    assert shifted_binomial(0, Fraction(1, 2)) == Fraction(2)
 
 
 # ---------------------------------- sinc_at --------------------------------
 
 
 def test_sinc_values():
-    assert sinc_at(0) == ScaledValue(Fraction(1), 0, SHIFT_HALF)
+    assert sinc_at(0) == Scaled(Fraction(1), 0, SHIFT_HALF)
     assert sinc_at(3).is_zero
     assert sinc_at(-7).is_zero
     v = sinc_at(Fraction(1, 2))
@@ -222,14 +215,52 @@ def test_sinc_rejects_off_shift_argument():
 
 def test_shift_validation():
     assert Shift.parse("1/3").s == Fraction(1, 3)
-    assert SHIFT_HALF.beta == pytest.approx(1 / math.pi)
     with pytest.raises(ValueError):
         Shift(Fraction(3, 2))
     with pytest.raises(ValueError):
         Shift(Fraction(-1, 4))
 
 
-# ---------------------- ScaledValue and the tests' Scaled --------------------
+# -------------------------------- as_float ---------------------------------
+
+
+def _scaled_float(x: Fraction, e: int) -> float:
+    """The float of x beta(1/2)^e as the value type that once carried the
+    power formed it: the rational's float times the float beta's power, and
+    past double range the exact product with the Fraction of that float."""
+    beta = math.sin(math.pi * float(Fraction(1, 2))) / math.pi
+    try:
+        return float(x) * beta**e
+    except OverflowError:
+        pass
+    try:
+        return float(x * Fraction(beta) ** e)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+@pytest.mark.parametrize("pi_exp", [0, 1, 2, 4])
+def test_as_float_is_bit_identical_to_the_scaled_float(pi_exp):
+    rng = random.Random(20261019 + pi_exp)
+    big = Fraction(10**309)  # float(big) overflows; big/pi^2 and big/pi^4 do not
+    cases = [Fraction(0), Fraction(16, 3), -Fraction(1, 7), big, -big, Fraction(10**330)]
+    cases += [
+        Fraction(rng.randint(-(2**mag), 2**mag), rng.randint(1, 2**40))
+        for mag in (10, 500, 1020, 1100, 2000)
+        for _ in range(8)
+    ]
+    # float(x) overflows and x/pi^pi_exp, for pi_exp >= 1, does not: the
+    # exact fallback, where the float of beta^2 instead of its exact square
+    # moves the last bit
+    cases += [Fraction(2**1024 + rng.randint(0, 2**1025)) for _ in range(40)]
+    for x in cases:
+        got, want = as_float(x, pi_exp), _scaled_float(x, pi_exp)
+        assert got.hex() == want.hex(), (x, pi_exp)
+    assert as_float(big, 4) == pytest.approx(10 * (1e308 / math.pi**4))
+    assert as_float(-big, 0) == -math.inf
+
+
+# ---------------------------- the tests' Scaled ----------------------------
 
 
 def test_scaled_value_zero_is_canonical_and_absorbing():
@@ -239,7 +270,7 @@ def test_scaled_value_zero_is_canonical_and_absorbing():
     assert z + v == v
     assert v + z == v
     # a zero built with a nonzero exponent normalizes
-    assert ScaledValue(Fraction(0), 5, SHIFT_HALF).scale_exp == 0
+    assert Scaled(Fraction(0), 5, SHIFT_HALF).scale_exp == 0
 
 
 def test_scaled_value_add_requires_matching_scale():
@@ -259,7 +290,7 @@ def test_scaled_value_mul_rules():
     assert (p.coeff, p.scale_exp) == (Fraction(2), 3)
     r = a * 5
     assert r.coeff == Fraction(10, 3) and r.scale_exp == 1
-    plain = Scaled(Fraction(7), 0, SHIFT_ZERO)
+    plain = Scaled(Fraction(7), 0, Shift(Fraction(0)))
     q = plain * a  # scale-free factor adopts the other shift
     assert q.shift == SHIFT_HALF and q.scale_exp == 1
     c = Scaled(Fraction(1), 1, Shift(Fraction(1, 3)))
@@ -284,22 +315,22 @@ def test_scaled_value_field_laws_on_random_rationals():
 
 
 def test_scaled_value_float_and_rational():
-    v = ScaledValue(Fraction(16, 3), 1, SHIFT_HALF)
+    v = Scaled(Fraction(16, 3), 1, SHIFT_HALF)
     assert float(v) == pytest.approx(16 / (3 * math.pi))
     with pytest.raises(ValueError):
-        Scaled.of(v).rational()
-    assert Scaled(Fraction(5, 2), 0, SHIFT_ZERO).rational() == Fraction(5, 2)
+        v.rational()
+    assert Scaled(Fraction(5, 2), 0, Shift(Fraction(0))).rational() == Fraction(5, 2)
 
 
 def test_shifted_binomial_is_thread_safe():
     # the closed product keeps no shared state; threads must agree exactly
     import threading
 
-    shift = Shift(Fraction(2, 9))
-    entries = [(l, k + shift.s) for l in range(6) for k in range(-150, 151)]
+    s = Fraction(2, 9)
+    entries = [(l, k + s) for l in range(6) for k in range(-150, 151)]
     results = [None] * 8
     def hammer(slot):
-        results[slot] = [shifted_binomial(l, x, shift).coeff for l, x in entries]
+        results[slot] = [shifted_binomial(l, x) for l, x in entries]
 
     threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
     for t in threads:
@@ -309,7 +340,7 @@ def test_shifted_binomial_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert None not in results and all(r == results[0] for r in results)
     # spot-check against the independent float route
-    l, x = 4, 17 + shift.s
-    beta = math.sin(math.pi * float(shift.s)) / math.pi
-    got = float(shifted_binomial(l, x, shift).coeff) * beta
+    l, x = 4, 17 + s
+    beta = math.sin(math.pi * float(s)) / math.pi
+    got = float(shifted_binomial(l, x)) * beta
     assert got == pytest.approx(float_binomial(l, float(x)), rel=1e-10)

@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom import sequences
-from shiftbinom.exact import (
-    SHIFT_HALF,
-    SHIFT_ZERO,
-    Shift,
-    shifted_binomial,
-)
+from shiftbinom.exact import SHIFT_HALF, Shift
 from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 from shiftbinom.sequences import (
     GComposition,
@@ -20,7 +15,7 @@ from shiftbinom.sequences import (
     sweep,
 )
 
-from reference import Scaled
+from reference import scaled_binomial
 
 S3 = Shift(Fraction(1, 3))
 S4 = Shift(Fraction(1, 4))
@@ -59,10 +54,8 @@ def test_odd_l_footnote_identity():
     for l in (1, 3, 5):
         for k in range(-6, 7):
             e = Fraction(l, 2) + k  # a half-integer
-            lhs = shifted_binomial(l, e, SHIFT_HALF)
-            rhs = Scaled.of(shifted_binomial(l - 1, e, SHIFT_HALF)) + shifted_binomial(
-                l - 1, Fraction(l, 2) - k, SHIFT_HALF
-            )
+            lhs = scaled_binomial(l, e)
+            rhs = scaled_binomial(l - 1, e) + scaled_binomial(l - 1, Fraction(l, 2) - k)
             assert lhs == rhs
 
 
@@ -113,7 +106,7 @@ def test_pi_over_sin_seq_l0_and_odd_l():
 
 def test_pi_over_sin_seq_rejects_zero_shift():
     with pytest.raises(ValueError):
-        sweep("pis", [5], l=2, s=SHIFT_ZERO)
+        sweep("pis", [5], l=2, s=Shift(Fraction(0)))
 
 
 def test_pi_over_sin_sq_seq_converges():

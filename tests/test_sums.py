@@ -7,12 +7,7 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom import cli, oracle, sequences, sums
-from shiftbinom.exact import (
-    SHIFT_HALF,
-    SHIFT_ZERO,
-    Shift,
-    shifted_binomial,
-)
+from shiftbinom.exact import SHIFT_HALF, Shift, as_float, shifted_binomial
 from shiftbinom.sums import (
     Coefficients,
     Family,
@@ -24,7 +19,7 @@ from shiftbinom.sums import (
     sum_rule_even,
 )
 
-from reference import Scaled, chu_vandermonde_partial, sinc_at, support_bound
+from reference import Scaled, chu_vandermonde_partial, scaled_binomial, sinc_at, support_bound
 
 # the standard grid: r = 2, every l-list with 2 <= j <= 4 and total n <= 4
 GRID = [
@@ -44,9 +39,7 @@ def _window(m: int, window: Window) -> list[Fraction]:
 # memoized only for speed: the oracle still visits every lattice point
 @functools.lru_cache(maxsize=None)
 def _binom(n: int, entry: Fraction) -> Scaled:
-    return Scaled.of(
-        shifted_binomial(n, entry, SHIFT_HALF if entry.denominator == 2 else SHIFT_ZERO)
-    )
+    return scaled_binomial(n, entry)
 
 
 # family -> (weight g of a summed k_1, or None when k_1 is solved; the indices
@@ -121,7 +114,7 @@ def test_every_family_matches_naive_lattice(family):
             for A in A_values:
                 expect = naive_coefficient(spec, family, A, m, window)
                 got = coeffs(A)
-                assert got == expect.coeff and table[A] == expect, (
+                assert got == expect.coeff and table[A] == expect.coeff, (
                     spec.l, A, m, window, got, table[A],
                 )
                 if expect.coeff:
@@ -247,9 +240,7 @@ def test_odd_direct_examples():
     spec = SumSpec(r=2, l=(1, 1))
     odd = Coefficients(spec, Family.ODD)
     v = odd(1)
-    expect = Scaled.of(shifted_binomial(2, Fraction(3, 2), SHIFT_HALF)) * shifted_binomial(
-        2, Fraction(1, 2), SHIFT_HALF
-    )
+    expect = scaled_binomial(2, Fraction(3, 2)) * scaled_binomial(2, Fraction(1, 2))
     assert (v, Family.ODD.pi_exp) == (expect.coeff, expect.scale_exp)
     assert (v, Family.ODD.pi_exp) == (Fraction(256, 9), 2)
     assert odd(3) == Fraction(256, 225)
@@ -302,7 +293,7 @@ def test_shifted_partial_m1_value():
     got = Coefficients(SumSpec(r=2, l=(1, 1)), Family.SHIFTED, 1, Window.PAPER)(0)
     expect = sum(
         (
-            sinc_at(-k) * shifted_binomial(2, Fraction(1) + k, SHIFT_HALF) * 2
+            sinc_at(-k) * scaled_binomial(2, Fraction(1) + k) * 2
             for k in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
         ),
         start=Scaled.zero(),
@@ -315,10 +306,11 @@ def test_shifted_partial_m1_value():
 def test_shifted_partial_converges_to_even_coefficient():
     spec = SumSpec(r=2, l=(1, 1))
     target = Coefficients(spec, Family.EVEN)(0)
-    errs = [
-        abs(float(build_coeff_table(spec, Family.SHIFTED, [0], m, Window.PAPER)[0]) - target)
-        for m in (5, 25, 125)
-    ]
+
+    def shifted(m):
+        return build_coeff_table(spec, Family.SHIFTED, [0], m, Window.PAPER)[0]
+
+    errs = [abs(as_float(shifted(m), Family.SHIFTED.pi_exp) - target) for m in (5, 25, 125)]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-4
 
@@ -344,7 +336,7 @@ def test_antisym_partial_m1_is_finite_exact():
     # k1 in {-1/2, 1/2, 3/2}, d = 1 - k1, second binomial entry 0
     expect = Fraction(0)
     for k1 in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)):
-        c = shifted_binomial(2, Fraction(1) + k1, SHIFT_HALF).coeff
+        c = shifted_binomial(2, Fraction(1) + k1)
         expect += c / (1 - k1)
     assert v == expect
 
@@ -359,11 +351,13 @@ def test_antisym_exact_values():
 
 def test_antisym_exact_is_limit_of_partial():
     spec = SumSpec(r=2, l=(1, 1))
-    z = float(build_coeff_table(spec, Family.ANTISYM_EXACT, [2])[2])
-    errs = [
-        abs(float(build_coeff_table(spec, Family.ANTISYM, [2], m, Window.PAPER)[2]) - z)
-        for m in (10, 100, 1000)
-    ]
+    exact = build_coeff_table(spec, Family.ANTISYM_EXACT, [2])[2]
+    z = as_float(exact, Family.ANTISYM_EXACT.pi_exp)
+
+    def partial(m):
+        return build_coeff_table(spec, Family.ANTISYM, [2], m, Window.PAPER)[2]
+
+    errs = [abs(as_float(partial(m), Family.ANTISYM.pi_exp) - z) for m in (10, 100, 1000)]
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -399,7 +393,7 @@ def test_four_shifted_cumulative_approaches_central_binomial():
     for m in (2, 5, 12):
         cut = 4 * m + 8
         four = build_coeff_table(spec, Family.FOUR, list(range(-cut, cut + 1, 2)), m)
-        total = math.fsum(float(v) for v in four.values())
+        total = math.fsum(as_float(v, Family.FOUR.pi_exp) for v in four.values())
         errs.append(abs(total - 70.0))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-5
@@ -419,11 +413,11 @@ def test_chu_sinc_squared_case():
 
 
 def test_chu_classical_terminates():
-    v = chu_vandermonde_partial(2, 2, 1, 1, SHIFT_ZERO, 4)
+    v = chu_vandermonde_partial(2, 2, 1, 1, Shift(Fraction(0)), 4)
     assert v.scale_exp == 0
     assert v.coeff == 6
     # larger windows only add zero terms
-    assert chu_vandermonde_partial(2, 2, 1, 1, SHIFT_ZERO, 9).coeff == 6
+    assert chu_vandermonde_partial(2, 2, 1, 1, Shift(Fraction(0)), 9).coeff == 6
 
 
 def test_chu_half_shift_converges():
@@ -459,8 +453,9 @@ def test_sumspec_validation():
 
 def test_build_coeff_table_even_defaults_to_support():
     table = build_coeff_table(SumSpec(r=2, l=(1, 1)), Family.EVEN)
-    assert {A: v.coeff for A, v in table.items()} == {-2: 1, 0: 4, 2: 1}
-    assert all(v.scale_exp == 0 for v in table.values())
+    assert table == {-2: 1, 0: 4, 2: 1}
+    assert all(type(v) is Fraction for v in table.values())
+    assert Family.EVEN.pi_exp == 0
 
 
 def test_build_coeff_table_parity_check():
@@ -490,7 +485,7 @@ def test_coeff_table_symmetry_ledger():
             t = build_coeff_table(
                 spec, fam, A_values=even_As, m=2, window=Window.SYMMETRIC
             )
-            assert all(t[A] == -Scaled.of(t[-A]) for A in even_As)
+            assert all(t[A] == -t[-A] for A in even_As)
     spec4 = SumSpec(r=2, l=(1, 1, 1, 1))
     even_As = list(range(-4, 5, 2))
     t = build_coeff_table(
