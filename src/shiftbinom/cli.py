@@ -8,7 +8,6 @@ Examples:
     shiftbinom coeffs --family odd --r 2 --l 1,1 --a-min -5 --a-max 5
     shiftbinom seq pi --l 2 --m 1:100:1 --format csv --out pi.csv
     shiftbinom seq ratio-pi --r 2 --l 1,1 --A 2 --m 10:1000:90
-    shiftbinom compositions --n 4 --g 3 --check
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 internal error (a bug, reported as one `internal error:` line on
@@ -24,8 +23,7 @@ positive integer or `inf`.  A `seq` kind takes the flags its builder in
 other given flag of theirs exits 2.
 `--config FILE` reads `key=value` lines; a key is a long flag name, with `-`
 or `_` (`a-max` or `a_max`), and its value is parsed and checked exactly as
-the flag's (a switch such as `check` is on for 1, true, yes or on).
-Command-line flags win over the file; an unknown key exits 2.
+the flag's.  Command-line flags win over the file; an unknown key exits 2.
 """
 
 from __future__ import annotations
@@ -156,34 +154,75 @@ def _build_spec(ns) -> SumSpec:
     return SumSpec(r=2 if ns.r is None else ns.r, l=ns.l)
 
 
-def _cg_identity(n: int, g: int) -> tuple[Fraction, int, bool]:
-    """(g*n*sum(c_g), C(gn, n), whether both printed c_g forms agree) over the
-    g-compositions of n."""
-    comps = list(sequences.enumerate_g_compositions(n, g))
-    weights = [sequences.cg_weight(c) for c in comps]
-    forms_ok = all(
-        w == sequences.cg_weight_factorial_form(c) for w, c in zip(weights, comps)
-    )
-    total = g * n * sum(weights)
-    return total, math.comb(g * n, n), forms_ok
+def _exact_record(check: str, lhs: int | Fraction, rhs: int | Fraction) -> dict:
+    """The record of an exact check of lhs == rhs: abs_err is "exact" when it
+    passes, and |lhs - rhs| otherwise."""
+    ok = lhs == rhs
+    return {"check": check, "lhs": _exact_str(lhs), "rhs": _exact_str(rhs),
+            "abs_err": "exact" if ok else _exact_str(abs(lhs - rhs)), "pass": ok}
 
 
-# the verify checks, in the order `all` runs them, and the flags each reads;
-# `all` takes every flag, a single check only its own
+# A check's runner takes its name, the spec of --r and --l (None when it reads
+# neither), read(flag, default) and the run's one sums.Rows store, and returns
+# the check's records.
+
+
+def _integral(expansion: str, tol: float, *args: tuple[str, int]):
+    """The runner of an integral check.  It evaluates oracle.<expansion> at
+    the phase --p/--q (defaults 1 and 3), with further arguments read from the
+    (flag, default) pairs args, and passes when the two sides differ by less
+    than tol."""
+
+    def records(check, spec, read, rows) -> list[dict]:
+        # imported here, so that only the checks that integrate load the oracle
+        from . import oracle
+
+        p, q = read("p", 1), read("q", 3)
+        phase = Fraction(0) if q == math.inf else Fraction(p, q)
+        extra = (read(flag, default) for flag, default in args)
+        lhs, rhs = getattr(oracle, expansion)(spec, phase, *extra, rows=rows)
+        err = abs(lhs - rhs)
+        return [{"check": check, "lhs": lhs, "rhs": rhs, "abs_err": err, "pass": err < tol}]
+
+    return records
+
+
+def _odd_equality(check, spec, read, rows) -> list[dict]:
+    direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
+    alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
+    return [_exact_record(f"{check}[A={A}]", direct_of(A), alt_of(A))
+            for A in range(1, read("a_max", 9) + 1, 2)]
+
+
+def _sum_rule(check, spec, read, rows) -> list[dict]:
+    rn = spec.r * spec.n
+    return [_exact_record(check, sums.sum_rule_even(spec, rows), math.comb(rn, rn // 2))]
+
+
+def _cg(check, spec, read, rows) -> list[dict]:
+    """g*n*sum(c_g) over the g-compositions of n, against C(gn, n)."""
+    n, g = read("n", 4), read("g", 2)
+    total = g * n * sum(sequences.cg_weight(c) for c in sequences.enumerate_g_compositions(n, g))
+    return [_exact_record(check, total, math.comb(g * n, n))]
+
+
+# the verify checks, in the order `all` runs them: the flags each reads, and
+# its runner; `all` takes every flag, a single check only its own
 _CHECKS = {
-    "identity": ("r", "l", "p", "q"),
-    "odd-integral": ("r", "l", "p", "q", "odd_a_cut"),
-    "antisym-integral": ("r", "l", "p", "q"),
-    "odd-equality": ("r", "l", "a_max"),
-    "sum-rule": ("r", "l"),
-    "cg": ("n", "g"),
+    "identity": (("r", "l", "p", "q"), _integral("even_expansion", 1e-9)),
+    "odd-integral": (("r", "l", "p", "q", "odd_a_cut"),
+                     _integral("odd_expansion", 1e-6, ("odd_a_cut", 399))),
+    "antisym-integral": (("r", "l", "p", "q"), _integral("antisym_expansion", 1e-9)),
+    "odd-equality": (("r", "l", "a_max"), _odd_equality),
+    "sum-rule": (("r", "l"), _sum_rule),
+    "cg": (("n", "g"), _cg),
 }
 
 
 def _cmd_verify(ns) -> int:
     names = tuple(_CHECKS) if ns.check == "all" else (ns.check,)
-    reads = {flag for name in names for flag in _CHECKS[name]}
-    for flag in dict.fromkeys(f for flags in _CHECKS.values() for f in flags):
+    reads = {flag for name in names for flag in _CHECKS[name][0]}
+    for flag in dict.fromkeys(f for flags, _ in _CHECKS.values() for f in flags):
         if flag not in reads and getattr(ns, flag) is not None:
             raise UsageError(f"verify {ns.check} does not take --{flag.replace('_', '-')}")
 
@@ -193,55 +232,10 @@ def _cmd_verify(ns) -> int:
         value = getattr(ns, flag)
         return default if value is None else value
 
-    checks: list[dict] = []
     spec = _build_spec(ns) if "l" in reads else None
-
     # one store for every check of the run: they all read the spec's one W
     rows = sums.Rows()
-    if "q" in reads:  # a check that integrates: only those read the phase
-        # imported here, so that only the checks that integrate load the oracle
-        from . import oracle
-
-        p, q = read("p", 1), read("q", 3)
-        phase = Fraction(0) if q == math.inf else Fraction(p, q)
-        # (check, its expansion's (lhs, rhs), tolerance on abs_err): each
-        # check computes its own expansion and no other
-        integrals = (
-            ("identity", lambda: oracle.even_expansion(spec, phase, rows), 1e-9),
-            ("odd-integral",
-             lambda: oracle.odd_expansion(spec, phase, read("odd_a_cut", 399), rows), 1e-6),
-            ("antisym-integral", lambda: oracle.antisym_expansion(spec, phase, rows), 1e-9),
-        )
-        for name, expansion, tol in integrals:
-            if name in names:
-                lhs, rhs = expansion()
-                err = abs(lhs - rhs)
-                checks.append(
-                    {"check": name, "lhs": lhs, "rhs": rhs, "abs_err": err, "pass": err < tol}
-                )
-
-    def exact_check(check: str, lhs, rhs, forms_ok: bool = True) -> None:
-        """The record of an exact check of lhs == rhs: abs_err is "exact" when
-        it passes, and otherwise |lhs - rhs|, or "form-mismatch" when forms_ok
-        is false."""
-        ok = forms_ok and lhs == rhs
-        err = _exact_str(abs(lhs - rhs)) if forms_ok else "form-mismatch"
-        checks.append({"check": check, "lhs": _exact_str(lhs), "rhs": _exact_str(rhs),
-                       "abs_err": "exact" if ok else err, "pass": ok})
-
-    if "odd-equality" in names:
-        direct_of = sums.Coefficients(spec, Family.ODD, rows=rows)
-        alt_of = sums.Coefficients(spec, Family.ODD_SINC, rows=rows)
-        for A in range(1, read("a_max", 9) + 1, 2):
-            exact_check(f"odd-equality[A={A}]", direct_of(A), alt_of(A))
-
-    if "sum-rule" in names:
-        target = math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-        exact_check("sum-rule", sums.sum_rule_even(spec, rows), target)
-
-    if "cg" in names:
-        exact_check("cg", *_cg_identity(read("n", 4), read("g", 2)))
-
+    checks = [rec for name in names for rec in _CHECKS[name][1](name, spec, read, rows)]
     for rec in checks:
         _print_check(rec)
     return 0 if all(rec["pass"] for rec in checks) else 1
@@ -347,14 +341,6 @@ def _cmd_compositions(ns) -> int:
             }
         )
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)
-    if ns.check:
-        total, target, forms_ok = _cg_identity(ns.n, ns.g)
-        ok = total == target and forms_ok
-        sys.stderr.write(
-            f"check g*n*sum(c_g) = C(gn, n): {_exact_str(total)} vs {_exact_str(target)}: "
-            f"{'pass' if ok else 'FAIL'}\n"
-        )
-        return 0 if ok else 1
     return 0
 
 
@@ -363,15 +349,14 @@ def _cmd_compositions(ns) -> int:
 
 def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """The flags that a --config file's key=value lines stand for.  A key is
-    a long flag of the subcommand, written with - or _; a later line wins.  A
-    switch such as --check is given when its value is 1, true, yes or on."""
+    a long flag of the subcommand, written with - or _; a later line wins."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UsageError(f"cannot read --config {path}: {e.strerror}")
     except UnicodeDecodeError:
         raise UsageError(f"cannot read --config {path}: not UTF-8 text")
-    flags: dict[str, str | None] = {}
+    flags: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -383,11 +368,8 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
         action = parser._option_string_actions.get(flag)
         if action is None or action.dest in ("help", "config"):
             raise UsageError(f"unknown config key {key!r} for {parser.prog}")
-        if action.nargs == 0:
-            flags[flag] = flag if val.lower() in ("1", "true", "yes", "on") else None
-        else:
-            flags[flag] = f"{flag}={val}"
-    return [f for f in flags.values() if f]
+        flags[flag] = f"{flag}={val}"
+    return list(flags.values())
 
 
 def _add_spec(p: argparse.ArgumentParser) -> None:
@@ -455,8 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_table(pk)
     pk.add_argument("--n", type=int)
     pk.add_argument("--g", type=int)
-    pk.add_argument("--check", action="store_true",
-                    help="also verify g*n*sum(c_g) = C(gn, n)")
 
     return ap
 

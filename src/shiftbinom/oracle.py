@@ -22,7 +22,9 @@ Doubles bound the spec.  |2 cos| <= 2, so a sample is at most 2^(rn) in size,
 an fsum over the N samples, or over them times roots of unity, at most
 N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples`, which
 every integral side calls first, takes a spec only while N 2^(rn) is a
-finite double: rn <= 1012.
+finite double: rn <= 1012.  It takes a phase only while its reduced p and q
+are no larger than the largest finite double, since each is converted to a
+float; it raises ParameterError before any float is formed otherwise.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
 def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
     """The cosine- or sine-power product at t = j/N, j = 0..N-1, with
-    N = 2(r*n + 1).  A spec with N 2^(rn) past double range (see the module
-    docstring) raises ParameterError."""
+    N = 2(r*n + 1).  A spec with N 2^(rn) past double range, or a phase whose
+    p or q is (see the module docstring), raises ParameterError."""
     rn = spec.r * spec.n
     n = 2 * (rn + 1)
-    # exact int-to-float comparison, reached only while 2^rn is a small int
+    # exact int-to-float comparisons, the first reached only while 2^rn is a small int
     if rn > sys.float_info.max_exp or n * 2**rn > sys.float_info.max:
         raise ParameterError(f"the float oracle takes r*n <= 1012, not {rn}")
+    if max(abs(phase.numerator), phase.denominator) > sys.float_info.max:
+        raise ParameterError("the float oracle takes a phase p/q whose |p| and q are doubles")
     fn = math.cos if kind == "cos" else math.sin
     pq = phase.numerator / phase.denominator
     samples = []
@@ -101,10 +105,11 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     are 1 apart, so the period holds at most one inside it:
     p/q - 1/2 - floor(p/q).
     """
+    # sampled first: _samples checks the phase before any float is formed
+    modes = _modes(spec, _samples(spec, phase, "cos"))
     pq = phase.numerator / phase.denominator
     c = pq - 0.5 - math.floor(pq)
     cuts = [-0.5, c, 0.5] if -0.5 < c < 0.5 else [-0.5, 0.5]
-    modes = _modes(spec, _samples(spec, phase, "cos"))
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
         sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
@@ -47,7 +47,6 @@ __all__ = [
     "sweep",
     "enumerate_g_compositions",
     "cg_weight",
-    "cg_weight_factorial_form",
 ]
 
 
@@ -304,46 +303,34 @@ class GComposition:
         return len(self.parts)
 
 
-def _fixed_length_compositions(
-    n: int, j: int, run_cap: int
-) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: list[int], remaining: int, run: int) -> Iterator[tuple[int, ...]]:
-        pos = len(prefix)
-        if pos == j:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        last = pos == j - 1
-        lo = 1 if pos == 0 or last else 0
-        # a later part must stay >= 1, so keep one unit back unless at the end
-        hi = remaining if last else remaining - 1
-        for v in range(lo, hi + 1):
-            if v == 0 and run >= run_cap:
-                continue
-            prefix.append(v)
-            yield from rec(prefix, remaining - v, run + 1 if v == 0 else 0)
-            prefix.pop()
-
-    if n >= 1 and j >= 1:
-        yield from rec([], n, 0)
-
-
 def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
     """All g-compositions of n, each exactly once, ordered by length and then
-    lexicographically by parts."""
+    lexicographically by parts.
+
+    Each is built whole, without recursion: its k nonzero parts, a
+    composition of n into k parts cut at k-1 of the points 1..n-1, with a run
+    of 0..g-2 zeros in each of the k-1 gaps between them.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if g < 2:
         raise ParameterError("g must be >= 2")
-    j_max = n + (n - 1) * (g - 2)
-    for j in range(1, j_max + 1):
-        for parts in _fixed_length_compositions(n, j, g - 2):
-            yield GComposition(parts, g)
+    found = []
+    for k in range(1, n + 1):
+        for cuts in combinations(range(1, n), k - 1):
+            nonzero = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+            for runs in product(range(g - 1), repeat=k - 1):
+                parts = [nonzero[0]]
+                for run, v in zip(runs, nonzero[1:]):
+                    parts += [0] * run + [v]
+                found.append(tuple(parts))
+    found.sort(key=lambda parts: (len(parts), parts))
+    yield from (GComposition(parts, g) for parts in found)
 
 
 def _padded_parts(comp: GComposition) -> tuple[int, ...]:
-    # virtual zero parts keep both printed weight forms well-defined for short
-    # compositions; they never change the value (each added factor is C(.,0)=1)
+    # virtual zero parts keep the weight well-defined for a composition of
+    # fewer than g parts; they never change it (each added factor is C(.,0)=1)
     need = max(comp.j, comp.g)
     return comp.parts + (0,) * (need - comp.j)
 
@@ -365,24 +352,6 @@ def cg_weight(comp: GComposition) -> Fraction:
             raise ParameterError("malformed composition for this g: empty window")
         w *= newton_binomial(top, l[i + g - 1])
     return w
-
-
-def cg_weight_factorial_form(comp: GComposition) -> Fraction:
-    """The same weight as a ratio of window-sum factorials; must agree with
-    cg_weight on every valid composition."""
-    g = comp.g
-    l = _padded_parts(comp)
-    j = len(l)
-    num = 1
-    for i in range(j - g + 1):
-        top = sum(l[i : i + g]) - 1
-        if top < 0:
-            raise ParameterError("malformed composition for this g: empty window")
-        num *= factorial(top)
-    den = 1
-    for i in range(j - g):
-        den *= factorial(sum(l[i + 1 : i + g]) - 1)
-    return Fraction(num, den * math.prod(factorial(v) for v in l))
 
 
 def _spec_parts(comp: GComposition) -> tuple[int, ...]:

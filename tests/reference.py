@@ -9,6 +9,7 @@ test modules import it by name.
     support_bound            the stated |A| bound of the even-A summation range
     float_binomial           C(l, x) in doubles through libm's lgamma
     shifted_series_eval      the truncated shifted binomial expansion in doubles
+    cg_weight_factorial_form the composition weight c_g as a ratio of factorials
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from shiftbinom.exact import SHIFT_HALF, Shift, shifted_binomial
+from shiftbinom.sequences import GComposition
 from shiftbinom.sums import SumSpec
 
 
@@ -200,3 +202,14 @@ def shifted_series_eval(l: int, s, t: float, K: int) -> complex:
         re.append(c * math.cos(phase))
         im.append(c * math.sin(phase))
     return complex(math.fsum(re), math.fsum(im))
+
+
+def cg_weight_factorial_form(comp: GComposition) -> Fraction:
+    """The weight that `sequences.cg_weight` computes as a multinomial times
+    a binomial product, written as a ratio of window-sum factorials.  Zero
+    parts pad a composition of fewer than g parts; each adds a factor 0! = 1."""
+    g = comp.g
+    l = comp.parts + (0,) * max(0, g - comp.j)
+    num = math.prod(math.factorial(sum(l[i : i + g]) - 1) for i in range(len(l) - g + 1))
+    den = math.prod(math.factorial(sum(l[i + 1 : i + g]) - 1) for i in range(len(l) - g))
+    return Fraction(num, den * math.prod(math.factorial(v) for v in l))

@@ -24,12 +24,11 @@ from shiftbinom.sums import (
 )
 from shiftbinom.sequences import (
     cg_weight,
-    cg_weight_factorial_form,
     enumerate_g_compositions,
     sweep,
 )
 
-from reference import chu_vandermonde_partial, shifted_series_eval
+from reference import cg_weight_factorial_form, chu_vandermonde_partial, shifted_series_eval
 
 # r = 2 grid: every l-list with 2 <= j <= 4 parts and total n <= 4
 GRID_L = [

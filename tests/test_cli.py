@@ -68,8 +68,11 @@ def test_verify_all_passes():
                  "--n", "3", "--g", "2", "--a-max", "5")
     assert cp.returncode == 0, cp.stderr
     lines = [json.loads(line) for line in cp.stdout.strip().splitlines()]
-    names = {rec["check"] for rec in lines}
-    assert {"identity", "odd-integral", "antisym-integral", "sum-rule", "cg"} <= names
+    # `all` runs the checks in the order of cli._CHECKS, one record per odd A
+    assert [rec["check"] for rec in lines] == [
+        "identity", "odd-integral", "antisym-integral", "odd-equality[A=1]",
+        "odd-equality[A=3]", "odd-equality[A=5]", "sum-rule", "cg",
+    ]
     assert all(rec["pass"] for rec in lines)
 
 
@@ -104,6 +107,18 @@ def test_sum_rule_mismatch_reports_absolute_difference(monkeypatch, capsys):
     assert cli.main(["verify", "sum-rule", "--r", "2", "--l", "1,1"]) == 1
     [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert (rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) == ("1", "6", "5", False)
+
+
+def test_cg_mismatch_reports_absolute_difference(monkeypatch, capsys):
+    # each weight one too large: g*n*sum(c_g) exceeds C(gn, n) by g*n per composition
+    weight = cli.sequences.cg_weight
+    monkeypatch.setattr(cli.sequences, "cg_weight", lambda comp: weight(comp) + 1)
+    assert cli.main(["verify", "cg", "--n", "4", "--g", "3"]) == 1
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    comps = len(list(cli.sequences.enumerate_g_compositions(4, 3)))
+    lhs = math.comb(12, 4) + 12 * comps
+    assert (rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) == (
+        str(lhs), "495", str(12 * comps), False)
 
 
 @pytest.mark.parametrize("check, expansion", [
@@ -166,6 +181,7 @@ _BAD_CONFIGS = {
     "kind.cfg": b"kind=pi2\n",
     "check.cfg": b"check=all\n",
     "window.cfg": b"window=symmetric\n",
+    "check-yes.cfg": b"n=4\ng=3\ncheck=yes\n",
     "latin1.cfg": b"m=1:3\n\xff\xfe=1\n",
 }
 
@@ -191,6 +207,9 @@ _BAD_CONFIGS = {
     # only seq and coeffs have half-integer windows
     ("compositions", "--n", "2", "--g", "2", "--window", "symmetric"),
     ("compositions", "--n", "2", "--g", "2", "--config", "{tmp}/window.cfg"),
+    # verify cg checks g*n*sum(c_g) = C(gn, n); compositions only lists
+    ("compositions", "--n", "4", "--g", "3", "--check"),
+    ("compositions", "--config", "{tmp}/check-yes.cfg"),
     # a seq kind takes only the flags its builder names
     ("seq", "pi", "--l", "2", "--m", "3", "--r", "3"),
     ("seq", "pi", "--l", "2", "--m", "2", "--A", "7"),
@@ -221,16 +240,22 @@ _BAD_CONFIGS = {
     # the float oracle takes r*n <= 1012: past it a sample, or an fsum, leaves double range
     ("verify", "identity", "--r", "2", "--l", "600,1"),
     ("verify", "identity", "--r", "2", "--l", "510,1"),
+    # nor a phase whose reduced p or q lies past double range, as each becomes a float
+    ("verify", "identity", "--r", "2", "--l", "1,1", "--p", str(10**400), "--q", "7"),
+    ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--p", str(-10**400), "--q", "7"),
+    ("verify", "antisym-integral", "--r", "2", "--l", "1,1", "--p", "1", "--q", str(10**400)),
 ], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
         "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
         "config-positional-kind", "config-positional-check", "compositions-window",
-        "config-compositions-window", "seq-pi-r", "seq-pi-A", "seq-cum-s", "seq-agg-l",
+        "config-compositions-window", "compositions-check", "config-compositions-check",
+        "seq-pi-r", "seq-pi-A", "seq-cum-s", "seq-agg-l",
         "seq-cum-window", "seq-agg-window", "config-seq-cum-window",
         "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
-        "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow"])
+        "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow",
+        "oracle-p-overflow", "oracle-odd-p-overflow", "oracle-q-overflow"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(data)
@@ -318,8 +343,9 @@ def test_exact_digits_past_the_int_str_limit(capsys, fmt):
 
 
 # Runs in a fresh interpreter in which importing numpy fails and is recorded,
-# so a caught ImportError (a fallback) is seen too; exits non-zero with a
-# message on any breach, without assert, so the check also holds under -O.
+# so a caught ImportError (a fallback) is seen too, and checks that only the
+# integral checks load the oracle; exits non-zero with a message on any
+# breach, without assert, so the check also holds under -O.
 _NUMPY_FREE_CHILD = """
 import contextlib, os, sys
 
@@ -336,10 +362,13 @@ sys.meta_path.insert(0, NoNumpy())
 from shiftbinom import cli
 
 def run(argv):
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        code = cli.main(argv)
-    if code != 0:
-        sys.exit(f"{argv}: exit {code}")
+    if argv:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"{argv}: exit {code}")
+    if attempts or "numpy" in sys.modules:
+        sys.exit(f"{argv or 'import shiftbinom.cli'} imported numpy: {attempts}")
 
 spec = ["--r", "2", "--l", "1,1"]
 for argv in (
@@ -348,15 +377,19 @@ for argv in (
     ["coeffs", "--family", "odd", *spec, "--a-min", "1", "--a-max", "5"],
     ["compositions", "--n", "3", "--g", "3"],
     ["verify", "odd-equality", *spec, "--a-max", "3"],
+    ["verify", "sum-rule", *spec],
+    ["verify", "cg", "--n", "3", "--g", "3"],
+):
+    run(argv)
+if "shiftbinom.oracle" in sys.modules:
+    sys.exit("a command that does not integrate loaded the oracle")
+for argv in (
     ["verify", "identity", *spec],
     ["verify", "odd-integral", *spec],
     ["verify", "antisym-integral", *spec],
     ["verify", "all", *spec, "--n", "3", "--g", "2"],
 ):
-    if argv:
-        run(argv)
-    if attempts or "numpy" in sys.modules:
-        sys.exit(f"{argv or 'import shiftbinom.cli'} imported numpy: {attempts}")
+    run(argv)
 if "shiftbinom.oracle" not in sys.modules:
     sys.exit("the verify integral checks ran without the oracle")
 """
@@ -523,16 +556,13 @@ def test_seq_agg_error_column_decreases():
         assert row["target"].startswith("pi^2*C(rn,rn/2)*C(gn,n)=")
 
 
-def test_compositions_listing_and_check():
+def test_compositions_listing():
     cp = run_cli("compositions", "--n", "2", "--g", "2")
-    assert cp.returncode == 0
+    assert cp.returncode == 0 and cp.stderr == ""
     lines = cp.stdout.strip().splitlines()
     assert lines[0] == "parts,num,den"
     assert lines[1].split(",") == ["2", "1", "2"]
     assert lines[2] == '"1,1",1,1'
-    cp = run_cli("compositions", "--n", "5", "--g", "3", "--check")
-    assert cp.returncode == 0
-    assert "pass" in cp.stderr
 
 
 def test_compositions_bad_params_exit_2():
@@ -596,9 +626,7 @@ def test_config_file_and_flag_override(tmp_path: Path):
     (("coeffs",), "family=odd\nr=2\nl=1,1\na-min=1\na_max=7\n",
      ("--family", "odd", "--r", "2", "--l", "1,1", "--a-min", "1", "--a-max", "7")),
     (("verify", "identity"), "r=2\nl=1,1\nq=inf\n", ("--r", "2", "--l", "1,1", "--q", "inf")),
-    (("compositions",), "n=4\ng=3\ncheck=yes\n", ("--n", "4", "--g", "3", "--check")),
-    (("compositions",), "n=4\ng=3\ncheck=no\n", ("--n", "4", "--g", "3")),
-], ids=["seq-pi", "seq-pis", "coeffs-odd", "verify-q-inf", "check-yes", "check-no"])
+], ids=["seq-pi", "seq-pis", "coeffs-odd", "verify-q-inf"])
 def test_config_file_matches_flags(tmp_path: Path, command, config, flags):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config, encoding="utf-8")

@@ -10,12 +10,11 @@ from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 from shiftbinom.sequences import (
     GComposition,
     cg_weight,
-    cg_weight_factorial_form,
     enumerate_g_compositions,
     sweep,
 )
 
-from reference import scaled_binomial
+from reference import cg_weight_factorial_form, scaled_binomial
 
 S3 = Shift(Fraction(1, 3))
 S4 = Shift(Fraction(1, 4))
@@ -202,6 +201,15 @@ def test_enumerate_against_brute_force():
         assert sorted(mine, key=lambda p: (len(p), p)) == mine  # documented order
         assert sorted(mine) == sorted(brute_force_compositions(n, g)), (n, g)
         assert len(set(mine)) == len(mine)
+
+
+def test_enumerate_many_part_compositions():
+    # n = 2 with up to g-2 = 1098 zeros between its two ones: 1,100
+    # compositions of up to 1,100 parts, built without one frame per part
+    comps = list(enumerate_g_compositions(2, 1100))
+    assert len(comps) == 1100
+    assert comps[0].parts == (2,) and comps[-1].parts == (1, *[0] * 1098, 1)
+    assert 1100 * 2 * sum(cg_weight(c) for c in comps) == math.comb(2200, 2)
 
 
 def test_gcomposition_validation():
