@@ -18,9 +18,11 @@ A coefficient whose value lies outside double range keeps exact `num` and
 `den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
 
 `--p`/`--q`, the phase of the integrand, are `verify` flags; `--q` takes a
-positive integer or `inf`.  A `seq` kind takes the flags its builder in
-`sequences._KINDS` names, and a `verify` check those `_CHECKS` names; any
-other given flag of theirs exits 2.
+positive integer or `inf`.  `coeffs` evaluates one `sums.Coefficients`: its
+`--m`, a positive integer, is the truncation of the windowed families, and
+the library reports a missing one, or too few parts, as a usage error.  A
+`seq` kind takes the flags its builder in `sequences._KINDS` names, and a
+`verify` check those `_CHECKS` names; any other given flag of theirs exits 2.
 `--config FILE` reads `key=value` lines; a key is a long flag name, with `-`
 or `_` (`a-max` or `a_max`), and its value is parsed and checked exactly as
 the flag's.  Command-line flags win over the file; an unknown key exits 2.
@@ -246,37 +248,34 @@ def _cmd_coeffs(ns) -> int:
     if ns.family is None:
         raise UsageError("--family is required")
     family = Family(ns.family)
-    if family.needs_m and ns.m is None:
-        raise UsageError(f"family {family.value} needs --m")
     for flag in ("m", "window"):
         if not family.needs_m and getattr(ns, flag) is not None:
             raise UsageError(f"family {family.value} has no window and takes no --{flag}")
     if ns.a_min is not None and ns.a_max is None:
         raise UsageError("--a-min needs --a-max")
-    if ns.m is not None and len(ns.m) > 1:
-        raise UsageError("coeffs takes a single --m value, not a sweep")
-    m = None if ns.m is None else ns.m[0]
-    A_values = None  # build_coeff_table's default: the family's finite support
-    if ns.a_max is not None:
+    window = {} if ns.window is None else {"window": ns.window}  # else the library's default
+    # a windowed family without --m is the library's ParameterError
+    coeffs = sums.Coefficients(spec, family, ns.m, **window)
+    if ns.a_max is None:
+        A_values = coeffs.default_A_range()
+    else:
         a_min = -ns.a_max if ns.a_min is None else ns.a_min
         A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == family.parity]
         if not A_values:
             raise UsageError(
                 f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    window = {} if ns.window is None else {"window": ns.window}  # else the library's default
-    table = sums.build_coeff_table(spec, family, A_values, m, **window)
     # each coefficient carries its family's power of 1/pi, and a zero none
-    rows = [
-        {
+    rows = []
+    for A in A_values:
+        c = coeffs(A)
+        rows.append({
             "A": A,
             "num": _exact_str(c.numerator),
             "den": _exact_str(c.denominator),
             "pi_exp": family.pi_exp if c else 0,
             "float": as_float(c, family.pi_exp),
-        }
-        for A, c in table.items()
-    ]
+        })
     _emit(rows, ["A", "num", "den", "pi_exp", "float"], ns.format, ns.out)
     return 0
 
@@ -418,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--family", choices=[f.value for f in Family])
     pc.add_argument("--a-min", type=int)
     pc.add_argument("--a-max", type=int)
-    pc.add_argument("--m", type=_parse_m_sweep, help="truncation for the windowed families")
+    pc.add_argument("--m", type=_parse_positive, help="truncation for the windowed families")
 
     ps = command("seq", _cmd_seq, "emit a convergence table over an m sweep")
     ps.add_argument("kind", choices=tuple(sequences._KINDS))

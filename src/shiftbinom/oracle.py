@@ -11,20 +11,25 @@ exactly up to roundoff, and each mode integrates in closed form over any
 interval, such as the two pieces of the odd expansion's period on either
 side of its one sign flip.  The integral side of each expansion is evaluated
 with libm cosines and sines alone and reads no value from `exact` or `sums`;
-only the coefficient side calls the exact families.  Agreement with the
-exact engine is therefore evidence, not circularity.
+only the coefficient side, `_series`, calls `sums.Coefficients`.  Agreement
+with the exact engine is therefore evidence, not circularity.
 
 Every function takes its phase p/q as the Fraction `phase`, 0 for
-q -> infinity, and forms floats from the reduced p and q, as p / q and
-pi A p / q.
+q -> infinity.  Each expansion first subtracts the even integer
+2 int(p/q / 2), exactly, so that |p/q| < 2: every integrand is a product of
+even powers of cosines or sines of pi (t - x), period 1 in x, and the odd
+expansion's sign flips have period 2, so no value changes, while the floats
+p / q and pi A p / q keep their precision at any size of p/q.  A phase with
+|p/q| < 2 is left as it is.
 
 Doubles bound the spec.  |2 cos| <= 2, so a sample is at most 2^(rn) in size,
 an fsum over the N samples, or over them times roots of unity, at most
 N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples`, which
 every integral side calls first, takes a spec only while N 2^(rn) is a
-finite double: rn <= 1012.  It takes a phase only while its reduced p and q
-are no larger than the largest finite double, since each is converted to a
-float; it raises ParameterError before any float is formed otherwise.
+finite double: rn <= 1012.  It takes a reduced phase only while its q, and
+its |p| < 2q, are no larger than the largest finite double, since each is
+converted to a float; it raises ParameterError before any float is formed
+otherwise.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .exact import ParameterError, as_float
-from .sums import Family, Rows, SumSpec, build_coeff_table
+from .sums import Coefficients, Family, Rows, SumSpec
 
 __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
@@ -50,7 +56,9 @@ def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
     if rn > sys.float_info.max_exp or n * 2**rn > sys.float_info.max:
         raise ParameterError(f"the float oracle takes r*n <= 1012, not {rn}")
     if max(abs(phase.numerator), phase.denominator) > sys.float_info.max:
-        raise ParameterError("the float oracle takes a phase p/q whose |p| and q are doubles")
+        raise ParameterError(
+            "the float oracle takes a phase p/q whose q, and whose |p| once |p/q| < 2, are doubles"
+        )
     fn = math.cos if kind == "cos" else math.sin
     pq = phase.numerator / phase.denominator
     samples = []
@@ -117,9 +125,34 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     return total
 
 
-# Each expansion returns (integral side, coefficient side), and reads its
-# family from one build_coeff_table on `rows`: the expansions of one spec
-# that share a store build the spec's tail weights once.
+def _reduced(phase: Fraction) -> Fraction:
+    """phase less 2 int(phase/2), exactly: |p/q| < 2, and no value of an
+    expansion changes (see the module docstring)."""
+    return phase - 2 * int(phase / 2)
+
+
+def _series(
+    spec: SumSpec,
+    family: Family,
+    trig: Callable[[float], float],
+    phase: Fraction,
+    rows: Rows | None,
+    A_values: Iterable[int] | None = None,
+) -> float:
+    """The coefficient side: the sum over A_values, by default the family's
+    finite A range, of trig(pi A p/q) times the family's coefficient at A.
+    rows is the store to read: the expansions of one spec that share one
+    build the spec's tail weights once."""
+    p, q = phase.numerator, phase.denominator
+    coeffs = Coefficients(spec, family, rows=rows)
+    if A_values is None:
+        A_values = coeffs.default_A_range()
+    return math.fsum(
+        trig(math.pi * A * p / q) * as_float(coeffs(A), family.pi_exp) for A in A_values
+    )
+
+
+# Each expansion returns (integral side, coefficient side).
 
 
 def even_expansion(
@@ -127,14 +160,9 @@ def even_expansion(
 ) -> tuple[float, float]:
     """The period integral, the mean of the cosine samples, and the sum over
     the even support of cos(pi A p/q) times the even coefficient."""
-    p, q = phase.numerator, phase.denominator
+    phase = _reduced(phase)
     f = _samples(spec, phase, "cos")
-    lhs = math.fsum(f) / len(f)
-    even = build_coeff_table(spec, Family.EVEN, rows=rows)
-    rhs = math.fsum(
-        math.cos(math.pi * A * p / q) * as_float(v, Family.EVEN.pi_exp) for A, v in even.items()
-    )
-    return lhs, rhs
+    return math.fsum(f) / len(f), _series(spec, Family.EVEN, math.cos, phase, rows)
 
 
 def odd_expansion(
@@ -142,14 +170,10 @@ def odd_expansion(
 ) -> tuple[float, float]:
     """The integral of the total odd-A expansion, and the sum over odd
     |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
-    p, q = phase.numerator, phase.denominator
+    phase = _reduced(phase)
     lhs = _odd_total_integral(spec, phase)
-    odd = build_coeff_table(spec, Family.ODD, list(range(1, odd_A_cut + 1, 2)), rows=rows)
-    rhs = math.fsum(
-        2.0 * math.cos(math.pi * A * p / q) * as_float(v, Family.ODD.pi_exp)
-        for A, v in odd.items()
-    )
-    return lhs, rhs
+    odd_As = range(1, odd_A_cut + 1, 2)  # A and -A alike, hence the 2
+    return lhs, 2.0 * _series(spec, Family.ODD, math.cos, phase, rows, odd_As)
 
 
 def antisym_expansion(
@@ -157,14 +181,9 @@ def antisym_expansion(
 ) -> tuple[float, float]:
     """The cosine minus the sine integral over [0, 1/2], and the sum over the
     default A range of sin(pi A p/q) times the antisym-exact coefficient."""
-    p, q = phase.numerator, phase.denominator
+    phase = _reduced(phase)
     lhs = (
         _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
-    antisym = build_coeff_table(spec, Family.ANTISYM_EXACT, rows=rows)
-    rhs = math.fsum(
-        math.sin(math.pi * A * p / q) * as_float(v, Family.ANTISYM_EXACT.pi_exp)
-        for A, v in antisym.items()
-    )
-    return lhs, rhs
+    return lhs, _series(spec, Family.ANTISYM_EXACT, math.sin, phase, rows)

@@ -25,18 +25,18 @@ H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
 
 A binomial at a half-integer entry, like g at a half-integer d, is an exact
 rational times 1/pi, so every term is a plain rational, and each family
-carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` and
-`build_coeff_table` return that rational, the coefficient times pi^pi_exp, as
-a plain Fraction; a reader that needs the coefficient's float takes the power
-from the family, as `exact.as_float(c, family.pi_exp)`.
+carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` returns
+that rational, the coefficient times pi^pi_exp, as a plain Fraction; a reader
+that needs the coefficient's float takes the power from the family, as
+`exact.as_float(c, family.pi_exp)`.
 
-`Coefficients(spec, family, m, window, rows)` is the one entry point: one
-object per call (a table, a sequence spec, a verify check), evaluated at any
-A.  `build_coeff_table` maps it over a set of A, and `sum_rule_even` over the
-even support.  Every binomial entry and every set of tail weights W comes
-from a `Rows` store that builds each once.  An entry depends only on (n,
-entry), and W only on the spec and its half-integer tail axes, so one store
-may serve several families and specs.  Nothing is cached at module level.
+`Coefficients(spec, family, m, window, rows)` is the one way to a
+coefficient: one object per call (a table, a sequence spec, a verify check),
+evaluated at any A, with `default_A_range()` the A of a table that names
+none; `sum_rule_even` sums it over the even support.  Every binomial entry
+and every set of tail weights W comes from a `Rows` store that builds each
+once.  An entry depends only on (n, entry), and W only on the spec and its
+half-integer tail axes, so one store may serve several families and specs.  Nothing is cached at module level.
 The sums run over integer numerators and one common denominator per
 coefficient, and each coefficient becomes one Fraction at the end.
 """
@@ -59,9 +59,7 @@ __all__ = [
     "Coefficients",
     "Rows",
     "half_window",
-    "antisym_A_bound",
     "sum_rule_even",
-    "build_coeff_table",
 ]
 
 
@@ -77,12 +75,13 @@ class Window(str, Enum):
     SYMMETRIC = "symmetric"
 
 
-def half_window(m: int, window: Window = Window.SYMMETRIC) -> range:
+def half_window(m: int | None, window: Window = Window.SYMMETRIC) -> range:
     """The half-integers k of the truncation window at size m, ascending, each
     given doubled: the odd integers 2k from -2m+1 (from -2m-1 when symmetric)
-    to 2m+1."""
-    if m < 1:
-        raise ParameterError("window size m must be >= 1")
+    to 2m+1.  Every windowed family reads its m here, so this is where a
+    missing one is reported."""
+    if m is None or m < 1:
+        raise ParameterError("a half-integer window needs a truncation m >= 1")
     lo = -2 * m - 1 if window is Window.SYMMETRIC else -2 * m + 1
     return range(lo, 2 * m + 2, 2)
 
@@ -122,7 +121,7 @@ class SumSpec:
 
 
 class Family(str, Enum):
-    """Coefficient families exposed by the table builder and the CLI; each is
+    """Coefficient families exposed by `Coefficients` and the CLI; each is
     the coefficient of e^(i pi A p/q) in its expansion."""
 
     EVEN = "even"  # an integer, 0 outside the finite support
@@ -285,8 +284,12 @@ class Coefficients:
 
     The tail weights W and every binomial entry come from `rows`, a store
     that builds each once and that the caller may share across families and
-    specs.  Each sum runs over integer numerators and one common denominator,
-    and each coefficient becomes one Fraction at the end.
+    specs; W is read once, here.  Each sum runs over integer numerators and
+    one common denominator, and each coefficient becomes one Fraction at the
+    end.  ParameterError reports a spec with too few parts here, an A of the
+    wrong parity at each call, and a missing m where `half_window` reads it:
+    here for the tail axes of `four`, at each call for the k_1 axis of
+    `shifted` and `antisym`.
     """
 
     def __init__(
@@ -298,53 +301,44 @@ class Coefficients:
         rows: Rows | None = None,
     ):
         self.spec, self.family, self.m, self.window = spec, Family(family), m, window
-        self.form = _FAMILIES[self.family]
-        self.rows = Rows() if rows is None else rows
-
-    def _check(self, A: int) -> _Form:
-        """The family's table row, once A and the number of parts fit it."""
-        form = self.form
-        if A % 2 != form.parity:
-            raise ParameterError(f"A must be {'odd' if form.parity else 'even'}")
-        if max(form.half_axes, default=0) > self.spec.j:
+        form = self.form = _FAMILIES[self.family]
+        if max(form.half_axes, default=0) > spec.j:
             raise ParameterError(
                 f"family {self.family.value} needs at least {max(form.half_axes)} parts"
             )
-        return form
-
-    def _weights(self) -> Tail:
-        return self.rows.tail(self.spec, self.form.half_axes, self.m, self.window)
+        self.rows = Rows() if rows is None else rows
+        self.tail = self.rows.tail(spec, form.half_axes, m, window)
 
     def _inner(self, A: int) -> list[tuple[int, Pair]]:
         """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
-        C(n2, n2/2 - A/2 - s1), and the zeros are dropped."""
+        C(n2, n2/2 - A/2 - s1), and the zeros are dropped; A's parity is
+        checked first."""
+        if A % 2 != self.form.parity:
+            raise ParameterError(f"A must be {'odd' if self.form.parity else 'even'}")
         n2, rows = self.spec.r * self.spec.l[1], self.rows
         inner = []
-        for s2, group in self._weights().items():
+        for s2, group in self.tail.items():
             v = _dot((w, rows[n2, n2 - A - s1]) for s1, w in group)
             if v[0]:
                 inner.append((s2, v))
         return inner
 
-    def _weighted(self, inner: list[tuple[int, Pair]], A: int, k2: int) -> Pair:
-        """The sum over s2 of inner[s2] pi g(A/2 + s2 - k_1), at k_1 = k2/2."""
-        g = self.form.weight
-        return _dot((v, g(A + s2 - k2)) for s2, v in inner)
+    def _k1(self, inner: list[tuple[int, Pair]], A: int, k2: int) -> Pair:
+        """The term that k1_term documents, at k_1 = k2/2, as a Pair."""
+        n1, g = self.spec.r * self.spec.l[0], self.form.weight
+        p, q = self.rows[n1, n1 + k2]
+        s, t = _dot((v, g(A + s2 - k2)) for s2, v in inner)
+        return p * s, q * t
 
     def __call__(self, A: int) -> Fraction:
         """The coefficient at A times pi^pi_exp: the module docstring's sum."""
-        form = self._check(A)
-        if form.half_axes and self.m is None:
-            raise ParameterError(f"family {self.family.value} needs a truncation m")
-        n1, rows = self.spec.r * self.spec.l[0], self.rows
+        n1, form = self.spec.r * self.spec.l[0], self.form
         inner = self._inner(A)
         if form.weight is None:
-            num, den = _dot((v, rows[n1, n1 + A + s2]) for s2, v in inner)
+            num, den = _dot((v, self.rows[n1, n1 + A + s2]) for s2, v in inner)
         else:
-            num, den = _dot(
-                (rows[n1, n1 + k2], self._weighted(inner, A, k2))
-                for k2 in _axis(n1, 1 in form.half_axes, self.m, self.window)
-            )
+            axis = _axis(n1, 1 in form.half_axes, self.m, self.window)
+            num, den = _dot((self._k1(inner, A, k2), (1, 1)) for k2 in axis)
         return Fraction(num, den)
 
     def k1_term(self, A: int) -> Callable[[int], Fraction]:
@@ -352,19 +346,12 @@ class Coefficients:
 
             pi^[k_1 half-integer] C(n1, n1/2 + k_1) sum over s2 of inner[s2] pi g(A/2 + s2 - k_1)
 
-        The coefficient is the sum of these terms over the family's k_1 axis."""
-        form = self._check(A)
-        if form.weight is None:
+        The coefficient is the sum of these terms over the family's k_1 axis.
+        The caller runs that axis, so no m is read."""
+        if self.form.weight is None:
             raise ParameterError(f"family {self.family.value} eliminates k_1")
-        n1, rows = self.spec.r * self.spec.l[0], self.rows
-        inner = self._inner(A)  # no weighted family truncates a tail axis
-
-        def term(k2: int) -> Fraction:
-            p, q = rows[n1, n1 + k2]
-            s, t = self._weighted(inner, A, k2)
-            return Fraction(p * s, q * t)
-
-        return term
+        inner = self._inner(A)
+        return lambda k2: Fraction(*self._k1(inner, A, k2))
 
     def default_A_range(self) -> list[int]:
         """The A values a table covers when no explicit range is requested.
@@ -372,28 +359,25 @@ class Coefficients:
         For the even family, its support, by scanning entry feasibility: every
         lattice term is a product of non-negative binomials, so A is in the
         support iff some k_3..k_j puts both eliminated entries inside range.
-        For the antisymmetric limit, every even |A| <= antisym_A_bound.
+        For the antisymmetric limit, every even |A| <= 2 (n2/2 + max s1):
+        past it the entry n2/2 - A/2 - s1 leaves [0, n2] for every s1 of W,
+        so the coefficient vanishes identically.
         """
         spec = self.spec
         if self.family is Family.EVEN:
             h1, h2 = spec._half(1), spec._half(2)
             sup: set[int] = set()
-            for s2, group in self._weights().items():
+            for s2, group in self.tail.items():
                 for s1, _ in group:
                     lo = max(-h1 - s2 // 2, -h2 - s1 // 2)
                     hi = min(h1 - s2 // 2, h2 - s1 // 2)
                     sup.update(2 * a for a in range(lo, hi + 1))
             return sorted(sup)
         if self.family is Family.ANTISYM_EXACT:
-            b = antisym_A_bound(spec)
+            s1_max = sum((i - 1) * spec._half(i) for i in range(3, spec.j + 1))
+            b = 2 * (spec._half(2) + s1_max)
             return list(range(-b, b + 1, 2))
         raise ParameterError(f"family {self.family.value} has no finite default A range")
-
-
-def antisym_A_bound(spec: SumSpec) -> int:
-    """|A| beyond which the antisym-exact coefficient vanishes identically."""
-    s1_max = sum((i - 1) * spec._half(i) for i in range(3, spec.j + 1))
-    return 2 * (spec._half(2) + s1_max)
 
 
 def sum_rule_even(spec: SumSpec, rows: Rows | None = None) -> int:
@@ -402,26 +386,3 @@ def sum_rule_even(spec: SumSpec, rows: Rows | None = None) -> int:
     if given, is the store to read, and may be shared with other checks."""
     even = Coefficients(spec, Family.EVEN, rows=rows)
     return sum(even(A).numerator for A in even.default_A_range())
-
-
-def build_coeff_table(
-    spec: SumSpec,
-    family: Family,
-    A_values: list[int] | None = None,
-    m: int | None = None,
-    window: Window = Window.SYMMETRIC,
-    rows: Rows | None = None,
-) -> dict[int, Fraction]:
-    """{A: coefficient times pi^pi_exp} of one family over A_values, by
-    default the family's finite A range (Coefficients.default_A_range).  rows,
-    if given, is the store to read, as for Coefficients."""
-    coeffs = Coefficients(spec, family, m, window, rows)
-    if A_values is None:
-        A_values = coeffs.default_A_range()
-    parity = coeffs.form.parity
-    bad = [A for A in A_values if A % 2 != parity]
-    if bad:
-        raise ParameterError(
-            f"family {coeffs.family.value} takes {'odd' if parity else 'even'} A only; got {bad[0]}"
-        )
-    return {A: coeffs(A) for A in A_values}

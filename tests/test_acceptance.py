@@ -19,7 +19,6 @@ from shiftbinom.sums import (
     Family,
     SumSpec,
     Window,
-    build_coeff_table,
     sum_rule_even,
 )
 from shiftbinom.sequences import (
@@ -245,25 +244,18 @@ def test_criterion_11_symmetry_ledger():
     even_As = list(range(-6, 7, 2))
     odd_As = list(range(-7, 8, 2))
     for spec in specs:
-        t = build_coeff_table(spec, Family.EVEN)
-        ok &= all(t[A] == t[-A] for A in t)
+        even = Coefficients(spec, Family.EVEN)
+        ok &= all(even(A) == even(-A) for A in even.default_A_range())
         for fam in (Family.ODD, Family.ODD_SINC):
-            t = build_coeff_table(spec, fam, A_values=odd_As)
-            ok &= all(t[A] == t[-A] for A in odd_As)
-        t = build_coeff_table(
-            spec, Family.SHIFTED, A_values=even_As, m=2, window=Window.SYMMETRIC
-        )
-        ok &= all(t[A] == t[-A] for A in even_As)
+            c = Coefficients(spec, fam)
+            ok &= all(c(A) == c(-A) for A in odd_As)
+        c = Coefficients(spec, Family.SHIFTED, m=2, window=Window.SYMMETRIC)
+        ok &= all(c(A) == c(-A) for A in even_As)
         for fam in (Family.ANTISYM, Family.ANTISYM_EXACT):
-            t = build_coeff_table(
-                spec, fam, A_values=even_As, m=2, window=Window.SYMMETRIC
-            )
-            ok &= all(t[A] == -t[-A] for A in even_As)
-    spec4 = SumSpec(r=2, l=(1, 1, 1, 1))
-    t = build_coeff_table(
-        spec4, Family.FOUR, A_values=even_As, m=2, window=Window.SYMMETRIC
-    )
-    ok &= all(t[A] == t[-A] for A in even_As)
+            c = Coefficients(spec, fam, m=2, window=Window.SYMMETRIC)
+            ok &= all(c(A) == -c(-A) for A in even_As)
+    four = Coefficients(SumSpec(r=2, l=(1, 1, 1, 1)), Family.FOUR, m=2, window=Window.SYMMETRIC)
+    ok &= all(four(A) == four(-A) for A in even_As)
     report(
         11,
         ok,

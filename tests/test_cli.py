@@ -142,7 +142,7 @@ def test_verify_integral_check_computes_only_its_expansion(monkeypatch, capsys, 
 
 @pytest.mark.parametrize("module, attr, argv", [
     ("sequences", "sweep", ["seq", "pi", "--l", "2", "--m", "1:3"]),
-    ("sums", "build_coeff_table", ["coeffs", "--family", "even", "--r", "2", "--l", "1,1"]),
+    ("sums", "Coefficients", ["coeffs", "--family", "even", "--r", "2", "--l", "1,1"]),
 ])
 def test_internal_error_exits_3(monkeypatch, capsys, module, attr, argv):
     # a bug is neither a failed check (1) nor a usage error (2)
@@ -168,7 +168,7 @@ def test_only_parameter_errors_exit_2(monkeypatch, capsys, error, code, err):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli.sums, "build_coeff_table", broken)
+    monkeypatch.setattr(cli.sums, "Coefficients", broken)
     assert cli.main(["coeffs", "--family", "even", "--r", "2", "--l", "1,1"]) == code
     captured = capsys.readouterr()
     assert captured.err == err and captured.out == ""
@@ -240,9 +240,10 @@ _BAD_CONFIGS = {
     # the float oracle takes r*n <= 1012: past it a sample, or an fsum, leaves double range
     ("verify", "identity", "--r", "2", "--l", "600,1"),
     ("verify", "identity", "--r", "2", "--l", "510,1"),
-    # nor a phase whose reduced p or q lies past double range, as each becomes a float
-    ("verify", "identity", "--r", "2", "--l", "1,1", "--p", str(10**400), "--q", "7"),
-    ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--p", str(-10**400), "--q", "7"),
+    # nor a phase whose q, or whose |p| once |p/q| < 2, lies past double range,
+    # as each becomes a float: |p| < 2q can pass the largest double when q does not
+    ("verify", "identity", "--r", "2", "--l", "1,1", "--p", str(19 * 10**307 + 1),
+     "--q", str(10**308)),
     ("verify", "antisym-integral", "--r", "2", "--l", "1,1", "--p", "1", "--q", str(10**400)),
 ], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
         "coeffs-m-sweep",
@@ -255,7 +256,7 @@ _BAD_CONFIGS = {
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
         "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow",
-        "oracle-p-overflow", "oracle-odd-p-overflow", "oracle-q-overflow"])
+        "oracle-reduced-p-overflow", "oracle-q-overflow"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(data)
@@ -263,6 +264,25 @@ def test_bad_input_exits_2(tmp_path: Path, args):
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in cp.stderr and cp.stdout == ""
+
+
+@pytest.mark.parametrize("args, p, q", [
+    (("verify", "all", "--r", "2", "--l", "1,1"), 10**21 + 1, 3),
+    (("verify", "identity", "--r", "4", "--l", "1,1,1,1"), 10**307, 1),
+    (("verify", "identity", "--r", "2", "--l", "1,1"), 10**400, 7),
+    (("verify", "odd-integral", "--r", "2", "--l", "1,1"), -10**400, 7),
+], ids=["all-p-1e21", "identity-p-1e307", "identity-p-1e400", "odd-p-minus-1e400"])
+def test_large_phase_is_reduced_exactly(args, p, q):
+    """Every integrand has period 1 in p/q and the odd expansion period 2, so
+    p/q less an even integer gives the same values; the oracle takes it off
+    exactly, before any float is formed, and so passes at any size of p/q."""
+    big = run_cli(*args, "--p", str(p), "--q", str(q))
+    assert big.returncode == 0, big.stdout + big.stderr
+    assert all(json.loads(line)["pass"] for line in big.stdout.splitlines())
+    small = Fraction(p, q) - 2 * int(Fraction(p, q) / 2)
+    assert abs(small) < 2
+    same = run_cli(*args, "--p", str(small.numerator), "--q", str(small.denominator))
+    assert big.stdout == same.stdout and big.stderr == same.stderr == ""
 
 
 @pytest.mark.parametrize("args, hint", [
@@ -507,9 +527,12 @@ def test_coeffs_wrong_parity_exits_2():
 
 
 def test_coeffs_windowed_family_needs_m():
+    # the library reports the missing m: at each call for shifted, with W for four
     cp = run_cli("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1",
                  "--a-max", "4")
     assert cp.returncode == 2
+    cp = run_cli("coeffs", "--family", "four", "--r", "2", "--l", "1,1,1,1", "--a-max", "4")
+    assert cp.returncode == 2 and "truncation m" in cp.stderr and cp.stdout == ""
     cp = run_cli("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1",
                  "--a-max", "4", "--m", "3")
     assert cp.returncode == 0

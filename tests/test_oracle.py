@@ -215,3 +215,17 @@ def test_phase_normalisation():
     even = even_expansion(spec, ZERO)[1]
     assert even == sum_rule_even(spec) == math.comb(6, 3)
     assert antisym_expansion(spec, ZERO)[1] == 0.0
+
+
+
+def test_phase_is_reduced_below_two_exactly():
+    """Every integrand has period 1 in p/q and the odd expansion period 2, so
+    the oracle takes 2 int(p/q / 2) off the phase before any float is formed:
+    a phase 2k away from one below 2 in size, on the same side of 0, gives
+    its floats bit for bit, however large k is."""
+    spec = SumSpec(r=2, l=(1, 2, 1))
+    for small in (Fraction(1, 3), Fraction(5, 3), Fraction(-7, 5), ZERO):
+        for k in (1, 10**30):
+            big = small + 2 * k if small >= 0 else small - 2 * k
+            for expansion in EXPANSIONS:
+                assert expansion(spec, big) == expansion(spec, small), (small, k, expansion)

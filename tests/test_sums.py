@@ -7,14 +7,12 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom import cli, oracle, sequences, sums
-from shiftbinom.exact import SHIFT_HALF, Shift, as_float, shifted_binomial
+from shiftbinom.exact import SHIFT_HALF, ParameterError, Shift, as_float, shifted_binomial
 from shiftbinom.sums import (
     Coefficients,
     Family,
     SumSpec,
     Window,
-    antisym_A_bound,
-    build_coeff_table,
     half_window,
     sum_rule_even,
 )
@@ -110,13 +108,10 @@ def test_every_family_matches_naive_lattice(family):
             continue
         for m, window in truncations:
             coeffs = Coefficients(spec, family, m, window)
-            table = build_coeff_table(spec, family, A_values, m, window)
             for A in A_values:
                 expect = naive_coefficient(spec, family, A, m, window)
                 got = coeffs(A)
-                assert got == expect.coeff and table[A] == expect.coeff, (
-                    spec.l, A, m, window, got, table[A],
-                )
+                assert got == expect.coeff, (spec.l, A, m, window, got)
                 if expect.coeff:
                     assert family.pi_exp == expect.scale_exp, (spec.l, A)
 
@@ -166,7 +161,9 @@ def test_tables_are_built_once_per_call(monkeypatch):
     ]:
         builds.clear()
         entries.clear()
-        build_coeff_table(spec, family, A_values, m)
+        coeffs = Coefficients(spec, family, m)
+        for A in coeffs.default_A_range() if A_values is None else A_values:
+            coeffs(A)
         assert builds == [spec], family
         assert set(entries.values()) == {1}, family
     builds.clear()
@@ -308,7 +305,7 @@ def test_shifted_partial_converges_to_even_coefficient():
     target = Coefficients(spec, Family.EVEN)(0)
 
     def shifted(m):
-        return build_coeff_table(spec, Family.SHIFTED, [0], m, Window.PAPER)[0]
+        return Coefficients(spec, Family.SHIFTED, m, Window.PAPER)(0)
 
     errs = [abs(as_float(shifted(m), Family.SHIFTED.pi_exp) - target) for m in (5, 25, 125)]
     assert errs[2] < errs[1] < errs[0]
@@ -351,21 +348,22 @@ def test_antisym_exact_values():
 
 def test_antisym_exact_is_limit_of_partial():
     spec = SumSpec(r=2, l=(1, 1))
-    exact = build_coeff_table(spec, Family.ANTISYM_EXACT, [2])[2]
+    exact = Coefficients(spec, Family.ANTISYM_EXACT)(2)
     z = as_float(exact, Family.ANTISYM_EXACT.pi_exp)
 
     def partial(m):
-        return build_coeff_table(spec, Family.ANTISYM, [2], m, Window.PAPER)[2]
+        return Coefficients(spec, Family.ANTISYM, m, Window.PAPER)(2)
 
     errs = [abs(as_float(partial(m), Family.ANTISYM.pi_exp) - z) for m in (10, 100, 1000)]
     assert errs[2] < errs[1] < errs[0]
 
 
 def test_antisym_bound():
+    # the default range is every even |A| <= b, and past b the coefficient vanishes
     spec = SumSpec(r=2, l=(1, 1))
-    b = antisym_A_bound(spec)
-    assert b == 2
     exact = Coefficients(spec, Family.ANTISYM_EXACT)
+    b = max(exact.default_A_range())
+    assert b == 2 and exact.default_A_range() == [-2, 0, 2]
     for A in (b + 2, -b - 2, b + 6):
         assert exact(A) == 0
 
@@ -392,8 +390,8 @@ def test_four_shifted_cumulative_approaches_central_binomial():
     errs = []
     for m in (2, 5, 12):
         cut = 4 * m + 8
-        four = build_coeff_table(spec, Family.FOUR, list(range(-cut, cut + 1, 2)), m)
-        total = math.fsum(as_float(v, Family.FOUR.pi_exp) for v in four.values())
+        four = Coefficients(spec, Family.FOUR, m)
+        total = math.fsum(as_float(four(A), Family.FOUR.pi_exp) for A in range(-cut, cut + 1, 2))
         errs.append(abs(total - 70.0))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-5
@@ -448,50 +446,54 @@ def test_sumspec_validation():
         SumSpec(r=2, l=(1, 1), p=1, q=3)
 
 
-# ---------------------------- build_coeff_table -----------------------------
+# ------------------------- Coefficients as a table --------------------------
 
 
-def test_build_coeff_table_even_defaults_to_support():
-    table = build_coeff_table(SumSpec(r=2, l=(1, 1)), Family.EVEN)
+def test_even_default_A_range_is_support():
+    even = Coefficients(SumSpec(r=2, l=(1, 1)), Family.EVEN)
+    table = {A: even(A) for A in even.default_A_range()}
     assert table == {-2: 1, 0: 4, 2: 1}
     assert all(type(v) is Fraction for v in table.values())
     assert Family.EVEN.pi_exp == 0
 
 
-def test_build_coeff_table_parity_check():
+def test_coefficients_parity_check():
     spec = SumSpec(r=2, l=(1, 1))
-    with pytest.raises(ValueError):
-        build_coeff_table(spec, Family.ODD, A_values=[0, 2])
-    with pytest.raises(ValueError):
-        build_coeff_table(spec, Family.SHIFTED, A_values=[0])  # missing m
+    odd = Coefficients(spec, Family.ODD)
+    for A in (0, 2):
+        with pytest.raises(ParameterError):
+            odd(A)
+    with pytest.raises(ParameterError):
+        Coefficients(spec, Family.SHIFTED)(0)  # missing m
+    with pytest.raises(ParameterError):
+        odd.default_A_range()  # no finite range
+
+
+def test_four_with_too_few_parts_raises_when_constructed():
+    # four runs k_3 and k_4 on half-integer windows, so it needs 4 parts
+    with pytest.raises(ParameterError, match="needs at least 4 parts"):
+        Coefficients(SumSpec(r=2, l=(1, 1, 1)), Family.FOUR, 2)
+    with pytest.raises(ParameterError):
+        Coefficients(SumSpec(r=2, l=(1, 1, 1, 1)), Family.FOUR)  # missing m, read with W
 
 
 def test_coeff_table_symmetry_ledger():
     """Every family carries its declared (anti)symmetry exactly."""
     specs = [SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(1, 1, 1)), SumSpec(r=2, l=(2, 1))]
+    odd_As, even_As = list(range(-7, 8, 2)), list(range(-6, 7, 2))
     for spec in specs:
-        t = build_coeff_table(spec, Family.EVEN)
-        assert all(t[A] == t[-A] for A in t)
-        odd_As = list(range(-7, 8, 2))
+        even = Coefficients(spec, Family.EVEN)
+        assert all(even(A) == even(-A) for A in even.default_A_range())
         for fam in (Family.ODD, Family.ODD_SINC):
-            t = build_coeff_table(spec, fam, A_values=odd_As)
-            assert all(t[A] == t[-A] for A in odd_As)
-        even_As = list(range(-6, 7, 2))
-        t = build_coeff_table(
-            spec, Family.SHIFTED, A_values=even_As, m=2, window=Window.SYMMETRIC
-        )
-        assert all(t[A] == t[-A] for A in even_As)
+            c = Coefficients(spec, fam)
+            assert all(c(A) == c(-A) for A in odd_As)
+        c = Coefficients(spec, Family.SHIFTED, m=2, window=Window.SYMMETRIC)
+        assert all(c(A) == c(-A) for A in even_As)
         for fam in (Family.ANTISYM, Family.ANTISYM_EXACT):
-            t = build_coeff_table(
-                spec, fam, A_values=even_As, m=2, window=Window.SYMMETRIC
-            )
-            assert all(t[A] == -t[-A] for A in even_As)
-    spec4 = SumSpec(r=2, l=(1, 1, 1, 1))
-    even_As = list(range(-4, 5, 2))
-    t = build_coeff_table(
-        spec4, Family.FOUR, A_values=even_As, m=2, window=Window.SYMMETRIC
-    )
-    assert all(t[A] == t[-A] for A in even_As)
+            c = Coefficients(spec, fam, m=2, window=Window.SYMMETRIC)
+            assert all(c(A) == -c(-A) for A in even_As)
+    four = Coefficients(SumSpec(r=2, l=(1, 1, 1, 1)), Family.FOUR, m=2, window=Window.SYMMETRIC)
+    assert all(four(A) == four(-A) for A in range(-4, 5, 2))
 
 
 # ------------------------------- public names -------------------------------
