@@ -1,11 +1,6 @@
 """Exact shifted binomial sums, trigonometric-integral identities, and
 rational sequences converging to powers of pi."""
 
-from .exact import (
-    SHIFT_HALF,
-    Shift,
-    newton_binomial,
-    shifted_binomial,
-)
+from .exact import newton_binomial, shifted_binomial
 
 __version__ = "0.1.0"

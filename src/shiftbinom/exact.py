@@ -18,15 +18,12 @@ evaluated in floating point on this path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "ParameterError",
-    "Shift",
     "as_float",
-    "SHIFT_HALF",
     "factorial",
     "newton_binomial",
     "beta_coeff",
@@ -57,37 +54,6 @@ def newton_binomial(l: int, entry: int) -> int:
     if entry < 0 or entry > l:
         return 0
     return math.comb(l, entry)
-
-
-@dataclass(frozen=True)
-class Shift:
-    """Rational shift of the binomial entry off the integers, 0 <= s < 1.
-
-    s = 0 is the classical case; s = 1/2 is the distinguished one where
-    beta(s) = 1/pi.
-    """
-
-    s: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.s, Fraction):
-            object.__setattr__(self, "s", Fraction(self.s))
-        if not 0 <= self.s < 1:
-            raise ParameterError("shift must satisfy 0 <= s < 1")
-
-    @classmethod
-    def parse(cls, text: str) -> "Shift":
-        return cls(Fraction(text))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.s == 0
-
-    def __str__(self) -> str:
-        return str(self.s)
-
-
-SHIFT_HALF = Shift(Fraction(1, 2))
 
 
 def as_float(x: Fraction | int, pi_exp: int = 0) -> float:

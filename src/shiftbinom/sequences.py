@@ -20,6 +20,12 @@ adds only the indices the previous window lacked, and a sweep costs a number
 of terms linear in its last m.  The ratio kinds use the same incremental
 window: their index is the half-integer k_1 of the truncated coefficient,
 whose term at one k_1 comes from `sums.Coefficients.k1_term`.
+
+The shift s of `pis`, `pis2` and `pis-odd` is a plain Fraction, and the kind
+checks 0 < s < 1 (`pis-odd` also s != 1/2).  Their float targets are formed
+from the exact distance of s (of 2s for `pis-odd`) to the nearest integer, so
+a shift near 1 (near 1/2 for `pis-odd`) keeps all its digits, and a target
+past double range is inf.
 """
 
 from __future__ import annotations
@@ -30,15 +36,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import (
-    SHIFT_HALF,
-    ParameterError,
-    Shift,
-    as_float,
-    beta_coeff,
-    factorial,
-    newton_binomial,
-)
+from .exact import ParameterError, as_float, beta_coeff, factorial, newton_binomial
 from .sums import Coefficients, Family, Rows, SumSpec, Window, half_window
 
 __all__ = [
@@ -82,14 +80,14 @@ class _Kind(NamedTuple):
     term: Callable[[int], Fraction]
 
 
-def _binomial_term(l: int, s: Shift, alternating: bool) -> Callable[[int], Fraction]:
+def _binomial_term(l: int, s: Fraction, alternating: bool) -> Callable[[int], Fraction]:
     """i -> (pi/sin(pi s)) C(l, l/2 + k + s), an exact rational, at k = i for
     even l and k = i + 1/2 for odd l; times (-1)^i / (k + s) when alternating.
     The entry l/2 + k + s is the integer (l + l%2)/2 + i plus s."""
-    base, offset = (l + l % 2) // 2, Fraction(l % 2, 2) + s.s
+    base, offset = (l + l % 2) // 2, Fraction(l % 2, 2) + s
 
     def term(i: int) -> Fraction:
-        c = beta_coeff(l, base + i, s.s)
+        c = beta_coeff(l, base + i, s)
         return c * (-1 if i % 2 else 1) / (i + offset) if alternating else c
 
     return term
@@ -128,7 +126,7 @@ def _pi(l: int, window: Window = Window.PAPER) -> _Kind:
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
     return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _pi_window(window),
-                 _binomial_term(l, SHIFT_HALF, alternating=False))
+                 _binomial_term(l, Fraction(1, 2), alternating=False))
 
 
 def _pi2(l: int, window: Window = Window.PAPER) -> _Kind:
@@ -136,41 +134,55 @@ def _pi2(l: int, window: Window = Window.PAPER) -> _Kind:
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
     return _Kind("pi^2", math.pi**2, 1, _central(l), _pi_window(window),
-                 _binomial_term(l, SHIFT_HALF, alternating=True))
+                 _binomial_term(l, Fraction(1, 2), alternating=True))
 
 
-def _pis(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
+def _check_shift(s: Fraction) -> None:
+    """The shift of every pis* kind lies strictly between 0 and 1."""
+    if not 0 < s < 1:
+        raise ParameterError(f"shift must satisfy 0 < s < 1, not {s}")
+
+
+def _cosecant(x: Fraction) -> float:
+    """pi/sin(pi x) for a rational x off the integers.  With k the integer
+    nearest x and d = x - k, exact, it is (-1)^k pi/sin(pi d): the float is
+    formed from d alone, so no digit of x is lost to its integer part, and it
+    is a signed inf when float(d) underflows to 0."""
+    k = round(x)
+    d = float(x - k)
+    c = math.copysign(math.inf, d) if d == 0 else math.pi / math.sin(math.pi * d)
+    return -c if k % 2 else c
+
+
+def _pis(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     """pi with the shift s; k runs over integers for even l, half-integers for odd l."""
-    if s.is_zero:
-        raise ParameterError("s = 0 has no 1/sin(pi s) scale; use the classical path")
+    _check_shift(s)
     if l < 0:
         raise ParameterError("l must be >= 0")
-    target = math.pi / math.sin(math.pi * float(s.s))
-    return _Kind("pi/sin(pi*s)", target, 1, Fraction(1, 2**l), _shift_window(l, window),
+    return _Kind("pi/sin(pi*s)", _cosecant(s), 1, Fraction(1, 2**l), _shift_window(l, window),
                  _binomial_term(l, s, alternating=False))
 
 
-def _pis2(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
+def _pis2(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     """pi2 with shift s, for even l: sign (-1)^k and denominator k + s."""
-    if s.is_zero:
-        raise ParameterError("s = 0 has no 1/sin(pi s) scale")
+    _check_shift(s)
     if l < 0 or l % 2:
         raise ParameterError("l must be even; use kind pis-odd for odd l")
-    target = (math.pi / math.sin(math.pi * float(s.s))) ** 2
-    return _Kind("(pi/sin(pi*s))^2", target, 1, _central(l), _shift_window(l, window),
+    c = _cosecant(s)  # c * c, not c ** 2, which raises OverflowError past double range
+    return _Kind("(pi/sin(pi*s))^2", c * c, 1, _central(l), _shift_window(l, window),
                  _binomial_term(l, s, alternating=True))
 
 
-def _pis_odd(l: int, s: Shift, window: Window = Window.PAPER) -> _Kind:
-    """pis2 for odd l; _central drops the extra pi of (l/2)!^2 at half-integer l/2."""
+def _pis_odd(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
+    """pis2 for odd l; _central drops the extra pi of (l/2)!^2 at half-integer l/2.
+    The target pi/(sin(pi s) cos(pi s)) is 2 pi/sin(2 pi s)."""
     if l < 1 or l % 2 == 0:
         raise ParameterError("l must be odd")
-    if s.is_zero or s.s == Fraction(1, 2):
-        raise ParameterError("target pi/(sin cos) is undefined at s = 0 or s = 1/2")
-    x = float(s.s)
-    target = math.pi / (math.sin(math.pi * x) * math.cos(math.pi * x))
-    return _Kind("pi/(sin(pi*s)*cos(pi*s))", target, 1, _central(l), _shift_window(l, window),
-                 _binomial_term(l, s, alternating=True))
+    _check_shift(s)
+    if s == Fraction(1, 2):
+        raise ParameterError("target pi/(sin cos) is undefined at s = 1/2")
+    return _Kind("pi/(sin(pi*s)*cos(pi*s))", 2 * _cosecant(2 * s), 1, _central(l),
+                 _shift_window(l, window), _binomial_term(l, s, alternating=True))
 
 
 def _odd_A_sums(

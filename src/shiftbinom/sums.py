@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import SHIFT_HALF, ParameterError, beta_coeff, newton_binomial
+from .exact import ParameterError, beta_coeff, newton_binomial
 
 __all__ = [
     "SumSpec",
@@ -199,7 +199,7 @@ def _pi_binomial(n: int, e2: int) -> Pair:
     rational, and returned reduced."""
     if e2 % 2 == 0:
         return newton_binomial(n, e2 // 2), 1
-    c = beta_coeff(n, (e2 - 1) // 2, SHIFT_HALF.s)
+    c = beta_coeff(n, (e2 - 1) // 2, Fraction(1, 2))
     return c.numerator, c.denominator
 
 

@@ -2,9 +2,7 @@
 the library computes, kept out of the package.  Not collected by pytest;
 test modules import it by name.
 
-    Scaled                   coeff * beta(s)^scale_exp, with the exact algebra of the sums below
-    scaled_binomial          a shifted binomial as a Scaled, with its power of beta(s)
-    sinc_at                  exact sin(pi x)/(pi x) as a Scaled
+    sinc_at                  exact sin(pi x)/(pi x), as the rational factor of its power of beta(s)
     chu_vandermonde_partial  exact partial sums of the shifted Chu-Vandermonde sum
     support_bound            the stated |A| bound of the even-A summation range
     float_binomial           C(l, x) in doubles through libm's lgamma
@@ -15,138 +13,49 @@ test modules import it by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from shiftbinom.exact import SHIFT_HALF, Shift, shifted_binomial
+from shiftbinom.exact import shifted_binomial
 from shiftbinom.sequences import GComposition
 from shiftbinom.sums import SumSpec
 
 
-@dataclass(frozen=True, eq=False)
-class Scaled:
-    """coeff * beta(s)^scale_exp, with beta(s) = sin(pi*s)/pi, that adds and
-    multiplies exactly.  A zero coeff always has scale_exp 0, so every zero
-    is one value; the zero absorbs into a sum whatever its scale.  Addition
-    otherwise requires matching (shift, scale_exp), and multiplication
-    matching shifts once both sides carry beta factors."""
+def sinc_at(x, s: Fraction = Fraction(1, 2)) -> Fraction:
+    """sin(pi*x) / (pi*x), exactly, as the rational r of r * beta(s)^e.
 
-    coeff: Fraction
-    scale_exp: int
-    shift: Shift
-
-    def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.scale_exp < 0:
-            raise ValueError("scale_exp must be non-negative")
-        if self.coeff == 0 and self.scale_exp != 0:
-            object.__setattr__(self, "scale_exp", 0)
-
-    @classmethod
-    def zero(cls, shift: Shift = SHIFT_HALF) -> "Scaled":
-        return cls(Fraction(0), 0, shift)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def rational(self) -> Fraction:
-        if self.scale_exp:
-            raise ValueError("value carries beta factors; not a plain rational")
-        return self.coeff
-
-    def __float__(self) -> float:
-        beta = math.sin(math.pi * float(self.shift.s)) / math.pi
-        return float(self.coeff) * beta**self.scale_exp
-
-    def __eq__(self, other):
-        if not isinstance(other, Scaled):
-            return NotImplemented
-        if self.coeff != other.coeff or self.scale_exp != other.scale_exp:
-            return False
-        return self.scale_exp == 0 or self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.coeff, self.scale_exp, self.shift if self.scale_exp else None))
-
-    def __add__(self, other):
-        if not isinstance(other, Scaled):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.scale_exp != other.scale_exp or (
-            self.scale_exp and self.shift != other.shift
-        ):
-            raise ValueError("cannot add values with different beta scales")
-        return Scaled(self.coeff + other.coeff, self.scale_exp, self.shift)
-
-    def __sub__(self, other):
-        if not isinstance(other, Scaled):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Scaled(-self.coeff, self.scale_exp, self.shift)
-
-    def __mul__(self, other):
-        if isinstance(other, Scaled):
-            if self.scale_exp and other.scale_exp and self.shift != other.shift:
-                raise ValueError("cannot multiply values with different shifts")
-            shift = self.shift if self.scale_exp else other.shift
-            return Scaled(self.coeff * other.coeff, self.scale_exp + other.scale_exp, shift)
-        if isinstance(other, (int, Fraction)):
-            return Scaled(self.coeff * other, self.scale_exp, self.shift)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-
-def scaled_binomial(l: int, entry) -> Scaled:
-    """C(l, entry) at entry = k + s as a Scaled: the library's rational
-    factor with the power beta(s)^[s > 0] that the shift of the entry fixes."""
-    x = Fraction(entry)
-    s = x - math.floor(x)
-    return Scaled(shifted_binomial(l, x), 1 if s else 0, Shift(s))
-
-
-def sinc_at(x, shift: Shift = SHIFT_HALF) -> Scaled:
-    """sin(pi*x) / (pi*x), exactly.
-
-    1 at x = 0 (removable limit), 0 at nonzero integers, and for x = k + s
-    with integer k: (-1)^k / (k+s) times one power of beta(s).
+    1 at x = 0 (removable limit) and 0 at nonzero integers, with e = 0; for
+    x = k + s with integer k, (-1)^k / (k+s), with e = 1.
     """
     f = Fraction(x)
     if f == 0:
-        return Scaled(Fraction(1), 0, shift)
+        return Fraction(1)
     if f.denominator == 1:
-        return Scaled(Fraction(0), 0, shift)
-    k = f - shift.s
+        return Fraction(0)
+    k = f - s
     if k.denominator != 1:
-        raise ValueError(f"{f} is neither an integer nor offset by shift {shift.s}")
+        raise ValueError(f"{f} is neither an integer nor offset by shift {s}")
     sign = -1 if int(k) % 2 else 1
-    return Scaled(Fraction(sign) / f, 1, shift)
+    return Fraction(sign) / f
 
 
 def chu_vandermonde_partial(
-    l1: int, l2: int, l1p: int, l2p: int, shift: Shift, m: int
-) -> Scaled:
-    """Partial sum over k in [-m, m] of C(l1, l1p+k+s) C(l2, l2p-k-s).
+    l1: int, l2: int, l1p: int, l2p: int, s: Fraction, m: int
+) -> Fraction:
+    """Partial sum over k in [-m, m] of C(l1, l1p+k+s) C(l2, l2p-k-s), as the
+    rational r of r * beta(s)^2 for 0 < s < 1, and r itself for s = 0.
 
     Converges to C(l1+l2, l1p+l2p) as m grows; with s = 0 it terminates and
-    is exact (scale_exp 0) once m >= l1 + l2.
+    is exact once m >= l1 + l2.
     """
     if not (0 <= l1p <= l1 and 0 <= l2p <= l2):
         raise ValueError("need 0 <= l1p <= l1 and 0 <= l2p <= l2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = Scaled.zero(shift)
+    total = Fraction(0)
     for k in range(-m, m + 1):
-        a = scaled_binomial(l1, l1p + k + shift.s)
+        a = shifted_binomial(l1, l1p + k + s)
         # C(l2, l2p-k-s) = C(l2, l2-l2p+k+s) by the Gamma-argument exchange
-        b = scaled_binomial(l2, l2 - l2p + k + shift.s)
+        b = shifted_binomial(l2, l2 - l2p + k + s)
         total += a * b
     return total
 

@@ -290,7 +290,7 @@ def test_large_phase_is_reduced_exactly(args, p, q):
     (("seq", "pi", "--l", "2", "--m", "1:x"), "expected an integer or start:stop:stride"),
     (("verify", "odd-equality", "--l", "1,1", "--a-max", "x"), "expected a positive integer"),
     (("verify", "identity", "--l", "1,1", "--q", "2.5"), "expected a positive integer or inf"),
-    (("seq", "pis", "--l", "3", "--s", "1.5", "--m", "3"), "shift must satisfy 0 <= s < 1"),
+    (("seq", "pis", "--l", "3", "--s", "1.5", "--m", "3"), "shift must satisfy 0 < s < 1"),
 ], ids=["m-word", "m-sweep-word", "a-max-word", "q-fraction", "shift-range"])
 def test_bad_flag_value_says_what_to_type(args, hint):
     # argparse names the type function when it raises a bare ValueError
@@ -566,6 +566,34 @@ def test_seq_ratio_pi_zero_denominator_exits_2():
 def test_seq_pis_odd_rejects_half_shift():
     cp = run_cli("seq", "pis-odd", "--l", "1", "--s", "1/2", "--m", "5")
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("args, target", [
+    (("seq", "pis", "--l", "3", "--s", f"1/{10**400}"), "pi/sin(pi*s)=inf"),
+    (("seq", "pis-odd", "--l", "1", "--s", f"1/{10**400}"), "pi/(sin(pi*s)*cos(pi*s))=inf"),
+    (("seq", "pis2", "--l", "2", "--s", f"1/{10**200}"), "(pi/sin(pi*s))^2=inf"),
+    (("seq", "pis", "--l", "2", "--s", f"1/{10**18}"), "pi/sin(pi*s)=1e+18"),
+    (("seq", "pis", "--l", "2", "--s", f"{10**18 - 1}/{10**18}"), "pi/sin(pi*s)=1e+18"),
+    (("seq", "pis-odd", "--l", "1", "--s", f"{5 * 10**17 - 1}/{10**18}"),
+     "pi/(sin(pi*s)*cos(pi*s))=1e+18"),
+], ids=["pis-tiny", "pis-odd-tiny", "pis2-tiny", "pis-near-0", "pis-near-1", "pis-odd-near-half"])
+def test_seq_pis_target_from_the_distance_to_an_integer(capsys, args, target):
+    # the float is formed from the exact distance of s (2s for pis-odd) to
+    # the nearest integer, so s near 1 keeps its digits, and past double
+    # range the target is inf, not a crash
+    assert cli.main([*args, "--m", "1"]) == 0
+    out, err = capsys.readouterr()
+    [row] = csv.DictReader(io.StringIO(out))
+    assert row["target"] == target and err == ""
+
+
+def test_seq_pis_kinds_reject_shift_out_of_range(capsys):
+    # one check of 0 < s < 1 in the library serves every pis* kind
+    for kind, l in (("pis", "2"), ("pis2", "2"), ("pis-odd", "1")):
+        for s in ("0", "1", "3/2", "-1/4"):
+            assert cli.main(["seq", kind, "--l", l, f"--s={s}", "--m", "1"]) == 2, (kind, s)
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: shift must satisfy 0 < s < 1, not {s}\n"
 
 
 def test_seq_agg_error_column_decreases():

@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom.exact import (
-    SHIFT_HALF,
-    Shift,
     as_float,
     beta_coeff,
     factorial,
@@ -14,7 +12,7 @@ from shiftbinom.exact import (
     shifted_binomial,
 )
 
-from reference import Scaled, float_binomial, scaled_binomial, sinc_at
+from reference import float_binomial, sinc_at
 
 
 def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
@@ -63,18 +61,15 @@ def test_factorial_cache_is_bounded():
 
 
 def test_shifted_binomial_half_examples():
-    v = scaled_binomial(0, Fraction(1, 2))
-    assert (v.coeff, v.scale_exp) == (Fraction(2), 1)
-    v = scaled_binomial(2, Fraction(1, 2))
-    assert (v.coeff, v.scale_exp) == (Fraction(16, 3), 1)
+    # C(l, 1/2) = r * beta(1/2): the value is r / pi
+    assert shifted_binomial(0, Fraction(1, 2)) == Fraction(2)
+    assert shifted_binomial(2, Fraction(1, 2)) == Fraction(16, 3)
 
 
 def test_shifted_binomial_s0_reduces_to_newton():
     for l in range(0, 12):
         for k in range(-4, l + 5):
-            v = scaled_binomial(l, k)
-            assert v.scale_exp == 0
-            assert v.coeff == newton_binomial(l, k)
+            assert shifted_binomial(l, k) == newton_binomial(l, k)
 
 
 def test_shifted_binomial_reads_the_shift_from_the_entry():
@@ -95,11 +90,10 @@ def test_half_binomial_grid_against_product_formula_and_float_gamma():
     for l in range(0, 21):
         for k in range(-20, 21):
             entry = Fraction(2 * k + 1, 2)
-            v = scaled_binomial(l, entry)
-            assert v.scale_exp == 1
-            assert v.coeff == ladder_binomial(l, k, SHIFT_HALF.s)
+            v = shifted_binomial(l, entry)
+            assert v == ladder_binomial(l, k, Fraction(1, 2))
             ref = math.pi * float_binomial(l, float(entry))
-            got = float(v.coeff)
+            got = float(v)
             scale = max(abs(ref), abs(got))
             assert abs(got - ref) <= 1e-12 * scale
 
@@ -108,27 +102,24 @@ def test_symmetry_half_shift():
     for l in range(0, 15):
         for k in range(-10, 11):
             x = Fraction(2 * k + 1, 2)
-            assert scaled_binomial(l, x) == scaled_binomial(l, l - x)
+            assert shifted_binomial(l, x) == shifted_binomial(l, l - x)
 
 
 def test_symmetry_generic_shift_swaps_s_for_one_minus_s():
     s = Fraction(1, 3)
     for l in range(0, 8):
         for k in range(-6, 7):
-            a = scaled_binomial(l, k + s)
-            b = scaled_binomial(l, l - k - s)
-            assert (a.shift.s, b.shift.s) == (s, 1 - s)
-            # beta(s) = beta(1-s), so the stripped coefficients must match
-            assert a.coeff == b.coeff
-            assert a.scale_exp == b.scale_exp == 1
+            # the entries carry the shifts s and 1 - s, and beta(s) = beta(1-s),
+            # so the rational factors must match
+            assert shifted_binomial(l, k + s) == shifted_binomial(l, l - k - s)
 
 
 def test_pascal_identity_at_half_integers():
     for l in range(1, 12):
         for d in range(-15, 16):
             h = Fraction(2 * d + 1, 2)
-            lhs = scaled_binomial(l, h)
-            rhs = scaled_binomial(l - 1, h) + scaled_binomial(l - 1, h - 1)
+            lhs = shifted_binomial(l, h)
+            rhs = shifted_binomial(l - 1, h) + shifted_binomial(l - 1, h - 1)
             assert lhs == rhs
 
 
@@ -137,7 +128,7 @@ def test_pascal_identity_generic_shift():
     for l in range(1, 8):
         for k in range(-6, 7):
             x = k + s
-            assert scaled_binomial(l, x) == scaled_binomial(l - 1, x) + scaled_binomial(
+            assert shifted_binomial(l, x) == shifted_binomial(l - 1, x) + shifted_binomial(
                 l - 1, x - 1
             )
 
@@ -157,9 +148,9 @@ def test_generic_shift_against_float_gamma():
 def test_closed_product_matches_pochhammer_ladders(s):
     for l in range(0, 13):
         for k in range(-15, l + 16):
-            v = scaled_binomial(l, k + s)
-            assert (v.coeff, v.scale_exp) == (ladder_binomial(l, k, s), 1), (l, k)
-            assert beta_coeff(l, k, s) == v.coeff
+            v = shifted_binomial(l, k + s)
+            assert v == ladder_binomial(l, k, s), (l, k)
+            assert beta_coeff(l, k, s) == v
 
 
 @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(2, 7)])
@@ -168,8 +159,8 @@ def test_shifted_binomial_term_ratio(s):
     for l in range(0, 13):
         for k in range(-15, l + 15):
             x = k + s
-            lhs = scaled_binomial(l, x + 1) * (x + 1)
-            assert lhs == scaled_binomial(l, x) * (l - x), (l, k)
+            lhs = shifted_binomial(l, x + 1) * (x + 1)
+            assert lhs == shifted_binomial(l, x) * (l - x), (l, k)
 
 
 # --------------------------- closed product at s = 1/2 ----------------------
@@ -185,40 +176,28 @@ def test_product_formula_examples():
 
 
 def test_sinc_values():
-    assert sinc_at(0) == Scaled(Fraction(1), 0, SHIFT_HALF)
-    assert sinc_at(3).is_zero
-    assert sinc_at(-7).is_zero
-    v = sinc_at(Fraction(1, 2))
-    assert (v.coeff, v.scale_exp) == (Fraction(2), 1)
+    assert sinc_at(0) == 1
+    assert sinc_at(3) == 0
+    assert sinc_at(-7) == 0
+    assert sinc_at(Fraction(1, 2)) == 2  # times beta(1/2): 2/pi
     # even in x
     for d in (1, 3, 5, 9):
         assert sinc_at(Fraction(d, 2)) == sinc_at(Fraction(-d, 2))
 
 
 def test_sinc_generic_shift():
-    s = Shift(Fraction(1, 3))
+    s = Fraction(1, 3)
+    beta = math.sin(math.pi / 3) / math.pi
     for k in range(-5, 6):
-        v = sinc_at(k + s.s, s)
-        expect = Fraction((-1) ** k) / (k + s.s)
-        assert v.coeff == expect and v.scale_exp == 1
+        v = sinc_at(k + s, s)
+        assert v == Fraction((-1) ** k) / (k + s)
         ref = math.sin(math.pi * (k + 1 / 3)) / (math.pi * (k + 1 / 3))
-        assert abs(float(v) - ref) < 1e-14
+        assert abs(float(v) * beta - ref) < 1e-14
 
 
 def test_sinc_rejects_off_shift_argument():
     with pytest.raises(ValueError):
-        sinc_at(Fraction(1, 3), SHIFT_HALF)
-
-
-# ---------------------------------- Shift ----------------------------------
-
-
-def test_shift_validation():
-    assert Shift.parse("1/3").s == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        Shift(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        Shift(Fraction(-1, 4))
+        sinc_at(Fraction(1, 3), Fraction(1, 2))
 
 
 # -------------------------------- as_float ---------------------------------
@@ -258,68 +237,6 @@ def test_as_float_is_bit_identical_to_the_scaled_float(pi_exp):
         assert got.hex() == want.hex(), (x, pi_exp)
     assert as_float(big, 4) == pytest.approx(10 * (1e308 / math.pi**4))
     assert as_float(-big, 0) == -math.inf
-
-
-# ---------------------------- the tests' Scaled ----------------------------
-
-
-def test_scaled_value_zero_is_canonical_and_absorbing():
-    z = Scaled.zero()
-    assert z.scale_exp == 0
-    v = Scaled(Fraction(3, 4), 2, SHIFT_HALF)
-    assert z + v == v
-    assert v + z == v
-    # a zero built with a nonzero exponent normalizes
-    assert Scaled(Fraction(0), 5, SHIFT_HALF).scale_exp == 0
-
-
-def test_scaled_value_add_requires_matching_scale():
-    a = Scaled(Fraction(1), 1, SHIFT_HALF)
-    b = Scaled(Fraction(1), 2, SHIFT_HALF)
-    with pytest.raises(ValueError):
-        a + b
-    c = Scaled(Fraction(1), 1, Shift(Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        a + c
-
-
-def test_scaled_value_mul_rules():
-    a = Scaled(Fraction(2, 3), 1, SHIFT_HALF)
-    b = Scaled(Fraction(3), 2, SHIFT_HALF)
-    p = a * b
-    assert (p.coeff, p.scale_exp) == (Fraction(2), 3)
-    r = a * 5
-    assert r.coeff == Fraction(10, 3) and r.scale_exp == 1
-    plain = Scaled(Fraction(7), 0, Shift(Fraction(0)))
-    q = plain * a  # scale-free factor adopts the other shift
-    assert q.shift == SHIFT_HALF and q.scale_exp == 1
-    c = Scaled(Fraction(1), 1, Shift(Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        a * c
-
-
-def test_scaled_value_field_laws_on_random_rationals():
-    rng = random.Random(20260810)
-
-    def rand_sv(e):
-        return Scaled(
-            Fraction(rng.randint(-50, 50), rng.randint(1, 30)), e, SHIFT_HALF
-        )
-
-    for _ in range(200):
-        e = rng.randint(0, 3)
-        a, b, c = rand_sv(e), rand_sv(e), rand_sv(e)
-        assert (a + b) + c == a + (b + c)
-        m = rand_sv(rng.randint(0, 2))
-        assert m * (a + b) == m * a + m * b
-
-
-def test_scaled_value_float_and_rational():
-    v = Scaled(Fraction(16, 3), 1, SHIFT_HALF)
-    assert float(v) == pytest.approx(16 / (3 * math.pi))
-    with pytest.raises(ValueError):
-        v.rational()
-    assert Scaled(Fraction(5, 2), 0, Shift(Fraction(0))).rational() == Fraction(5, 2)
 
 
 def test_shifted_binomial_is_thread_safe():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom import sequences
-from shiftbinom.exact import SHIFT_HALF, Shift
+from shiftbinom.exact import ParameterError, shifted_binomial
 from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 from shiftbinom.sequences import (
     GComposition,
@@ -14,10 +14,9 @@ from shiftbinom.sequences import (
     sweep,
 )
 
-from reference import cg_weight_factorial_form, scaled_binomial
+from reference import cg_weight_factorial_form
 
-S3 = Shift(Fraction(1, 3))
-S4 = Shift(Fraction(1, 4))
+S3, S4, HALF = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
 # pi C(2, x) at x = 1/2, 3/2, 5/2, pinned by hand from the closed product
 PI_C2 = {Fraction(1, 2): Fraction(16, 3), Fraction(3, 2): Fraction(16, 3),
          Fraction(5, 2): Fraction(16, 15)}
@@ -49,12 +48,13 @@ def test_pi_seq_rejects_odd_or_nonpositive_l():
 
 
 def test_odd_l_footnote_identity():
-    # C(l, l/2+k) = C(l-1, l/2+k) + C(l-1, l/2-k) for odd l, half-int entries
+    # C(l, l/2+k) = C(l-1, l/2+k) + C(l-1, l/2-k) for odd l, half-int entries:
+    # each carries one power of beta(1/2)
     for l in (1, 3, 5):
         for k in range(-6, 7):
             e = Fraction(l, 2) + k  # a half-integer
-            lhs = scaled_binomial(l, e)
-            rhs = scaled_binomial(l - 1, e) + scaled_binomial(l - 1, Fraction(l, 2) - k)
+            lhs = shifted_binomial(l, e)
+            rhs = shifted_binomial(l - 1, e) + shifted_binomial(l - 1, Fraction(l, 2) - k)
             assert lhs == rhs
 
 
@@ -86,15 +86,15 @@ def test_pi_over_sin_reduces_to_pi_seq_at_half():
     def exact(kind, **params):
         return [rec.exact for rec in sweep(kind, (1, 5, 23), **params)]
 
-    assert exact("pis", l=2, s=SHIFT_HALF) == exact("pi", l=2)
-    assert exact("pis2", l=2, s=SHIFT_HALF) == exact("pi2", l=2)
+    assert exact("pis", l=2, s=HALF) == exact("pi", l=2)
+    assert exact("pis2", l=2, s=HALF) == exact("pi2", l=2)
 
 
 def test_pi_over_sin_seq_converges():
     for s in (S3, S4):
         m10, m100 = sweep("pis", [10, 100], l=2, s=s)
         assert m100.abs_error < m10.abs_error
-        assert m100.target_value == pytest.approx(math.pi / math.sin(math.pi * float(s.s)))
+        assert m100.target_value == pytest.approx(math.pi / math.sin(math.pi * float(s)))
 
 
 def test_pi_over_sin_seq_l0_and_odd_l():
@@ -105,7 +105,7 @@ def test_pi_over_sin_seq_l0_and_odd_l():
 
 def test_pi_over_sin_seq_rejects_zero_shift():
     with pytest.raises(ValueError):
-        sweep("pis", [5], l=2, s=Shift(Fraction(0)))
+        sweep("pis", [5], l=2, s=Fraction(0))
 
 
 def test_pi_over_sin_sq_seq_converges():
@@ -126,7 +126,29 @@ def test_pi_over_sin_cos_seq():
     with pytest.raises(ValueError):
         sweep("pis-odd", [5], l=2, s=S4)
     with pytest.raises(ValueError):
-        sweep("pis-odd", [5], l=1, s=SHIFT_HALF)  # cos(pi/2) pole
+        sweep("pis-odd", [5], l=1, s=HALF)  # cos(pi/2) pole
+
+
+def test_pis_targets_keep_their_symmetry_in_s_exactly():
+    # pi/sin(pi s) is even under s -> 1 - s and pi/(sin(pi s) cos(pi s)) odd;
+    # formed from the exact distance to the nearest integer, the float
+    # targets keep that bit for bit
+    shifts = {Fraction(a, b) for b in range(2, 30) for a in range(1, b)}
+    for s in shifts:
+        for kind, l in (("pis", 2), ("pis2", 2), ("pis-odd", 1)):
+            if kind == "pis-odd" and s == HALF:
+                continue
+            [at_s] = sweep(kind, [1], l=l, s=s)
+            [mirror] = sweep(kind, [1], l=l, s=1 - s)
+            sign = -1 if kind == "pis-odd" else 1
+            assert mirror.target_value.hex() == (sign * at_s.target_value).hex(), (kind, s)
+
+
+def test_pis_kinds_reject_shift_out_of_range():
+    for kind, l in (("pis", 2), ("pis2", 2), ("pis-odd", 1)):
+        for s in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 4)):
+            with pytest.raises(ParameterError, match="0 < s < 1"):
+                sweep(kind, [1], l=l, s=s)
 
 
 # ------------------------------ cumulative sums ------------------------------
@@ -290,8 +312,8 @@ SWEEPS = [
     ("pi", {"l": 4}),
     ("pi2", {"l": 2}),
     ("pi2", {"l": 6}),
-    *[("pis", {"l": l, "s": s}) for l in (2, 3) for s in (S3, SHIFT_HALF)],
-    *[("pis2", {"l": l, "s": s}) for l in (2, 4) for s in (S3, SHIFT_HALF)],
+    *[("pis", {"l": l, "s": s}) for l in (2, 3) for s in (S3, HALF)],
+    *[("pis2", {"l": l, "s": s}) for l in (2, 4) for s in (S3, HALF)],
     ("pis-odd", {"l": 1, "s": S3}),
     ("pis-odd", {"l": 3, "s": S3}),
     ("cum", {"spec": SumSpec(r=2, l=(1, 1))}),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from shiftbinom import cli, oracle, sequences, sums
-from shiftbinom.exact import SHIFT_HALF, ParameterError, Shift, as_float, shifted_binomial
+from shiftbinom.exact import ParameterError, as_float, shifted_binomial
 from shiftbinom.sums import (
     Coefficients,
     Family,
@@ -17,7 +17,7 @@ from shiftbinom.sums import (
     sum_rule_even,
 )
 
-from reference import Scaled, chu_vandermonde_partial, scaled_binomial, sinc_at, support_bound
+from reference import chu_vandermonde_partial, sinc_at, support_bound
 
 # the standard grid: r = 2, every l-list with 2 <= j <= 4 and total n <= 4
 GRID = [
@@ -34,21 +34,27 @@ def _window(m: int, window: Window) -> list[Fraction]:
     return [Fraction(2 * k + 1, 2) for k in range(lo, m + 1)]
 
 
+def _beta_power(x: Fraction) -> int:
+    """The power of beta(1/2) = 1/pi that C(n, x), or sinc(x), carries."""
+    return 0 if x.denominator == 1 else 1
+
+
 # memoized only for speed: the oracle still visits every lattice point
 @functools.lru_cache(maxsize=None)
-def _binom(n: int, entry: Fraction) -> Scaled:
-    return scaled_binomial(n, entry)
+def _binom(n: int, entry: Fraction) -> tuple[Fraction, int]:
+    return shifted_binomial(n, entry), _beta_power(entry)
 
 
-# family -> (weight g of a summed k_1, or None when k_1 is solved; the indices
-# i whose k_i runs over a half-integer window instead of |k_i| <= r l_i / 2)
+# family -> (weight g of a summed k_1 with its power of beta, or None when
+# k_1 is solved; the indices i whose k_i runs over a half-integer window
+# instead of |k_i| <= r l_i / 2)
 NAIVE_FAMILIES = {
     Family.EVEN: (None, ()),
     Family.ODD: (None, ()),
-    Family.ODD_SINC: (sinc_at, ()),
-    Family.SHIFTED: (sinc_at, (1,)),
-    Family.ANTISYM: (lambda d: Scaled(1 / d, 1, SHIFT_HALF), (1,)),
-    Family.ANTISYM_EXACT: (lambda d: Scaled(2 / d if d % 2 else 0, 1, SHIFT_HALF), ()),
+    Family.ODD_SINC: (lambda d: (sinc_at(d), _beta_power(d)), ()),
+    Family.SHIFTED: (lambda d: (sinc_at(d), _beta_power(d)), (1,)),
+    Family.ANTISYM: (lambda d: (1 / d, 1), (1,)),
+    Family.ANTISYM_EXACT: (lambda d: (2 / d if d % 2 else Fraction(0), 1), ()),
     Family.FOUR: (None, (3, 4)),
 }
 
@@ -56,11 +62,13 @@ NAIVE_FAMILIES = {
 def naive_coefficient(
     spec: SumSpec, family: Family, A: int, m: int | None = None,
     window: Window = Window.SYMMETRIC,
-) -> Scaled:
-    """Oracle: every point of the k_3..k_j lattice, one by one, in Scaled
-    arithmetic.  k_2 solves A = -2 sum_{i>=2} (i-1) k_i; k_1 solves
-    sum_i k_i = 0, or is summed against g(solution - k_1).  No collapse of
-    the lattice and no reuse of any partial sum."""
+) -> tuple[Fraction, int]:
+    """Oracle: every point of the k_3..k_j lattice, one by one.  k_2 solves
+    A = -2 sum_{i>=2} (i-1) k_i; k_1 solves sum_i k_i = 0, or is summed
+    against g(solution - k_1).  No collapse of the lattice and no reuse of
+    any partial sum.  Returns the sum of the terms' rational factors and
+    their one power of beta(1/2): each nonzero term carries one power per
+    half-integer entry, plus its weight's, and two terms that differ raise."""
     weight, half_axes = NAIVE_FAMILIES[family]
     n = [spec.r * li for li in spec.l]
 
@@ -72,20 +80,28 @@ def naive_coefficient(
             return _window(m, window)
         return [Fraction(k) for k in range(-n[i - 1] // 2, n[i - 1] // 2 + 1)]
 
+    total, powers = Fraction(0), set()
+
+    def add(*factors: tuple[Fraction, int]) -> None:
+        nonlocal total
+        term = math.prod((c for c, _e in factors), start=Fraction(1))
+        if term:
+            total += term
+            powers.add(sum(e for _c, e in factors))
+            if len(powers) > 1:
+                raise AssertionError(f"terms with beta powers {sorted(powers)} at A = {A}")
+
     tail_axes = [[(i, k, binom(i, k)) for k in axis(i)] for i in range(3, spec.j + 1)]
-    total = Scaled.zero()
     for point in itertools.product(*tail_axes):
         k2 = -Fraction(A, 2) - sum((i - 1) * k for i, k, _c in point)
         k1 = -k2 - sum(k for _i, k, _c in point)
-        term = binom(2, k2)
-        for _i, _k, c in point:
-            term = term * c
+        tail = [binom(2, k2), *(c for _i, _k, c in point)]
         if weight is None:
-            total += term * binom(1, k1)
+            add(*tail, binom(1, k1))
         else:
             for k in axis(1):
-                total += term * binom(1, k) * weight(k1 - k)
-    return total
+                add(*tail, binom(1, k), weight(k1 - k))
+    return total, powers.pop() if powers else 0
 
 
 # ------------------------------ every family -------------------------------
@@ -109,11 +125,11 @@ def test_every_family_matches_naive_lattice(family):
         for m, window in truncations:
             coeffs = Coefficients(spec, family, m, window)
             for A in A_values:
-                expect = naive_coefficient(spec, family, A, m, window)
+                expect, power = naive_coefficient(spec, family, A, m, window)
                 got = coeffs(A)
-                assert got == expect.coeff, (spec.l, A, m, window, got)
-                if expect.coeff:
-                    assert family.pi_exp == expect.scale_exp, (spec.l, A)
+                assert got == expect, (spec.l, A, m, window, got)
+                if expect:
+                    assert family.pi_exp == power, (spec.l, A)
 
 
 def test_family_parity_and_needs_m():
@@ -201,8 +217,8 @@ def test_even_against_brute_force_lattice():
         even = Coefficients(spec, Family.EVEN)
         bound = support_bound(spec) + 2
         for A in range(-bound, bound + 1, 2):
-            expect = naive_coefficient(spec, Family.EVEN, A)
-            assert even(A) == expect.rational(), (spec.l, A)
+            expect, power = naive_coefficient(spec, Family.EVEN, A)
+            assert (even(A), power) == (expect, 0), (spec.l, A)
 
 
 def test_even_support():
@@ -237,8 +253,9 @@ def test_odd_direct_examples():
     spec = SumSpec(r=2, l=(1, 1))
     odd = Coefficients(spec, Family.ODD)
     v = odd(1)
-    expect = scaled_binomial(2, Fraction(3, 2)) * scaled_binomial(2, Fraction(1, 2))
-    assert (v, Family.ODD.pi_exp) == (expect.coeff, expect.scale_exp)
+    # two half-integer entries: the product carries beta(1/2)^2
+    expect = shifted_binomial(2, Fraction(3, 2)) * shifted_binomial(2, Fraction(1, 2))
+    assert (v, Family.ODD.pi_exp) == (expect, 2)
     assert (v, Family.ODD.pi_exp) == (Fraction(256, 9), 2)
     assert odd(3) == Fraction(256, 225)
     with pytest.raises(ValueError):
@@ -268,7 +285,7 @@ def test_odd_sinc_handles_zero_parts():
     # C(0, half-integer) factors still contribute: C(0, x) = sinc(x)
     spec = SumSpec(r=2, l=(0, 0))
     v = Coefficients(spec, Family.ODD)(1)
-    assert v == (sinc_at(Fraction(1, 2)) * sinc_at(Fraction(-1, 2))).coeff
+    assert v == sinc_at(Fraction(1, 2)) * sinc_at(Fraction(-1, 2))
     assert v == 4
     assert v == Coefficients(spec, Family.ODD_SINC)(1)
 
@@ -288,14 +305,12 @@ def test_half_window_shapes():
 def test_shifted_partial_m1_value():
     # recomputed term by term: k1 in {-1/2, 1/2, 3/2}
     got = Coefficients(SumSpec(r=2, l=(1, 1)), Family.SHIFTED, 1, Window.PAPER)(0)
+    # each term is a sinc and a binomial at half-integers: beta(1/2)^2
     expect = sum(
-        (
-            sinc_at(-k) * scaled_binomial(2, Fraction(1) + k) * 2
-            for k in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
-        ),
-        start=Scaled.zero(),
+        sinc_at(-k) * shifted_binomial(2, Fraction(1) + k) * 2
+        for k in (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
     )
-    assert (got, Family.SHIFTED.pi_exp) == (expect.coeff, expect.scale_exp)
+    assert (got, Family.SHIFTED.pi_exp) == (expect, 2)
     assert got == Fraction(1856, 45)
     assert Family.SHIFTED.pi_exp == 2
 
@@ -404,31 +419,29 @@ def test_chu_sinc_squared_case():
     # l1 = l2 = 0, s = 1/2: partial sums of sinc^2 converge to 1
     errs = []
     for m in (10, 100, 1000):
-        v = chu_vandermonde_partial(0, 0, 0, 0, SHIFT_HALF, m)
-        assert v.scale_exp == 2
-        errs.append(abs(float(v) - 1.0))
+        v = chu_vandermonde_partial(0, 0, 0, 0, Fraction(1, 2), m)  # times beta(1/2)^2
+        errs.append(abs(as_float(v, 2) - 1.0))
     assert errs[2] < errs[1] < errs[0]
 
 
 def test_chu_classical_terminates():
-    v = chu_vandermonde_partial(2, 2, 1, 1, Shift(Fraction(0)), 4)
-    assert v.scale_exp == 0
-    assert v.coeff == 6
+    # s = 0: integer entries, no power of beta
+    assert chu_vandermonde_partial(2, 2, 1, 1, Fraction(0), 4) == 6
     # larger windows only add zero terms
-    assert chu_vandermonde_partial(2, 2, 1, 1, Shift(Fraction(0)), 9).coeff == 6
+    assert chu_vandermonde_partial(2, 2, 1, 1, Fraction(0), 9) == 6
 
 
 def test_chu_half_shift_converges():
     errs = []
     for m in (10, 100, 1000):
-        v = chu_vandermonde_partial(2, 2, 1, 1, SHIFT_HALF, m)
-        errs.append(abs(float(v) - 6.0))
+        v = chu_vandermonde_partial(2, 2, 1, 1, Fraction(1, 2), m)  # times beta(1/2)^2
+        errs.append(abs(as_float(v, 2) - 6.0))
     assert errs[2] < errs[1] < errs[0]
 
 
 def test_chu_precondition():
     with pytest.raises(ValueError):
-        chu_vandermonde_partial(2, 2, 3, 1, SHIFT_HALF, 5)
+        chu_vandermonde_partial(2, 2, 3, 1, Fraction(1, 2), 5)
 
 
 # --------------------------------- SumSpec ----------------------------------
