@@ -345,6 +345,23 @@ def _cmd_compositions(ns) -> int:
 # ------------------------------ parser set-up -----------------------------
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each token that starts with - and a digit joined to the long
+    flag before it, as --s=-1/4.  argparse takes such a token for a value
+    only when it is a plain number, and reads -1/4 or -1,2 as an option; no
+    flag of this CLI starts with -<digit>, and every long flag but --help
+    takes one value."""
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev not in ("--", "--help")
+        if takes_value and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """The flags that a --config file's key=value lines stand for.  A key is
     a long flag of the subcommand, written with - or _; a later line wins."""
@@ -440,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     ap = _build_parser()
     try:
         ns = ap.parse_args(argv)

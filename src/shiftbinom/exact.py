@@ -61,7 +61,7 @@ def as_float(x: Fraction | int, pi_exp: int = 0) -> float:
     outside double range.  The float is float(x) * beta^pi_exp with the float
     beta = beta(1/2) = 1/pi; when float(x) alone overflows, the product is
     formed exactly first, from the Fraction of that float beta."""
-    beta = math.sin(math.pi / 2) / math.pi
+    beta = 1 / math.pi
     try:
         return float(x) * beta**pi_exp
     except OverflowError:

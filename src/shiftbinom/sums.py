@@ -11,7 +11,8 @@ the oracle, which sums the coefficients against it.  One lattice sum evaluates a
 Here n_i = r l_i; W[s2, s1] sums prod_{i>=3} C(n_i, n_i/2 + k_i) over the
 tail lattice points k_3..k_j with s2 = sum (i-2) k_i and s1 = sum (i-1) k_i;
 H(x) = C(n1, n1/2 + x) when k_1 is eliminated too, and otherwise
-H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table:
+H(x) = sum over k_1 of C(n1, n1/2 + k_1) g(x - k_1).  The family table,
+whose rows are the `Family` members:
 
     family         A     1/pi power  k_1                  g
     even           even  0           eliminated           -
@@ -36,7 +37,8 @@ evaluated at any A, with `default_A_range()` the A of a table that names
 none; `sum_rule_even` sums it over the even support.  Every binomial entry
 and every set of tail weights W comes from a `Rows` store that builds each
 once.  An entry depends only on (n, entry), and W only on the spec and its
-half-integer tail axes, so one store may serve several families and specs.  Nothing is cached at module level.
+half-integer tail axes, so one store may serve several families and specs.
+Nothing is cached at module level.
 The sums run over integer numerators and one common denominator per
 coefficient, and each coefficient becomes one Fraction at the end.
 """
@@ -48,7 +50,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .exact import ParameterError, beta_coeff, newton_binomial
 
@@ -120,35 +122,6 @@ class SumSpec:
         return self.r * self.l[i - 1] // 2
 
 
-class Family(str, Enum):
-    """Coefficient families exposed by `Coefficients` and the CLI; each is
-    the coefficient of e^(i pi A p/q) in its expansion."""
-
-    EVEN = "even"  # an integer, 0 outside the finite support
-    ODD = "odd"  # both eliminated entries are half-integers, hence 1/pi^2
-    ODD_SINC = "odd-sinc"  # the odd coefficient again, exactly, at every odd A
-    SHIFTED = "shifted"  # pi^2 times it tends to the even coefficient as m grows
-    ANTISYM = "antisym"  # of -i e^(i pi A p/q) in the sine expansion over [0, 1]
-    ANTISYM_EXACT = "antisym-exact"  # the m -> infinity limit of antisym
-    FOUR = "four"  # half-integer k_3, k_4 make both eliminated entries half-integers
-
-    @property
-    def parity(self) -> int:
-        """A % 2 of every A the family takes."""
-        return _FAMILIES[self].parity
-
-    @property
-    def needs_m(self) -> bool:
-        """Whether some k_i runs over a size-m half-integer window, so that
-        the family takes a truncation m."""
-        return bool(_FAMILIES[self].half_axes)
-
-    @property
-    def pi_exp(self) -> int:
-        """The power of 1/pi that every coefficient of the family carries."""
-        return _FAMILIES[self].pi_exp
-
-
 Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
 
 
@@ -174,24 +147,41 @@ def _one_minus_cos(d2: int) -> Pair:
     return _over(4, d2) if d2 % 4 else (0, 1)
 
 
-class _Form(NamedTuple):
-    """One row of the family table."""
+class Family(str, Enum):
+    """Coefficient families exposed by `Coefficients` and the CLI; each is
+    the coefficient of e^(i pi A p/q) in its expansion, and each member is
+    its row of the family table:
 
-    parity: int  # A % 2 of every A the family takes
-    pi_exp: int  # power of 1/pi that every term carries
-    weight: Callable[[int], Pair] | None = None  # None: k_1 eliminated
-    half_axes: tuple[int, ...] = ()  # i whose k_i runs over a size-m half-integer window
+    - parity: A % 2 of every A the family takes;
+    - pi_exp: the power of 1/pi that every coefficient of the family carries;
+    - weight: the k_1 weight g, or None when k_1 is eliminated;
+    - half_axes: the i whose k_i runs over a size-m half-integer window.
+    """
 
+    EVEN = "even", 0, 0  # an integer, 0 outside the finite support
+    ODD = "odd", 1, 2  # both eliminated entries are half-integers, hence 1/pi^2
+    ODD_SINC = "odd-sinc", 1, 2, _sinc  # the odd coefficient again, exactly, at every odd A
+    # pi^2 times it tends to the even coefficient as m grows
+    SHIFTED = "shifted", 0, 2, _sinc, (1,)
+    # the coefficient of -i e^(i pi A p/q) in the sine expansion over [0, 1]
+    ANTISYM = "antisym", 0, 2, _reciprocal, (1,)
+    ANTISYM_EXACT = "antisym-exact", 0, 1, _one_minus_cos  # the m -> infinity limit of antisym
+    # half-integer k_3, k_4 make both eliminated entries half-integers
+    FOUR = "four", 0, 4, None, (3, 4)
 
-_FAMILIES = {
-    Family.EVEN: _Form(parity=0, pi_exp=0),
-    Family.ODD: _Form(parity=1, pi_exp=2),
-    Family.ODD_SINC: _Form(parity=1, pi_exp=2, weight=_sinc),
-    Family.SHIFTED: _Form(parity=0, pi_exp=2, weight=_sinc, half_axes=(1,)),
-    Family.ANTISYM: _Form(parity=0, pi_exp=2, weight=_reciprocal, half_axes=(1,)),
-    Family.ANTISYM_EXACT: _Form(parity=0, pi_exp=1, weight=_one_minus_cos),
-    Family.FOUR: _Form(parity=0, pi_exp=4, half_axes=(3, 4)),
-}
+    def __new__(cls, value: str, parity: int, pi_exp: int,
+                weight: Callable[[int], Pair] | None = None, half_axes: tuple[int, ...] = ()):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.parity, member.pi_exp = parity, pi_exp
+        member.weight, member.half_axes = weight, half_axes
+        return member
+
+    @property
+    def needs_m(self) -> bool:
+        """Whether some k_i runs over a size-m half-integer window, so that
+        the family takes a truncation m."""
+        return bool(self.half_axes)
 
 
 def _pi_binomial(n: int, e2: int) -> Pair:
@@ -301,20 +291,20 @@ class Coefficients:
         rows: Rows | None = None,
     ):
         self.spec, self.family, self.m, self.window = spec, Family(family), m, window
-        form = self.form = _FAMILIES[self.family]
-        if max(form.half_axes, default=0) > spec.j:
+        half_axes = self.family.half_axes
+        if max(half_axes, default=0) > spec.j:
             raise ParameterError(
-                f"family {self.family.value} needs at least {max(form.half_axes)} parts"
+                f"family {self.family.value} needs at least {max(half_axes)} parts"
             )
         self.rows = Rows() if rows is None else rows
-        self.tail = self.rows.tail(spec, form.half_axes, m, window)
+        self.tail = self.rows.tail(spec, half_axes, m, window)
 
     def _inner(self, A: int) -> list[tuple[int, Pair]]:
         """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
         C(n2, n2/2 - A/2 - s1), and the zeros are dropped; A's parity is
         checked first."""
-        if A % 2 != self.form.parity:
-            raise ParameterError(f"A must be {'odd' if self.form.parity else 'even'}")
+        if A % 2 != self.family.parity:
+            raise ParameterError(f"A must be {'odd' if self.family.parity else 'even'}")
         n2, rows = self.spec.r * self.spec.l[1], self.rows
         inner = []
         for s2, group in self.tail.items():
@@ -325,19 +315,19 @@ class Coefficients:
 
     def _k1(self, inner: list[tuple[int, Pair]], A: int, k2: int) -> Pair:
         """The term that k1_term documents, at k_1 = k2/2, as a Pair."""
-        n1, g = self.spec.r * self.spec.l[0], self.form.weight
+        n1, g = self.spec.r * self.spec.l[0], self.family.weight
         p, q = self.rows[n1, n1 + k2]
         s, t = _dot((v, g(A + s2 - k2)) for s2, v in inner)
         return p * s, q * t
 
     def __call__(self, A: int) -> Fraction:
         """The coefficient at A times pi^pi_exp: the module docstring's sum."""
-        n1, form = self.spec.r * self.spec.l[0], self.form
+        n1, family = self.spec.r * self.spec.l[0], self.family
         inner = self._inner(A)
-        if form.weight is None:
+        if family.weight is None:
             num, den = _dot((v, self.rows[n1, n1 + A + s2]) for s2, v in inner)
         else:
-            axis = _axis(n1, 1 in form.half_axes, self.m, self.window)
+            axis = _axis(n1, 1 in family.half_axes, self.m, self.window)
             num, den = _dot((self._k1(inner, A, k2), (1, 1)) for k2 in axis)
         return Fraction(num, den)
 
@@ -348,7 +338,7 @@ class Coefficients:
 
         The coefficient is the sum of these terms over the family's k_1 axis.
         The caller runs that axis, so no m is read."""
-        if self.form.weight is None:
+        if self.family.weight is None:
             raise ParameterError(f"family {self.family.value} eliminates k_1")
         inner = self._inner(A)
         return lambda k2: Fraction(*self._k1(inner, A, k2))

@@ -90,9 +90,8 @@ def test_verify_failure_exits_1(monkeypatch):
 
 def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):
     # a sinc form twice the true one: every A fails, by exactly |lhs|
-    sinc = sums._FAMILIES[Family.ODD_SINC]
-    doubled = sinc._replace(weight=lambda d2: (2 * sums._sinc(d2)[0], sums._sinc(d2)[1]))
-    monkeypatch.setitem(sums._FAMILIES, Family.ODD_SINC, doubled)
+    monkeypatch.setattr(Family.ODD_SINC, "weight",
+                        lambda d2: (2 * sums._sinc(d2)[0], sums._sinc(d2)[1]))
     assert cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "3"]) == 1
     recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) for rec in recs] == [
@@ -183,6 +182,7 @@ _BAD_CONFIGS = {
     "window.cfg": b"window=symmetric\n",
     "check-yes.cfg": b"n=4\ng=3\ncheck=yes\n",
     "latin1.cfg": b"m=1:3\n\xff\xfe=1\n",
+    "negative-l.cfg": b"l=-1,2\n",
 }
 
 
@@ -291,10 +291,20 @@ def test_large_phase_is_reduced_exactly(args, p, q):
     (("verify", "odd-equality", "--l", "1,1", "--a-max", "x"), "expected a positive integer"),
     (("verify", "identity", "--l", "1,1", "--q", "2.5"), "expected a positive integer or inf"),
     (("seq", "pis", "--l", "3", "--s", "1.5", "--m", "3"), "shift must satisfy 0 < s < 1"),
-], ids=["m-word", "m-sweep-word", "a-max-word", "q-fraction", "shift-range"])
-def test_bad_flag_value_says_what_to_type(args, hint):
+    # a value that starts with - and a digit but is no plain number reaches its own check
+    (("seq", "pis", "--l", "3", "--s", "-1/4", "--m", "1"),
+     "shift must satisfy 0 < s < 1, not -1/4"),
+    (("coeffs", "--family", "even", "--r", "2", "--l", "-1,2"), "parts must be non-negative"),
+    (("seq", "pi", "--l", "2", "--m", "-1:3"), "m must be >= 1"),
+    (("coeffs", "--family", "even", "--r", "2", "--config", "{tmp}/negative-l.cfg"),
+     "parts must be non-negative"),
+], ids=["m-word", "m-sweep-word", "a-max-word", "q-fraction", "shift-range",
+        "negative-shift", "negative-part", "negative-m-sweep", "config-negative-part"])
+def test_bad_flag_value_says_what_to_type(tmp_path: Path, args, hint):
     # argparse names the type function when it raises a bare ValueError
-    cp = run_cli(*args)
+    for name, data in _BAD_CONFIGS.items():
+        (tmp_path / name).write_bytes(data)
+    cp = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert cp.returncode == 2 and cp.stdout == ""
     [error] = [line for line in cp.stderr.splitlines() if "error:" in line]
     assert hint in error and "_parse" not in cp.stderr and "Traceback" not in cp.stderr

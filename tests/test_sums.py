@@ -48,7 +48,7 @@ def _binom(n: int, entry: Fraction) -> tuple[Fraction, int]:
 # family -> (weight g of a summed k_1 with its power of beta, or None when
 # k_1 is solved; the indices i whose k_i runs over a half-integer window
 # instead of |k_i| <= r l_i / 2)
-NAIVE_FAMILIES = {
+NAIVE_ROWS = {
     Family.EVEN: (None, ()),
     Family.ODD: (None, ()),
     Family.ODD_SINC: (lambda d: (sinc_at(d), _beta_power(d)), ()),
@@ -69,7 +69,7 @@ def naive_coefficient(
     any partial sum.  Returns the sum of the terms' rational factors and
     their one power of beta(1/2): each nonzero term carries one power per
     half-integer entry, plus its weight's, and two terms that differ raise."""
-    weight, half_axes = NAIVE_FAMILIES[family]
+    weight, half_axes = NAIVE_ROWS[family]
     n = [spec.r * li for li in spec.l]
 
     def binom(i, k):  # C(r l_i, r l_i / 2 + k)
@@ -115,7 +115,7 @@ def test_every_family_matches_naive_lattice(family):
     parity = 1 if family in (Family.ODD, Family.ODD_SINC) else 0
     truncations = (
         [(m, w) for m in (1, 3) for w in Window]
-        if NAIVE_FAMILIES[family][1]
+        if NAIVE_ROWS[family][1]
         else [(None, Window.SYMMETRIC)]
     )
     A_values = list(range(-9 + (1 - parity), 10, 2))
@@ -136,7 +136,7 @@ def test_family_parity_and_needs_m():
     # the facts the CLI reads off a family, against the naive table above
     for family in Family:
         assert family.parity == (1 if family in (Family.ODD, Family.ODD_SINC) else 0)
-        assert family.needs_m is bool(NAIVE_FAMILIES[family][1]), family
+        assert family.needs_m is bool(NAIVE_ROWS[family][1]), family
 
 
 def _expansions(spec: SumSpec) -> None:
