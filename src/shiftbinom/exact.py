@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
     "ParameterError",
     "as_float",
-    "factorial",
     "newton_binomial",
     "beta_coeff",
     "shifted_binomial",
@@ -37,14 +35,6 @@ class ParameterError(ValueError):
     The CLI reports this, and only this, ValueError as a usage error (exit
     2); any other ValueError from the library is a bug.
     """
-
-
-@lru_cache(maxsize=1024)
-def factorial(n: int) -> int:
-    """n!, memoized; coefficient sweeps revisit the same few n thousands of
-    times.  The cache is bounded, so a long-lived process cannot grow it
-    without limit."""
-    return math.factorial(n)
 
 
 def newton_binomial(l: int, entry: int) -> int:
@@ -83,7 +73,7 @@ def beta_coeff(l: int, k: int, s: Fraction) -> Fraction:
     a, b = s.numerator, s.denominator
     sign = 1 if k % 2 else -1
     denom = math.prod(b * (i - k) - a for i in range(l + 1))
-    return Fraction(sign * factorial(l) * b ** (l + 1), denom)
+    return Fraction(sign * math.factorial(l) * b ** (l + 1), denom)
 
 
 def shifted_binomial(l: int, entry) -> Fraction:

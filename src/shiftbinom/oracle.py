@@ -29,7 +29,9 @@ every integral side calls first, takes a spec only while N 2^(rn) is a
 finite double: rn <= 1012.  It takes a reduced phase only while its q, and
 its |p| < 2q, are no larger than the largest finite double, since each is
 converted to a float; it raises ParameterError before any float is formed
-otherwise.
+otherwise.  The coefficient side, `_series`, forms pi A p / q; it takes a
+phase only while pi |A| |p| at the largest |A| it sums is a finite double,
+and raises ParameterError before its first term otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .exact import ParameterError, as_float
-from .sums import Coefficients, Family, Rows, SumSpec
+from .sums import Coefficients, Family, SumSpec
 
 __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
@@ -136,17 +138,17 @@ def _series(
     family: Family,
     trig: Callable[[float], float],
     phase: Fraction,
-    rows: Rows | None,
     A_values: Iterable[int] | None = None,
 ) -> float:
     """The coefficient side: the sum over A_values, by default the family's
     finite A range, of trig(pi A p/q) times the family's coefficient at A.
-    rows is the store to read: the expansions of one spec that share one
-    build the spec's tail weights once."""
+    A phase whose pi |A| |p| is no finite double at the largest |A| raises
+    ParameterError before any term is formed (see the module docstring)."""
     p, q = phase.numerator, phase.denominator
-    coeffs = Coefficients(spec, family, rows=rows)
-    if A_values is None:
-        A_values = coeffs.default_A_range()
+    coeffs = Coefficients(spec, family)
+    A_values = coeffs.default_A_range() if A_values is None else list(A_values)
+    if not math.isfinite(math.pi * max(map(abs, A_values), default=0) * abs(p)):
+        raise ParameterError("the float oracle takes a phase p/q whose pi |A| |p| is a double")
     return math.fsum(
         trig(math.pi * A * p / q) * as_float(coeffs(A), family.pi_exp) for A in A_values
     )
@@ -155,30 +157,24 @@ def _series(
 # Each expansion returns (integral side, coefficient side).
 
 
-def even_expansion(
-    spec: SumSpec, phase: Fraction, rows: Rows | None = None
-) -> tuple[float, float]:
+def even_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The period integral, the mean of the cosine samples, and the sum over
     the even support of cos(pi A p/q) times the even coefficient."""
     phase = _reduced(phase)
     f = _samples(spec, phase, "cos")
-    return math.fsum(f) / len(f), _series(spec, Family.EVEN, math.cos, phase, rows)
+    return math.fsum(f) / len(f), _series(spec, Family.EVEN, math.cos, phase)
 
 
-def odd_expansion(
-    spec: SumSpec, phase: Fraction, odd_A_cut: int, rows: Rows | None = None
-) -> tuple[float, float]:
+def odd_expansion(spec: SumSpec, phase: Fraction, odd_A_cut: int) -> tuple[float, float]:
     """The integral of the total odd-A expansion, and the sum over odd
     |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
     phase = _reduced(phase)
     lhs = _odd_total_integral(spec, phase)
     odd_As = range(1, odd_A_cut + 1, 2)  # A and -A alike, hence the 2
-    return lhs, 2.0 * _series(spec, Family.ODD, math.cos, phase, rows, odd_As)
+    return lhs, 2.0 * _series(spec, Family.ODD, math.cos, phase, odd_As)
 
 
-def antisym_expansion(
-    spec: SumSpec, phase: Fraction, rows: Rows | None = None
-) -> tuple[float, float]:
+def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The cosine minus the sine integral over [0, 1/2], and the sum over the
     default A range of sin(pi A p/q) times the antisym-exact coefficient."""
     phase = _reduced(phase)
@@ -186,4 +182,4 @@ def antisym_expansion(
         _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
-    return lhs, _series(spec, Family.ANTISYM_EXACT, math.sin, phase, rows)
+    return lhs, _series(spec, Family.ANTISYM_EXACT, math.sin, phase)

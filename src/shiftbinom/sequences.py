@@ -7,7 +7,8 @@ summed from rational terms: a shifted binomial enters as its rational factor
 no term passes through a float.
 Sequence windows default to the one-sided 'paper' convention; the symmetric
 variant is available everywhere a half-integer window appears, as the
-`window` parameter of the builders that have one.
+`window` parameter of the builders that have one.  The integer window of
+`pis` and `pis2` at even l has no symmetric variant.
 
 `sweep(kind, ms, **params)` is the one entry point: it evaluates every kind
 from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each document
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import ParameterError, as_float, beta_coeff, factorial, newton_binomial
+from .exact import ParameterError, as_float, beta_coeff, newton_binomial
 from .sums import Coefficients, Family, Rows, SumSpec, Window, half_window
 
 __all__ = [
@@ -106,19 +107,24 @@ def _pi_window(window: Window) -> Callable[[int], range]:
 
 def _shift_window(l: int, window: Window) -> Callable[[int], range]:
     """The window of the generic-shift kinds: k = i in [-m, m] for even l, and
-    k = i + 1/2 in [-m-1/2, m-1/2] for odd l, to m+1/2 when symmetric."""
+    k = i + 1/2 in [-m-1/2, m-1/2] for odd l, to m+1/2 when symmetric.  Even
+    l has no symmetric window: C(l, l/2 + x) is symmetric only about x = 0,
+    and the entries x = k + s are off it (s = 0 is the kind pi)."""
     pad = 1 if window is Window.SYMMETRIC else 0
     if l % 2:
         return lambda m: range(-m - 1, m + pad)
+    if pad:
+        raise ParameterError(f"even l = {l} has no symmetric window")
     return lambda m: range(-m, m + 1)
 
 
 def _central(l: int) -> Fraction:
     """(l/2)!^2 / l!, without the factor pi that (l/2)!^2 carries for odd l."""
     if l % 2 == 0:
-        return Fraction(factorial(l // 2) ** 2, factorial(l))
+        return Fraction(math.factorial(l // 2) ** 2, math.factorial(l))
     big_m = (l + 1) // 2
-    return Fraction(factorial(2 * big_m), 4**big_m * factorial(big_m)) ** 2 / factorial(l)
+    half = Fraction(math.factorial(2 * big_m), 4**big_m * math.factorial(big_m))
+    return half**2 / math.factorial(l)
 
 
 def _pi(l: int, window: Window = Window.PAPER) -> _Kind:
@@ -221,11 +227,10 @@ def _agg(n: int, g: int, r: int = 2) -> _Kind:
 
 def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated shifted coefficient over its exact even-family limit."""
-    rows = Rows()
-    ref = Coefficients(spec, Family.EVEN, rows=rows)(A)
+    ref = Coefficients(spec, Family.EVEN)(A)
     if ref == 0:
         raise ParameterError(f"A = {A} is outside the support; zero reference")
-    term = Coefficients(spec, Family.SHIFTED, rows=rows).k1_term(A)  # at k_1 = i + 1/2
+    term = Coefficients(spec, Family.SHIFTED).k1_term(A)  # at k_1 = i + 1/2
     return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), _pi_window(window),
                  lambda i: term(2 * i + 1))
 
@@ -233,11 +238,10 @@ def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
 def _ratio_pi(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated antisym coefficient (two pi powers) over its antisym-exact
     limit (one)."""
-    rows = Rows()
-    ref = Coefficients(spec, Family.ANTISYM_EXACT, rows=rows)(A)
+    ref = Coefficients(spec, Family.ANTISYM_EXACT)(A)
     if ref == 0:
         raise ParameterError(f"antisymmetric reference coefficient vanishes at A = {A}")
-    term = Coefficients(spec, Family.ANTISYM, rows=rows).k1_term(A)  # at k_1 = i + 1/2
+    term = Coefficients(spec, Family.ANTISYM).k1_term(A)  # at k_1 = i + 1/2
     return _Kind("pi", math.pi, 1, 1 / ref, _pi_window(window),
                  lambda i: term(2 * i + 1))
 
@@ -355,7 +359,7 @@ def cg_weight(comp: GComposition) -> Fraction:
     j = len(l)
     head = sum(l[: g - 1])
     pref = Fraction(
-        factorial(head - 1), math.prod(factorial(v) for v in l[: g - 1])
+        math.factorial(head - 1), math.prod(math.factorial(v) for v in l[: g - 1])
     )
     w = pref
     for i in range(j - g + 1):

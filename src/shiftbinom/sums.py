@@ -34,10 +34,10 @@ that needs the coefficient's float takes the power from the family, as
 `Coefficients(spec, family, m, window, rows)` is the one way to a
 coefficient: one object per call (a table, a sequence spec, a verify check),
 evaluated at any A, with `default_A_range()` the A of a table that names
-none; `sum_rule_even` sums it over the even support.  Every binomial entry
-and every set of tail weights W comes from a `Rows` store that builds each
-once.  An entry depends only on (n, entry), and W only on the spec and its
-half-integer tail axes, so one store may serve several families and specs.
+none; `sum_rule_even` sums it over the even support.  Each object builds its
+own tail weights W, once, and reads every binomial entry from a `Rows` store
+that computes each once.  An entry depends only on (n, entry), so one store
+may serve several specs; the sequences that sum many specs pass one.
 Nothing is cached at module level.
 The sums run over integer numerators and one common denominator per
 coefficient, and each coefficient becomes one Fraction at the end.
@@ -199,31 +199,12 @@ Tail = dict[int, list[tuple[int, Pair]]]  # W as {2 s2: [(2 s1, W[s2, s1])]}
 class Rows(dict):
     """The binomial row entries _pi_binomial(n, e2), keyed (n, e2), each
     computed on first use and kept as long as the store is.  An entry depends
-    on n and e2 alone, so one store can serve every spec and family of a call.
-
-    The store keeps the tail weights W it builds too.  W depends on the r and
-    l of the spec and on which tail axes (i >= 3) run over a half-integer
-    window; m and the window matter only when some axis does.  So every
-    family of one spec whose tail axes are all integer reads one W.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.tails: dict[tuple, Tail] = {}
+    on n and e2 alone, so one store can serve every spec and family that
+    shares it."""
 
     def __missing__(self, key: tuple[int, int]) -> Pair:
         value = self[key] = _pi_binomial(*key)
         return value
-
-    def tail(
-        self, spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window
-    ) -> Tail:
-        """W of spec with half_axes on half-integer windows, built on first use."""
-        half = tuple(i for i in half_axes if i >= 3)
-        key = (spec.r, spec.l, half) + ((m, window) if half else ())
-        if key not in self.tails:
-            self.tails[key] = _tail_weights(spec, half, m, window, self)
-        return self.tails[key]
 
 
 def _dot(terms: Iterable[tuple[Pair, Pair]]) -> Pair:
@@ -272,9 +253,9 @@ def _tail_weights(
 class Coefficients:
     """One coefficient family of one spec at one truncation, evaluated at any A.
 
-    The tail weights W and every binomial entry come from `rows`, a store
-    that builds each once and that the caller may share across families and
-    specs; W is read once, here.  Each sum runs over integer numerators and
+    The tail weights W are built once, here, and every binomial entry comes
+    from `rows`, a store that computes each once and that the caller may
+    share across specs.  Each sum runs over integer numerators and
     one common denominator, and each coefficient becomes one Fraction at the
     end.  ParameterError reports a spec with too few parts here, an A of the
     wrong parity at each call, and a missing m where `half_window` reads it:
@@ -297,7 +278,7 @@ class Coefficients:
                 f"family {self.family.value} needs at least {max(half_axes)} parts"
             )
         self.rows = Rows() if rows is None else rows
-        self.tail = self.rows.tail(spec, half_axes, m, window)
+        self.tail = _tail_weights(spec, half_axes, m, window, self.rows)
 
     def _inner(self, A: int) -> list[tuple[int, Pair]]:
         """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
@@ -370,9 +351,8 @@ class Coefficients:
         raise ParameterError(f"family {self.family.value} has no finite default A range")
 
 
-def sum_rule_even(spec: SumSpec, rows: Rows | None = None) -> int:
+def sum_rule_even(spec: SumSpec) -> int:
     """Sum of all even-A coefficients; equals C(rn, rn/2) exactly (the q ->
-    infinity collapse of the expansion to an overall binomial count).  rows,
-    if given, is the store to read, and may be shared with other checks."""
-    even = Coefficients(spec, Family.EVEN, rows=rows)
+    infinity collapse of the expansion to an overall binomial count)."""
+    even = Coefficients(spec, Family.EVEN)
     return sum(even(A).numerator for A in even.default_A_range())

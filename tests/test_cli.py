@@ -80,7 +80,7 @@ def test_verify_failure_exits_1(monkeypatch):
     # force a wrong reference value through the library layer
     from shiftbinom import oracle
 
-    def broken(spec, phase, rows=None):
+    def broken(spec, phase):
         return 1.0, 2.0
 
     monkeypatch.setattr(oracle, "even_expansion", broken)
@@ -102,7 +102,7 @@ def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):
 
 def test_sum_rule_mismatch_reports_absolute_difference(monkeypatch, capsys):
     # a total below C(4, 2) = 6: abs_err is |total - target|, never negative
-    monkeypatch.setattr(sums, "sum_rule_even", lambda spec, rows=None: 1)
+    monkeypatch.setattr(sums, "sum_rule_even", lambda spec: 1)
     assert cli.main(["verify", "sum-rule", "--r", "2", "--l", "1,1"]) == 1
     [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert (rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) == ("1", "6", "5", False)
@@ -245,6 +245,13 @@ _BAD_CONFIGS = {
     ("verify", "identity", "--r", "2", "--l", "1,1", "--p", str(19 * 10**307 + 1),
      "--q", str(10**308)),
     ("verify", "antisym-integral", "--r", "2", "--l", "1,1", "--p", "1", "--q", str(10**400)),
+    # nor one whose pi |A| |p| lies past double range at the largest |A| summed
+    *[("verify", check, "--r", "2", "--l", "1,1",
+       "--p", str(10**308 - 1), "--q", str(10**308 - 3))
+      for check in ("identity", "odd-integral", "antisym-integral")],
+    # C(l, l/2 + k + s) at even l is symmetric in k only at s = 0: no symmetric window
+    ("seq", "pis", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
+    ("seq", "pis2", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
 ], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
         "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
@@ -256,7 +263,9 @@ _BAD_CONFIGS = {
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
         "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow",
-        "oracle-reduced-p-overflow", "oracle-q-overflow"])
+        "oracle-reduced-p-overflow", "oracle-q-overflow", "identity-phase-overflow",
+        "odd-integral-phase-overflow", "antisym-integral-phase-overflow",
+        "pis-even-l-symmetric", "pis2-even-l-symmetric"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(data)
@@ -713,8 +722,9 @@ def test_coeffs_default_range_builds_tail_weights_once(monkeypatch, capsys):
     assert len(builds) == 1
 
 
-def test_verify_all_builds_tail_weights_once(monkeypatch, capsys):
-    # the oracle report, odd-equality and sum-rule read one store
+def test_verify_all_builds_tail_weights_once_per_coefficients(monkeypatch, capsys):
+    # one W per sums.Coefficients: one for each integral check, two for
+    # odd-equality, one for sum-rule, none for cg
     builds = []
     tail_weights = cli.sums._tail_weights
 
@@ -727,7 +737,7 @@ def test_verify_all_builds_tail_weights_once(monkeypatch, capsys):
             "--n", "6", "--g", "3"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
-    assert len(builds) == 1
+    assert len(builds) == 6
 
 
 def test_q_infinity_sentinel():

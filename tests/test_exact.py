@@ -7,7 +7,6 @@ import pytest
 from shiftbinom.exact import (
     as_float,
     beta_coeff,
-    factorial,
     newton_binomial,
     shifted_binomial,
 )
@@ -46,15 +45,6 @@ def test_newton_binomial_values():
     assert newton_binomial(5, -1) == 0
     with pytest.raises(ValueError):
         newton_binomial(-1, 0)
-
-
-def test_factorial_cache_is_bounded():
-    # a long-lived process must not grow the memo without limit
-    size = factorial.cache_info().maxsize
-    assert size is not None
-    for n in range(size + 10):
-        assert factorial(n) == math.factorial(n)
-    assert factorial.cache_info().currsize <= size
 
 
 # ----------------------------- shifted_binomial ----------------------------
