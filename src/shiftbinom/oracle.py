@@ -15,23 +15,17 @@ only the coefficient side, `_series`, calls `sums.Coefficients`.  Agreement
 with the exact engine is therefore evidence, not circularity.
 
 Every function takes its phase p/q as the Fraction `phase`, 0 for
-q -> infinity.  Each expansion first subtracts the even integer
-2 int(p/q / 2), exactly, so that |p/q| < 2: every integrand is a product of
-even powers of cosines or sines of pi (t - x), period 1 in x, and the odd
-expansion's sign flips have period 2, so no value changes, while the floats
-p / q and pi A p / q keep their precision at any size of p/q.  A phase with
-|p/q| < 2 is left as it is.
+q -> infinity.  Each angle pi k p/q, a factor's shift at k = i - 1 or a
+term's at k = A, is formed by `_angle` from k p mod 2q, reduced exactly in
+integers, as the one float pi ((k p mod 2q) / q): cosine and sine have
+period 2 pi, so no value changes, and the angle keeps its precision at any
+size of p, q or k.
 
 Doubles bound the spec.  |2 cos| <= 2, so a sample is at most 2^(rn) in size,
 an fsum over the N samples, or over them times roots of unity, at most
-N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples`, which
-every integral side calls first, takes a spec only while N 2^(rn) is a
-finite double: rn <= 1012.  It takes a reduced phase only while its q, and
-its |p| < 2q, are no larger than the largest finite double, since each is
-converted to a float; it raises ParameterError before any float is formed
-otherwise.  The coefficient side, `_series`, forms pi A p / q; it takes a
-phase only while pi |A| |p| at the largest |A| it sums is a finite double,
-and raises ParameterError before its first term otherwise.
+N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples` takes
+a spec only while N 2^(rn) is a finite double, rn <= 1012, and raises
+ParameterError otherwise.
 """
 
 from __future__ import annotations
@@ -48,27 +42,29 @@ from .sums import Coefficients, Family, SumSpec
 __all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
 
 
+def _angle(k: int, phase: Fraction) -> float:
+    """pi k p/q as the float pi ((k p mod 2q) / q), reduced exactly in
+    integers first (see the module docstring)."""
+    p, q = phase.numerator, phase.denominator
+    return math.pi * (k * p % (2 * q) / q)
+
+
 def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
     """The cosine- or sine-power product at t = j/N, j = 0..N-1, with
-    N = 2(r*n + 1).  A spec with N 2^(rn) past double range, or a phase whose
-    p or q is (see the module docstring), raises ParameterError."""
+    N = 2(r*n + 1).  A spec with N 2^(rn) past double range raises
+    ParameterError (see the module docstring)."""
     rn = spec.r * spec.n
     n = 2 * (rn + 1)
     # exact int-to-float comparisons, the first reached only while 2^rn is a small int
     if rn > sys.float_info.max_exp or n * 2**rn > sys.float_info.max:
         raise ParameterError(f"the float oracle takes r*n <= 1012, not {rn}")
-    if max(abs(phase.numerator), phase.denominator) > sys.float_info.max:
-        raise ParameterError(
-            "the float oracle takes a phase p/q whose q, and whose |p| once |p/q| < 2, are doubles"
-        )
     fn = math.cos if kind == "cos" else math.sin
-    pq = phase.numerator / phase.denominator
+    factors = [(_angle(i, phase), spec.r * li) for i, li in enumerate(spec.l) if li]
     samples = []
     for j in range(n):
         t, out = j / n, 1.0
-        for i, li in enumerate(spec.l, start=1):
-            if li:
-                out *= (2.0 * fn(math.pi * t - math.pi * (i - 1) * pq)) ** (spec.r * li)
+        for shift, power in factors:
+            out *= (2.0 * fn(math.pi * t - shift)) ** power
         samples.append(out)
     return samples
 
@@ -113,11 +109,11 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     period integral over [-1/2, 1/2] splits at those points with alternating
     signs; every piece is integrated from the one set of modes.  The points
     are 1 apart, so the period holds at most one inside it:
-    p/q - 1/2 - floor(p/q).
+    p/q - 1/2 - floor(p/q).  The expansion has period 2 in p/q, so p/q is
+    read mod 2, exactly, before its float is formed.
     """
-    # sampled first: _samples checks the phase before any float is formed
     modes = _modes(spec, _samples(spec, phase, "cos"))
-    pq = phase.numerator / phase.denominator
+    pq = float(phase % 2)
     c = pq - 0.5 - math.floor(pq)
     cuts = [-0.5, c, 0.5] if -0.5 < c < 0.5 else [-0.5, 0.5]
     total = 0.0
@@ -125,12 +121,6 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
         sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0
         total += sign * _integrate(modes, a, b)
     return total
-
-
-def _reduced(phase: Fraction) -> Fraction:
-    """phase less 2 int(phase/2), exactly: |p/q| < 2, and no value of an
-    expansion changes (see the module docstring)."""
-    return phase - 2 * int(phase / 2)
 
 
 def _series(
@@ -141,16 +131,12 @@ def _series(
     A_values: Iterable[int] | None = None,
 ) -> float:
     """The coefficient side: the sum over A_values, by default the family's
-    finite A range, of trig(pi A p/q) times the family's coefficient at A.
-    A phase whose pi |A| |p| is no finite double at the largest |A| raises
-    ParameterError before any term is formed (see the module docstring)."""
-    p, q = phase.numerator, phase.denominator
+    finite A range, of trig(pi A p/q) times the family's coefficient at A,
+    each angle formed by `_angle`."""
     coeffs = Coefficients(spec, family)
-    A_values = coeffs.default_A_range() if A_values is None else list(A_values)
-    if not math.isfinite(math.pi * max(map(abs, A_values), default=0) * abs(p)):
-        raise ParameterError("the float oracle takes a phase p/q whose pi |A| |p| is a double")
+    A_values = coeffs.default_A_range() if A_values is None else A_values
     return math.fsum(
-        trig(math.pi * A * p / q) * as_float(coeffs(A), family.pi_exp) for A in A_values
+        trig(_angle(A, phase)) * as_float(coeffs(A), family.pi_exp) for A in A_values
     )
 
 
@@ -160,7 +146,6 @@ def _series(
 def even_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The period integral, the mean of the cosine samples, and the sum over
     the even support of cos(pi A p/q) times the even coefficient."""
-    phase = _reduced(phase)
     f = _samples(spec, phase, "cos")
     return math.fsum(f) / len(f), _series(spec, Family.EVEN, math.cos, phase)
 
@@ -168,7 +153,6 @@ def even_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
 def odd_expansion(spec: SumSpec, phase: Fraction, odd_A_cut: int) -> tuple[float, float]:
     """The integral of the total odd-A expansion, and the sum over odd
     |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
-    phase = _reduced(phase)
     lhs = _odd_total_integral(spec, phase)
     odd_As = range(1, odd_A_cut + 1, 2)  # A and -A alike, hence the 2
     return lhs, 2.0 * _series(spec, Family.ODD, math.cos, phase, odd_As)
@@ -177,7 +161,6 @@ def odd_expansion(spec: SumSpec, phase: Fraction, odd_A_cut: int) -> tuple[float
 def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The cosine minus the sine integral over [0, 1/2], and the sum over the
     default A range of sin(pi A p/q) times the antisym-exact coefficient."""
-    phase = _reduced(phase)
     lhs = (
         _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import ParameterError, as_float, beta_coeff, newton_binomial
+from .exact import ParameterError, as_float, beta_coeff, newton_binomial, shifted_binomial
 from .sums import Coefficients, Family, Rows, SumSpec, Window, half_window
 
 __all__ = [
@@ -109,7 +109,8 @@ def _shift_window(l: int, window: Window) -> Callable[[int], range]:
     """The window of the generic-shift kinds: k = i in [-m, m] for even l, and
     k = i + 1/2 in [-m-1/2, m-1/2] for odd l, to m+1/2 when symmetric.  Even
     l has no symmetric window: C(l, l/2 + x) is symmetric only about x = 0,
-    and the entries x = k + s are off it (s = 0 is the kind pi)."""
+    and the entries x = k + s lie symmetrically about it only at s = 1/2,
+    where pis and pis2 give the values of the kinds pi and pi2."""
     pad = 1 if window is Window.SYMMETRIC else 0
     if l % 2:
         return lambda m: range(-m - 1, m + pad)
@@ -119,12 +120,9 @@ def _shift_window(l: int, window: Window) -> Callable[[int], range]:
 
 
 def _central(l: int) -> Fraction:
-    """(l/2)!^2 / l!, without the factor pi that (l/2)!^2 carries for odd l."""
-    if l % 2 == 0:
-        return Fraction(math.factorial(l // 2) ** 2, math.factorial(l))
-    big_m = (l + 1) // 2
-    half = Fraction(math.factorial(2 * big_m), 4**big_m * math.factorial(big_m))
-    return half**2 / math.factorial(l)
+    """(l/2)!^2 / l! = 1/C(l, l/2), without the factor pi that (l/2)!^2
+    carries for odd l: C(l, l/2) is then taken as its rational factor."""
+    return 1 / shifted_binomial(l, Fraction(l, 2))
 
 
 def _pi(l: int, window: Window = Window.PAPER) -> _Kind:

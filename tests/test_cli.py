@@ -240,15 +240,6 @@ _BAD_CONFIGS = {
     # the float oracle takes r*n <= 1012: past it a sample, or an fsum, leaves double range
     ("verify", "identity", "--r", "2", "--l", "600,1"),
     ("verify", "identity", "--r", "2", "--l", "510,1"),
-    # nor a phase whose q, or whose |p| once |p/q| < 2, lies past double range,
-    # as each becomes a float: |p| < 2q can pass the largest double when q does not
-    ("verify", "identity", "--r", "2", "--l", "1,1", "--p", str(19 * 10**307 + 1),
-     "--q", str(10**308)),
-    ("verify", "antisym-integral", "--r", "2", "--l", "1,1", "--p", "1", "--q", str(10**400)),
-    # nor one whose pi |A| |p| lies past double range at the largest |A| summed
-    *[("verify", check, "--r", "2", "--l", "1,1",
-       "--p", str(10**308 - 1), "--q", str(10**308 - 3))
-      for check in ("identity", "odd-integral", "antisym-integral")],
     # C(l, l/2 + k + s) at even l is symmetric in k only at s = 0: no symmetric window
     ("seq", "pis", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
     ("seq", "pis2", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
@@ -263,8 +254,6 @@ _BAD_CONFIGS = {
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
         "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow",
-        "oracle-reduced-p-overflow", "oracle-q-overflow", "identity-phase-overflow",
-        "odd-integral-phase-overflow", "antisym-integral-phase-overflow",
         "pis-even-l-symmetric", "pis2-even-l-symmetric"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
@@ -280,16 +269,24 @@ def test_bad_input_exits_2(tmp_path: Path, args):
     (("verify", "identity", "--r", "4", "--l", "1,1,1,1"), 10**307, 1),
     (("verify", "identity", "--r", "2", "--l", "1,1"), 10**400, 7),
     (("verify", "odd-integral", "--r", "2", "--l", "1,1"), -10**400, 7),
-], ids=["all-p-1e21", "identity-p-1e307", "identity-p-1e400", "odd-p-minus-1e400"])
+    # a q, or a |p| < 2q once |p/q| < 2, past the largest double
+    (("verify", "identity", "--r", "2", "--l", "1,1"), 19 * 10**307 + 1, 10**308),
+    (("verify", "antisym-integral", "--r", "2", "--l", "1,1"), 1, 10**400),
+    # p and q near the largest double, where pi |A| |p| is not one
+    *[(("verify", check, "--r", "2", "--l", "1,1"), 10**308 - 1, 10**308 - 3)
+      for check in ("identity", "odd-integral", "antisym-integral")],
+], ids=["all-p-1e21", "identity-p-1e307", "identity-p-1e400", "odd-p-minus-1e400",
+        "oracle-reduced-p-overflow", "oracle-q-overflow", "identity-phase-overflow",
+        "odd-integral-phase-overflow", "antisym-integral-phase-overflow"])
 def test_large_phase_is_reduced_exactly(args, p, q):
     """Every integrand has period 1 in p/q and the odd expansion period 2, so
-    p/q less an even integer gives the same values; the oracle takes it off
-    exactly, before any float is formed, and so passes at any size of p/q."""
+    p/q less an even integer gives the same values; the oracle reduces each
+    angle exactly in integers before any float is formed, and so passes at
+    any size of p or q and gives the floats of p/q mod 2, less 2, bit for bit."""
     big = run_cli(*args, "--p", str(p), "--q", str(q))
     assert big.returncode == 0, big.stdout + big.stderr
     assert all(json.loads(line)["pass"] for line in big.stdout.splitlines())
-    small = Fraction(p, q) - 2 * int(Fraction(p, q) / 2)
-    assert abs(small) < 2
+    small = Fraction(p, q) % 2 - 2
     same = run_cli(*args, "--p", str(small.numerator), "--q", str(small.denominator))
     assert big.stdout == same.stdout and big.stderr == same.stderr == ""
 

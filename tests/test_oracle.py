@@ -219,13 +219,23 @@ def test_phase_normalisation():
 
 
 def test_phase_is_reduced_below_two_exactly():
-    """Every integrand has period 1 in p/q and the odd expansion period 2, so
-    the oracle takes 2 int(p/q / 2) off the phase before any float is formed:
-    a phase 2k away from one below 2 in size, on the same side of 0, gives
-    its floats bit for bit, however large k is."""
+    """Every integrand has period 1 in p/q and the odd expansion period 2,
+    and the oracle forms each angle from k p mod 2q, reduced exactly in
+    integers: a phase 2k away from another gives its floats bit for bit,
+    however large k is and on either side of 0."""
     spec = SumSpec(r=2, l=(1, 2, 1))
     for small in (Fraction(1, 3), Fraction(5, 3), Fraction(-7, 5), ZERO):
-        for k in (1, 10**30):
-            big = small + 2 * k if small >= 0 else small - 2 * k
+        for k in (1, 10**30, -1, -(10**30)):
             for expansion in EXPANSIONS:
-                assert expansion(spec, big) == expansion(spec, small), (small, k, expansion)
+                assert expansion(spec, small + 2 * k) == expansion(spec, small), (small, k)
+
+
+@pytest.mark.parametrize("expansion, spec, phase, tol", [
+    (antisym_expansion, SumSpec(r=4, l=(2, 2, 2)), Fraction(5, 3), 1e-9),
+    (partial(odd_expansion, odd_A_cut=399), SumSpec(r=4, l=(3, 3, 3)), Fraction(-7, 5), 1e-6),
+], ids=["antisym-5/3", "odd-minus-7/5"])
+def test_exact_angles_meet_the_cli_tolerances(expansion, spec, phase, tol):
+    """`verify` passes here at its tolerances only when each angle is reduced
+    exactly in integers: the float pi A p / q, formed directly, loses the
+    digits that these two checks need."""
+    assert _abs_err(expansion(spec, phase)) < tol
