@@ -26,6 +26,56 @@ an fsum over the N samples, or over them times roots of unity, at most
 N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples` takes
 a spec only while N 2^(rn) is a finite double, rn <= 1012, and raises
 ParameterError otherwise.
+
+Roundoff bounds.  `identity_bound` and `antisym_bound` bound |lhs - rhs| of
+`even_expansion` and `antisym_expansion` on correct coefficients, from the
+operations each side performs.  Write e = 2^-52 and M = 2^(rn).  A rounded
+operation errs by at most e/2 relative; a libm call (cos, sin, the pow behind
+`**`, and the cos and sin inside `cmath.exp`) by at most 1 ulp, e relative;
+`math.fsum` rounds its exact sum once.  First-order terms are kept, and each
+constant is rounded up.
+
+- A sample.  The angle pi t - shift has t = j/N and the shift pi v, where
+  v = (k p mod 2q)/q lies in [0, 2): three roundings on pi t < pi, three on
+  pi v < 2 pi and one on the difference, |x| < 2 pi, so it errs by at most
+  11 pi e/2 < 18 e.  Then b = 2 cos x (or 2 sin x) errs by at most
+  2(18 + 1) e = 38 e, and |b| <= 2; b^n_i by at most
+  n_i 2^(n_i - 1) 38 e + 2^(n_i) e = (19 n_i + 1) 2^(n_i) e; and a product
+  of at most j such factors, each error scaled by the other factors, at
+  most 2^(rn - n_i), plus j roundings of size M e/2, by at most
+  S = (19 rn + 2j) M e.
+- The identity.  The mean fsum/N adds two roundings: (19 rn + 2j + 1) M e.
+  A coefficient term cos(pi A p/q) float(c_A) has the angle pi v, which
+  errs by at most 3 pi e < 10 e, cos 1 ulp more, and two roundings: at most
+  12 e |c_A|.  The even coefficients are non-negative integers that sum to
+  C(rn, rn/2) <= M, so the side with its fsum errs by at most 13 M e.  In
+  all (19 rn + 2j + 14) M e <= 19 (rn + j + 1) M e.
+- A mode a_k = (2/N) sum_j f_j w^(kj), with |a_k| <= 2M.  A root of unity,
+  exp(-2 pi i m/N), has three roundings on an angle below 2 pi and two libm
+  calls: it errs by at most 12 e.  A product f_j w errs by at most
+  S + 13 M e, the two fsums add M e, and the division by N 2 M e more:
+  |da_k| <= 2 S + 30 M e, and half that for a_0.
+- An integral over [0, 1/2] adds a_0/2, exactly, and for k = 1..rn/2 the
+  terms Im(a_k (e^(i pi k) - 1))/(2 pi k).  e^(i pi k) - 1 errs by at most
+  (pi k + 4) e, and the product and division add roundings, so term k errs
+  by at most |da_k|/(pi k) + M e + 11 M e/(pi k).  The oracle takes
+  rn <= 1012, so k <= 506 and the sum of 1/(pi k) is below 2.2: the
+  integral errs by at most 4.9 S + (rn/2 + 99) M e.
+- The antisymmetric check.  Its lhs, a difference of two such integrals,
+  errs by at most (187.2 rn + 19.6 j + 199) M e.  Put z = e^(i pi t) and
+  u = e^(i pi p/q); the cosine and sine products are Laurent polynomials in
+  z and u whose integer coefficients have absolute sums M each, and
+  pi c_A = -(1/2) sum over odd j of the differences of their coefficients
+  at z^(2j) u^(+-A), over j.  So the antisym-exact coefficients have
+  absolute sum at most 2M/pi < M.  A term sin(pi A p/q) c_A errs by at
+  most 15 e |c_A|, float(c) times the float 1/pi included, so the side
+  errs by at most 16 M e.  In all
+  (187.2 rn + 19.6 j + 215) M e <= 188 (rn + j + 2) M e.
+
+Both bounds grow as 2^(rn): at rn = 24 the identity bound is 2.0e-6, and at
+rn = 60 it is 3.2e5, so the float check resolves fewer digits as rn grows.
+Each is a worst case: the errors measured on specs up to rn = 64 stay
+below 2^(rn) 2^-52.
 """
 
 from __future__ import annotations
@@ -39,7 +89,13 @@ from typing import Callable, Iterable
 from .exact import ParameterError, as_float
 from .sums import Coefficients, Family, SumSpec
 
-__all__ = ["even_expansion", "odd_expansion", "antisym_expansion"]
+__all__ = [
+    "even_expansion",
+    "odd_expansion",
+    "antisym_expansion",
+    "identity_bound",
+    "antisym_bound",
+]
 
 
 def _angle(k: int, phase: Fraction) -> float:
@@ -166,3 +222,17 @@ def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
     return lhs, _series(spec, Family.ANTISYM_EXACT, math.sin, phase)
+
+
+def identity_bound(spec: SumSpec) -> float:
+    """The roundoff bound 19 (rn + j + 1) 2^(rn) 2^-52 of even_expansion's
+    |lhs - rhs|, derived in the module docstring."""
+    rn = spec.r * spec.n
+    return math.ldexp(19 * (rn + spec.j + 1), rn - 52)
+
+
+def antisym_bound(spec: SumSpec) -> float:
+    """The roundoff bound 188 (rn + j + 2) 2^(rn) 2^-52 of antisym_expansion's
+    |lhs - rhs|, derived in the module docstring."""
+    rn = spec.r * spec.n
+    return math.ldexp(188 * (rn + spec.j + 2), rn - 52)

@@ -20,7 +20,11 @@ every smaller m.  So `sweep` visits the requested m in ascending order and
 adds only the indices the previous window lacked, and a sweep costs a number
 of terms linear in its last m.  The ratio kinds use the same incremental
 window: their index is the half-integer k_1 of the truncated coefficient,
-whose term at one k_1 comes from `sums.Coefficients.k1_term`.
+whose term at one k_1 comes from `sums.Coefficients.k1_term`.  The kinds
+`cum` and `agg` read their terms from one weighted `sums.Coefficients`:
+`cum` as a sum of one spec, `agg` of one spec per g-composition, weighted
+by c_g.  Its merged tail holds every spec's tail weights for the whole
+sweep, so each term is one lattice sum however many specs there are.
 
 The shift s of `pis`, `pis2` and `pis-odd` is a plain Fraction, and the kind
 checks 0 < s < 1 (`pis-odd` also s != 1/2).  Their float targets are formed
@@ -38,7 +42,7 @@ from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import ParameterError, as_float, beta_coeff, newton_binomial, shifted_binomial
-from .sums import Coefficients, Family, Rows, SumSpec, Window, half_window
+from .sums import Coefficients, Family, SumSpec, Window, half_window
 
 __all__ = [
     "SeqRecord",
@@ -193,16 +197,10 @@ def _odd_A_sums(
     pref: int, weighted: list[tuple[Fraction | int, SumSpec]], tag: str, target: float
 ) -> _Kind:
     """Sums over (weight, spec) in weighted of weight times the pi^2-stripped
-    odd-A coefficient of spec, at A = 2i+1 for i = 0..m.  Each spec keeps its
-    tail weights for the whole sweep, and since a binomial row depends only
-    on its n, every spec reads one row store."""
-    rows = Rows()
-    coeffs = [(w, Coefficients(spec, Family.ODD, rows=rows)) for w, spec in weighted]
-
-    def term(i: int) -> Fraction:
-        return sum(w * odd(2 * i + 1) for w, odd in coeffs)
-
-    return _Kind(tag, target, 0, pref, lambda m: range(m + 1), term)
+    odd-A coefficient of spec, at A = 2i+1 for i = 0..m, each term from one
+    weighted `Coefficients` that lasts the whole sweep."""
+    odd = Coefficients(weighted, Family.ODD)
+    return _Kind(tag, target, 0, pref, lambda m: range(m + 1), lambda i: odd(2 * i + 1))
 
 
 def _cum(spec: SumSpec) -> _Kind:

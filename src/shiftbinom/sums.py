@@ -31,14 +31,25 @@ that rational, the coefficient times pi^pi_exp, as a plain Fraction; a reader
 that needs the coefficient's float takes the power from the family, as
 `exact.as_float(c, family.pi_exp)`.
 
-`Coefficients(spec, family, m, window, rows)` is the one way to a
-coefficient: one object per call (a table, a sequence spec, a verify check),
-evaluated at any A, with `default_A_range()` the A of a table that names
-none; `sum_rule_even` sums it over the even support.  Each object builds its
-own tail weights W, once, and reads every binomial entry from a `Rows` store
-that computes each once.  An entry depends only on (n, entry), so one store
-may serve several specs; the sequences that sum many specs pass one.
-Nothing is cached at module level.
+`Coefficients(terms, family, m, window)` is the one way to a coefficient:
+one object per call (a table, a sequence, a verify check), evaluated at any
+A, with `default_A_range()` the A of a table that names none;
+`sum_rule_even` sums it over the even support.  `terms` is one spec, or a
+weighted sum of specs, such as the g-compositions of `agg`, whose
+coefficient is the weighted sum of theirs.  The object builds each spec's
+tail weights W once and merges them into one tail, keyed by the doubled
+entries of the two eliminated binomials, (n1, e1) outside and (n2, e2)
+inside, with e1 = n1 + 2 s2 and e2 = n2 - 2 s1:
+
+    coeff(A) = sum over (n1, e1) of C(n1, (e1 + A)/2)
+                   sum over (n2, e2) of [sum of w W] C(n2, (e2 - A)/2)
+
+Specs that share both keys add their w W once, when the tail is built, so
+each A costs one lattice sum however many specs there are.  The families
+with a k_1 axis take H((e1 - n1 + A)/2) in place of the outer binomial, and
+group the outer sum by n1, the row their axis runs over.
+Every binomial entry comes from the object's own `Rows` store, which
+computes each once.  Nothing is cached at module level.
 The sums run over integer numerators and one common denominator per
 coefficient, and each coefficient becomes one Fraction at the end.
 """
@@ -59,7 +70,6 @@ __all__ = [
     "Window",
     "Family",
     "Coefficients",
-    "Rows",
     "half_window",
     "sum_rule_even",
 ]
@@ -116,10 +126,6 @@ class SumSpec:
     @property
     def j(self) -> int:
         return len(self.l)
-
-    def _half(self, i: int) -> int:
-        """r*l_i/2 for the 1-based factor index i."""
-        return self.r * self.l[i - 1] // 2
 
 
 Pair = tuple[int, int]  # the fraction p/q as (p, q), q > 0
@@ -193,14 +199,10 @@ def _pi_binomial(n: int, e2: int) -> Pair:
     return c.numerator, c.denominator
 
 
-Tail = dict[int, list[tuple[int, Pair]]]  # W as {2 s2: [(2 s1, W[s2, s1])]}
-
-
 class Rows(dict):
     """The binomial row entries _pi_binomial(n, e2), keyed (n, e2), each
     computed on first use and kept as long as the store is.  An entry depends
-    on n and e2 alone, so one store can serve every spec and family that
-    shares it."""
+    on n and e2 alone, so one store serves every spec of a weighted sum."""
 
     def __missing__(self, key: tuple[int, int]) -> Pair:
         value = self[key] = _pi_binomial(*key)
@@ -231,9 +233,9 @@ def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
 
 def _tail_weights(
     spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window, rows: Rows
-) -> Tail:
+) -> dict[tuple[int, int], Pair]:
     """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
-    weights W[2 s2, 2 s1] of the points sharing (s2, s1), grouped by 2 s2."""
+    weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
     weights: dict[tuple[int, int], Pair] = {(0, 0): (1, 1)}
     for i in range(3, spec.j + 1):
         n = spec.r * spec.l[i - 1]
@@ -244,109 +246,151 @@ def _tail_weights(
                 key = s2 + (i - 2) * k2, s1 + (i - 1) * k2
                 grown[key] = _dot(((w, c), (grown.get(key, (0, 1)), (1, 1))))  # += w c
         weights = grown
-    tail: Tail = defaultdict(list)
-    for (s2, s1), w in weights.items():
-        tail[s2].append((s1, w))
+    return weights
+
+
+# The merged tail of a weighted sum of specs, {n1: {e1: {(n2, e2): sum of w W}}}:
+# each spec's W[2 s2, 2 s1] times its weight w, keyed by the doubled entries
+# e1 = n1 + 2 s2 and e2 = n2 - 2 s1 of its two eliminated binomials.
+Tail = dict[int, dict[int, dict[tuple[int, int], Pair]]]
+
+
+def _merged_tail(
+    weighted: list[tuple[Fraction, SumSpec]],
+    half_axes: tuple[int, ...],
+    m: int | None,
+    window: Window,
+    rows: Rows,
+) -> Tail:
+    """The tail weights of every spec of weighted, each built once and
+    scaled by its weight, with the specs that share both entry keys added
+    into one weight there."""
+    tail: Tail = {}
+    for w, spec in weighted:
+        n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
+        wp, wq, outer = w.numerator, w.denominator, tail.setdefault(n1, defaultdict(dict))
+        for (s2, s1), (p, q) in _tail_weights(spec, half_axes, m, window, rows).items():
+            inner, key, c = outer[n1 + s2], (n2, n2 - s1), (wp * p, wq * q)
+            inner[key] = _dot(((c, (1, 1)), (inner[key], (1, 1)))) if key in inner else c
     return tail
 
 
 class Coefficients:
-    """One coefficient family of one spec at one truncation, evaluated at any A.
+    """One coefficient family of a weighted sum of specs at one truncation,
+    evaluated at any A.
 
-    The tail weights W are built once, here, and every binomial entry comes
-    from `rows`, a store that computes each once and that the caller may
-    share across specs.  Each sum runs over integer numerators and
-    one common denominator, and each coefficient becomes one Fraction at the
-    end.  ParameterError reports a spec with too few parts here, an A of the
-    wrong parity at each call, and a missing m where `half_window` reads it:
-    here for the tail axes of `four`, at each call for the k_1 axis of
-    `shifted` and `antisym`.
+    `terms` is one SumSpec, the sum of one term of weight 1, or an iterable
+    of (weight, spec) pairs, whose coefficient is the sum of weight times
+    each spec's.  Every spec's tail weights W are built once, here, and
+    merged by the doubled entries of the two eliminated binomials, so each A
+    costs one lattice sum however many specs there are.  Every binomial entry
+    comes from the object's own `Rows` store, which computes each once.  Each
+    sum runs over integer numerators and one common denominator, and each
+    coefficient becomes one Fraction at the end.  ParameterError reports a
+    spec with too few parts here, an A of the wrong parity at each call, and
+    a missing m where `half_window` reads it: here for the tail axes of
+    `four`, at each call for the k_1 axis of `shifted` and `antisym`.
     """
 
     def __init__(
         self,
-        spec: SumSpec,
+        terms: SumSpec | Iterable[tuple[Fraction | int, SumSpec]],
         family: Family,
         m: int | None = None,
         window: Window = Window.SYMMETRIC,
-        rows: Rows | None = None,
     ):
-        self.spec, self.family, self.m, self.window = spec, Family(family), m, window
+        self.family, self.m, self.window = Family(family), m, window
+        weighted = [(Fraction(w), spec) for w, spec in
+                    ([(1, terms)] if isinstance(terms, SumSpec) else terms)]
+        if not weighted:
+            raise ParameterError("a weighted sum needs at least one spec")
         half_axes = self.family.half_axes
-        if max(half_axes, default=0) > spec.j:
+        if max(half_axes, default=0) > min(spec.j for _, spec in weighted):
             raise ParameterError(
                 f"family {self.family.value} needs at least {max(half_axes)} parts"
             )
-        self.rows = Rows() if rows is None else rows
-        self.tail = _tail_weights(spec, half_axes, m, window, self.rows)
+        self.rows = Rows()
+        self.tail = _merged_tail(weighted, half_axes, m, window, self.rows)
 
-    def _inner(self, A: int) -> list[tuple[int, Pair]]:
-        """[(2 s2, inner)]: inner is the sum over s1 of W[s2, s1]
-        C(n2, n2/2 - A/2 - s1), and the zeros are dropped; A's parity is
-        checked first."""
+    def _inner(self, A: int) -> dict[int, list[tuple[int, Pair]]]:
+        """{n1: [(e1, inner)]}: inner is the sum over the keys (n2, e2) of the
+        merged tail at (n1, e1) of w W C(n2, (e2 - A)/2), and the zeros are
+        dropped; A's parity is checked first."""
         if A % 2 != self.family.parity:
             raise ParameterError(f"A must be {'odd' if self.family.parity else 'even'}")
-        n2, rows = self.spec.r * self.spec.l[1], self.rows
-        inner = []
-        for s2, group in self.tail.items():
-            v = _dot((w, rows[n2, n2 - A - s1]) for s1, w in group)
-            if v[0]:
-                inner.append((s2, v))
+        rows, inner = self.rows, {}
+        for n1, outer in self.tail.items():
+            found = inner[n1] = []
+            for e1, group in outer.items():
+                v = _dot((c, rows[n2, e2 - A]) for (n2, e2), c in group.items())
+                if v[0]:
+                    found.append((e1, v))
         return inner
 
-    def _k1(self, inner: list[tuple[int, Pair]], A: int, k2: int) -> Pair:
-        """The term that k1_term documents, at k_1 = k2/2, as a Pair."""
-        n1, g = self.spec.r * self.spec.l[0], self.family.weight
+    def _k1(self, inner: list[tuple[int, Pair]], A: int, n1: int, k2: int) -> Pair:
+        """The term that k1_term documents, at k_1 = k2/2 on row n1, as a Pair."""
         p, q = self.rows[n1, n1 + k2]
-        s, t = _dot((v, g(A + s2 - k2)) for s2, v in inner)
+        g, d2 = self.family.weight, A - n1 - k2
+        s, t = _dot((v, g(e1 + d2)) for e1, v in inner)
         return p * s, q * t
 
     def __call__(self, A: int) -> Fraction:
         """The coefficient at A times pi^pi_exp: the module docstring's sum."""
-        n1, family = self.spec.r * self.spec.l[0], self.family
+        family, rows = self.family, self.rows
         inner = self._inner(A)
         if family.weight is None:
-            num, den = _dot((v, self.rows[n1, n1 + A + s2]) for s2, v in inner)
+            num, den = _dot(
+                (v, rows[n1, e1 + A]) for n1, found in inner.items() for e1, v in found
+            )
         else:
-            axis = _axis(n1, 1 in family.half_axes, self.m, self.window)
-            num, den = _dot((self._k1(inner, A, k2), (1, 1)) for k2 in axis)
+            half = 1 in family.half_axes
+            # every axis is formed first, so a missing m is reported at every A
+            axes = [(n1, _axis(n1, half, self.m, self.window)) for n1 in inner]
+            num, den = _dot(
+                (self._k1(inner[n1], A, n1, k2), (1, 1)) for n1, axis in axes for k2 in axis
+            )
         return Fraction(num, den)
 
     def k1_term(self, A: int) -> Callable[[int], Fraction]:
         """k2 -> the term of a weighted-k_1 family's coefficient at k_1 = k2/2:
 
-            pi^[k_1 half-integer] C(n1, n1/2 + k_1) sum over s2 of inner[s2] pi g(A/2 + s2 - k_1)
+            sum over n1 of pi^[k_1 half-integer] C(n1, n1/2 + k_1)
+                sum over e1 of inner[n1, e1] pi g(A/2 + (e1 - n1)/2 - k_1)
 
         The coefficient is the sum of these terms over the family's k_1 axis.
         The caller runs that axis, so no m is read."""
         if self.family.weight is None:
             raise ParameterError(f"family {self.family.value} eliminates k_1")
         inner = self._inner(A)
-        return lambda k2: Fraction(*self._k1(inner, A, k2))
+        return lambda k2: Fraction(*_dot(
+            (self._k1(found, A, n1, k2), (1, 1)) for n1, found in inner.items()
+        ))
 
     def default_A_range(self) -> list[int]:
-        """The A values a table covers when no explicit range is requested.
+        """The A values a table covers when no explicit range is requested,
+        read from the entry keys of the merged tail.
 
-        For the even family, its support, by scanning entry feasibility: every
-        lattice term is a product of non-negative binomials, so A is in the
-        support iff some k_3..k_j puts both eliminated entries inside range.
-        For the antisymmetric limit, every even |A| <= 2 (n2/2 + max s1):
-        past it the entry n2/2 - A/2 - s1 leaves [0, n2] for every s1 of W,
-        so the coefficient vanishes identically.
+        For the even family, every A at which some key pair puts both
+        eliminated entries in range, 0 <= e1 + A <= 2 n1 and
+        0 <= e2 - A <= 2 n2: its support when every weight is positive, since
+        each lattice term in range is then positive.  For the antisymmetric
+        limit, every even |A| <= max(e2, 2 n2 - e2) over the inner keys: past
+        it the entry e2 - A leaves [0, 2 n2] for every key, so the coefficient
+        vanishes identically.
         """
-        spec = self.spec
+        entries = [
+            (n1, e1, n2, e2)
+            for n1, outer in self.tail.items()
+            for e1, group in outer.items()
+            for n2, e2 in group
+        ]
         if self.family is Family.EVEN:
-            h1, h2 = spec._half(1), spec._half(2)
             sup: set[int] = set()
-            for s2, group in self.tail.items():
-                for s1, _ in group:
-                    lo = max(-h1 - s2 // 2, -h2 - s1 // 2)
-                    hi = min(h1 - s2 // 2, h2 - s1 // 2)
-                    sup.update(2 * a for a in range(lo, hi + 1))
+            for n1, e1, n2, e2 in entries:
+                sup.update(range(max(-e1, e2 - 2 * n2), min(2 * n1 - e1, e2) + 1, 2))
             return sorted(sup)
         if self.family is Family.ANTISYM_EXACT:
-            s1_max = sum((i - 1) * spec._half(i) for i in range(3, spec.j + 1))
-            b = 2 * (spec._half(2) + s1_max)
+            b = max(max(e2, 2 * n2 - e2) for _, _, n2, e2 in entries)
             return list(range(-b, b + 1, 2))
         raise ParameterError(f"family {self.family.value} has no finite default A range")
 

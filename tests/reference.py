@@ -8,16 +8,22 @@ test modules import it by name.
     float_binomial           C(l, x) in doubles through libm's lgamma
     shifted_series_eval      the truncated shifted binomial expansion in doubles
     cg_weight_factorial_form the composition weight c_g as a ratio of factorials
+    per_spec_coefficients    a weighted sum of specs' coefficients, one Coefficients per spec
+    odd_A_sums_by_spec       the cum/agg partial sums from per_spec_coefficients
+    agg_weighted             the (c_g, spec) terms of agg, one per g-composition
+    closed_walks_by_area     closed walks on Z^2 counted by twice their signed area
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from shiftbinom.exact import shifted_binomial
-from shiftbinom.sequences import GComposition
-from shiftbinom.sums import SumSpec
+from shiftbinom.sequences import GComposition, cg_weight, enumerate_g_compositions
+from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 
 
 def sinc_at(x, s: Fraction = Fraction(1, 2)) -> Fraction:
@@ -122,3 +128,64 @@ def cg_weight_factorial_form(comp: GComposition) -> Fraction:
     num = math.prod(math.factorial(sum(l[i : i + g]) - 1) for i in range(len(l) - g + 1))
     den = math.prod(math.factorial(sum(l[i + 1 : i + g]) - 1) for i in range(len(l) - g))
     return Fraction(num, den * math.prod(math.factorial(v) for v in l))
+
+
+def per_spec_coefficients(
+    weighted: list[tuple[Fraction | int, SumSpec]],
+    family: Family,
+    m: int | None = None,
+    window: Window = Window.SYMMETRIC,
+) -> Callable[[int], Fraction]:
+    """A -> the sum over (w, spec) in weighted of w times the coefficient of
+    spec's own single-spec Coefficients: one lattice sum per spec, where a
+    weighted Coefficients sums one merged tail."""
+    coeffs = [(w, Coefficients(spec, family, m, window)) for w, spec in weighted]
+    return lambda A: sum((w * c(A) for w, c in coeffs), Fraction(0))
+
+
+def odd_A_sums_by_spec(
+    pref: int, weighted: list[tuple[Fraction | int, SumSpec]], ms: Iterable[int]
+) -> list[Fraction]:
+    """At each m of ms, ascending, pref times the sum over i = 0..m of the
+    per-spec weighted odd coefficient at A = 2i + 1: `cum` with pref 2 and
+    one spec of weight 1, `agg` with pref 2 g n and agg_weighted."""
+    odd = per_spec_coefficients(weighted, Family.ODD)
+    values, total, done = [], Fraction(0), 0
+    for m in ms:
+        for i in range(done, m + 1):
+            total += odd(2 * i + 1)
+        done = m + 1
+        values.append(pref * total)
+    return values
+
+
+def agg_weighted(
+    n: int, g: int, r: int, weight: Callable[[GComposition], Fraction] = cg_weight
+) -> list[tuple[Fraction, SumSpec]]:
+    """(weight, spec) for each g-composition of n, the weight c_g unless
+    another is given: the spec takes r and the composition's parts, with a
+    zero part appended to a single part, since a spec needs two."""
+    return [
+        (weight(c), SumSpec(r=r, l=c.parts + (0,) * (c.j < 2)))
+        for c in enumerate_g_compositions(n, g)
+    ]
+
+
+def closed_walks_by_area(steps: int) -> dict[int, int]:
+    """The closed walks of the given length on Z^2 with unit steps, counted
+    by twice their signed (algebraic) area; areas with no walk are absent.
+
+    A dynamic program over the states (x, y, twice the area so far): a step
+    (dx, dy) from (x, y) adds x dy - y dx, twice the signed area of the
+    triangle it sweeps about the origin.  A state that cannot return to the
+    origin in the steps left is dropped.
+    """
+    walks = Counter({(0, 0, 0): 1})
+    for left in range(steps - 1, -1, -1):
+        grown: Counter = Counter()
+        for (x, y, a), count in walks.items():
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                if abs(x + dx) + abs(y + dy) <= left:
+                    grown[x + dx, y + dy, a + x * dy - y * dx] += count
+        walks = grown
+    return {a: count for (_, _, a), count in sorted(walks.items())}

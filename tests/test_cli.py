@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftbinom import cli, sums
+from shiftbinom import cli, oracle, sums
 from shiftbinom.exact import ParameterError, as_float
 from shiftbinom.sums import Family, Window
 
@@ -86,6 +86,37 @@ def test_verify_failure_exits_1(monkeypatch):
     monkeypatch.setattr(oracle, "even_expansion", broken)
     code = cli.main(["verify", "identity", "--r", "2", "--l", "1,1"])
     assert code == 1
+
+
+def test_identity_passes_within_its_roundoff_bound(capsys):
+    # abs_err here was 1.4e-9, above the fixed 1e-9 the derived bound replaced
+    assert cli.main(["verify", "identity", "--r", "4", "--l", "2,2,2", "--q", "inf"]) == 0
+    [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert list(rec) == ["check", "lhs", "rhs", "abs_err", "bound", "pass"]
+    assert rec["bound"] == oracle.identity_bound(sums.SumSpec(r=4, l=(2, 2, 2)))
+    assert rec["abs_err"] <= rec["bound"] and rec["pass"]
+
+
+@pytest.mark.parametrize("check, family, A", [
+    ("identity", Family.EVEN, 0), ("antisym-integral", Family.ANTISYM_EXACT, 2),
+])
+@pytest.mark.parametrize("r, l", [
+    ("2", "1,1"), ("2", "1,1,1"), ("4", "1,1,1"), ("2", "2,2,2"), ("2", "1,2,1,1,1"),
+])
+def test_coefficient_moved_by_one_fails_its_integral_check(monkeypatch, capsys, check,
+                                                           family, A, r, l):
+    # rn <= 12: the roundoff bound sits far below the move, |cos(0)| = 1 for
+    # identity and |sin(2 pi/3)|/pi for antisym-integral at the default 1/3
+    assert cli.main(["verify", check, "--r", r, "--l", l]) == 0
+
+    class Moved(sums.Coefficients):
+        def __call__(self, a):
+            return super().__call__(a) + (a == A and self.family is family)
+
+    monkeypatch.setattr(oracle, "Coefficients", Moved)
+    assert cli.main(["verify", check, "--r", r, "--l", l]) == 1
+    assert [json.loads(line)["pass"] for line in capsys.readouterr().out.splitlines()] == [
+        True, False]
 
 
 def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):

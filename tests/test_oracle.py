@@ -4,16 +4,18 @@ from functools import partial
 
 import pytest
 
-from shiftbinom.exact import ParameterError
+from shiftbinom.exact import ParameterError, as_float
 from shiftbinom.oracle import (
     _integrate,
     _modes,
     _samples,
+    antisym_bound,
     antisym_expansion,
     even_expansion,
+    identity_bound,
     odd_expansion,
 )
-from shiftbinom.sums import SumSpec, sum_rule_even
+from shiftbinom.sums import Coefficients, Family, SumSpec, sum_rule_even
 
 from reference import float_binomial, shifted_series_eval
 
@@ -235,7 +237,41 @@ def test_phase_is_reduced_below_two_exactly():
     (partial(odd_expansion, odd_A_cut=399), SumSpec(r=4, l=(3, 3, 3)), Fraction(-7, 5), 1e-6),
 ], ids=["antisym-5/3", "odd-minus-7/5"])
 def test_exact_angles_meet_the_cli_tolerances(expansion, spec, phase, tol):
-    """`verify` passes here at its tolerances only when each angle is reduced
-    exactly in integers: the float pi A p / q, formed directly, loses the
-    digits that these two checks need."""
+    """Each expansion meets its tolerance here, the odd check's own 1e-6 and,
+    for antisym, one far below its check's roundoff bound, only when each
+    angle is reduced exactly in integers: the float pi A p / q, formed
+    directly, loses the digits these need."""
     assert _abs_err(expansion(spec, phase)) < tol
+
+
+# ------------------------------ roundoff bounds ------------------------------
+
+
+def test_bounds_are_the_stated_formulas():
+    # (4; 2,2,2): rn = 24, j = 3
+    spec = SumSpec(r=4, l=(2, 2, 2))
+    assert identity_bound(spec) == 19 * (24 + 3 + 1) * 2.0**24 * 2.0**-52
+    assert antisym_bound(spec) == 188 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
+    # finite up to the largest spec the oracle takes
+    largest = SumSpec(r=2, l=(505, 1))
+    assert math.isfinite(identity_bound(largest)) and math.isfinite(antisym_bound(largest))
+
+
+@pytest.mark.parametrize("spec", [
+    SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(0, 0)), SumSpec(r=2, l=(1, 2, 1)),
+    SumSpec(r=4, l=(2, 2, 2)), SumSpec(r=6, l=(3, 2, 2, 1)), SumSpec(r=2, l=(6, 6, 6, 6, 6)),
+], ids=lambda spec: f"{spec.r};{','.join(map(str, spec.l))}")
+def test_bounds_cover_the_measured_error(spec):
+    for phase in (ZERO, Fraction(1, 3), Fraction(2, 7), Fraction(5, 3), Fraction(-7, 5)):
+        assert _abs_err(even_expansion(spec, phase)) <= identity_bound(spec), phase
+        assert _abs_err(antisym_expansion(spec, phase)) <= antisym_bound(spec), phase
+
+
+def test_antisym_exact_absolute_sum_is_below_two_to_the_rn():
+    """The antisym bound takes the antisym-exact coefficients, each times its
+    1/pi, to sum in absolute value to at most 2^(rn+1)/pi < 2^(rn)."""
+    for spec in [SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(2, 1, 1)), SumSpec(r=4, l=(1, 0, 2)),
+                 SumSpec(r=2, l=(1, 2, 1, 1)), SumSpec(r=6, l=(2, 1, 1))]:
+        coeffs = Coefficients(spec, Family.ANTISYM_EXACT)
+        total = math.fsum(abs(as_float(coeffs(A), 1)) for A in coeffs.default_A_range())
+        assert total <= 2.0 ** (spec.r * spec.n + 1) / math.pi, spec

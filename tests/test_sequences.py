@@ -14,7 +14,12 @@ from shiftbinom.sequences import (
     sweep,
 )
 
-from reference import cg_weight_factorial_form
+from reference import (
+    agg_weighted,
+    cg_weight_factorial_form,
+    closed_walks_by_area,
+    odd_A_sums_by_spec,
+)
 
 S3, S4, HALF = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
 # pi C(2, x) at x = 1/2, 3/2, 5/2, pinned by hand from the closed product
@@ -285,6 +290,42 @@ def test_aggregate_single_part_padding():
     [cum] = sweep("cum", [3], spec=SumSpec(r=2, l=(1, 0)))
     assert rec.exact == 2 * 1 * cum.exact
     assert rec.target_value == pytest.approx(math.pi**2 * 2 * 2)
+
+
+@pytest.mark.parametrize("n, g, r", [
+    (n, g, r) for n in range(1, 7) for g in (2, 3, 4) for r in (2, 4)
+])
+def test_agg_sweep_matches_per_spec_sum(n, g, r):
+    # the merged tail against one Coefficients per composition spec, exactly,
+    # at every m up to 40; a grid cell with many compositions stops sooner,
+    # since the per-spec side costs one lattice sum per spec and per m
+    weighted = agg_weighted(n, g, r)
+    ms = range(min(40, 1200 // len(weighted)) + 1)
+    assert [rec.exact for rec in sweep("agg", ms, n=n, g=g, r=r)] == odd_A_sums_by_spec(
+        2 * g * n, weighted, ms)
+
+
+def _area_aggregate(n: int, weight) -> dict[int, Fraction]:
+    """The nonzero A -> sum over the 2-compositions l of n of 2 n weight(l)
+    even_(2, l)(A), from one weighted even Coefficients."""
+    even = Coefficients([(2 * n * w, spec) for w, spec in agg_weighted(n, 2, 2, weight)],
+                        Family.EVEN)
+    return {A: c for A in even.default_A_range() if (c := even(A))}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_even_aggregate_counts_closed_walks_by_area(n):
+    # g = 2, r = 2: the weighted even aggregate is the number of closed walks
+    # of length 2n on Z^2 by twice their algebraic area, at every A
+    walks = closed_walks_by_area(2 * n)
+    assert _area_aggregate(n, cg_weight) == walks
+    assert sum(walks.values()) == math.comb(2 * n, n) ** 2
+    if n == 3:
+        assert walks == {-4: 12, -2: 72, 0: 232, 2: 72, 4: 12}
+    # the count sees every weight: one composition's moved by 1 breaks it
+    first = next(enumerate_g_compositions(n, 2))
+    moved = lambda c: cg_weight(c) + (c == first)
+    assert _area_aggregate(n, moved) != walks
 
 
 def test_aggregate_converges():

@@ -17,7 +17,13 @@ from shiftbinom.sums import (
     sum_rule_even,
 )
 
-from reference import chu_vandermonde_partial, sinc_at, support_bound
+from reference import (
+    chu_vandermonde_partial,
+    odd_A_sums_by_spec,
+    per_spec_coefficients,
+    sinc_at,
+    support_bound,
+)
 
 # the standard grid: r = 2, every l-list with 2 <= j <= 4 and total n <= 4
 GRID = [
@@ -509,6 +515,65 @@ def test_coeff_table_symmetry_ledger():
             assert all(c(A) == -c(-A) for A in even_As)
     four = Coefficients(SumSpec(r=2, l=(1, 1, 1, 1)), Family.FOUR, m=2, window=Window.SYMMETRIC)
     assert all(four(A) == four(-A) for A in range(-4, 5, 2))
+
+
+# --------------------------- weighted sums of specs ---------------------------
+
+# weights of both signs, rows n1 = r l_1 of three sizes, and one spec twice,
+# whose weights add in the merged tail; every spec has the 4 parts four needs
+WEIGHTED = [
+    (Fraction(3, 2), SumSpec(r=2, l=(1, 1, 0, 1))),
+    (-2, SumSpec(r=2, l=(2, 1, 1, 0))),
+    (Fraction(1, 3), SumSpec(r=4, l=(1, 0, 1, 1))),
+    (5, SumSpec(r=2, l=(0, 2, 1, 1))),
+    (1, SumSpec(r=2, l=(1, 1, 0, 1))),
+    (Fraction(-1, 7), SumSpec(r=2, l=(1, 2, 1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_weighted_coefficients_match_per_spec_sum(family):
+    """One merged tail against one Coefficients per spec, exactly, at every
+    |A| <= 11 of the family's parity, and for the weighted-k_1 families term
+    by term along k_1 too."""
+    m = 3 if family.needs_m else None
+    merged = Coefficients(WEIGHTED, family, m)
+    by_spec = per_spec_coefficients(WEIGHTED, family, m)
+    for A in range(-11 + 1 - family.parity, 12, 2):
+        assert merged(A) == by_spec(A), A
+    if family.weight is not None:
+        A = 4 + family.parity
+        terms = [(w, Coefficients(spec, family).k1_term(A)) for w, spec in WEIGHTED]
+        merged_term = merged.k1_term(A)
+        for k2 in range(-9 + (1 not in family.half_axes), 10, 2):  # 2 k_1 on the family's axis
+            assert merged_term(k2) == sum(w * term(k2) for w, term in terms), k2
+
+
+def test_weighted_default_A_range_reads_the_merged_keys():
+    # positive weights: the even support is the union of the specs' supports,
+    # and the antisym-exact range the widest of theirs
+    positive = [(abs(w), spec) for w, spec in WEIGHTED]
+    supports, spans = ([Coefficients(spec, family).default_A_range() for _, spec in positive]
+                       for family in (Family.EVEN, Family.ANTISYM_EXACT))
+    assert Coefficients(positive, Family.EVEN).default_A_range() == sorted(set().union(*supports))
+    assert Coefficients(positive, Family.ANTISYM_EXACT).default_A_range() == max(spans, key=len)
+    even = Coefficients(positive, Family.EVEN)
+    assert [A for A in range(-40, 41, 2) if even(A)] == even.default_A_range()
+
+
+def test_weighted_coefficients_check_every_spec():
+    with pytest.raises(ParameterError, match="at least one spec"):
+        Coefficients([], Family.EVEN)
+    with pytest.raises(ParameterError, match="needs at least 4 parts"):
+        Coefficients([*WEIGHTED, (1, SumSpec(r=2, l=(1, 1, 1)))], Family.FOUR, 2)
+
+
+@pytest.mark.parametrize("spec", GRID, ids=lambda spec: ",".join(map(str, spec.l)))
+def test_cum_matches_per_spec_sum(spec):
+    # cum's one-term weighted Coefficients against the spec's own
+    ms = range(11)
+    assert [rec.exact for rec in sequences.sweep("cum", ms, spec=spec)] == odd_A_sums_by_spec(
+        2, [(1, spec)], ms)
 
 
 # ------------------------------- public names -------------------------------
