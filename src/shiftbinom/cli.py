@@ -18,7 +18,8 @@ A coefficient whose value lies outside double range keeps exact `num` and
 `den`; its `float` column reads inf or -inf (Infinity or -Infinity in JSON).
 
 `--p`/`--q`, the phase of the integrand, are `verify` flags; `--q` takes a
-positive integer or `inf`.  `coeffs` evaluates one `sums.Coefficients`: its
+positive integer or `inf`; an integral check passes within its derived
+roundoff bound, `bound`.  `coeffs` evaluates one `sums.Coefficients`: its
 `--m`, a positive integer, is the truncation of the windowed families, and
 the library reports a missing one, or too few parts, as a usage error.  A
 `seq` kind takes the flags its builder in `sequences._KINDS` names, and a
@@ -168,14 +169,11 @@ def _exact_record(check: str, lhs: int | Fraction, rhs: int | Fraction) -> dict:
 # sums.Coefficients it evaluates builds its own tail weights.
 
 
-def _integral(expansion: str, bound: str | float, *args: tuple[str, int]):
+def _integral(expansion: str, bound: str):
     """The runner of an integral check.  It evaluates oracle.<expansion> at
-    the phase --p/--q (defaults 1 and 3), with further arguments read from the
-    (flag, default) pairs args.  When bound names an oracle function, the
-    check passes when the two sides differ by at most that function's
-    roundoff bound for the spec, reported beside abs_err; a float bound is a
-    fixed tolerance that no derivation gives yet, which the sides must
-    differ by less than, and it is not reported."""
+    the phase --p/--q (defaults 1 and 3), and the check passes when the two
+    sides differ by at most oracle.<bound>, the roundoff bound derived for
+    the spec, reported beside abs_err."""
 
     def records(check, spec, read) -> list[dict]:
         # imported here, so that only the checks that integrate load the oracle
@@ -183,15 +181,10 @@ def _integral(expansion: str, bound: str | float, *args: tuple[str, int]):
 
         p, q = read("p", 1), read("q", 3)
         phase = Fraction(0) if q == math.inf else Fraction(p, q)
-        extra = (read(flag, default) for flag, default in args)
-        lhs, rhs = getattr(oracle, expansion)(spec, phase, *extra)
-        rec = {"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs)}
-        if isinstance(bound, str):
-            rec["bound"] = getattr(oracle, bound)(spec)
-            rec["pass"] = rec["abs_err"] <= rec["bound"]
-        else:
-            rec["pass"] = rec["abs_err"] < bound
-        return [rec]
+        lhs, rhs = getattr(oracle, expansion)(spec, phase)
+        abs_err, tol = abs(lhs - rhs), getattr(oracle, bound)(spec)
+        return [{"check": check, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "bound": tol,
+                 "pass": abs_err <= tol}]
 
     return records
 
@@ -219,8 +212,7 @@ def _cg(check, spec, read) -> list[dict]:
 # its runner; `all` takes every flag, a single check only its own
 _CHECKS = {
     "identity": (("r", "l", "p", "q"), _integral("even_expansion", "identity_bound")),
-    "odd-integral": (("r", "l", "p", "q", "odd_a_cut"),
-                     _integral("odd_expansion", 1e-6, ("odd_a_cut", 399))),
+    "odd-integral": (("r", "l", "p", "q"), _integral("odd_expansion", "odd_bound")),
     "antisym-integral": (("r", "l", "p", "q"), _integral("antisym_expansion", "antisym_bound")),
     "odd-equality": (("r", "l", "a_max"), _odd_equality),
     "sum-rule": (("r", "l"), _sum_rule),
@@ -429,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--p", type=int, help="(default 1)")
     pv.add_argument("--q", type=_parse_q, help="positive integer or 'inf' (default 3)")
     pv.add_argument("--a-max", type=_parse_positive, help="(default 9)")
-    pv.add_argument("--odd-a-cut", type=_parse_positive, help="(default 399)")
     pv.add_argument("--n", type=int, help="(default 4)")
     pv.add_argument("--g", type=int, help="(default 2)")
 

@@ -11,8 +11,8 @@ exactly up to roundoff, and each mode integrates in closed form over any
 interval, such as the two pieces of the odd expansion's period on either
 side of its one sign flip.  The integral side of each expansion is evaluated
 with libm cosines and sines alone and reads no value from `exact` or `sums`;
-only the coefficient side, `_series`, calls `sums.Coefficients`.  Agreement
-with the exact engine is therefore evidence, not circularity.
+only the coefficient side calls `sums.Coefficients`.  Agreement with the
+exact engine is therefore evidence, not circularity.
 
 Every function takes its phase p/q as the Fraction `phase`, 0 for
 q -> infinity.  Each angle pi k p/q, a factor's shift at k = i - 1 or a
@@ -27,12 +27,13 @@ N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples` takes
 a spec only while N 2^(rn) is a finite double, rn <= 1012, and raises
 ParameterError otherwise.
 
-Roundoff bounds.  `identity_bound` and `antisym_bound` bound |lhs - rhs| of
-`even_expansion` and `antisym_expansion` on correct coefficients, from the
-operations each side performs.  Write e = 2^-52 and M = 2^(rn).  A rounded
-operation errs by at most e/2 relative; a libm call (cos, sin, the pow behind
-`**`, and the cos and sin inside `cmath.exp`) by at most 1 ulp, e relative;
-`math.fsum` rounds its exact sum once.  First-order terms are kept, and each
+Roundoff bounds.  `identity_bound`, `odd_bound` and `antisym_bound` bound
+|lhs - rhs| of `even_expansion`, `odd_expansion` and `antisym_expansion` on
+correct coefficients, from the operations each side performs.  Write
+e = 2^-52 and M = 2^(rn).  A rounded operation errs by at most e/2 relative;
+a libm call (cos, sin, the pow behind `**`, and the cos and sin inside
+`cmath.exp`) by at most 1 ulp, e relative; `math.fsum` rounds its exact sum
+once.  First-order terms are kept, and each
 constant is rounded up.
 
 - A sample.  The angle pi t - shift has t = j/N and the shift pi v, where
@@ -71,8 +72,26 @@ constant is rounded up.
   most 15 e |c_A|, float(c) times the float 1/pi included, so the side
   errs by at most 16 M e.  In all
   (187.2 rn + 19.6 j + 215) M e <= 188 (rn + j + 2) M e.
+- The odd check's lhs.  `_odd_total_integral` integrates over one or two
+  pieces of [-1/2, 1/2], of lengths L summing to 1, each as in the
+  antisymmetric step but with three roundings on an angle of at most pi k
+  at both ends: e^(2 pi i k hi) - e^(2 pi i k lo) errs by (3 pi k + 7) e,
+  term k by |da_k|/(pi k) + 3 M e + 14 M e/(pi k), a_0 (hi - lo) by
+  L |da_0| + 2 M e, and the piece by (L + 4.4) S + (1.5 rn + 100 + 15 L) M e;
+  their signed sum by 9.8 S + (3 rn + 216) M e.  The cut point, from the
+  float of p/q mod 2 < 2, errs by 2 e; a sign flip moved by d moves the
+  integral by at most 2 M d, and a piece whose sign, read at its midpoint,
+  is within roundoff of a flip is that short: 8 M e more, and in all
+  (189.2 rn + 19.6 j + 224) M e.
+- The odd check's rhs.  With the float of 1 - 2|x| <= 1, the even series
+  errs by 14 M e, 13 M e as in the identity.  A pair of poles a1 != a2 of
+  `Coefficients.residues`, 2 or more apart, adds at most |b t|/2 to two
+  entries, and the |b t| of one spec sum to 4 M: sum_a |rho1_a| <= 4 M.  At
+  12 e |rho1_a| a term, the sine series errs by 50 M e, its quotient by
+  2 pi, below 0.64 M, by 9 M e, and the difference M e more.  In all
+  (189.2 rn + 19.6 j + 248) M e <= 190 (rn + j + 2) M e.
 
-Both bounds grow as 2^(rn): at rn = 24 the identity bound is 2.0e-6, and at
+The bounds grow as 2^(rn): at rn = 24 the identity bound is 2.0e-6, and at
 rn = 60 it is 3.2e5, so the float check resolves fewer digits as rn grows.
 Each is a worst case: the errors measured on specs up to rn = 64 stay
 below 2^(rn) 2^-52.
@@ -84,7 +103,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .exact import ParameterError, as_float
 from .sums import Coefficients, Family, SumSpec
@@ -94,6 +113,7 @@ __all__ = [
     "odd_expansion",
     "antisym_expansion",
     "identity_bound",
+    "odd_bound",
     "antisym_bound",
 ]
 
@@ -179,21 +199,11 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     return total
 
 
-def _series(
-    spec: SumSpec,
-    family: Family,
-    trig: Callable[[float], float],
-    phase: Fraction,
-    A_values: Iterable[int] | None = None,
-) -> float:
-    """The coefficient side: the sum over A_values, by default the family's
-    finite A range, of trig(pi A p/q) times the family's coefficient at A,
-    each angle formed by `_angle`."""
-    coeffs = Coefficients(spec, family)
-    A_values = coeffs.default_A_range() if A_values is None else A_values
-    return math.fsum(
-        trig(_angle(A, phase)) * as_float(coeffs(A), family.pi_exp) for A in A_values
-    )
+def _series(coeffs: Coefficients, trig: Callable[[float], float], phase: Fraction) -> float:
+    """The coefficient side: the sum over the default A range of coeffs of
+    trig(pi A p/q) times the coefficient at A, each angle formed by `_angle`."""
+    return math.fsum(trig(_angle(A, phase)) * as_float(coeffs(A), coeffs.family.pi_exp)
+                     for A in coeffs.default_A_range())
 
 
 # Each expansion returns (integral side, coefficient side).
@@ -203,15 +213,23 @@ def even_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The period integral, the mean of the cosine samples, and the sum over
     the even support of cos(pi A p/q) times the even coefficient."""
     f = _samples(spec, phase, "cos")
-    return math.fsum(f) / len(f), _series(spec, Family.EVEN, math.cos, phase)
+    return math.fsum(f) / len(f), _series(Coefficients(spec, Family.EVEN), math.cos, phase)
 
 
-def odd_expansion(spec: SumSpec, phase: Fraction, odd_A_cut: int) -> tuple[float, float]:
-    """The integral of the total odd-A expansion, and the sum over odd
-    |A| <= odd_A_cut of cos(pi A p/q) times the odd coefficient."""
+def odd_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
+    """The integral of the total odd-A expansion, and its sum over every odd
+    A.  With the poles of `Coefficients.residues`, put A = a + d: the
+    triangle and square waves, the sums over odd d of
+    cos(pi d x)/d^2 = (pi^2/4)(1 - 2|x|) and sin(pi d x)/d = (pi/2) sgn(x)
+    on [-1, 1), make it the finite sum, at p/q reduced exactly to x in [-1, 1),
+
+        (1 - 2|x|) sum_a even(a) cos(pi a x) - (sgn(x) / (2 pi)) sum_a rho1_a sin(pi a x)"""
     lhs = _odd_total_integral(spec, phase)
-    odd_As = range(1, odd_A_cut + 1, 2)  # A and -A alike, hence the 2
-    return lhs, 2.0 * _series(spec, Family.ODD, math.cos, phase, odd_As)
+    x = (phase + 1) % 2 - 1
+    even = Coefficients(spec, Family.EVEN)
+    sine = math.fsum(math.sin(_angle(a, x)) * float(rho) for a, rho in even.residues().items())
+    sgn = (x > 0) - (x < 0)
+    return lhs, float(1 - 2 * abs(x)) * _series(even, math.cos, x) - sgn * sine / (2.0 * math.pi)
 
 
 def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
@@ -221,7 +239,7 @@ def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
         _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
         - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
     )
-    return lhs, _series(spec, Family.ANTISYM_EXACT, math.sin, phase)
+    return lhs, _series(Coefficients(spec, Family.ANTISYM_EXACT), math.sin, phase)
 
 
 def identity_bound(spec: SumSpec) -> float:
@@ -229,6 +247,13 @@ def identity_bound(spec: SumSpec) -> float:
     |lhs - rhs|, derived in the module docstring."""
     rn = spec.r * spec.n
     return math.ldexp(19 * (rn + spec.j + 1), rn - 52)
+
+
+def odd_bound(spec: SumSpec) -> float:
+    """The roundoff bound 190 (rn + j + 2) 2^(rn) 2^-52 of odd_expansion's
+    |lhs - rhs|, derived in the module docstring."""
+    rn = spec.r * spec.n
+    return math.ldexp(190 * (rn + spec.j + 2), rn - 52)
 
 
 def antisym_bound(spec: SumSpec) -> float:

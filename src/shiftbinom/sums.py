@@ -33,7 +33,8 @@ that needs the coefficient's float takes the power from the family, as
 
 `Coefficients(terms, family, m, window)` is the one way to a coefficient:
 one object per call (a table, a sequence, a verify check), evaluated at any
-A, with `default_A_range()` the A of a table that names none;
+A, with `default_A_range()` the A of a table that names none and
+`residues()` the poles that give the odd family from the even one;
 `sum_rule_even` sums it over the even support.  `terms` is one spec, or a
 weighted sum of specs, such as the g-compositions of `agg`, whose
 coefficient is the weighted sum of theirs.  The object builds each spec's
@@ -365,6 +366,33 @@ class Coefficients:
         return lambda k2: Fraction(*_dot(
             (self._k1(found, A, n1, k2), (1, 1)) for n1, found in inner.items()
         ))
+
+    def residues(self) -> dict[int, Fraction]:
+        """{a: rho1_a}, nonzero: pi^2 odd(A) is the sum over even a of
+        4 even(a)/(A - a)^2 + rho1_a/(A - a), on the same tail.  As
+        pi C(n, K + 1/2) = (-1)^(K+1) sum_j (-1)^j C(n, j)/(j - K - 1/2), on
+        the key (n1, e1, n2, e2) of weight c the pair (j1, j2) has poles
+        a1 = 2 j1 - e1, a2 = e2 - 2 j2, and adds b t/(a1 - a2) to rho1 at a1 and
+        b t/(a2 - a1) at a2 when they differ, b = 4 (-1)^(e1/2 + j1) C(n1, j1)
+        and t = (-1)^(e2/2 + j2) C(n2, j2) c, summed by a2 over (n1, e1) first."""
+        if self.family.half_axes:
+            raise ParameterError(f"family {self.family.value} has half-integer axes: no residues")
+        rows, terms = self.rows, defaultdict(list)
+        for n1, outer in self.tail.items():
+            for e1, group in outer.items():
+                by_a2 = defaultdict(list)
+                for (n2, e2), c in group.items():
+                    for j2 in range(n2 + 1):
+                        t = (-1) ** ((e2 // 2 + j2) % 2) * rows[n2, 2 * j2][0], 1
+                        by_a2[e2 - 2 * j2].append((c, t))
+                t_by_a2 = [(a2, _dot(ts)) for a2, ts in by_a2.items()]
+                for j1 in range(n1 + 1):
+                    a1, b = 2 * j1 - e1, 4 * (-1) ** ((e1 // 2 + j1) % 2) * rows[n1, 2 * j1][0]
+                    for a2, (tp, tq) in t_by_a2:
+                        if a1 != a2 and tp:
+                            terms[a1].append(((b * tp, tq), _over(1, a1 - a2)))
+                            terms[a2].append(((b * tp, tq), _over(1, a2 - a1)))
+        return {a: v for a, ts in sorted(terms.items()) if (v := Fraction(*_dot(ts)))}
 
     def default_A_range(self) -> list[int]:
         """The A values a table covers when no explicit range is requested,

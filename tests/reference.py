@@ -12,10 +12,15 @@ test modules import it by name.
     odd_A_sums_by_spec       the cum/agg partial sums from per_spec_coefficients
     agg_weighted             the (c_g, spec) terms of agg, one per g-composition
     closed_walks_by_area     closed walks on Z^2 counted by twice their signed area
+    pole_residues            the odd family's double and simple poles, one (j1, j2) pair at a time
+    laurent_expansion        the cosine or sine product as a Laurent polynomial in z and u
+    laurent_even             the even coefficients read from laurent_expansion
+    laurent_antisym_exact    the antisym-exact coefficients read from laurent_expansion
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -189,3 +194,72 @@ def closed_walks_by_area(steps: int) -> dict[int, int]:
                     grown[x + dx, y + dy, a + x * dy - y * dx] += count
         walks = grown
     return {a: count for (_, _, a), count in sorted(walks.items())}
+
+
+def pole_residues(coeffs: Coefficients) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """({a: double-pole residue}, {a: rho1_a}) of pi^2 times the odd
+    coefficient of the merged tail of coeffs, nonzero entries only: the
+    plain loop over every key (n1, e1, n2, e2) of weight c and every pair
+    (j1, j2), with poles a1 = 2 j1 - e1 and a2 = e2 - 2 j2 and the factor
+    4 (-1)^((e1 + e2)/2 + j1 + j2) C(n1, j1) C(n2, j2) c.  No grouping."""
+    double: Counter = Counter()
+    simple: Counter = Counter()
+    for n1, outer in coeffs.tail.items():
+        for e1, group in outer.items():
+            for (n2, e2), (p, q) in group.items():
+                for j1, j2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+                    a1, a2 = 2 * j1 - e1, e2 - 2 * j2
+                    sign = -1 if ((e1 + e2) // 2 + j1 + j2) % 2 else 1
+                    bt = Fraction(4 * sign * math.comb(n1, j1) * math.comb(n2, j2) * p, q)
+                    if a1 == a2:
+                        double[a1] += bt
+                    else:
+                        simple[a1] += bt / (a1 - a2)
+                        simple[a2] -= bt / (a1 - a2)
+    return ({a: v for a, v in sorted(double.items()) if v},
+            {a: v for a, v in sorted(simple.items()) if v})
+
+
+def laurent_expansion(spec: SumSpec, sine: bool = False) -> dict[tuple[int, int], int]:
+    """The cosine product prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), or with
+    sine its sine form, as {(k, a): c}, the Laurent polynomial sum of
+    c z^k u^a in z = e^(i pi t) and u = e^(i pi p/q).  With w_i = z u^-(i-1),
+    2 cos = w_i + 1/w_i and (2 sin)^n = (-1)^(n/2) (w_i - 1/w_i)^n for even
+    n, so every c is an integer.  Shares only math.comb with the library."""
+    poly = {(0, 0): 1}
+    for i, li in enumerate(spec.l):  # i is the 1-based index less 1
+        n = spec.r * li
+        factor = {(n - 2 * k, -i * (n - 2 * k)):
+                  (-1) ** (n // 2 + k) * math.comb(n, k) if sine else math.comb(n, k)
+                  for k in range(n + 1)}
+        grown: Counter = Counter()
+        for (k1, a1), c1 in poly.items():
+            for (k2, a2), c2 in factor.items():
+                grown[k1 + k2, a1 + a2] += c1 * c2
+        poly = {key: c for key, c in grown.items() if c}
+    return poly
+
+
+def laurent_even(spec: SumSpec) -> dict[int, int]:
+    """{A: the even coefficient}, nonzero only: [z^0 u^A] of the cosine
+    product, its period mean."""
+    return {a: c for (k, a), c in sorted(laurent_expansion(spec).items()) if k == 0}
+
+
+def laurent_antisym_exact(spec: SumSpec) -> dict[int, Fraction]:
+    """{A: pi times the antisym-exact coefficient}, nonzero only.  With P and
+    S the cosine and sine products, the integral over [0, 1/2] of z^(2j) is
+    i/(pi j) at odd j and 0 at other j != 0, and S(t) = P(t - 1/2) has P's
+    period mean, so for A > 0
+
+        pi c_A = -(1/2) sum over odd j of ([z^(2j) u^A] - [z^(2j) u^-A])(P - S) / j
+
+    and c_-A = -c_A."""
+    diff = Counter(laurent_expansion(spec))
+    diff.subtract(laurent_expansion(spec, sine=True))
+    d: Counter = Counter()
+    for (k, a), c in diff.items():
+        if k % 4 == 2:  # k = 2j, j odd
+            d[a] += Fraction(c, k // 2)
+    out = {A: (d[-A] - d[A]) / 2 for A in {abs(a) for a in d}}
+    return {A: v for A, v in sorted({**out, **{-A: -v for A, v in out.items()}}.items()) if v}

@@ -98,25 +98,54 @@ def test_identity_passes_within_its_roundoff_bound(capsys):
 
 
 @pytest.mark.parametrize("check, family, A", [
-    ("identity", Family.EVEN, 0), ("antisym-integral", Family.ANTISYM_EXACT, 2),
+    ("identity", Family.EVEN, 0), ("odd-integral", Family.EVEN, 0), ("odd-integral", "rho1", 2),
+    ("antisym-integral", Family.ANTISYM_EXACT, 2),
 ])
 @pytest.mark.parametrize("r, l", [
     ("2", "1,1"), ("2", "1,1,1"), ("4", "1,1,1"), ("2", "2,2,2"), ("2", "1,2,1,1,1"),
 ])
 def test_coefficient_moved_by_one_fails_its_integral_check(monkeypatch, capsys, check,
                                                            family, A, r, l):
-    # rn <= 12: the roundoff bound sits far below the move, |cos(0)| = 1 for
-    # identity and |sin(2 pi/3)|/pi for antisym-integral at the default 1/3
+    # rn <= 12: the roundoff bound sits far below the move, at the default
+    # phase 1/3: |cos(0)| = 1 for identity, (1 - 2/3) |cos(0)| for the even
+    # coefficient of odd-integral, |sin(2 pi/3)|/(2 pi) for its residue rho1
+    # (at a = 0 it would be invisible: rho1_0 = 0 and sin(0) = 0), and
+    # |sin(2 pi/3)|/pi for antisym-integral
     assert cli.main(["verify", check, "--r", r, "--l", l]) == 0
 
     class Moved(sums.Coefficients):
         def __call__(self, a):
             return super().__call__(a) + (a == A and self.family is family)
 
+        def residues(self):
+            rho1 = super().residues()
+            if family == "rho1":
+                rho1[A] = rho1.get(A, 0) + 1
+            return rho1
+
     monkeypatch.setattr(oracle, "Coefficients", Moved)
     assert cli.main(["verify", check, "--r", r, "--l", l]) == 1
     assert [json.loads(line)["pass"] for line in capsys.readouterr().out.splitlines()] == [
         True, False]
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "all", "--r", "6", "--l", "3,2,2,1", "--p", "3", "--q", "11"),
+    ("verify", "odd-integral", "--r", "2", "--l", "0,0", "--q", "inf"),
+    ("verify", "all", "--r", "2", "--l", "6,6,6,6,6"),
+    ("verify", "odd-integral", "--r", "2", "--l", "506,0"),
+], ids=["all-r6-3,2,2,1", "odd-0,0-q-inf", "all-6,6,6,6,6", "odd-rn-1012"])
+def test_odd_integral_passes_within_its_roundoff_bound(capsys, args):
+    # each failed on correct code while the odd expansion was cut at |A| <= 399
+    # and compared within a fixed 1e-6: its sum over every odd A has no cut
+    assert cli.main(list(args)) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(rec["pass"] for rec in recs)
+    [odd] = [rec for rec in recs if rec["check"] == "odd-integral"]
+    assert list(odd) == ["check", "lhs", "rhs", "abs_err", "bound", "pass"]
+    r, l = int(args[args.index("--r") + 1]), args[args.index("--l") + 1].split(",")
+    assert odd["bound"] == oracle.odd_bound(sums.SumSpec(r=r, l=tuple(map(int, l))))
+    assert odd["abs_err"] <= odd["bound"]
 
 
 def test_odd_equality_mismatch_reports_exact_difference(monkeypatch, capsys):
@@ -261,13 +290,14 @@ _BAD_CONFIGS = {
     ("coeffs", "--family", "even", "--r", "2", "--l", "1,1", "--a-min", "2"),
     # a verify check takes only the flags it reads
     ("verify", "cg", "--n", "3", "--g", "2", "--r", "3", "--l", "1", "--a-max", "-4"),
-    ("verify", "sum-rule", "--r", "2", "--l", "1,1", "--p", "5", "--odd-a-cut", "1", "--n", "0"),
+    ("verify", "sum-rule", "--r", "2", "--l", "1,1", "--p", "5", "--n", "0"),
     ("verify", "cg", "--n", "3", "--g", "2", "--r", "2"),
     ("verify", "identity", "--r", "2", "--l", "1,1", "--a-max", "3"),
     # a check with no A to check is a usage error, not a vacuous pass
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "0"),
     ("verify", "odd-equality", "--r", "2", "--l", "1,1", "--a-max", "-4"),
-    ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--odd-a-cut", "-1"),
+    # the odd expansion sums over every odd A, so it takes no cut
+    ("verify", "odd-integral", "--r", "2", "--l", "1,1", "--odd-a-cut", "5"),
     # the float oracle takes r*n <= 1012: past it a sample, or an fsum, leaves double range
     ("verify", "identity", "--r", "2", "--l", "600,1"),
     ("verify", "identity", "--r", "2", "--l", "510,1"),
@@ -284,7 +314,7 @@ _BAD_CONFIGS = {
         "seq-q", "seq-p", "seq-agg-q-l", "coeffs-q", "coeffs-no-window-m",
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
-        "odd-a-cut-negative", "oracle-sample-overflow", "oracle-fsum-overflow",
+        "odd-a-cut-unrecognized", "oracle-sample-overflow", "oracle-fsum-overflow",
         "pis-even-l-symmetric", "pis2-even-l-symmetric"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -13,6 +12,7 @@ from shiftbinom.oracle import (
     antisym_expansion,
     even_expansion,
     identity_bound,
+    odd_bound,
     odd_expansion,
 )
 from shiftbinom.sums import Coefficients, Family, SumSpec, sum_rule_even
@@ -22,8 +22,7 @@ from reference import float_binomial, shifted_series_eval
 
 ZERO = Fraction(0)  # the phase of q -> infinity
 
-# the three expansions, the odd one cut at |A| <= 199
-EXPANSIONS = (even_expansion, partial(odd_expansion, odd_A_cut=199), antisym_expansion)
+EXPANSIONS = (even_expansion, odd_expansion, antisym_expansion)
 
 
 def _period(spec: SumSpec, phase: Fraction) -> float:
@@ -157,16 +156,16 @@ def _abs_err(sides: tuple[float, float]) -> float:
 def test_expansions_example_spec():
     spec, phase = SumSpec(r=2, l=(1, 1, 1)), Fraction(1, 5)
     assert _abs_err(even_expansion(spec, phase)) < 1e-10
-    assert _abs_err(odd_expansion(spec, phase, 199)) < 1e-8
+    assert _abs_err(odd_expansion(spec, phase)) < 1e-10
     assert _abs_err(antisym_expansion(spec, phase)) < 1e-10
 
 
 def test_expansions_q_infinity_collapse_to_central_binomial():
     spec = SumSpec(r=2, l=(1, 1))
     assert even_expansion(spec, ZERO)[1] == pytest.approx(6.0)
-    odd = odd_expansion(spec, ZERO, 199)
+    odd = odd_expansion(spec, ZERO)
     assert odd[0] == pytest.approx(6.0)
-    assert _abs_err(odd) < 1e-9
+    assert _abs_err(odd) < 1e-10
     assert sum_rule_even(spec) == 6
 
 
@@ -177,21 +176,21 @@ def test_expansions_small_grid():
             assert _abs_err(expansion(spec, phase)) < 1e-8, (l, p, q, expansion)
 
 
-def test_odd_integral_cut_at_phases_past_one():
+def test_odd_integral_at_phases_past_one():
     """p/q -> p/q + 1 leaves the product alone (r is even) and flips
     cos(pi A p/q) at every odd A, so the odd total at 7/3 is the one at 1/3,
     and the one at 4/3 its negative.  Each needs the cut at
-    p/q - 1/2 - floor(p/q) inside [-1/2, 1/2]; roundoff is relative to
+    p/q - 1/2 - floor(p/q) inside [-1/2, 1/2], and the closed form the phase
+    reduced to [-1, 1), here 1/3 and -2/3; roundoff is relative to
     C(rn, rn/2), as in test_halfrange_matches_full_for_even_integrand."""
     spec = SumSpec(r=2, l=(1, 2, 1))
     tol = 1e-14 * math.comb(spec.r * spec.n, spec.r * spec.n // 2)
-    third, four_thirds, seven_thirds = (
-        odd_expansion(spec, Fraction(p, 3), 199) for p in (1, 4, 7)
-    )
-    assert seven_thirds[0] == pytest.approx(third[0], abs=tol)
-    assert four_thirds[0] == pytest.approx(-third[0], abs=tol)
+    third, four_thirds, seven_thirds = (odd_expansion(spec, Fraction(p, 3)) for p in (1, 4, 7))
+    for side in (0, 1):
+        assert seven_thirds[side] == pytest.approx(third[side], abs=tol)
+        assert four_thirds[side] == pytest.approx(-third[side], abs=tol)
     for sides in (third, four_thirds, seven_thirds):
-        assert _abs_err(sides) < 1e-8, sides
+        assert _abs_err(sides) < 1e-10, sides
 
 
 def test_largest_spec_in_double_range():
@@ -234,13 +233,14 @@ def test_phase_is_reduced_below_two_exactly():
 
 @pytest.mark.parametrize("expansion, spec, phase, tol", [
     (antisym_expansion, SumSpec(r=4, l=(2, 2, 2)), Fraction(5, 3), 1e-9),
-    (partial(odd_expansion, odd_A_cut=399), SumSpec(r=4, l=(3, 3, 3)), Fraction(-7, 5), 1e-6),
+    (odd_expansion, SumSpec(r=4, l=(3, 3, 3)), Fraction(-7, 5), 1e-6),
 ], ids=["antisym-5/3", "odd-minus-7/5"])
 def test_exact_angles_meet_the_cli_tolerances(expansion, spec, phase, tol):
-    """Each expansion meets its tolerance here, the odd check's own 1e-6 and,
-    for antisym, one far below its check's roundoff bound, only when each
-    angle is reduced exactly in integers: the float pi A p / q, formed
-    directly, loses the digits these need."""
+    """Each expansion meets a tolerance far below its check's roundoff bound
+    here.  Antisym meets it only when each angle is reduced exactly in
+    integers: the float pi A p / q, formed directly, loses the digits it
+    needs.  The odd expansion reduces p/q exactly to [-1, 1), 3/5 here,
+    before it forms any angle of its closed form."""
     assert _abs_err(expansion(spec, phase)) < tol
 
 
@@ -251,10 +251,12 @@ def test_bounds_are_the_stated_formulas():
     # (4; 2,2,2): rn = 24, j = 3
     spec = SumSpec(r=4, l=(2, 2, 2))
     assert identity_bound(spec) == 19 * (24 + 3 + 1) * 2.0**24 * 2.0**-52
+    assert odd_bound(spec) == 190 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
     assert antisym_bound(spec) == 188 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
     # finite up to the largest spec the oracle takes
     largest = SumSpec(r=2, l=(505, 1))
-    assert math.isfinite(identity_bound(largest)) and math.isfinite(antisym_bound(largest))
+    for bound in (identity_bound, odd_bound, antisym_bound):
+        assert math.isfinite(bound(largest)), bound
 
 
 @pytest.mark.parametrize("spec", [
@@ -264,6 +266,7 @@ def test_bounds_are_the_stated_formulas():
 def test_bounds_cover_the_measured_error(spec):
     for phase in (ZERO, Fraction(1, 3), Fraction(2, 7), Fraction(5, 3), Fraction(-7, 5)):
         assert _abs_err(even_expansion(spec, phase)) <= identity_bound(spec), phase
+        assert _abs_err(odd_expansion(spec, phase)) <= odd_bound(spec), phase
         assert _abs_err(antisym_expansion(spec, phase)) <= antisym_bound(spec), phase
 
 

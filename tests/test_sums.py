@@ -18,9 +18,13 @@ from shiftbinom.sums import (
 )
 
 from reference import (
+    agg_weighted,
     chu_vandermonde_partial,
+    laurent_antisym_exact,
+    laurent_even,
     odd_A_sums_by_spec,
     per_spec_coefficients,
+    pole_residues,
     sinc_at,
     support_bound,
 )
@@ -148,7 +152,7 @@ def test_family_parity_and_needs_m():
 def _expansions(spec: SumSpec) -> None:
     phase = Fraction(0)
     oracle.even_expansion(spec, phase)
-    oracle.odd_expansion(spec, phase, 9)
+    oracle.odd_expansion(spec, phase)
     oracle.antisym_expansion(spec, phase)
 
 
@@ -574,6 +578,84 @@ def test_cum_matches_per_spec_sum(spec):
     ms = range(11)
     assert [rec.exact for rec in sequences.sweep("cum", ms, spec=spec)] == odd_A_sums_by_spec(
         2, [(1, spec)], ms)
+
+
+# ----------------------- the odd family by its poles -----------------------
+
+
+def _check_pole_form(terms) -> dict[int, Fraction]:
+    """The residues of terms, after checking exactly, at every odd |A| <= 25,
+    that the odd family is its pole form
+
+        pi^2 odd(A) = sum over a of 4 even(a) / (A - a)^2 + rho1_a / (A - a)
+
+    with the even table and rho1 of one Coefficients; that the plain pair
+    loop gives 4 even(a) as the double poles and the grouped rho1; and that
+    rho1 is odd in a and sums to 0."""
+    even, odd = Coefficients(terms, Family.EVEN), Coefficients(terms, Family.ODD)
+    table = {a: c for a in even.default_A_range() if (c := even(a))}
+    rho1 = even.residues()
+    for A in range(-25, 26, 2):
+        pole = sum(4 * c / (A - a) ** 2 for a, c in table.items()) + sum(
+            r / (A - a) for a, r in rho1.items())
+        assert pole == odd(A), A
+    assert pole_residues(even) == ({a: 4 * c for a, c in table.items()}, rho1)
+    assert all(rho1.get(-a) == -r for a, r in rho1.items()) and sum(rho1.values()) == 0
+    return rho1
+
+
+@pytest.mark.parametrize("spec", GRID, ids=lambda spec: ",".join(map(str, spec.l)))
+def test_odd_family_is_its_pole_form(spec):
+    _check_pole_form(spec)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_agg_odd_family_is_its_pole_form(n, g):
+    # the weighted merged tail of agg, c_g times each g-composition's spec
+    _check_pole_form(agg_weighted(n, g, 2))
+
+
+@pytest.mark.parametrize("spec", [
+    SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(0, 0)), SumSpec(r=2, l=(3, 0, 2)),
+    SumSpec(r=2, l=(0, 0, 3, 0)), SumSpec(r=4, l=(3, 3, 3)), SumSpec(r=6, l=(3, 2, 2, 1)), SumSpec(r=2, l=(6, 6, 6, 6, 6)),
+], ids=lambda spec: f"{spec.r};{','.join(map(str, spec.l))}")
+def test_residues_absolute_sum_is_below_four_times_two_to_the_rn(spec):
+    """The odd check's roundoff bound takes sum_a |rho1_a| <= 4 * 2^(rn): each
+    pair of poles a1 != a2, at least 2 apart, adds at most half its factor
+    to two entries, and the factors of one spec sum to 4 * 2^(rn) in size.
+    (2; 0,0,3,0) comes nearest among r = 2 and n <= 6, at 2.29 * 2^(rn)."""
+    rho1 = _check_pole_form(spec) if spec.r * spec.n <= 36 else (
+        Coefficients(spec, Family.EVEN).residues())
+    assert sum(abs(r) for r in rho1.values()) <= 4 * 2 ** (spec.r * spec.n)
+    if spec.n == 0:
+        assert rho1 == {}  # pi^2 odd(A) = 4/A^2
+
+
+def test_residues_need_a_tail_without_half_integer_axes():
+    spec = SumSpec(r=2, l=(1, 1, 1, 1))
+    assert Coefficients(spec, Family.ODD).residues() == Coefficients(spec, Family.EVEN).residues()
+    for family in (Family.FOUR, Family.SHIFTED, Family.ANTISYM):
+        with pytest.raises(ParameterError, match="half-integer axes"):
+            Coefficients(spec, family, 2).residues()
+
+
+# ---------------------- the exact Laurent-polynomial oracle ----------------------
+
+
+@pytest.mark.parametrize("spec", [
+    *GRID, SumSpec(r=2, l=(10, 10)), SumSpec(r=4, l=(3, 3, 3, 3)),
+    SumSpec(r=6, l=(3, 2, 2, 1)), SumSpec(r=2, l=(6, 6, 6, 6, 6)),
+], ids=lambda spec: f"{spec.r};{','.join(map(str, spec.l))}")
+def test_finite_families_match_the_laurent_expansion(spec):
+    """The even and antisym-exact tables, every nonzero entry, exactly equal
+    to the coefficients read from the cosine and sine products expanded as
+    integer Laurent polynomials: a check with no float ceiling, up to
+    rn = 60, where the float checks pass within a bound of about 10^5."""
+    for family, expected in ((Family.EVEN, laurent_even(spec)),
+                             (Family.ANTISYM_EXACT, laurent_antisym_exact(spec))):
+        coeffs = Coefficients(spec, family)
+        assert {A: c for A in coeffs.default_A_range() if (c := coeffs(A))} == expected, family
 
 
 # ------------------------------- public names -------------------------------
