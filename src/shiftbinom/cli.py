@@ -212,8 +212,8 @@ def _cg(check, spec, read) -> list[dict]:
 # its runner; `all` takes every flag, a single check only its own
 _CHECKS = {
     "identity": (("r", "l", "p", "q"), _integral("even_expansion", "identity_bound")),
-    "odd-integral": (("r", "l", "p", "q"), _integral("odd_expansion", "odd_bound")),
-    "antisym-integral": (("r", "l", "p", "q"), _integral("antisym_expansion", "antisym_bound")),
+    "odd-integral": (("r", "l", "p", "q"), _integral("odd_expansion", "square_wave_bound")),
+    "antisym-integral": (("r", "l", "p", "q"), _integral("antisym_expansion", "square_wave_bound")),
     "odd-equality": (("r", "l", "a_max"), _odd_equality),
     "sum-rule": (("r", "l"), _sum_rule),
     "cg": (("n", "g"), _cg),

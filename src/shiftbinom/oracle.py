@@ -1,18 +1,20 @@
 """Independent floating-point evaluation of the integrals and series.
 
 Every integrand here is the cosine-power product
-prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i), or its sine form: with r even, a
-real trigonometric polynomial in 2 pi t of degree r*n/2 and period 1.  One
-set of samples per product serves every integral of it.  The product is
-sampled once, at N = 2(r*n + 1) equally spaced points, more than its degree
-r*n needs.  The period integral is the mean of those samples.  Discrete
-orthogonality turns the same samples into the product's Fourier modes,
-exactly up to roundoff, and each mode integrates in closed form over any
-interval, such as the two pieces of the odd expansion's period on either
-side of its one sign flip.  The integral side of each expansion is evaluated
-with libm cosines and sines alone and reads no value from `exact` or `sums`;
-only the coefficient side calls `sums.Coefficients`.  Agreement with the
-exact engine is therefore evidence, not circularity.
+prod_i (2 cos(pi t - pi (i-1) p/q))^(r l_i): with r even, a real
+trigonometric polynomial in 2 pi t of degree r*n/2 and period 1.  One set of
+samples serves every integral of it.  The product is sampled once, at
+N = 2(r*n + 1) equally spaced points, more than its degree r*n needs.  The
+period integral is the mean of those samples.  Discrete orthogonality turns
+the same samples into the product's Fourier modes, exactly up to roundoff,
+and each mode integrates in closed form over any interval.  The odd and the
+antisymmetric expansions both integrate the product against a square wave,
++1 on [-1/2, c] and -1 on [c, 1/2], the odd one at its one sign flip c and
+the antisymmetric one at c = 0, since its sine product is the cosine product
+half a period on.  The integral side of each expansion is evaluated with
+libm cosines and sines alone and reads no value from `exact` or `sums`; only
+the coefficient side calls `sums.Coefficients`.  Agreement with the exact
+engine is therefore evidence, not circularity.
 
 Every function takes its phase p/q as the Fraction `phase`, 0 for
 q -> infinity.  Each angle pi k p/q, a factor's shift at k = i - 1 or a
@@ -27,8 +29,8 @@ N 2^(rn), and a coefficient at most C(rn, rn/2) <= 2^(rn).  `_samples` takes
 a spec only while N 2^(rn) is a finite double, rn <= 1012, and raises
 ParameterError otherwise.
 
-Roundoff bounds.  `identity_bound`, `odd_bound` and `antisym_bound` bound
-|lhs - rhs| of `even_expansion`, `odd_expansion` and `antisym_expansion` on
+Roundoff bounds.  `identity_bound` bounds |lhs - rhs| of `even_expansion`,
+and `square_wave_bound` that of `odd_expansion` and `antisym_expansion`, on
 correct coefficients, from the operations each side performs.  Write
 e = 2^-52 and M = 2^(rn).  A rounded operation errs by at most e/2 relative;
 a libm call (cos, sin, the pow behind `**`, and the cos and sin inside
@@ -39,8 +41,8 @@ constant is rounded up.
 - A sample.  The angle pi t - shift has t = j/N and the shift pi v, where
   v = (k p mod 2q)/q lies in [0, 2): three roundings on pi t < pi, three on
   pi v < 2 pi and one on the difference, |x| < 2 pi, so it errs by at most
-  11 pi e/2 < 18 e.  Then b = 2 cos x (or 2 sin x) errs by at most
-  2(18 + 1) e = 38 e, and |b| <= 2; b^n_i by at most
+  11 pi e/2 < 18 e.  Then b = 2 cos x errs by at most 2(18 + 1) e = 38 e,
+  and |b| <= 2; b^n_i by at most
   n_i 2^(n_i - 1) 38 e + 2^(n_i) e = (19 n_i + 1) 2^(n_i) e; and a product
   of at most j such factors, each error scaled by the other factors, at
   most 2^(rn - n_i), plus j roundings of size M e/2, by at most
@@ -56,40 +58,44 @@ constant is rounded up.
   calls: it errs by at most 12 e.  A product f_j w errs by at most
   S + 13 M e, the two fsums add M e, and the division by N 2 M e more:
   |da_k| <= 2 S + 30 M e, and half that for a_0.
-- An integral over [0, 1/2] adds a_0/2, exactly, and for k = 1..rn/2 the
-  terms Im(a_k (e^(i pi k) - 1))/(2 pi k).  e^(i pi k) - 1 errs by at most
-  (pi k + 4) e, and the product and division add roundings, so term k errs
-  by at most |da_k|/(pi k) + M e + 11 M e/(pi k).  The oracle takes
-  rn <= 1012, so k <= 506 and the sum of 1/(pi k) is below 2.2: the
-  integral errs by at most 4.9 S + (rn/2 + 99) M e.
-- The antisymmetric check.  Its lhs, a difference of two such integrals,
-  errs by at most (187.2 rn + 19.6 j + 199) M e.  Put z = e^(i pi t) and
-  u = e^(i pi p/q); the cosine and sine products are Laurent polynomials in
-  z and u whose integer coefficients have absolute sums M each, and
+- An integral over [lo, hi], within [-1/2, 1/2] and of length L, adds
+  a_0 (hi - lo) and for k = 1..rn/2 the terms
+  Im(a_k (e^(2 pi i k hi) - e^(2 pi i k lo)))/(2 pi k).  Each exponent has
+  three roundings on an angle of at most pi k, so the difference errs by
+  at most (3 pi k + 7) e, and with the product and the division term k by
+  at most |da_k|/(pi k) + 3 M e + 14 M e/(pi k); a_0 (hi - lo) errs by at
+  most L |da_0| + 2 M e.  The oracle takes rn <= 1012, so k <= 506 and the
+  sum of 1/(pi k) is below 2.2: the integral errs by at most
+  (L + 4.4) S + (1.5 rn + 100 + 15 L) M e.
+- The square wave at c in [-1/2, 1/2) is the integral over [-1/2, c] minus
+  the one over [c, 1/2].  Their lengths sum to 1, and the difference, at
+  most M in size, adds M e/2: it errs by at most
+  9.8 S + (3 rn + 216) M e = (189.2 rn + 19.6 j + 216) M e.
+- The antisymmetric check.  Its lhs is minus the square wave at c = 0,
+  which is exact.  Put z = e^(i pi t) and u = e^(i pi p/q); the cosine and
+  sine products are Laurent polynomials in z and u whose integer
+  coefficients have absolute sums M each, and
   pi c_A = -(1/2) sum over odd j of the differences of their coefficients
   at z^(2j) u^(+-A), over j.  So the antisym-exact coefficients have
   absolute sum at most 2M/pi < M.  A term sin(pi A p/q) c_A errs by at
   most 15 e |c_A|, float(c) times the float 1/pi included, so the side
-  errs by at most 16 M e.  In all
-  (187.2 rn + 19.6 j + 215) M e <= 188 (rn + j + 2) M e.
-- The odd check's lhs.  `_odd_total_integral` integrates over one or two
-  pieces of [-1/2, 1/2], of lengths L summing to 1, each as in the
-  antisymmetric step but with three roundings on an angle of at most pi k
-  at both ends: e^(2 pi i k hi) - e^(2 pi i k lo) errs by (3 pi k + 7) e,
-  term k by |da_k|/(pi k) + 3 M e + 14 M e/(pi k), a_0 (hi - lo) by
-  L |da_0| + 2 M e, and the piece by (L + 4.4) S + (1.5 rn + 100 + 15 L) M e;
-  their signed sum by 9.8 S + (3 rn + 216) M e.  The cut point, from the
-  float of p/q mod 2 < 2, errs by 2 e; a sign flip moved by d moves the
-  integral by at most 2 M d, and a piece whose sign, read at its midpoint,
-  is within roundoff of a flip is that short: 8 M e more, and in all
-  (189.2 rn + 19.6 j + 224) M e.
+  errs by at most 16 M e.  In all (189.2 rn + 19.6 j + 232) M e.
+- The odd check's lhs is the square wave at c = pq - 1/2 - floor(pq),
+  times (-1)^(floor(pq) + 1), where pq, the float of p/q mod 2 < 2, errs
+  by at most e/2.  The sign and the cut are read from the same pq, so they
+  are those of the phase pq: where pq rounds to an integer, the cut moves
+  from 1/2 to -1/2 as the sign flips, and the integral does not change.
+  With the two subtractions that form c, the cut errs by at most 2 e, and
+  a sign flip moved by d moves the integral by at most 2 M d: 4 M e more,
+  (189.2 rn + 19.6 j + 220) M e.
 - The odd check's rhs.  With the float of 1 - 2|x| <= 1, the even series
   errs by 14 M e, 13 M e as in the identity.  A pair of poles a1 != a2 of
   `Coefficients.residues`, 2 or more apart, adds at most |b t|/2 to two
   entries, and the |b t| of one spec sum to 4 M: sum_a |rho1_a| <= 4 M.  At
   12 e |rho1_a| a term, the sine series errs by 50 M e, its quotient by
   2 pi, below 0.64 M, by 9 M e, and the difference M e more.  In all
-  (189.2 rn + 19.6 j + 248) M e <= 190 (rn + j + 2) M e.
+  (189.2 rn + 19.6 j + 244) M e.
+- Both checks therefore err by at most 190 (rn + j + 2) M e.
 
 The bounds grow as 2^(rn): at rn = 24 the identity bound is 2.0e-6, and at
 rn = 60 it is 3.2e5, so the float check resolves fewer digits as rn grows.
@@ -113,8 +119,7 @@ __all__ = [
     "odd_expansion",
     "antisym_expansion",
     "identity_bound",
-    "odd_bound",
-    "antisym_bound",
+    "square_wave_bound",
 ]
 
 
@@ -125,8 +130,8 @@ def _angle(k: int, phase: Fraction) -> float:
     return math.pi * (k * p % (2 * q) / q)
 
 
-def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
-    """The cosine- or sine-power product at t = j/N, j = 0..N-1, with
+def _samples(spec: SumSpec, phase: Fraction) -> list[float]:
+    """The cosine-power product at t = j/N, j = 0..N-1, with
     N = 2(r*n + 1).  A spec with N 2^(rn) past double range raises
     ParameterError (see the module docstring)."""
     rn = spec.r * spec.n
@@ -134,13 +139,12 @@ def _samples(spec: SumSpec, phase: Fraction, kind: str) -> list[float]:
     # exact int-to-float comparisons, the first reached only while 2^rn is a small int
     if rn > sys.float_info.max_exp or n * 2**rn > sys.float_info.max:
         raise ParameterError(f"the float oracle takes r*n <= 1012, not {rn}")
-    fn = math.cos if kind == "cos" else math.sin
     factors = [(_angle(i, phase), spec.r * li) for i, li in enumerate(spec.l) if li]
     samples = []
     for j in range(n):
         t, out = j / n, 1.0
         for shift, power in factors:
-            out *= (2.0 * fn(math.pi * t - shift)) ** power
+            out *= (2.0 * math.cos(math.pi * t - shift)) ** power
         samples.append(out)
     return samples
 
@@ -177,26 +181,27 @@ def _integrate(modes: list[complex], lo: float, hi: float) -> float:
     )
 
 
+def _square_wave(modes: list[complex], c: float) -> float:
+    """The integral over [-1/2, c] minus the one over [c, 1/2] of
+    Re sum_k a_k e^(2 pi i k t)."""
+    return _integrate(modes, -0.5, c) - _integrate(modes, c, 0.5)
+
+
 def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     """Integral form of the total odd-A cosine expansion.
 
     Trading the second cosine for its half-integer expansion flips the sign
-    of the integrand each time t - p/q crosses a half-odd integer, so the
-    period integral over [-1/2, 1/2] splits at those points with alternating
-    signs; every piece is integrated from the one set of modes.  The points
-    are 1 apart, so the period holds at most one inside it:
-    p/q - 1/2 - floor(p/q).  The expansion has period 2 in p/q, so p/q is
-    read mod 2, exactly, before its float is formed.
+    of the integrand each time t - p/q crosses a half-odd integer.  These
+    points are 1 apart, so the period integral is the square wave at
+    c = p/q - 1/2 - floor(p/q), times the sign (-1)^(floor(p/q) + 1) of the
+    piece below c.  p/q is reduced exactly mod 2, the expansion's period,
+    and c and the sign are both read from its one float (see the module
+    docstring).
     """
-    modes = _modes(spec, _samples(spec, phase, "cos"))
     pq = float(phase % 2)
-    c = pq - 0.5 - math.floor(pq)
-    cuts = [-0.5, c, 0.5] if -0.5 < c < 0.5 else [-0.5, 0.5]
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        sign = -1.0 if math.floor((a + b) / 2.0 - pq + 0.5) % 2 else 1.0
-        total += sign * _integrate(modes, a, b)
-    return total
+    k = math.floor(pq)
+    modes = _modes(spec, _samples(spec, phase))
+    return (1.0 if k % 2 else -1.0) * _square_wave(modes, pq - 0.5 - k)
 
 
 def _series(coeffs: Coefficients, trig: Callable[[float], float], phase: Fraction) -> float:
@@ -212,7 +217,7 @@ def _series(coeffs: Coefficients, trig: Callable[[float], float], phase: Fractio
 def even_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The period integral, the mean of the cosine samples, and the sum over
     the even support of cos(pi A p/q) times the even coefficient."""
-    f = _samples(spec, phase, "cos")
+    f = _samples(spec, phase)
     return math.fsum(f) / len(f), _series(Coefficients(spec, Family.EVEN), math.cos, phase)
 
 
@@ -234,11 +239,10 @@ def odd_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
 
 def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     """The cosine minus the sine integral over [0, 1/2], and the sum over the
-    default A range of sin(pi A p/q) times the antisym-exact coefficient."""
-    lhs = (
-        _integrate(_modes(spec, _samples(spec, phase, "cos")), 0.0, 0.5)
-        - _integrate(_modes(spec, _samples(spec, phase, "sin")), 0.0, 0.5)
-    )
+    default A range of sin(pi A p/q) times the antisym-exact coefficient.
+    The sine product is the cosine one at t - 1/2, so the lhs is minus the
+    square wave at 0."""
+    lhs = -_square_wave(_modes(spec, _samples(spec, phase)), 0.0)
     return lhs, _series(Coefficients(spec, Family.ANTISYM_EXACT), math.sin, phase)
 
 
@@ -249,15 +253,8 @@ def identity_bound(spec: SumSpec) -> float:
     return math.ldexp(19 * (rn + spec.j + 1), rn - 52)
 
 
-def odd_bound(spec: SumSpec) -> float:
-    """The roundoff bound 190 (rn + j + 2) 2^(rn) 2^-52 of odd_expansion's
-    |lhs - rhs|, derived in the module docstring."""
+def square_wave_bound(spec: SumSpec) -> float:
+    """The roundoff bound 190 (rn + j + 2) 2^(rn) 2^-52 of |lhs - rhs| of
+    odd_expansion and antisym_expansion, derived in the module docstring."""
     rn = spec.r * spec.n
     return math.ldexp(190 * (rn + spec.j + 2), rn - 52)
-
-
-def antisym_bound(spec: SumSpec) -> float:
-    """The roundoff bound 188 (rn + j + 2) 2^(rn) 2^-52 of antisym_expansion's
-    |lhs - rhs|, derived in the module docstring."""
-    rn = spec.r * spec.n
-    return math.ldexp(188 * (rn + spec.j + 2), rn - 52)

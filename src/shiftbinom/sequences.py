@@ -359,10 +359,7 @@ def cg_weight(comp: GComposition) -> Fraction:
     )
     w = pref
     for i in range(j - g + 1):
-        top = sum(l[i : i + g]) - 1
-        if top < 0:
-            raise ParameterError("malformed composition for this g: empty window")
-        w *= newton_binomial(top, l[i + g - 1])
+        w *= newton_binomial(sum(l[i : i + g]) - 1, l[i + g - 1])
     return w
 
 

@@ -144,7 +144,7 @@ def test_odd_integral_passes_within_its_roundoff_bound(capsys, args):
     [odd] = [rec for rec in recs if rec["check"] == "odd-integral"]
     assert list(odd) == ["check", "lhs", "rhs", "abs_err", "bound", "pass"]
     r, l = int(args[args.index("--r") + 1]), args[args.index("--l") + 1].split(",")
-    assert odd["bound"] == oracle.odd_bound(sums.SumSpec(r=r, l=tuple(map(int, l))))
+    assert odd["bound"] == oracle.square_wave_bound(sums.SumSpec(r=r, l=tuple(map(int, l))))
     assert odd["abs_err"] <= odd["bound"]
 
 

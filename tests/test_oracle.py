@@ -8,12 +8,11 @@ from shiftbinom.oracle import (
     _integrate,
     _modes,
     _samples,
-    antisym_bound,
     antisym_expansion,
     even_expansion,
     identity_bound,
-    odd_bound,
     odd_expansion,
+    square_wave_bound,
 )
 from shiftbinom.sums import Coefficients, Family, SumSpec, sum_rule_even
 
@@ -27,14 +26,16 @@ EXPANSIONS = (even_expansion, odd_expansion, antisym_expansion)
 
 def _period(spec: SumSpec, phase: Fraction) -> float:
     """The period integral as even_expansion forms it: the mean of the samples."""
-    f = _samples(spec, phase, "cos")
+    f = _samples(spec, phase)
     return math.fsum(f) / len(f)
 
 
 def _integral(spec: SumSpec, phase: Fraction, lo: float, hi: float, kind: str) -> float:
     """The integral of the cosine- or sine-power product over [lo, hi], from
-    its modes."""
-    return _integrate(_modes(spec, _samples(spec, phase, kind)), lo, hi)
+    the cosine product's modes: the sine product is the cosine one at
+    t - 1/2, so its interval moves by -1/2."""
+    shift = 0.5 if kind == "sin" else 0.0
+    return _integrate(_modes(spec, _samples(spec, phase)), lo - shift, hi - shift)
 
 
 def test_full_integral_examples():
@@ -69,7 +70,7 @@ def test_closed_form_at_phase_zero():
             exact = antiderivative(hi, sign) - antiderivative(lo, sign)
             assert abs(_integral(spec, ZERO, lo, hi, kind) - exact) <= 2**-40, (lo, hi, kind)
     assert _integral(spec, ZERO, 0.3, 0.3, "cos") == 0.0
-    assert len(_samples(spec, ZERO, "cos")) == 2 * (spec.r * spec.n + 1)
+    assert len(_samples(spec, ZERO)) == 2 * (spec.r * spec.n + 1)
 
 
 def test_halfrange_matches_full_for_even_integrand():
@@ -193,13 +194,29 @@ def test_odd_integral_at_phases_past_one():
         assert _abs_err(sides) < 1e-10, sides
 
 
+@pytest.mark.parametrize("spec", [SumSpec(r=2, l=(1, 2, 1)), SumSpec(r=4, l=(1, 1, 1))],
+                         ids=["2;1,2,1", "4;1,1,1"])
+@pytest.mark.parametrize("phase", [Fraction(-1, 10**30), 1 - Fraction(1, 10**30),
+                                   2 - Fraction(1, 10**30)], ids=["0-", "1-", "2-"])
+def test_odd_integral_where_the_phase_rounds_up_to_an_integer(spec, phase):
+    """p/q mod 2 lies just below 1 or 2 here, and its float is that integer:
+    the cut point c = -1/2 is read from the float, so the sign must be read
+    from it too, not from the exact p/q mod 2, which is below the integer."""
+    assert _abs_err(odd_expansion(spec, phase)) <= square_wave_bound(spec)
+
+
 def test_largest_spec_in_double_range():
     """N 2^(rn) bounds every sample sum, so rn = 1012 is the largest r*n
-    whose integral sides stay finite (see the oracle's module docstring)."""
-    lhs, rhs = even_expansion(SumSpec(r=2, l=(505, 1)), ZERO)
+    whose integral sides stay finite (see the oracle's module docstring);
+    there the square wave still meets its bound."""
+    largest = SumSpec(r=2, l=(505, 1))
+    lhs, rhs = even_expansion(largest, ZERO)
     assert math.isfinite(lhs) and math.isfinite(rhs)
+    lhs, rhs = antisym_expansion(largest, ZERO)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
+    assert abs(lhs - rhs) <= square_wave_bound(largest)
     with pytest.raises(ParameterError):
-        _samples(SumSpec(r=2, l=(506, 1)), ZERO, "cos")
+        _samples(SumSpec(r=2, l=(506, 1)), ZERO)
 
 
 def test_phase_normalisation():
@@ -210,8 +227,7 @@ def test_phase_normalisation():
     for expansion in EXPANSIONS:
         assert expansion(spec, Fraction(2, 4)) == expansion(spec, Fraction(1, 2))
         assert expansion(spec, Fraction(-7, 21)) == expansion(spec, Fraction(-1, 3))
-    for kind in ("cos", "sin"):
-        assert _samples(spec, Fraction(2, 4), kind) == _samples(spec, Fraction(1, 2), kind)
+    assert _samples(spec, Fraction(2, 4)) == _samples(spec, Fraction(1, 2))
     # with phase 0 the coefficient sides are the plain sums of the coefficients
     even = even_expansion(spec, ZERO)[1]
     assert even == sum_rule_even(spec) == math.comb(6, 3)
@@ -234,13 +250,16 @@ def test_phase_is_reduced_below_two_exactly():
 @pytest.mark.parametrize("expansion, spec, phase, tol", [
     (antisym_expansion, SumSpec(r=4, l=(2, 2, 2)), Fraction(5, 3), 1e-9),
     (odd_expansion, SumSpec(r=4, l=(3, 3, 3)), Fraction(-7, 5), 1e-6),
-], ids=["antisym-5/3", "odd-minus-7/5"])
+    (odd_expansion, SumSpec(r=4, l=(3, 3, 3)), Fraction(10**21 + 1, 3), 1e-6),
+], ids=["antisym-5/3", "odd-minus-7/5", "odd-10^21+1/3"])
 def test_exact_angles_meet_the_cli_tolerances(expansion, spec, phase, tol):
     """Each expansion meets a tolerance far below its check's roundoff bound
-    here.  Antisym meets it only when each angle is reduced exactly in
-    integers: the float pi A p / q, formed directly, loses the digits it
-    needs.  The odd expansion reduces p/q exactly to [-1, 1), 3/5 here,
-    before it forms any angle of its closed form."""
+    here.  Antisym at 5/3 and the odd expansion at (10^21 + 1)/3 meet it only
+    when each angle is reduced exactly in integers: the float pi k p / q,
+    formed directly, loses the digits it needs, in the odd integrand's
+    shifts at that size of p.  At -7/5 the odd expansion meets it either way:
+    its closed form reduces p/q exactly to [-1, 1), 3/5 here, before it forms
+    any angle, and its integrand's shifts are small."""
     assert _abs_err(expansion(spec, phase)) < tol
 
 
@@ -251,11 +270,10 @@ def test_bounds_are_the_stated_formulas():
     # (4; 2,2,2): rn = 24, j = 3
     spec = SumSpec(r=4, l=(2, 2, 2))
     assert identity_bound(spec) == 19 * (24 + 3 + 1) * 2.0**24 * 2.0**-52
-    assert odd_bound(spec) == 190 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
-    assert antisym_bound(spec) == 188 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
+    assert square_wave_bound(spec) == 190 * (24 + 3 + 2) * 2.0**24 * 2.0**-52
     # finite up to the largest spec the oracle takes
     largest = SumSpec(r=2, l=(505, 1))
-    for bound in (identity_bound, odd_bound, antisym_bound):
+    for bound in (identity_bound, square_wave_bound):
         assert math.isfinite(bound(largest)), bound
 
 
@@ -266,12 +284,12 @@ def test_bounds_are_the_stated_formulas():
 def test_bounds_cover_the_measured_error(spec):
     for phase in (ZERO, Fraction(1, 3), Fraction(2, 7), Fraction(5, 3), Fraction(-7, 5)):
         assert _abs_err(even_expansion(spec, phase)) <= identity_bound(spec), phase
-        assert _abs_err(odd_expansion(spec, phase)) <= odd_bound(spec), phase
-        assert _abs_err(antisym_expansion(spec, phase)) <= antisym_bound(spec), phase
+        assert _abs_err(odd_expansion(spec, phase)) <= square_wave_bound(spec), phase
+        assert _abs_err(antisym_expansion(spec, phase)) <= square_wave_bound(spec), phase
 
 
 def test_antisym_exact_absolute_sum_is_below_two_to_the_rn():
-    """The antisym bound takes the antisym-exact coefficients, each times its
+    """The square-wave bound takes the antisym-exact coefficients, each times its
     1/pi, to sum in absolute value to at most 2^(rn+1)/pi < 2^(rn)."""
     for spec in [SumSpec(r=2, l=(1, 1)), SumSpec(r=2, l=(2, 1, 1)), SumSpec(r=4, l=(1, 0, 2)),
                  SumSpec(r=2, l=(1, 2, 1, 1)), SumSpec(r=6, l=(2, 1, 1))]:

@@ -646,12 +646,15 @@ def test_residues_need_a_tail_without_half_integer_axes():
 @pytest.mark.parametrize("spec", [
     *GRID, SumSpec(r=2, l=(10, 10)), SumSpec(r=4, l=(3, 3, 3, 3)),
     SumSpec(r=6, l=(3, 2, 2, 1)), SumSpec(r=2, l=(6, 6, 6, 6, 6)),
+    SumSpec(r=2, l=(10, 10, 10, 10)), SumSpec(r=4, l=(4, 4, 4, 4, 4)),
+    SumSpec(r=2, l=(20, 20, 20)), SumSpec(r=6, l=(4, 4, 4, 4, 4)),
 ], ids=lambda spec: f"{spec.r};{','.join(map(str, spec.l))}")
 def test_finite_families_match_the_laurent_expansion(spec):
     """The even and antisym-exact tables, every nonzero entry, exactly equal
     to the coefficients read from the cosine and sine products expanded as
     integer Laurent polynomials: a check with no float ceiling, up to
-    rn = 60, where the float checks pass within a bound of about 10^5."""
+    rn = 120; at rn = 60 the float checks already pass only within a bound
+    of about 10^5."""
     for family, expected in ((Family.EVEN, laurent_even(spec)),
                              (Family.ANTISYM_EXACT, laurent_antisym_exact(spec))):
         coeffs = Coefficients(spec, family)
