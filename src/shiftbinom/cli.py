@@ -34,15 +34,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import inspect
-import json
 import math
 import signal
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from . import sequences, sums
+from . import sums
 from .exact import ParameterError, as_float
 from .sums import Family, SumSpec, Window
 
@@ -132,10 +129,13 @@ def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) ->
         writer.writerows(rows)
         text = buf.getvalue()
     else:
+        import json
+
         text = json.dumps(rows, indent=2) + "\n"
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as e:
             raise UsageError(f"cannot write --out {out}: {e.strerror}")
     else:
@@ -143,6 +143,8 @@ def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) ->
 
 
 def _print_check(rec: dict) -> None:
+    import json
+
     sys.stdout.write(json.dumps(rec) + "\n")
 
 
@@ -203,6 +205,8 @@ def _sum_rule(check, spec, read) -> list[dict]:
 
 def _cg(check, spec, read) -> list[dict]:
     """g*n*sum(c_g) over the g-compositions of n, against C(gn, n)."""
+    from . import sequences
+
     n, g = read("n", 4), read("g", 2)
     total = g * n * sum(sequences.cg_weight(c) for c in sequences.enumerate_g_compositions(n, g))
     return [_exact_record(check, total, math.comb(g * n, n))]
@@ -277,8 +281,13 @@ def _cmd_coeffs(ns) -> int:
     return 0
 
 
-def _kind_params(kind: str) -> list[inspect.Parameter]:
-    """The parameters of kind's builder: the one list of what the kind takes."""
+def _kind_params(kind: str) -> list:
+    """The parameters of kind's builder, as inspect.Parameter: the one list of
+    what the kind takes."""
+    import inspect
+
+    from . import sequences
+
     return list(inspect.signature(sequences._KINDS[kind]).parameters.values())
 
 
@@ -289,6 +298,8 @@ def _kind_flags(kind: str) -> list[str]:
 
 
 def _cmd_seq(ns) -> int:
+    from . import sequences
+
     kind, takes = ns.kind, _kind_flags(ns.kind)
     for other in sequences._KINDS:
         for flag in _kind_flags(other):
@@ -324,6 +335,8 @@ def _cmd_seq(ns) -> int:
 
 
 def _cmd_compositions(ns) -> int:
+    from . import sequences
+
     if ns.n is None or ns.g is None:
         raise UsageError("need --n and --g")
     rows = []
@@ -364,7 +377,8 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """The flags that a --config file's key=value lines stand for.  A key is
     a long flag of the subcommand, written with - or _; a later line wins."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         raise UsageError(f"cannot read --config {path}: {e.strerror}")
     except UnicodeDecodeError:
@@ -401,61 +415,82 @@ def _add_table(p: argparse.ArgumentParser, window: Window | None = None) -> None
     p.add_argument("--out", help="output path (default stdout)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("check", choices=(*_CHECKS, "all"))
+    _add_spec(p)
+    # no parser defaults, so that a flag a check does not read can be told
+    # (see _cmd_verify); the phase p/q is read only by the integral checks
+    p.add_argument("--p", type=int, help="(default 1)")
+    p.add_argument("--q", type=_parse_q, help="positive integer or 'inf' (default 3)")
+    p.add_argument("--a-max", type=_parse_positive, help="(default 9)")
+    p.add_argument("--n", type=int, help="(default 4)")
+    p.add_argument("--g", type=int, help="(default 2)")
+
+
+def _coeffs_flags(p: argparse.ArgumentParser) -> None:
+    _add_spec(p)
+    _add_table(p, Window.SYMMETRIC)
+    p.add_argument("--family", choices=[f.value for f in Family])
+    p.add_argument("--a-min", type=int)
+    p.add_argument("--a-max", type=int)
+    p.add_argument("--m", type=_parse_positive, help="truncation for the windowed families")
+
+
+def _seq_flags(p: argparse.ArgumentParser) -> None:
+    from . import sequences
+
+    p.add_argument("kind", choices=tuple(sequences._KINDS))
+    _add_table(p, Window.PAPER)
+    p.add_argument("--m", type=_parse_m_sweep,
+                   help="single value or start:stop:stride (inclusive)")
+    # the flags of the kinds: each kind takes those its builder names (see
+    # _cmd_seq), so none has a default here, and a given one can be told
+    _add_spec(p)
+    p.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
+    p.add_argument("--A", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--g", type=int)
+
+
+def _compositions_flags(p: argparse.ArgumentParser) -> None:
+    _add_table(p)
+    p.add_argument("--n", type=int)
+    p.add_argument("--g", type=int)
+
+
+# the subcommands, in the order --help lists them: each one's runner, its
+# line in --help, and what adds its flags to its parser
+_COMMANDS = {
+    "verify": (_cmd_verify, "run exact/numeric verification checks", _verify_flags),
+    "coeffs": (_cmd_coeffs, "emit one coefficient family as a table", _coeffs_flags),
+    "seq": (_cmd_seq, "emit a convergence table over an m sweep", _seq_flags),
+    "compositions": (_cmd_compositions, "list g-compositions with weights",
+                     _compositions_flags),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with the flags of the subcommand `command` alone: every
+    subcommand is named, so that --help lists it and argparse can choose it,
+    but a run builds the flags, and loads the modules, of its own only."""
     ap = argparse.ArgumentParser(prog="shiftbinom", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, about: str) -> argparse.ArgumentParser:
+    for name, (handler, about, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=about)
-        # the subcommand's parser names the keys that a --config file may set
-        p.set_defaults(run=handler, parser=p)
-        p.add_argument("--config", help="key=value file; command-line flags override it")
-        return p
-
-    pv = command("verify", _cmd_verify, "run exact/numeric verification checks")
-    pv.add_argument("check", choices=(*_CHECKS, "all"))
-    _add_spec(pv)
-    # no parser defaults, so that a flag a check does not read can be told
-    # (see _cmd_verify); the phase p/q is read only by the integral checks
-    pv.add_argument("--p", type=int, help="(default 1)")
-    pv.add_argument("--q", type=_parse_q, help="positive integer or 'inf' (default 3)")
-    pv.add_argument("--a-max", type=_parse_positive, help="(default 9)")
-    pv.add_argument("--n", type=int, help="(default 4)")
-    pv.add_argument("--g", type=int, help="(default 2)")
-
-    pc = command("coeffs", _cmd_coeffs, "emit one coefficient family as a table")
-    _add_spec(pc)
-    _add_table(pc, Window.SYMMETRIC)
-    pc.add_argument("--family", choices=[f.value for f in Family])
-    pc.add_argument("--a-min", type=int)
-    pc.add_argument("--a-max", type=int)
-    pc.add_argument("--m", type=_parse_positive, help="truncation for the windowed families")
-
-    ps = command("seq", _cmd_seq, "emit a convergence table over an m sweep")
-    ps.add_argument("kind", choices=tuple(sequences._KINDS))
-    _add_table(ps, Window.PAPER)
-    ps.add_argument("--m", type=_parse_m_sweep,
-                    help="single value or start:stop:stride (inclusive)")
-    # the flags of the kinds: each kind takes those its builder names (see
-    # _cmd_seq), so none has a default here, and a given one can be told
-    _add_spec(ps)
-    ps.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
-    ps.add_argument("--A", type=int)
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--g", type=int)
-
-    pk = command("compositions", _cmd_compositions, "list g-compositions with weights")
-    _add_table(pk)
-    pk.add_argument("--n", type=int)
-    pk.add_argument("--g", type=int)
-
+        if name == command:
+            # the subcommand's parser names the keys that a --config file may set
+            p.set_defaults(run=handler, parser=p)
+            p.add_argument("--config", help="key=value file; command-line flags override it")
+            add_flags(p)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-    ap = _build_parser()
+    # the subcommand is the first token that is no option: the top-level
+    # parser has no option that takes a value
+    ap = _build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
     try:
         ns = ap.parse_args(argv)
         if ns.config:

@@ -37,6 +37,40 @@ class ParameterError(ValueError):
     """
 
 
+class Value:
+    """Base of the package's immutable value types.  A subclass names its
+    fields, in order, in __slots__ and sets each once, in __init__, with
+    object.__setattr__.  Equality, hash, repr, copy and pickle go by the
+    fields; an instance equals only an instance of its own class, and any
+    later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def newton_binomial(l: int, entry: int) -> int:
     """C(l, entry) with the usual convention: 0 outside 0 <= entry <= l."""
     if l < 0:

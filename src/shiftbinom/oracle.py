@@ -108,8 +108,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .exact import ParameterError, as_float
 from .sums import Coefficients, Family, SumSpec

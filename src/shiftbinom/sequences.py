@@ -36,12 +36,11 @@ past double range is inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .exact import ParameterError, as_float, beta_coeff, newton_binomial, shifted_binomial
+from .exact import ParameterError, Value, as_float, beta_coeff, newton_binomial, shifted_binomial
 from .sums import Coefficients, Family, SumSpec, Window, half_window
 
 __all__ = [
@@ -53,16 +52,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeqRecord:
+class SeqRecord(Value):
     """One row of a convergence table."""
 
+    __slots__ = ("m", "exact", "approx", "target_tag", "target_value", "abs_error")
     m: int
     exact: Fraction
     approx: float
     target_tag: str
     target_value: float
     abs_error: float
+
+    def __init__(self, m: int, exact: Fraction, approx: float, target_tag: str,
+                 target_value: float, abs_error: float):
+        values = (m, exact, approx, target_tag, target_value, abs_error)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
@@ -282,16 +287,17 @@ def sweep(kind: str, ms: Iterable[int], **params) -> list[SeqRecord]:
     return [records[m] for m in ms]
 
 
-@dataclass(frozen=True)
-class GComposition:
+class GComposition(Value):
     """Composition of n into non-negative parts: interior runs of zeros are
     capped at g-2 and boundary parts are nonzero."""
 
+    __slots__ = ("parts", "g")
     parts: tuple[int, ...]
     g: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(v) for v in self.parts))
+    def __init__(self, parts: Iterable[int], g: int):
+        object.__setattr__(self, "parts", tuple(int(v) for v in parts))
+        object.__setattr__(self, "g", g)
         if self.g < 2:
             raise ParameterError("g must be >= 2")
         if not self.parts or any(v < 0 for v in self.parts):

@@ -59,12 +59,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
 
-from .exact import ParameterError, beta_coeff, newton_binomial
+from .exact import ParameterError, Value, beta_coeff, newton_binomial
 
 __all__ = [
     "SumSpec",
@@ -99,8 +98,7 @@ def half_window(m: int | None, window: Window = Window.SYMMETRIC) -> range:
     return range(lo, 2 * m + 2, 2)
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Value):
     """Parameter bundle (r, l_1..l_j) of one integral/sum family.
 
     The phase p/q of the integral is no part of it: every family is the
@@ -108,11 +106,13 @@ class SumSpec:
     the oracle's side of an identity.
     """
 
+    __slots__ = ("r", "l")
     r: int
     l: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "l", tuple(int(v) for v in self.l))
+    def __init__(self, r: int, l: Iterable[int]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "l", tuple(int(v) for v in l))
         if self.r < 2 or self.r % 2:
             raise ParameterError("r must be a positive even integer")
         if len(self.l) < 2:

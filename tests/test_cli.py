@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -35,7 +36,7 @@ def test_window_help_shows_the_values_to_type(capsys, argv):
     assert done.value.code == 0
     out = capsys.readouterr().out
     assert "--window {paper,symmetric}" in out and "Window." not in out
-    ns = cli._build_parser().parse_args([*argv, "--window", "symmetric"])
+    ns = cli._build_parser(argv[0]).parse_args([*argv, "--window", "symmetric"])
     assert ns.window is Window.SYMMETRIC
 
 
@@ -170,11 +171,13 @@ def test_sum_rule_mismatch_reports_absolute_difference(monkeypatch, capsys):
 
 def test_cg_mismatch_reports_absolute_difference(monkeypatch, capsys):
     # each weight one too large: g*n*sum(c_g) exceeds C(gn, n) by g*n per composition
-    weight = cli.sequences.cg_weight
-    monkeypatch.setattr(cli.sequences, "cg_weight", lambda comp: weight(comp) + 1)
+    from shiftbinom import sequences
+
+    weight = sequences.cg_weight
+    monkeypatch.setattr(sequences, "cg_weight", lambda comp: weight(comp) + 1)
     assert cli.main(["verify", "cg", "--n", "4", "--g", "3"]) == 1
     [rec] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    comps = len(list(cli.sequences.enumerate_g_compositions(4, 3)))
+    comps = len(list(sequences.enumerate_g_compositions(4, 3)))
     lhs = math.comb(12, 4) + 12 * comps
     assert (rec["lhs"], rec["rhs"], rec["abs_err"], rec["pass"]) == (
         str(lhs), "495", str(12 * comps), False)
@@ -208,7 +211,7 @@ def test_internal_error_exits_3(monkeypatch, capsys, module, attr, argv):
     def broken(*args, **kwargs):
         raise RuntimeError("invariant broken")
 
-    monkeypatch.setattr(getattr(cli, module), attr, broken)
+    monkeypatch.setattr(importlib.import_module(f"shiftbinom.{module}"), attr, broken)
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: invariant broken\n"
@@ -395,7 +398,8 @@ def test_closed_stdout_ends_the_process_by_sigpipe():
 
 
 def _seq_parser() -> argparse.ArgumentParser:
-    [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parser = cli._build_parser("seq")
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices["seq"]
 
 
@@ -498,6 +502,47 @@ def test_no_subcommand_imports_numpy(flags):
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
 
+
+# Runs one command, given as its arguments, in a fresh interpreter and prints,
+# one a line, the modules that it loaded and that were not loaded before
+# shiftbinom.cli was imported; a command that exits non-zero exits non-zero.
+_IMPORTS_CHILD = """
+import contextlib, os, sys
+
+before = set(sys.modules)
+from shiftbinom import cli
+
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = cli.main(sys.argv[1:])
+if code != 0:
+    sys.exit(f"exit {code}")
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+_SPEC = ["--r", "2", "--l", "1,1"]
+# each command, and the modules that it runs without: every command imports
+# only what it runs, and only seq reads the builders' signatures (inspect)
+_UNUSED_IMPORTS = {
+    "coeffs": (["coeffs", "--family", "odd", *_SPEC, "--a-min", "1", "--a-max", "5"],
+               {"shiftbinom.sequences", "shiftbinom.oracle", "inspect", "dataclasses", "json"}),
+    "compositions": (["compositions", "--n", "3", "--g", "3"], {"inspect", "dataclasses"}),
+    "verify-cg": (["verify", "cg", "--n", "3", "--g", "3"], {"inspect", "dataclasses"}),
+    "verify-sum-rule": (["verify", "sum-rule", *_SPEC], {"inspect", "dataclasses"}),
+    "verify-odd-equality": (["verify", "odd-equality", *_SPEC, "--a-max", "3"],
+                            {"inspect", "dataclasses"}),
+    "seq": (["seq", "pi", "--l", "2", "--m", "1:3"], {"json", "shiftbinom.oracle"}),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("command", _UNUSED_IMPORTS)
+def test_each_command_imports_only_what_it_runs(command, flags):
+    argv, unused = _UNUSED_IMPORTS[command]
+    cp = subprocess.run([sys.executable, *flags, "-c", _IMPORTS_CHILD, *argv],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    loaded = unused & set(cp.stdout.split())
+    assert not loaded, f"{' '.join(argv)} imported {sorted(loaded)}"
 
 def test_coeffs_even_support(tmp_path: Path):
     out = tmp_path / "even.csv"

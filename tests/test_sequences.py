@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from shiftbinom.exact import ParameterError, shifted_binomial
 from shiftbinom.sums import Coefficients, Family, SumSpec, Window
 from shiftbinom.sequences import (
     GComposition,
+    SeqRecord,
     cg_weight,
     enumerate_g_compositions,
     sweep,
@@ -249,6 +252,68 @@ def test_gcomposition_validation():
     with pytest.raises(ValueError):
         GComposition((1, 0, 0, 1), 3)
     GComposition((1, 0, 1), 3)  # fine at g = 3
+
+
+# the package's value types: (a maker, its fields, its repr, another value of
+# the type that differs in one field)
+_PI_1 = (1, Fraction(8, 3), 8 / 3, "pi", math.pi, abs(8 / 3 - math.pi))
+_VALUES = {
+    "SumSpec": (lambda: SumSpec(r=2, l=[1, True]), {"r": 2, "l": (1, 1)},
+                "SumSpec(r=2, l=(1, 1))", SumSpec(r=2, l=(1, 1, 0))),
+    "GComposition": (lambda: GComposition([1, 0, 2], 3), {"parts": (1, 0, 2), "g": 3},
+                     "GComposition(parts=(1, 0, 2), g=3)", GComposition((1, 0, 2), 4)),
+    "SeqRecord": (lambda: SeqRecord(*_PI_1),
+                  dict(zip(("m", "exact", "approx", "target_tag", "target_value", "abs_error"),
+                           _PI_1)),
+                  "SeqRecord(m=1, exact=Fraction(8, 3), approx={!r}, target_tag='pi', "
+                  "target_value={!r}, abs_error={!r})".format(*_PI_1[2:3], *_PI_1[4:]),
+                  SeqRecord(2, *_PI_1[1:])),
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_compare_hash_and_print_by_their_fields(name):
+    make, fields, text, other = _VALUES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and {a: name}[b] == name
+    assert a != other and other != a and len({a, other}) == 2
+    # no value equals a tuple of its fields, or a value of another type
+    assert a != tuple(fields.values()) and all(a != _VALUES[n][0]() for n in _VALUES if n != name)
+    assert {f: getattr(a, f) for f in fields} == fields
+    assert all(type(v) is int for f in ("l", "parts") if f in fields for v in getattr(a, f))
+    assert repr(a) == text
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_types_refuse_assignment(name):
+    make, fields, _, _ = _VALUES[name]
+    a = make()
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, f, 0)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert a == make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SumSpec(r=3, l=(1, 1)), "r must be a positive even integer"),
+    (lambda: SumSpec(r=0, l=(1, 1)), "r must be a positive even integer"),
+    (lambda: SumSpec(r=2, l=[1]), "need at least two parts l_1, l_2"),
+    (lambda: SumSpec(r=2, l=(1, -1)), "parts must be non-negative"),
+    (lambda: GComposition((1, 1), 1), "g must be >= 2"),
+    (lambda: GComposition((), 2), "parts must be a nonempty tuple of non-negative ints"),
+    (lambda: GComposition((1, -1, 1), 3), "parts must be a nonempty tuple of non-negative ints"),
+    (lambda: GComposition((0,), 2), "composition must have positive total"),
+    (lambda: GComposition((0, 1), 3), "leading/trailing zero parts are not allowed"),
+    (lambda: GComposition((1, 0, 0, 1), 3), "more than 1 consecutive zeros"),
+])
+def test_value_types_report_bad_fields(make, message):
+    with pytest.raises(ParameterError) as raised:
+        make()
+    assert str(raised.value) == message
 
 
 def test_cg_weight_examples():
