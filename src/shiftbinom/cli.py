@@ -158,6 +158,29 @@ def _build_spec(ns) -> SumSpec:
     return SumSpec(r=2 if ns.r is None else ns.r, l=ns.l)
 
 
+def _flags(params) -> list[str]:
+    """The flags of a variant's parameters: spec stands for --r and --l, and
+    any other parameter for the flag of its name."""
+    return [f for p in params for f in (("r", "l") if p == "spec" else (p,))]
+
+
+def _given(ns, variant: str, takes, every) -> dict:
+    """{parameter: value} for each parameter of `takes` whose flag was given,
+    on the command line or in --config, with spec built from --r and --l
+    whenever it is taken.  A given flag of a parameter of `every`, the
+    parameters of all the subcommand's variants, that `takes` lacks exits 2.
+    None of these flags has a parser default, so that a given one can be told;
+    each default is the variant's own, in its signature or in the library."""
+    taken = _flags(takes)
+    for flag in _flags(every):
+        if flag not in taken and getattr(ns, flag) is not None:
+            raise UsageError(f"{variant} does not take --{flag.replace('_', '-')}")
+    given = {p: getattr(ns, p) for p in takes if p != "spec" and getattr(ns, p) is not None}
+    if "spec" in takes:
+        given["spec"] = _build_spec(ns)
+    return given
+
+
 def _exact_record(check: str, lhs: int | Fraction, rhs: int | Fraction) -> dict:
     """The record of an exact check of lhs == rhs: abs_err is "exact" when it
     passes, and |lhs - rhs| otherwise."""
@@ -166,9 +189,10 @@ def _exact_record(check: str, lhs: int | Fraction, rhs: int | Fraction) -> dict:
             "abs_err": "exact" if ok else _exact_str(abs(lhs - rhs)), "pass": ok}
 
 
-# A check's runner takes its name, the spec of --r and --l (None when it reads
-# neither) and read(flag, default), and returns the check's records; each
-# sums.Coefficients it evaluates builds its own tail weights.
+# A check's runner takes its name and, as keywords, the given parameters that
+# _CHECKS names for it, each other one at the default in its signature, and
+# returns the check's records; each sums.Coefficients it evaluates builds its
+# own tail weights.
 
 
 def _integral(expansion: str, bound: str):
@@ -177,11 +201,10 @@ def _integral(expansion: str, bound: str):
     sides differ by at most oracle.<bound>, the roundoff bound derived for
     the spec, reported beside abs_err."""
 
-    def records(check, spec, read) -> list[dict]:
+    def records(check, spec, p=1, q=3) -> list[dict]:
         # imported here, so that only the checks that integrate load the oracle
         from . import oracle
 
-        p, q = read("p", 1), read("q", 3)
         phase = Fraction(0) if q == math.inf else Fraction(p, q)
         lhs, rhs = getattr(oracle, expansion)(spec, phase)
         abs_err, tol = abs(lhs - rhs), getattr(oracle, bound)(spec)
@@ -191,54 +214,46 @@ def _integral(expansion: str, bound: str):
     return records
 
 
-def _odd_equality(check, spec, read) -> list[dict]:
+def _odd_equality(check, spec, a_max=9) -> list[dict]:
     direct_of = sums.Coefficients(spec, Family.ODD)
     alt_of = sums.Coefficients(spec, Family.ODD_SINC)
     return [_exact_record(f"{check}[A={A}]", direct_of(A), alt_of(A))
-            for A in range(1, read("a_max", 9) + 1, 2)]
+            for A in range(1, a_max + 1, 2)]
 
 
-def _sum_rule(check, spec, read) -> list[dict]:
+def _sum_rule(check, spec) -> list[dict]:
     rn = spec.r * spec.n
     return [_exact_record(check, sums.sum_rule_even(spec), math.comb(rn, rn // 2))]
 
 
-def _cg(check, spec, read) -> list[dict]:
+def _cg(check, n=4, g=2) -> list[dict]:
     """g*n*sum(c_g) over the g-compositions of n, against C(gn, n)."""
     from . import sequences
 
-    n, g = read("n", 4), read("g", 2)
     total = g * n * sum(sequences.cg_weight(c) for c in sequences.enumerate_g_compositions(n, g))
     return [_exact_record(check, total, math.comb(g * n, n))]
 
 
-# the verify checks, in the order `all` runs them: the flags each reads, and
-# its runner; `all` takes every flag, a single check only its own
+# the verify checks, in the order `all` runs them: the parameters of each
+# runner, and the runner; `all` takes every flag, a single check only its own
 _CHECKS = {
-    "identity": (("r", "l", "p", "q"), _integral("even_expansion", "identity_bound")),
-    "odd-integral": (("r", "l", "p", "q"), _integral("odd_expansion", "square_wave_bound")),
-    "antisym-integral": (("r", "l", "p", "q"), _integral("antisym_expansion", "square_wave_bound")),
-    "odd-equality": (("r", "l", "a_max"), _odd_equality),
-    "sum-rule": (("r", "l"), _sum_rule),
+    "identity": (("spec", "p", "q"), _integral("even_expansion", "identity_bound")),
+    "odd-integral": (("spec", "p", "q"), _integral("odd_expansion", "square_wave_bound")),
+    "antisym-integral": (("spec", "p", "q"), _integral("antisym_expansion", "square_wave_bound")),
+    "odd-equality": (("spec", "a_max"), _odd_equality),
+    "sum-rule": (("spec",), _sum_rule),
     "cg": (("n", "g"), _cg),
 }
 
 
 def _cmd_verify(ns) -> int:
     names = tuple(_CHECKS) if ns.check == "all" else (ns.check,)
-    reads = {flag for name in names for flag in _CHECKS[name][0]}
-    for flag in dict.fromkeys(f for flags, _ in _CHECKS.values() for f in flags):
-        if flag not in reads and getattr(ns, flag) is not None:
-            raise UsageError(f"verify {ns.check} does not take --{flag.replace('_', '-')}")
-
-    def read(flag: str, default: int) -> int | float:
-        """The flag's value, or its default: applied here, where the flag is
-        read, so that a given flag can be told from a defaulted one above."""
-        value = getattr(ns, flag)
-        return default if value is None else value
-
-    spec = _build_spec(ns) if "l" in reads else None
-    checks = [rec for name in names for rec in _CHECKS[name][1](name, spec, read)]
+    given = _given(ns, f"verify {ns.check}", [p for name in names for p in _CHECKS[name][0]],
+                   [p for params, _ in _CHECKS.values() for p in params])
+    checks = []
+    for name in names:
+        params, run = _CHECKS[name]
+        checks += run(name, **{p: given[p] for p in params if p in given})
     for rec in checks:
         _print_check(rec)
     return 0 if all(rec["pass"] for rec in checks) else 1
@@ -249,14 +264,12 @@ def _cmd_coeffs(ns) -> int:
     if ns.family is None:
         raise UsageError("--family is required")
     family = Family(ns.family)
-    for flag in ("m", "window"):
-        if not family.needs_m and getattr(ns, flag) is not None:
-            raise UsageError(f"family {family.value} has no window and takes no --{flag}")
+    windowed = ("m", "window")
+    given = _given(ns, f"family {family.value}", windowed if family.needs_m else (), windowed)
     if ns.a_min is not None and ns.a_max is None:
         raise UsageError("--a-min needs --a-max")
-    window = {} if ns.window is None else {"window": ns.window}  # else the library's default
     # a windowed family without --m is the library's ParameterError
-    coeffs = sums.Coefficients(spec, family, ns.m, **window)
+    coeffs = sums.Coefficients(spec, family, **given)
     if ns.a_max is None:
         A_values = coeffs.default_A_range()
     else:
@@ -291,32 +304,19 @@ def _kind_params(kind: str) -> list:
     return list(inspect.signature(sequences._KINDS[kind]).parameters.values())
 
 
-def _kind_flags(kind: str) -> list[str]:
-    """The seq flags that kind takes: spec stands for --r and --l, and any
-    other builder parameter for the flag of its name."""
-    return [f for p in _kind_params(kind) for f in (("r", "l") if p.name == "spec" else (p.name,))]
-
-
 def _cmd_seq(ns) -> int:
     from . import sequences
 
-    kind, takes = ns.kind, _kind_flags(ns.kind)
-    for other in sequences._KINDS:
-        for flag in _kind_flags(other):
-            if flag not in takes and getattr(ns, flag) is not None:
-                raise UsageError(f"kind {kind} does not take --{flag}")
-    params: dict = {}
-    for param in _kind_params(kind):
-        name = param.name
-        value = _build_spec(ns) if name == "spec" else getattr(ns, name)
-        if name == "l":  # a kind that takes l outside a spec takes one value
-            if value is None or len(value) != 1:
+    kind, params = ns.kind, _kind_params(ns.kind)
+    given = _given(ns, f"kind {kind}", [p.name for p in params],
+                   [p.name for other in sequences._KINDS for p in _kind_params(other)])
+    for param in params:
+        if param.name == "l":  # a kind that takes l outside a spec takes one value
+            if len(given.get("l", ())) != 1:
                 raise UsageError(f"kind {kind} takes --l with a single value")
-            value = value[0]
-        if value is not None:
-            params[name] = value
-        elif param.default is param.empty:
-            raise UsageError(f"kind {kind} needs --{name}")
+            given["l"] = given["l"][0]
+        elif param.name not in given and param.default is param.empty:
+            raise UsageError(f"kind {kind} needs --{param.name}")
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
     rows = [
@@ -328,7 +328,7 @@ def _cmd_seq(ns) -> int:
             "target": f"{rec.target_tag}={rec.target_value!r}",
             "abs_error": rec.abs_error,
         }
-        for rec in sequences.sweep(kind, ns.m, **params)
+        for rec in sequences.sweep(kind, ns.m, **given)
     ]
     _emit(rows, ["m", "num", "den", "float", "target", "abs_error"], ns.format, ns.out)
     return 0
@@ -419,7 +419,7 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("check", choices=(*_CHECKS, "all"))
     _add_spec(p)
     # no parser defaults, so that a flag a check does not read can be told
-    # (see _cmd_verify); the phase p/q is read only by the integral checks
+    # (see _given); the phase p/q is read only by the integral checks
     p.add_argument("--p", type=int, help="(default 1)")
     p.add_argument("--q", type=_parse_q, help="positive integer or 'inf' (default 3)")
     p.add_argument("--a-max", type=_parse_positive, help="(default 9)")
@@ -444,7 +444,7 @@ def _seq_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_parse_m_sweep,
                    help="single value or start:stop:stride (inclusive)")
     # the flags of the kinds: each kind takes those its builder names (see
-    # _cmd_seq), so none has a default here, and a given one can be told
+    # _given), so none has a default here, and a given one can be told
     _add_spec(p)
     p.add_argument("--s", type=_parse_shift, help="shift, e.g. 1/3")
     p.add_argument("--A", type=int)

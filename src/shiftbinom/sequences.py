@@ -36,9 +36,10 @@ past double range is inf.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, combinations, product
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import ParameterError, Value, as_float, beta_coeff, newton_binomial, shifted_binomial
 from .sums import Coefficients, Family, SumSpec, Window, half_window
@@ -77,17 +78,10 @@ def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
     return SeqRecord(m, exact, approx, tag, target, abs_error)
 
 
-class _Kind(NamedTuple):
-    """A sequence kind with its parameters checked: the value at m is pref
-    times the sum of term(i) over the indices i in window(m)."""
-
-    tag: str
-    target: float
-    least_m: int
-    pref: Fraction | int
-    # indices at m; each window holds 0 and the window at every smaller m
-    window: Callable[[int], range]
-    term: Callable[[int], Fraction]
+# A sequence kind with its parameters checked: the value at m is pref times
+# the sum of term(i) over the indices i in the range window(m); each window
+# holds 0 and the window at every smaller m.
+_Kind = namedtuple("_Kind", "tag target least_m pref window term")
 
 
 def _binomial_term(l: int, s: Fraction, alternating: bool) -> Callable[[int], Fraction]:
@@ -226,25 +220,28 @@ def _agg(n: int, g: int, r: int = 2) -> _Kind:
     return _odd_A_sums(2 * g * n, weighted, "pi^2*C(rn,rn/2)*C(gn,n)", target)
 
 
+def _ratio(spec: SumSpec, A: int, window: Window, truncated: Family, limit: Family) -> _Kind:
+    """The coefficient of the family `truncated` at A, summed over its k_1
+    window, over that of `limit`, its exact m -> infinity limit, which
+    carries fewer powers of 1/pi: the ratio tends to pi to the difference."""
+    ref = Coefficients(spec, limit)(A)
+    if ref == 0:
+        raise ParameterError(f"the {limit.value} reference coefficient vanishes at A = {A}")
+    power = truncated.pi_exp - limit.pi_exp
+    term = Coefficients(spec, truncated).k1_term(A)  # at k_1 = i + 1/2
+    return _Kind("pi" if power == 1 else f"pi^{power}", math.pi**power, 1, 1 / ref,
+                 _pi_window(window), lambda i: term(2 * i + 1))
+
+
 def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated shifted coefficient over its exact even-family limit."""
-    ref = Coefficients(spec, Family.EVEN)(A)
-    if ref == 0:
-        raise ParameterError(f"A = {A} is outside the support; zero reference")
-    term = Coefficients(spec, Family.SHIFTED).k1_term(A)  # at k_1 = i + 1/2
-    return _Kind("pi^2", math.pi**2, 1, Fraction(1, ref), _pi_window(window),
-                 lambda i: term(2 * i + 1))
+    return _ratio(spec, A, window, Family.SHIFTED, Family.EVEN)
 
 
 def _ratio_pi(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
     """The truncated antisym coefficient (two pi powers) over its antisym-exact
     limit (one)."""
-    ref = Coefficients(spec, Family.ANTISYM_EXACT)(A)
-    if ref == 0:
-        raise ParameterError(f"antisymmetric reference coefficient vanishes at A = {A}")
-    term = Coefficients(spec, Family.ANTISYM).k1_term(A)  # at k_1 = i + 1/2
-    return _Kind("pi", math.pi, 1, 1 / ref, _pi_window(window),
-                 lambda i: term(2 * i + 1))
+    return _ratio(spec, A, window, Family.ANTISYM, Family.ANTISYM_EXACT)
 
 
 _KINDS: dict[str, Callable[..., _Kind]] = {
@@ -346,19 +343,12 @@ def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
     yield from (GComposition(parts, g) for parts in found)
 
 
-def _padded_parts(comp: GComposition) -> tuple[int, ...]:
-    # virtual zero parts keep the weight well-defined for a composition of
-    # fewer than g parts; they never change it (each added factor is C(.,0)=1)
-    need = max(comp.j, comp.g)
-    return comp.parts + (0,) * (need - comp.j)
-
-
 def cg_weight(comp: GComposition) -> Fraction:
     """Composition weight: head multinomial prefactor times the window-sum
-    binomial product."""
-    g = comp.g
-    l = _padded_parts(comp)
-    j = len(l)
+    binomial product.  A composition of fewer than g parts has no window of
+    g parts, so its weight is the prefactor alone: zero parts padded up to g
+    would add only factors C(., 0) = 1."""
+    g, l, j = comp.g, comp.parts, comp.j
     head = sum(l[: g - 1])
     pref = Fraction(
         math.factorial(head - 1), math.prod(math.factorial(v) for v in l[: g - 1])

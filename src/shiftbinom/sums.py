@@ -374,7 +374,11 @@ class Coefficients:
         the key (n1, e1, n2, e2) of weight c the pair (j1, j2) has poles
         a1 = 2 j1 - e1, a2 = e2 - 2 j2, and adds b t/(a1 - a2) to rho1 at a1 and
         b t/(a2 - a1) at a2 when they differ, b = 4 (-1)^(e1/2 + j1) C(n1, j1)
-        and t = (-1)^(e2/2 + j2) C(n2, j2) c, summed by a2 over (n1, e1) first."""
+        and t = (-1)^(e2/2 + j2) C(n2, j2) c.  So each (n1, e1) group has two
+        pole lists, b by a1 from row n1 and t by a2 summed over its keys, and
+        one symmetric pass: on each side, each pole a adds its factor times
+        the sum of the other side's factors over (a - a') at the poles a' != a,
+        one big product per pole where a pass by pairs takes one per pair."""
         if self.family.half_axes:
             raise ParameterError(f"family {self.family.value} has half-integer axes: no residues")
         rows, terms = self.rows, defaultdict(list)
@@ -385,13 +389,13 @@ class Coefficients:
                     for j2 in range(n2 + 1):
                         t = (-1) ** ((e2 // 2 + j2) % 2) * rows[n2, 2 * j2][0], 1
                         by_a2[e2 - 2 * j2].append((c, t))
-                t_by_a2 = [(a2, _dot(ts)) for a2, ts in by_a2.items()]
-                for j1 in range(n1 + 1):
-                    a1, b = 2 * j1 - e1, 4 * (-1) ** ((e1 // 2 + j1) % 2) * rows[n1, 2 * j1][0]
-                    for a2, (tp, tq) in t_by_a2:
-                        if a1 != a2 and tp:
-                            terms[a1].append(((b * tp, tq), _over(1, a1 - a2)))
-                            terms[a2].append(((b * tp, tq), _over(1, a2 - a1)))
+                b_by_a1 = {2 * j1 - e1: (4 * (-1) ** ((e1 // 2 + j1) % 2) * rows[n1, 2 * j1][0], 1)
+                           for j1 in range(n1 + 1)}
+                t_by_a2 = {a2: v for a2, ts in by_a2.items() if (v := _dot(ts))[0]}
+                for side, other in ((b_by_a1, t_by_a2), (t_by_a2, b_by_a1)):
+                    for a, f in side.items():
+                        s = _dot((v, _over(1, a - a_)) for a_, v in other.items() if a_ != a)
+                        terms[a].append((f, s))
         return {a: v for a, ts in sorted(terms.items()) if (v := Fraction(*_dot(ts)))}
 
     def default_A_range(self) -> list[int]:

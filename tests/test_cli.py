@@ -1,9 +1,11 @@
 import argparse
+import contextlib
 import csv
 import importlib
 import io
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shiftbinom import cli, oracle, sums
 from shiftbinom.exact import ParameterError, as_float
@@ -62,6 +66,21 @@ def test_verify_cg():
     assert cp.returncode == 0, cp.stderr
     rec = json.loads(cp.stdout.strip())
     assert rec["pass"] and rec["abs_err"] == "exact"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cg", "--n", "1", "--g", "1000000000"],
+    ["seq", "agg", "--n", "1", "--g", "1000000000", "--m", "0"],
+], ids=["verify-cg", "seq-agg"])
+def test_cg_weight_of_a_short_composition_costs_nothing_in_g(capsys, argv):
+    # a composition of fewer than g parts weighs its head prefactor alone;
+    # padded with zero parts up to g it would be a tuple of 10^9 zeros here
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "verify":
+        assert json.loads(out)["pass"]
+    else:
+        assert out.count("\n") == 2  # the header and the row at m = 0
 
 
 def test_verify_all_passes():
@@ -409,14 +428,17 @@ def test_seq_flags_are_the_builder_parameters():
     parameter of some builder."""
     from shiftbinom.sequences import _KINDS
 
+    def kind_flags(kind):
+        return cli._flags(p.name for p in cli._kind_params(kind))
+
     seq = _seq_parser()
     parser_flags = {a.dest for a in seq._actions if a.option_strings}
     builder_flags = set()
     for kind, build in _KINDS.items():
-        assert set(cli._kind_flags(kind)) <= parser_flags, kind
-        builder_flags.update(cli._kind_flags(kind))
-    assert cli._kind_flags("ratio-pi") == ["r", "l", "A", "window"]
-    assert cli._kind_flags("agg") == ["n", "g", "r"]
+        assert set(kind_flags(kind)) <= parser_flags, kind
+        builder_flags.update(kind_flags(kind))
+    assert kind_flags("ratio-pi") == ["r", "l", "A", "window"]
+    assert kind_flags("agg") == ["n", "g", "r"]
     assert parser_flags - {"help", "config", "format", "out", "m"} == builder_flags
     # a kind flag has no parser default, so that a given one can be told
     assert all(a.default is None for a in seq._actions if a.dest in builder_flags)
@@ -521,7 +543,9 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 _SPEC = ["--r", "2", "--l", "1,1"]
 # each command, and the modules that it runs without: every command imports
-# only what it runs, and only seq reads the builders' signatures (inspect)
+# only what it runs, and only seq reads the builders' signatures (inspect);
+# none loads typing, which only a run under -S shows, since a site .pth file
+# may import it before shiftbinom.cli is
 _UNUSED_IMPORTS = {
     "coeffs": (["coeffs", "--family", "odd", *_SPEC, "--a-min", "1", "--a-max", "5"],
                {"shiftbinom.sequences", "shiftbinom.oracle", "inspect", "dataclasses", "json"}),
@@ -534,14 +558,17 @@ _UNUSED_IMPORTS = {
 }
 
 
-@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("flags", [(), ("-O",), ("-S",)])
 @pytest.mark.parametrize("command", _UNUSED_IMPORTS)
 def test_each_command_imports_only_what_it_runs(command, flags):
     argv, unused = _UNUSED_IMPORTS[command]
+    # under -S the package is found through PYTHONPATH, not site-packages
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     cp = subprocess.run([sys.executable, *flags, "-c", _IMPORTS_CHILD, *argv],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=env)
     assert cp.returncode == 0, cp.stderr
-    loaded = unused & set(cp.stdout.split())
+    loaded = (unused | {"typing"}) & set(cp.stdout.split())
     assert not loaded, f"{' '.join(argv)} imported {sorted(loaded)}"
 
 def test_coeffs_even_support(tmp_path: Path):
@@ -857,3 +884,121 @@ def test_json_mirrors_csv_fields():
     header = csv_run.stdout.splitlines()[0].split(",")
     rows = json.loads(json_run.stdout)
     assert list(rows[0].keys()) == header
+
+
+# --------------------- the exit-code contract, fuzzed ---------------------
+
+_HUGE = 10**400
+_BIG = st.one_of(st.integers(-_HUGE, _HUGE), st.integers(-4, 4))
+_POSITIVE = st.integers(1, _HUGE)
+
+
+def _text(*strategies):
+    return st.one_of(*strategies).map(str)
+
+
+def _joined(parts):
+    return parts.map(lambda l: ",".join(map(str, l)))
+
+
+# Each flag's values: first those in range, towards which hypothesis leans,
+# so that every variant runs as well as rejects, then any value.  Those that
+# set no amount of work (--p, --q, --s, --A, --a-min) reach +-10^400, and
+# extreme fractions; the others stay small.
+_VALUES = {
+    "r": _text(st.sampled_from([2, 4]), st.integers(-2, 7)),
+    "spec-l": _joined(st.one_of(st.lists(st.integers(0, 3), min_size=2, max_size=4),
+                                st.lists(st.integers(-1, 3), min_size=1, max_size=4))),
+    "l": _joined(st.one_of(st.lists(st.integers(0, 4), min_size=1, max_size=1),
+                           st.lists(st.integers(-1, 3), min_size=1, max_size=3))),
+    "p": _text(_BIG),
+    "q": st.one_of(st.just("inf"), _text(_POSITIVE), _text(_BIG)),
+    "s": st.one_of(
+        st.builds(lambda a, b: f"{a}/{a + b}", _POSITIVE, _POSITIVE),  # in (0, 1)
+        st.builds(lambda b: f"1/{b}", _POSITIVE),
+        st.builds(lambda b: f"{b - 1}/{b}", _POSITIVE),
+        st.builds(lambda a, b: f"{a}/{b}", _BIG, _BIG),
+        _text(_BIG),
+    ),
+    "A": _text(st.integers(-3, 3).map(lambda a: 2 * a), _BIG),
+    "a_min": _text(_BIG),
+    "a_max": st.integers(-2, 12),  # the width of the A range, from --a-min or 0
+    "n": _text(st.integers(1, 4), st.integers(-1, 4)),
+    "g": _text(st.integers(2, 4), st.integers(-1, 4)),
+    "m": st.one_of(_text(st.integers(1, 6)),
+                   st.builds(lambda a, w: f"{a}:{a + w}", st.integers(0, 4), st.integers(0, 5)),
+                   st.builds(lambda a, w: f"{a}:{a + w}", st.integers(-1, 4), st.integers(-1, 5)),
+                   _text(st.integers(-2, 6))),
+    "window": st.sampled_from(["paper", "symmetric"]),
+    "format": st.sampled_from(["csv", "json"]),
+}
+# each subcommand's variants, with the flags each takes
+_VARIANTS = {
+    "verify": {**{check: cli._flags(params) for check, (params, _) in cli._CHECKS.items()},
+               "all": ["r", "l", "p", "q", "a_max", "n", "g"]},
+    "seq": {kind: [*cli._flags(p.name for p in cli._kind_params(kind)), "m", "format"]
+            for kind in importlib.import_module("shiftbinom.sequences")._KINDS},
+    "coeffs": {family.value: ["family", "r", "l", "a_min", "a_max", "format",
+                              *(("m", "window") if family.needs_m else ())]
+               for family in Family},
+    "compositions": {"": ["n", "g", "format"]},
+}
+
+
+def _reparse(out: str, fmt: str) -> None:
+    """Every num/den of a table re-parses to integers in lowest terms, den > 0."""
+    rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else json.loads(out)
+    assert rows
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a table of exact digits may pass the default limit
+    try:
+        for row in rows:
+            num, den = int(row["num"]), int(row["den"])
+            assert den > 0 and math.gcd(num, den) == 1, row
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_exit_code_contract_holds_on_any_input(data):
+    """0 ok, 1 a failed check, 2 a usage error with one `error:` line, and
+    never a traceback, on every subcommand, seq kind and verify check.  A
+    variant's own flags are given often, the others of its subcommand now and
+    then; the width of a coeffs A range stays small, its ends do not."""
+    command, variant = data.draw(st.sampled_from(
+        [(command, variant) for command, variants in _VARIANTS.items() for variant in variants]))
+    own = _VARIANTS[command][variant]
+    every = dict.fromkeys(f for flags in _VARIANTS[command].values() for f in flags)
+    argv = [command, *([variant] if command in ("verify", "seq") else [])]
+    values = {}
+    for flag in every:
+        # hypothesis leans towards 0: own flags are given below 8, others at 9
+        if (data.draw(st.integers(0, 9), flag) < 8) != (flag in own):
+            continue
+        if flag == "family":
+            value = variant
+        elif flag == "a_max":
+            value = str(int(values.get("a_min", 0)) + data.draw(_VALUES[flag], flag))
+        else:
+            spec = flag == "l" and "r" in own
+            value = data.draw(_VALUES["spec-l" if spec else flag], flag)
+        values[flag] = value
+        argv += [f"--{flag.replace('_', '-')}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as done:  # argparse rejects a flag value
+            code = done.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "internal error" not in err and "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+        assert out == ""
+    elif command == "verify":
+        assert all("pass" in json.loads(line) for line in out.splitlines()), argv
+    else:
+        _reparse(out, values.get("format", "csv"))

@@ -632,6 +632,14 @@ def test_residues_absolute_sum_is_below_four_times_two_to_the_rn(spec):
         assert rho1 == {}  # pi^2 odd(A) = 4/A^2
 
 
+def test_residues_match_the_pair_loop_at_scale():
+    # rn = 240, past the sizes whose pole form is checked above: one group of
+    # 121 poles a side, paired 14,641 times by the plain loop
+    even = Coefficients(SumSpec(r=2, l=(60, 60)), Family.EVEN)
+    table = {a: 4 * c for a in even.default_A_range() if (c := even(a))}
+    assert pole_residues(even) == (table, even.residues())
+
+
 def test_residues_need_a_tail_without_half_integer_axes():
     spec = SumSpec(r=2, l=(1, 1, 1, 1))
     assert Coefficients(spec, Family.ODD).residues() == Coefficients(spec, Family.EVEN).residues()
