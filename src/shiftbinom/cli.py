@@ -121,6 +121,11 @@ def _exact_str(x: int | Fraction) -> str:
             sys.set_int_max_str_digits(limit)
 
 
+def _exact_cols(x: int | Fraction) -> dict[str, str]:
+    """The `num` and `den` columns of the exact value x."""
+    return {"num": _exact_str(x.numerator), "den": _exact_str(x.denominator)}
+
+
 def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
@@ -285,8 +290,7 @@ def _cmd_coeffs(ns) -> int:
         c = coeffs(A)
         rows.append({
             "A": A,
-            "num": _exact_str(c.numerator),
-            "den": _exact_str(c.denominator),
+            **_exact_cols(c),
             "pi_exp": family.pi_exp if c else 0,
             "float": as_float(c, family.pi_exp),
         })
@@ -322,8 +326,7 @@ def _cmd_seq(ns) -> int:
     rows = [
         {
             "m": rec.m,
-            "num": _exact_str(rec.exact.numerator),
-            "den": _exact_str(rec.exact.denominator),
+            **_exact_cols(rec.exact),
             "float": rec.approx,
             "target": f"{rec.target_tag}={rec.target_value!r}",
             "abs_error": rec.abs_error,
@@ -339,16 +342,8 @@ def _cmd_compositions(ns) -> int:
 
     if ns.n is None or ns.g is None:
         raise UsageError("need --n and --g")
-    rows = []
-    for c in sequences.enumerate_g_compositions(ns.n, ns.g):
-        w = sequences.cg_weight(c)
-        rows.append(
-            {
-                "parts": ",".join(str(v) for v in c.parts),
-                "num": _exact_str(w.numerator),
-                "den": _exact_str(w.denominator),
-            }
-        )
+    rows = [{"parts": ",".join(str(v) for v in c.parts), **_exact_cols(sequences.cg_weight(c))}
+            for c in sequences.enumerate_g_compositions(ns.n, ns.g)]
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)
     return 0
 

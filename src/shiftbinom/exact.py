@@ -39,12 +39,17 @@ class ParameterError(ValueError):
 
 class Value:
     """Base of the package's immutable value types.  A subclass names its
-    fields, in order, in __slots__ and sets each once, in __init__, with
-    object.__setattr__.  Equality, hash, repr, copy and pickle go by the
-    fields; an instance equals only an instance of its own class, and any
-    later assignment or deletion raises AttributeError."""
+    fields, in order, in __slots__, and Value.__init__ sets them from its
+    arguments, one each, in that order; a subclass that checks its fields
+    calls it first and checks the fields it set.  Equality, hash, repr, copy
+    and pickle go by the fields; an instance equals only an instance of its
+    own class, and any later assignment or deletion raises AttributeError."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

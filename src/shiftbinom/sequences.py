@@ -5,10 +5,12 @@ Each operation returns a SeqRecord whose `exact` field is a plain Fraction,
 summed from rational terms: a shifted binomial enters as its rational factor
 `beta_coeff`, and a coefficient as the Fraction `sums.Coefficients` returns;
 no term passes through a float.
-Sequence windows default to the one-sided 'paper' convention; the symmetric
-variant is available everywhere a half-integer window appears, as the
-`window` parameter of the builders that have one.  The integer window of
-`pis` and `pis2` at even l has no symmetric variant.
+The seven windowed kinds take `window` and share one window rule, `_window`:
+under 'symmetric' the index i runs over [-m-1, m] in every case; under
+'paper', the default, it runs over [-m, m] for even l and for the
+half-integer kinds `pi`, `pi2` and `ratio-*` (where k = i + 1/2), and over
+[-m-1, m-1] for odd l.  The integer window of `pis` and `pis2` at even l has
+no symmetric variant.
 
 `sweep(kind, ms, **params)` is the one entry point: it evaluates every kind
 from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each document
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .exact import ParameterError, Value, as_float, beta_coeff, newton_binomial, shifted_binomial
-from .sums import Coefficients, Family, SumSpec, Window, half_window
+from .sums import Coefficients, Family, SumSpec, Window
 
 __all__ = [
     "SeqRecord",
@@ -63,12 +65,6 @@ class SeqRecord(Value):
     target_tag: str
     target_value: float
     abs_error: float
-
-    def __init__(self, m: int, exact: Fraction, approx: float, target_tag: str,
-                 target_value: float, abs_error: float):
-        values = (m, exact, approx, target_tag, target_value, abs_error)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
 
 def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
@@ -97,29 +93,21 @@ def _binomial_term(l: int, s: Fraction, alternating: bool) -> Callable[[int], Fr
     return term
 
 
-def _pi_window(window: Window) -> Callable[[int], range]:
-    """The window of pi, pi2 and the ratio kinds: the half-integers k + s =
-    i + 1/2 of sums.half_window(m, window), which gives them doubled as 2i + 1."""
-
-    def indices(m: int) -> range:
-        h = half_window(m, window)
-        return range(h.start // 2, h.stop // 2)
-
-    return indices
-
-
-def _shift_window(l: int, window: Window) -> Callable[[int], range]:
-    """The window of the generic-shift kinds: k = i in [-m, m] for even l, and
-    k = i + 1/2 in [-m-1/2, m-1/2] for odd l, to m+1/2 when symmetric.  Even
-    l has no symmetric window: C(l, l/2 + x) is symmetric only about x = 0,
-    and the entries x = k + s lie symmetrically about it only at s = 1/2,
-    where pis and pis2 give the values of the kinds pi and pi2."""
-    pad = 1 if window is Window.SYMMETRIC else 0
-    if l % 2:
-        return lambda m: range(-m - 1, m + pad)
-    if pad:
+def _window(l: int | None, window: Window) -> Callable[[int], range]:
+    """The window of the seven windowed kinds at m.  Under 'symmetric' i runs
+    over [-m-1, m], which i -> -1-i maps onto itself; 'paper' drops its top
+    end for odd l, where k = i + 1/2, and its bottom end otherwise: for even
+    l, where k = i, and for the half-integer kinds, which pass l = None and
+    where k = i + 1/2.  Even l has no symmetric window: C(l, l/2 + x) is
+    symmetric only about x = 0, and the entries x = k + s lie symmetrically
+    about it only at s = 1/2, where pis and pis2 give the values of the kinds
+    pi and pi2."""
+    odd = (l or 0) % 2
+    if window is Window.PAPER:
+        return lambda m: range(-m - odd, m + 1 - odd)
+    if l is not None and not odd:
         raise ParameterError(f"even l = {l} has no symmetric window")
-    return lambda m: range(-m, m + 1)
+    return lambda m: range(-m - 1, m + 1)
 
 
 def _central(l: int) -> Fraction:
@@ -132,7 +120,7 @@ def _pi(l: int, window: Window = Window.PAPER) -> _Kind:
     """2^-l sum of pi C(l, l/2 + k), k half-integer: the shifted (2 cos pi t)^l at t = 0."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
-    return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _pi_window(window),
+    return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _window(None, window),
                  _binomial_term(l, Fraction(1, 2), alternating=False))
 
 
@@ -140,7 +128,7 @@ def _pi2(l: int, window: Window = Window.PAPER) -> _Kind:
     """((l/2)!^2/l!) sum of pi C(l, l/2 + k) (-1)^(k-1/2)/k: the term-wise integral."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
-    return _Kind("pi^2", math.pi**2, 1, _central(l), _pi_window(window),
+    return _Kind("pi^2", math.pi**2, 1, _central(l), _window(None, window),
                  _binomial_term(l, Fraction(1, 2), alternating=True))
 
 
@@ -166,7 +154,7 @@ def _pis(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     _check_shift(s)
     if l < 0:
         raise ParameterError("l must be >= 0")
-    return _Kind("pi/sin(pi*s)", _cosecant(s), 1, Fraction(1, 2**l), _shift_window(l, window),
+    return _Kind("pi/sin(pi*s)", _cosecant(s), 1, Fraction(1, 2**l), _window(l, window),
                  _binomial_term(l, s, alternating=False))
 
 
@@ -176,7 +164,7 @@ def _pis2(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     if l < 0 or l % 2:
         raise ParameterError("l must be even; use kind pis-odd for odd l")
     c = _cosecant(s)  # c * c, not c ** 2, which raises OverflowError past double range
-    return _Kind("(pi/sin(pi*s))^2", c * c, 1, _central(l), _shift_window(l, window),
+    return _Kind("(pi/sin(pi*s))^2", c * c, 1, _central(l), _window(l, window),
                  _binomial_term(l, s, alternating=True))
 
 
@@ -189,7 +177,7 @@ def _pis_odd(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     if s == Fraction(1, 2):
         raise ParameterError("target pi/(sin cos) is undefined at s = 1/2")
     return _Kind("pi/(sin(pi*s)*cos(pi*s))", 2 * _cosecant(2 * s), 1, _central(l),
-                 _shift_window(l, window), _binomial_term(l, s, alternating=True))
+                 _window(l, window), _binomial_term(l, s, alternating=True))
 
 
 def _odd_A_sums(
@@ -230,7 +218,7 @@ def _ratio(spec: SumSpec, A: int, window: Window, truncated: Family, limit: Fami
     power = truncated.pi_exp - limit.pi_exp
     term = Coefficients(spec, truncated).k1_term(A)  # at k_1 = i + 1/2
     return _Kind("pi" if power == 1 else f"pi^{power}", math.pi**power, 1, 1 / ref,
-                 _pi_window(window), lambda i: term(2 * i + 1))
+                 _window(None, window), lambda i: term(2 * i + 1))
 
 
 def _ratio_pi2(spec: SumSpec, A: int, window: Window = Window.PAPER) -> _Kind:
@@ -293,8 +281,7 @@ class GComposition(Value):
     g: int
 
     def __init__(self, parts: Iterable[int], g: int):
-        object.__setattr__(self, "parts", tuple(int(v) for v in parts))
-        object.__setattr__(self, "g", g)
+        super().__init__(tuple(int(v) for v in parts), g)
         if self.g < 2:
             raise ParameterError("g must be >= 2")
         if not self.parts or any(v < 0 for v in self.parts):

@@ -80,7 +80,9 @@ class Window(str, Enum):
 
     'paper' is the one-sided window [-m+1/2, m+1/2]; 'symmetric' extends it
     to [-m-1/2, m+1/2] so the A -> -A (anti)symmetry is exact at every
-    finite truncation, not only in the limit.
+    finite truncation, not only in the limit.  The seq kinds `pis`, `pis2`
+    and `pis-odd` at odd l take the other one-sided window, [-m-1/2, m-1/2],
+    as 'paper' (see `sequences._window`).
     """
 
     PAPER = "paper"
@@ -111,8 +113,7 @@ class SumSpec(Value):
     l: tuple[int, ...]
 
     def __init__(self, r: int, l: Iterable[int]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "l", tuple(int(v) for v in l))
+        super().__init__(r, tuple(int(v) for v in l))
         if self.r < 2 or self.r % 2:
             raise ParameterError("r must be a positive even integer")
         if len(self.l) < 2:
@@ -236,23 +237,26 @@ def _tail_weights(
     spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window, rows: Rows
 ) -> dict[tuple[int, int], Pair]:
     """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
-    weights W[2 s2, 2 s1] of the points sharing (s2, s1)."""
-    weights: dict[tuple[int, int], Pair] = {(0, 0): (1, 1)}
+    weights W of the points that share the doubled entries (e1, e2) of the two
+    eliminated binomials: e1 = n1 + 2 s2 and e2 = n2 - 2 s1 start at (n1, n2),
+    the key of the empty tail, and axis i moves them by 2 k_i (i-2) and
+    -2 k_i (i-1)."""
+    weights: dict[tuple[int, int], Pair] = {(spec.r * spec.l[0], spec.r * spec.l[1]): (1, 1)}
     for i in range(3, spec.j + 1):
         n = spec.r * spec.l[i - 1]
         grown: dict[tuple[int, int], Pair] = {}
         for k2 in _axis(n, i in half_axes, m, window):
             c = rows[n, n + k2]
-            for (s2, s1), w in weights.items():
-                key = s2 + (i - 2) * k2, s1 + (i - 1) * k2
+            for (e1, e2), w in weights.items():
+                key = e1 + (i - 2) * k2, e2 - (i - 1) * k2
                 grown[key] = _dot(((w, c), (grown.get(key, (0, 1)), (1, 1))))  # += w c
         weights = grown
     return weights
 
 
 # The merged tail of a weighted sum of specs, {n1: {e1: {(n2, e2): sum of w W}}}:
-# each spec's W[2 s2, 2 s1] times its weight w, keyed by the doubled entries
-# e1 = n1 + 2 s2 and e2 = n2 - 2 s1 of its two eliminated binomials.
+# each spec's tail weights W[e1, e2] times its weight w, keyed by its rows n1
+# and n2 and the doubled entries e1 and e2 of its two eliminated binomials.
 Tail = dict[int, dict[int, dict[tuple[int, int], Pair]]]
 
 
@@ -270,8 +274,8 @@ def _merged_tail(
     for w, spec in weighted:
         n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
         wp, wq, outer = w.numerator, w.denominator, tail.setdefault(n1, defaultdict(dict))
-        for (s2, s1), (p, q) in _tail_weights(spec, half_axes, m, window, rows).items():
-            inner, key, c = outer[n1 + s2], (n2, n2 - s1), (wp * p, wq * q)
+        for (e1, e2), (p, q) in _tail_weights(spec, half_axes, m, window, rows).items():
+            inner, key, c = outer[e1], (n2, e2), (wp * p, wq * q)
             inner[key] = _dot(((c, (1, 1)), (inner[key], (1, 1)))) if key in inner else c
     return tail
 

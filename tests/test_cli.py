@@ -1,11 +1,14 @@
 import argparse
+import collections
 import contextlib
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -416,10 +419,10 @@ def test_closed_stdout_ends_the_process_by_sigpipe():
     assert err == b""
 
 
-def _seq_parser() -> argparse.ArgumentParser:
-    parser = cli._build_parser("seq")
+def _sub_parser(command: str) -> argparse.ArgumentParser:
+    parser = cli._build_parser(command)
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices["seq"]
+    return sub.choices[command]
 
 
 def test_seq_flags_are_the_builder_parameters():
@@ -431,7 +434,7 @@ def test_seq_flags_are_the_builder_parameters():
     def kind_flags(kind):
         return cli._flags(p.name for p in cli._kind_params(kind))
 
-    seq = _seq_parser()
+    seq = _sub_parser("seq")
     parser_flags = {a.dest for a in seq._actions if a.option_strings}
     builder_flags = set()
     for kind, build in _KINDS.items():
@@ -442,6 +445,31 @@ def test_seq_flags_are_the_builder_parameters():
     assert parser_flags - {"help", "config", "format", "out", "m"} == builder_flags
     # a kind flag has no parser default, so that a given one can be told
     assert all(a.default is None for a in seq._actions if a.dest in builder_flags)
+
+
+@pytest.mark.parametrize("command", ["verify", "coeffs", "seq"])
+def test_help_states_the_defaults_in_use(capsys, command):
+    """Each "(default X)" in a subcommand's --help is the default the code
+    uses when the flag is not given, and each default the code uses is
+    stated: those in the signatures of the verify runners, the seq builders
+    and sums.Coefficients, the r of _build_spec, and stdout for --out."""
+    from shiftbinom.sequences import _KINDS
+
+    stated = {a.dest: {found[1]} for a in _sub_parser(command)._actions
+              if (found := re.search(r"\(default ([^)]+)\)", a.help or ""))}
+    runners = {"verify": [run for _, run in cli._CHECKS.values()],
+               "coeffs": [sums.Coefficients], "seq": list(_KINDS.values())}[command]
+    used = collections.defaultdict(set)
+    for run in runners:
+        for param in inspect.signature(run).parameters.values():
+            if param.default not in (param.empty, None):
+                used[param.name].add(str(getattr(param.default, "value", param.default)))
+    used["r"].add(str(cli._build_spec(argparse.Namespace(r=None, l=(1, 1))).r))
+    if command != "verify":
+        cli._emit([{"x": 1}], ["x"], "csv", None)
+        if capsys.readouterr().out == "x\n1\n":
+            used["out"].add("stdout")
+    assert stated == used
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftbinom.exact import (
     as_float,
@@ -151,6 +153,18 @@ def test_shifted_binomial_term_ratio(s):
             x = k + s
             lhs = shifted_binomial(l, x + 1) * (x + 1)
             assert lhs == shifted_binomial(l, x) * (l - x), (l, k)
+
+
+# every shift p/q in [0, 1) with q <= 12, the integers (p = 0) among them
+SHIFTS = st.integers(1, 12).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 12), st.integers(-15, 27), SHIFTS)
+def test_term_ratio_holds_at_any_shift(l, k, s):
+    # C(l, x+1) (x+1) = C(l, x) (l-x), the rational factors of one power of beta(s)
+    x = k + s
+    assert shifted_binomial(l, x + 1) * (x + 1) == shifted_binomial(l, x) * (l - x)
 
 
 # --------------------------- closed product at s = 1/2 ----------------------

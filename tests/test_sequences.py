@@ -94,8 +94,9 @@ def test_pi_over_sin_reduces_to_pi_seq_at_half():
     def exact(kind, **params):
         return [rec.exact for rec in sweep(kind, (1, 5, 23), **params)]
 
-    assert exact("pis", l=2, s=HALF) == exact("pi", l=2)
-    assert exact("pis2", l=2, s=HALF) == exact("pi2", l=2)
+    for l in (2, 4, 6):
+        assert exact("pis", l=l, s=HALF) == exact("pi", l=l), l
+        assert exact("pis2", l=l, s=HALF) == exact("pi2", l=l), l
 
 
 def test_pi_over_sin_seq_converges():

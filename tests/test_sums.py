@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftbinom import cli, oracle, sequences, sums
 from shiftbinom.exact import ParameterError, as_float, shifted_binomial
@@ -667,6 +669,52 @@ def test_finite_families_match_the_laurent_expansion(spec):
                              (Family.ANTISYM_EXACT, laurent_antisym_exact(spec))):
         coeffs = Coefficients(spec, family)
         assert {A: c for A in coeffs.default_A_range() if (c := coeffs(A))} == expected, family
+
+
+# ------------------------- properties over drawn specs -------------------------
+
+# r in {2, 4} and 2-4 parts of size <= 2: rn <= 32, small enough that each
+# example costs milliseconds, and every spec shape of the grid above and more
+SPECS = st.builds(SumSpec, r=st.sampled_from([2, 4]),
+                  l=st.lists(st.integers(0, 2), min_size=2, max_size=4))
+PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@PROPERTY
+@given(SPECS)
+def test_even_support_sums_to_the_central_binomial(spec):
+    rn = spec.r * spec.n
+    assert sum_rule_even(spec) == math.comb(rn, rn // 2)
+
+
+@PROPERTY
+@given(SPECS)
+def test_odd_equals_odd_sinc_at_every_small_odd_A(spec):
+    direct, sinc = Coefficients(spec, Family.ODD), Coefficients(spec, Family.ODD_SINC)
+    for A in range(-9, 10, 2):
+        assert direct(A) == sinc(A), A
+
+
+@PROPERTY
+@given(SPECS, st.integers(1, 4), st.integers(0, 8).map(lambda a: 2 * a))
+def test_symmetric_window_keeps_the_A_symmetry_exactly(spec, m, A):
+    """Under the symmetric window, at every m: shifted, and four where the
+    spec has its 4 parts, are even in A, and antisym is odd."""
+    families = [Family.SHIFTED, *([Family.FOUR] if spec.j >= 4 else []), Family.ANTISYM]
+    for family in families:
+        c = Coefficients(spec, family, m, Window.SYMMETRIC)
+        sign = -1 if family is Family.ANTISYM else 1
+        assert c(-A) == sign * c(A), family
+
+
+@PROPERTY
+@given(SPECS, st.integers(-20, 19).map(lambda a: 2 * a + 1))
+def test_odd_coefficient_is_its_pole_form_at_any_odd_A(spec, A):
+    """pi^2 odd(A) = sum over a of 4 even(a)/(A - a)^2 + rho1_a/(A - a)."""
+    even = Coefficients(spec, Family.EVEN)
+    pole = sum(4 * even(a) / Fraction(A - a) ** 2 for a in even.default_A_range()) + sum(
+        r / Fraction(A - a) for a, r in even.residues().items())
+    assert pole == Coefficients(spec, Family.ODD)(A)
 
 
 # ------------------------------- public names -------------------------------
