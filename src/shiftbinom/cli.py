@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import signal
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import sums
@@ -126,31 +126,27 @@ def _exact_cols(x: int | Fraction) -> dict[str, str]:
     return {"num": _exact_str(x.numerator), "den": _exact_str(x.denominator)}
 
 
-def _emit(rows: list[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        import json
+def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
+    """Write the rows to the file --out, or else to stdout: CSV row by row as
+    they come, so that no copy of the table is held, and JSON in one write."""
 
-        text = json.dumps(rows, indent=2) + "\n"
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as e:
-            raise UsageError(f"cannot write --out {out}: {e.strerror}")
-    else:
-        sys.stdout.write(text)
+    def write(f) -> None:
+        if fmt == "csv":
+            writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            import json
 
+            f.write(json.dumps(list(rows), indent=2) + "\n")
 
-def _print_check(rec: dict) -> None:
-    import json
-
-    sys.stdout.write(json.dumps(rec) + "\n")
+    if not out:
+        return write(sys.stdout)
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            write(f)
+    except OSError as e:
+        raise UsageError(f"cannot write --out {out}: {e.strerror}")
 
 
 # ------------------------------- subcommands ------------------------------
@@ -259,8 +255,9 @@ def _cmd_verify(ns) -> int:
     for name in names:
         params, run = _CHECKS[name]
         checks += run(name, **{p: given[p] for p in params if p in given})
-    for rec in checks:
-        _print_check(rec)
+    import json
+
+    sys.stdout.writelines(json.dumps(rec) + "\n" for rec in checks)
     return 0 if all(rec["pass"] for rec in checks) else 1
 
 
@@ -284,7 +281,8 @@ def _cmd_coeffs(ns) -> int:
             raise UsageError(
                 f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    # each coefficient carries its family's power of 1/pi, and a zero none
+    # each coefficient carries its family's power of 1/pi, and a zero none; a
+    # list, since Coefficients reports a missing --m at its first call
     rows = []
     for A in A_values:
         c = coeffs(A)
@@ -323,7 +321,9 @@ def _cmd_seq(ns) -> int:
             raise UsageError(f"kind {kind} needs --{param.name}")
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
-    rows = [
+    # sweep checks every parameter and computes every record before it
+    # returns, so a usage error is raised before the header is written
+    rows = (
         {
             "m": rec.m,
             **_exact_cols(rec.exact),
@@ -332,7 +332,7 @@ def _cmd_seq(ns) -> int:
             "abs_error": rec.abs_error,
         }
         for rec in sequences.sweep(kind, ns.m, **given)
-    ]
+    )
     _emit(rows, ["m", "num", "den", "float", "target", "abs_error"], ns.format, ns.out)
     return 0
 
@@ -342,6 +342,7 @@ def _cmd_compositions(ns) -> int:
 
     if ns.n is None or ns.g is None:
         raise UsageError("need --n and --g")
+    # a list, since enumerate_g_compositions checks n and g at its first step
     rows = [{"parts": ",".join(str(v) for v in c.parts), **_exact_cols(sequences.cg_weight(c))}
             for c in sequences.enumerate_g_compositions(ns.n, ns.g)]
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)

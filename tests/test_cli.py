@@ -12,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +330,11 @@ _BAD_CONFIGS = {
     # C(l, l/2 + k + s) at even l is symmetric in k only at s = 0: no symmetric window
     ("seq", "pis", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
     ("seq", "pis2", "--l", "2", "--s", "1/3", "--m", "1:3", "--window", "symmetric"),
+    # every parameter is checked before the table is written, so no --out file is made
+    ("seq", "pi", "--l", "3", "--m", "1", "--out", "{tmp}/table.out"),
+    ("coeffs", "--family", "shifted", "--r", "2", "--l", "1,1", "--a-max", "4",
+     "--out", "{tmp}/table.out"),
+    ("compositions", "--n", "0", "--g", "2", "--out", "{tmp}/table.out"),
 ], ids=["shift", "config-shift", "missing-config", "config-not-utf8", "out-directory",
         "coeffs-m-sweep",
         "odd-no-a-max", "q-zero", "config-q-zero", "verify-cg-q-zero", "config-format",
@@ -340,7 +346,8 @@ _BAD_CONFIGS = {
         "coeffs-no-window-window", "coeffs-a-min-alone", "verify-cg-spec", "verify-sum-rule-p",
         "verify-cg-r", "verify-identity-a-max", "a-max-zero", "a-max-negative",
         "odd-a-cut-unrecognized", "oracle-sample-overflow", "oracle-fsum-overflow",
-        "pis-even-l-symmetric", "pis2-even-l-symmetric"])
+        "pis-even-l-symmetric", "pis2-even-l-symmetric", "seq-pi-odd-l-out",
+        "coeffs-shifted-no-m-out", "compositions-n-zero-out"])
 def test_bad_input_exits_2(tmp_path: Path, args):
     for name, data in _BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(data)
@@ -348,6 +355,7 @@ def test_bad_input_exits_2(tmp_path: Path, args):
     assert cp.returncode == 2
     assert len([line for line in cp.stderr.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in cp.stderr and cp.stdout == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(_BAD_CONFIGS)
 
 
 @pytest.mark.parametrize("args, p, q", [
@@ -470,6 +478,21 @@ def test_help_states_the_defaults_in_use(capsys, command):
         if capsys.readouterr().out == "x\n1\n":
             used["out"].add("stdout")
     assert stated == used
+
+
+def test_emit_writes_each_row_as_it_comes():
+    """A CSV row is on stdout before the next one is asked for, so no copy of
+    the table is held."""
+    out = io.StringIO()
+
+    def rows():
+        yield {"m": 1}
+        assert out.getvalue() == "m\n1\n"
+        yield {"m": 2}
+
+    with contextlib.redirect_stdout(out):
+        cli._emit(rows(), ["m"], "csv", None)
+    assert out.getvalue() == "m\n1\n2\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -798,13 +821,21 @@ def test_compositions_bad_params_exit_2():
     assert run_cli("compositions", "--n", "2", "--g", "1").returncode == 2
 
 
-def test_determinism_byte_identical():
-    a = run_cli("seq", "pi2", "--l", "2", "--m", "1:20:3")
-    b = run_cli("seq", "pi2", "--l", "2", "--m", "1:20:3")
-    assert a.stdout == b.stdout and a.stdout
-    c = run_cli("coeffs", "--family", "antisym-exact", "--r", "2", "--l", "1,1,1")
-    d = run_cli("coeffs", "--family", "antisym-exact", "--r", "2", "--l", "1,1,1")
-    assert c.stdout == d.stdout and c.stdout
+def test_determinism_byte_identical(tmp_path: Path):
+    """Identical invocations write identical bytes, to stdout or to --out."""
+    out = tmp_path / "table.out"
+    for args in [
+        ("seq", "pi2", "--l", "2", "--m", "1:20:3"),
+        ("seq", "pi", "--l", "2", "--m", "1:5", "--format", "json"),
+        ("coeffs", "--family", "antisym-exact", "--r", "2", "--l", "1,1,1"),
+        ("coeffs", "--family", "odd", "--r", "2", "--l", "1,1", "--a-min", "1", "--a-max", "9",
+         "--format", "json"),
+        ("compositions", "--n", "4", "--g", "3"),
+        ("compositions", "--n", "4", "--g", "3", "--format", "json"),
+    ]:
+        a, b = run_cli(*args), run_cli(*args, "--out", str(out))
+        assert a.returncode == b.returncode == 0 and a.stdout and b.stdout == "", args
+        assert out.read_bytes() == a.stdout.encode("utf-8"), args
 
 
 @pytest.mark.parametrize("args", [
@@ -987,6 +1018,17 @@ def _reparse(out: str, fmt: str) -> None:
         sys.set_int_max_str_digits(outer)
 
 
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as done:  # argparse rejects a flag value
+            code = done.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
@@ -994,7 +1036,8 @@ def test_exit_code_contract_holds_on_any_input(data):
     """0 ok, 1 a failed check, 2 a usage error with one `error:` line, and
     never a traceback, on every subcommand, seq kind and verify check.  A
     variant's own flags are given often, the others of its subcommand now and
-    then; the width of a coeffs A range stays small, its ends do not."""
+    then; the width of a coeffs A range stays small, its ends do not.  A
+    table is run again, now and then, with --out in a fresh directory."""
     command, variant = data.draw(st.sampled_from(
         [(command, variant) for command, variants in _VARIANTS.items() for variant in variants]))
     own = _VARIANTS[command][variant]
@@ -1014,13 +1057,7 @@ def test_exit_code_contract_holds_on_any_input(data):
             value = data.draw(_VALUES["spec-l" if spec else flag], flag)
         values[flag] = value
         argv += [f"--{flag.replace('_', '-')}", value]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as done:  # argparse rejects a flag value
-            code = done.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _main(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "internal error" not in err and "Traceback" not in err, (argv, err)
     if code == 2:
@@ -1030,3 +1067,14 @@ def test_exit_code_contract_holds_on_any_input(data):
         assert all("pass" in json.loads(line) for line in out.splitlines()), argv
     else:
         _reparse(out, values.get("format", "csv"))
+    if command != "verify" and data.draw(st.booleans(), "out"):
+        # the same code and stderr, nothing on stdout, and a file that holds
+        # the table, or none after a usage error
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.out")
+            assert _main([*argv, "--out", path]) == (code, "", err), argv
+            if code == 2:
+                assert not os.listdir(tmp), argv
+            else:
+                with open(path, encoding="utf-8", newline="") as f:
+                    assert f.read() == out, argv

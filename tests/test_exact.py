@@ -13,7 +13,7 @@ from shiftbinom.exact import (
     shifted_binomial,
 )
 
-from reference import float_binomial, sinc_at
+from reference import chu_vandermonde_partial, float_binomial, sinc_at
 
 
 def ladder_binomial(l: int, k: int, s: Fraction) -> Fraction:
@@ -165,6 +165,19 @@ def test_term_ratio_holds_at_any_shift(l, k, s):
     # C(l, x+1) (x+1) = C(l, x) (l-x), the rational factors of one power of beta(s)
     x = k + s
     assert shifted_binomial(l, x + 1) * (x + 1) == shifted_binomial(l, x) * (l - x)
+
+
+# a part l and an entry l' in [0, l], for l <= 6
+PARTS = st.integers(0, 6).flatmap(lambda l: st.tuples(st.just(l), st.integers(0, l)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(PARTS, PARTS)
+def test_chu_vandermonde_terminates_at_shift_zero(first, second):
+    # at s = 0 every nonzero term lies in the window [-(l1 + l2), l1 + l2]
+    (l1, l1p), (l2, l2p) = first, second
+    total = chu_vandermonde_partial(l1, l2, l1p, l2p, 0, l1 + l2)
+    assert total == math.comb(l1 + l2, l1p + l2p)
 
 
 # --------------------------- closed product at s = 1/2 ----------------------

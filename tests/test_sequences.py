@@ -5,6 +5,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftbinom import sequences
 from shiftbinom.exact import ParameterError, shifted_binomial
@@ -329,13 +331,13 @@ def test_cg_two_forms_agree_on_full_grid():
                 assert cg_weight(comp) == cg_weight_factorial_form(comp), comp
 
 
-def test_cg_sum_rule_identity():
+# 18 (n, g) pairs: hypothesis stops once it has drawn each of them
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 4))
+def test_cg_sum_rule_identity(n, g):
     # g*n*sum(c_g) = C(gn, n) pins the enumeration and weight conventions
-    assert 4 * sum(cg_weight(c) for c in enumerate_g_compositions(2, 2)) == 6
-    for n in range(1, 7):
-        for g in (2, 3, 4):
-            total = g * n * sum(cg_weight(c) for c in enumerate_g_compositions(n, g))
-            assert total == math.comb(g * n, n), (n, g)
+    total = g * n * sum(cg_weight(c) for c in enumerate_g_compositions(n, g))
+    assert total == math.comb(g * n, n)
 
 
 # ------------------------------- aggregation --------------------------------

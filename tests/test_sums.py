@@ -717,6 +717,12 @@ def test_odd_coefficient_is_its_pole_form_at_any_odd_A(spec, A):
     assert pole == Coefficients(spec, Family.ODD)(A)
 
 
+@PROPERTY
+@given(SPECS)
+def test_finite_families_match_the_laurent_expansion_at_drawn_specs(spec):
+    test_finite_families_match_the_laurent_expansion(spec)
+
+
 # ------------------------------- public names -------------------------------
 
 
