@@ -321,8 +321,9 @@ def _cmd_seq(ns) -> int:
             raise UsageError(f"kind {kind} needs --{param.name}")
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
-    # sweep checks every parameter and computes every record before it
-    # returns, so a usage error is raised before the header is written
+    # sweep checks every parameter and every m when it is called, so a usage
+    # error is raised before the header is written; each record is computed
+    # as _emit asks for its row
     rows = (
         {
             "m": rec.m,
@@ -342,9 +343,8 @@ def _cmd_compositions(ns) -> int:
 
     if ns.n is None or ns.g is None:
         raise UsageError("need --n and --g")
-    # a list, since enumerate_g_compositions checks n and g at its first step
-    rows = [{"parts": ",".join(str(v) for v in c.parts), **_exact_cols(sequences.cg_weight(c))}
-            for c in sequences.enumerate_g_compositions(ns.n, ns.g)]
+    rows = ({"parts": ",".join(str(v) for v in c.parts), **_exact_cols(sequences.cg_weight(c))}
+            for c in sequences.enumerate_g_compositions(ns.n, ns.g))
     _emit(rows, ["parts", "num", "den"], ns.format, ns.out)
     return 0
 

@@ -245,31 +245,36 @@ _KINDS: dict[str, Callable[..., _Kind]] = {
 }
 
 
-def sweep(kind: str, ms: Iterable[int], **params) -> list[SeqRecord]:
-    """The records of one sequence kind at each m of ms, in the order given.
+def sweep(kind: str, ms: Iterable[int], **params) -> Iterator[SeqRecord]:
+    """The records of one sequence kind, one per distinct m of ms, in
+    ascending m, each computed as it is yielded.
 
     params are the keyword parameters of the kind's builder in `_KINDS`;
     that signature is the one list of what a kind takes, and the CLI's `seq`
     reads its flags from it.  The kinds with a half-integer window take
     `window`, its truncation convention, default `Window.PAPER`; the others
-    do not.  Every parameter and every m is checked before any term is
-    computed.
+    do not.  The kind, every parameter and every m are checked at the call,
+    before any term is computed.
     """
     if kind not in _KINDS:
         raise ParameterError(f"unknown sequence kind {kind!r}")
     seq = _KINDS[kind](**params)
-    ms = list(ms)
-    if ms and min(ms) < seq.least_m:
+    ms = sorted(set(ms))
+    if ms and ms[0] < seq.least_m:
         raise ParameterError(f"m must be >= {seq.least_m}")
-    records: dict[int, SeqRecord] = {}
+    return _records(seq, ms)
+
+
+def _records(seq: _Kind, ms: list[int]) -> Iterator[SeqRecord]:
+    """The record of seq at each m of ms, ascending: each window adds only
+    the indices the previous one lacked."""
     total, done = Fraction(0), range(0)
-    for m in sorted(set(ms)):
+    for m in ms:
         win = seq.window(m)
         for i in chain(range(win.start, done.start), range(done.stop, win.stop)):
             total += seq.term(i)
         done = win
-        records[m] = _record(m, seq.pref * total, seq.tag, seq.target)
-    return [records[m] for m in ms]
+        yield _record(m, seq.pref * total, seq.tag, seq.target)
 
 
 class GComposition(Value):
@@ -311,7 +316,9 @@ def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
 
     Each is built whole, without recursion: its k nonzero parts, a
     composition of n into k parts cut at k-1 of the points 1..n-1, with a run
-    of 0..g-2 zeros in each of the k-1 gaps between them.
+    of 0..g-2 zeros in each of the k-1 gaps between them.  n and g are
+    checked, and every composition's parts found, at the call; each
+    GComposition is made as it is yielded.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -327,7 +334,7 @@ def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
                     parts += [0] * run + [v]
                 found.append(tuple(parts))
     found.sort(key=lambda parts: (len(parts), parts))
-    yield from (GComposition(parts, g) for parts in found)
+    return (GComposition(parts, g) for parts in found)
 
 
 def cg_weight(comp: GComposition) -> Fraction:

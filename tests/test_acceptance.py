@@ -5,10 +5,12 @@ they print).  Exact assertions carry zero tolerance; numeric ones state
 their threshold inline.
 """
 
+import doctest
 import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -100,7 +102,7 @@ def test_criterion_03_sum_rules_and_cumulative_decay():
 
 
 def test_criterion_04_pi_sequence():
-    pinned = sweep("pi", [1], l=2)[0].exact == Fraction(44, 15)
+    pinned = next(sweep("pi", [1], l=2)).exact == Fraction(44, 15)
     errs = [rec.abs_error for rec in sweep("pi", [10, 100, 1000], l=4)]
     ok = pinned and errs[2] < errs[1] < errs[0] and errs[2] < 1e-4
     report(
@@ -261,3 +263,10 @@ def test_criterion_11_symmetry_ledger():
         "every family's declared (anti)symmetry holds exactly "
         "(even/odd/shifted/four symmetric, antisym families antisymmetric)",
     )
+
+
+def test_readme_examples():
+    # the library quick start in README.md prints the values it shows
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert attempted > 0 and failed == 0

@@ -495,6 +495,27 @@ def test_emit_writes_each_row_as_it_comes():
     assert out.getvalue() == "m\n1\n2\n"
 
 
+def test_seq_writes_its_first_row_before_its_last_record_is_computed(monkeypatch):
+    """`seq` hands _emit the records as sweep yields them, so no record is
+    held: when the record at the last m is computed, the header and the rows
+    of every m before it are already on stdout."""
+    from shiftbinom import sequences
+
+    out, record, seen = io.StringIO(), sequences._record, []
+
+    def watched(m, *args):
+        if m == 5:
+            seen.append(out.getvalue())
+        return record(m, *args)
+
+    monkeypatch.setattr(sequences, "_record", watched)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["seq", "pi", "--l", "2", "--m", "1:5"]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert lines[1].startswith("1,44,15,")
+    assert seen == ["".join(lines[:5])]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_digits_past_the_int_str_limit(capsys, fmt):
     # the denominator at m = 5000 has more digits than str() allows by default
@@ -509,7 +530,7 @@ def test_exact_digits_past_the_int_str_limit(capsys, fmt):
         sys.set_int_max_str_digits(0)
         rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else json.loads(out)
         [row] = rows
-        exact = sweep("pi", [5000], l=2)[0].exact
+        exact = next(sweep("pi", [5000], l=2)).exact
         assert len(row["den"]) > 4300
         assert Fraction(int(row["num"]), int(row["den"])) == exact
     finally:
@@ -715,7 +736,7 @@ def test_seq_float_overflow_json():
     [row] = json.loads(cp.stdout)
     assert row["float"] == row["abs_error"] == math.inf
     assert row["target"] == "pi^2*C(rn,rn/2)=inf"
-    exact = sweep("cum", [0], spec=SumSpec(r=2, l=(300, 300)))[0].exact
+    exact = next(sweep("cum", [0], spec=SumSpec(r=2, l=(300, 300)))).exact
     assert (row["num"], row["den"]) == (str(exact.numerator), str(exact.denominator))
 
 

@@ -84,7 +84,7 @@ def test_pi2_seq_m1_recomputed():
 
 
 def test_pi2_seq_error_decays_and_terms_rational():
-    recs = sweep("pi2", [10, 100], l=2)
+    recs = list(sweep("pi2", [10, 100], l=2))
     assert all(isinstance(rec.exact, Fraction) for rec in recs)
     assert recs[1].abs_error < recs[0].abs_error
 
@@ -130,7 +130,7 @@ def test_pi_over_sin_sq_seq_converges():
 
 
 def test_pi_over_sin_cos_seq():
-    recs = sweep("pis-odd", [10, 100, 1000], l=1, s=S4)
+    recs = list(sweep("pis-odd", [10, 100, 1000], l=1, s=S4))
     assert recs[0].target_value == pytest.approx(2 * math.pi)  # sin*cos = 1/2 at s=1/4
     errs = [rec.abs_error for rec in recs]
     assert errs[2] < errs[1] < errs[0]
@@ -397,7 +397,7 @@ def test_even_aggregate_counts_closed_walks_by_area(n):
 
 
 def test_aggregate_converges():
-    recs = sweep("agg", [2, 8, 32], n=2, g=2, r=2)
+    recs = list(sweep("agg", [2, 8, 32], n=2, g=2, r=2))
     errs = [rec.abs_error for rec in recs]
     assert errs[2] < errs[1] < errs[0]
     assert recs[1].target_value == pytest.approx(36 * math.pi**2)
@@ -448,8 +448,8 @@ def test_sweep_adds_only_new_window_terms(kind, params, window):
         with pytest.raises(ParameterError, match="no symmetric window"):
             sequences.sweep(kind, ms, **params)
         return
-    swept = sequences.sweep(kind, ms, **params)
-    assert swept == [sequences.sweep(kind, [m], **params)[0] for m in ms]
+    swept = list(sequences.sweep(kind, ms, **params))
+    assert swept == [next(sequences.sweep(kind, [m], **params)) for m in ms]
 
 
 @pytest.mark.parametrize("window", list(Window))
@@ -472,15 +472,15 @@ def test_ratio_sweep_matches_truncated_coefficient(kind, spec, A, partial, limit
 
 
 def test_sweep_order_and_validation(monkeypatch):
+    # one record per distinct m, in ascending m
     ms = [9, 1, 5, 5, 2]
-    assert sequences.sweep("pis", ms, l=3, s=S3) == [
-        sequences.sweep("pis", [m], l=3, s=S3)[0] for m in ms
-    ]
-    assert sequences.sweep("pi", [], l=2) == []
+    assert [rec.m for rec in sequences.sweep("pis", ms, l=3, s=S3)] == [1, 2, 5, 9]
+    assert list(sequences.sweep("pi", [], l=2)) == []
 
     def no_terms(*args):
         raise AssertionError("a term was computed before the check")
 
+    # each bad input raises at the call itself, before any record is asked for
     monkeypatch.setattr(sequences, "beta_coeff", no_terms)
     with pytest.raises(ValueError):
         sequences.sweep("pi", [3, 0], l=2)  # m = 0 is rejected up front
@@ -488,3 +488,23 @@ def test_sweep_order_and_validation(monkeypatch):
         sequences.sweep("pi", [1], l=3)
     with pytest.raises(ValueError):
         sequences.sweep("no-such-kind", [1])
+    with pytest.raises(ValueError):
+        sequences.enumerate_g_compositions(0, 2)
+    with pytest.raises(ValueError):
+        sequences.enumerate_g_compositions(2, 1)
+
+
+def test_sweep_computes_each_record_as_it_is_yielded(monkeypatch):
+    calls = []
+    beta_coeff = sequences.beta_coeff
+
+    def counted(*args):
+        calls.append(args)
+        return beta_coeff(*args)
+
+    monkeypatch.setattr(sequences, "beta_coeff", counted)
+    records = sequences.sweep("pi", range(1, 1001), l=2)
+    assert calls == []
+    assert next(records).m == 1
+    # the paper window at m = 1 is i = -1, 0, 1: its three terms and no more
+    assert len(calls) == 3

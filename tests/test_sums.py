@@ -197,13 +197,13 @@ def test_tables_are_built_once_per_call(monkeypatch):
         assert set(entries.values()) == {1}, family
     builds.clear()
     entries.clear()
-    sequences.sweep("agg", range(8), n=4, g=3, r=2)
+    list(sequences.sweep("agg", range(8), n=4, g=3, r=2))
     assert len(builds) == len(list(sequences.enumerate_g_compositions(4, 3)))
     assert set(entries.values()) == {1}
     for name, run, objects in [
-        ("ratio-pi2", lambda: sequences.sweep("ratio-pi2", range(1, 9), spec=spec, A=2), 2),
-        ("ratio-pi", lambda: sequences.sweep("ratio-pi", range(1, 9), spec=spec, A=2,
-                                             window=Window.SYMMETRIC), 2),
+        ("ratio-pi2", lambda: list(sequences.sweep("ratio-pi2", range(1, 9), spec=spec, A=2)), 2),
+        ("ratio-pi", lambda: list(sequences.sweep("ratio-pi", range(1, 9), spec=spec, A=2,
+                                                  window=Window.SYMMETRIC)), 2),
         ("odd-equality",
          lambda: cli.main(["verify", "odd-equality", "--r", "2", "--l", "1,2,1,1"]), 2),
         ("expansions", lambda: _expansions(spec), 3),
