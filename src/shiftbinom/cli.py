@@ -74,22 +74,21 @@ def _parse_q(text: str) -> int | float:
     return _parse_positive(text, "a positive integer or inf")
 
 
-def _parse_m_sweep(text: str) -> list[int]:
+def _parse_m_sweep(text: str) -> range:
+    """The range of m that start:stop:stride, start:stop or m gives."""
     fields = text.split(":")
-    if len(fields) == 2:
-        fields.append("1")
+    if len(fields) < 3:
+        fields = [fields[0], fields[-1], "1"]  # m is m:m, and the stride defaults to 1
     try:
         values = [int(v) for v in fields]
     except ValueError:
         values = []  # not integers: reported below
-    if len(values) == 1:
-        return values
     if len(values) != 3 or values[2] < 1 or values[1] < values[0]:
         raise argparse.ArgumentTypeError(
             f"bad m sweep {text!r}; expected an integer or start:stop:stride, stop >= start"
         )
     start, stop, stride = values
-    return list(range(start, stop + 1, stride))
+    return range(start, stop + 1, stride)
 
 
 def _parse_shift(text: str) -> Fraction:

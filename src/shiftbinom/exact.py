@@ -8,8 +8,9 @@ Gamma(1+x)Gamma(1-x) = pi x/sin(pi x) collapses both Gamma factors, and
 C(l, x) = (-1)^(k+1) l! / prod_{i=0..l} (i-x) * beta(s) at x = k + s: one
 closed product, `beta_coeff(l, k, s)`, of integers l and k and the shift s.
 `shifted_binomial` reads k and s from the entry and returns that rational, or
-the classical binomial when s = 0; the hot loops of `sums` and `sequences`
-call `beta_coeff` directly.  Every value is a plain Fraction: the power of
+the classical binomial when s = 0: `sums` reads every binomial entry of its
+sums here, and only the term loop of the `sequences` binomial kinds calls
+`beta_coeff` directly.  Every value is a plain Fraction: the power of
 beta that it carries is fixed by the shift of the entry or by the coefficient
 family, and `as_float` takes it where the float is formed.  Gamma is never
 evaluated in floating point on this path.

@@ -181,9 +181,10 @@ def _integrate(modes: list[complex], lo: float, hi: float) -> float:
     )
 
 
-def _square_wave(modes: list[complex], c: float) -> float:
-    """The integral over [-1/2, c] minus the one over [c, 1/2] of
-    Re sum_k a_k e^(2 pi i k t)."""
+def _square_wave(spec: SumSpec, phase: Fraction, c: float) -> float:
+    """The integral over [-1/2, c] minus the one over [c, 1/2] of the
+    cosine-power product, from its modes."""
+    modes = _modes(spec, _samples(spec, phase))
     return _integrate(modes, -0.5, c) - _integrate(modes, c, 0.5)
 
 
@@ -200,8 +201,7 @@ def _odd_total_integral(spec: SumSpec, phase: Fraction) -> float:
     """
     pq = float(phase % 2)
     k = math.floor(pq)
-    modes = _modes(spec, _samples(spec, phase))
-    return (1.0 if k % 2 else -1.0) * _square_wave(modes, pq - 0.5 - k)
+    return (1.0 if k % 2 else -1.0) * _square_wave(spec, phase, pq - 0.5 - k)
 
 
 def _series(coeffs: Coefficients, trig: Callable[[float], float], phase: Fraction) -> float:
@@ -242,7 +242,7 @@ def antisym_expansion(spec: SumSpec, phase: Fraction) -> tuple[float, float]:
     default A range of sin(pi A p/q) times the antisym-exact coefficient.
     The sine product is the cosine one at t - 1/2, so the lhs is minus the
     square wave at 0."""
-    lhs = -_square_wave(_modes(spec, _samples(spec, phase)), 0.0)
+    lhs = -_square_wave(spec, phase, 0.0)
     return lhs, _series(Coefficients(spec, Family.ANTISYM_EXACT), math.sin, phase)
 
 

@@ -5,12 +5,12 @@ Each operation returns a SeqRecord whose `exact` field is a plain Fraction,
 summed from rational terms: a shifted binomial enters as its rational factor
 `beta_coeff`, and a coefficient as the Fraction `sums.Coefficients` returns;
 no term passes through a float.
-The seven windowed kinds take `window` and share one window rule, `_window`:
-under 'symmetric' the index i runs over [-m-1, m] in every case; under
-'paper', the default, it runs over [-m, m] for even l and for the
-half-integer kinds `pi`, `pi2` and `ratio-*` (where k = i + 1/2), and over
-[-m-1, m-1] for odd l.  The integer window of `pis` and `pis2` at even l has
-no symmetric variant.
+The seven windowed kinds take `window`, default 'paper', and read the
+integer indices i of their window at m from `sums.Window.indices`, with
+k = i + 1/2 for the half-integer kinds `pi`, `pi2` and `ratio-*` and for
+odd l; the integer window of `pis` and `pis2` at even l has no symmetric
+variant.  The five binomial kinds, `pi` to `pis-odd`, share one builder,
+`_binomial`, which owns their term and prefactor.
 
 `sweep(kind, ms, **params)` is the one entry point: it evaluates every kind
 from the table `_KINDS`, whose builders (`_pi`, `_pi2`, ...) each document
@@ -80,56 +80,50 @@ def _record(m: int, exact: Fraction, tag: str, target: float) -> SeqRecord:
 _Kind = namedtuple("_Kind", "tag target least_m pref window term")
 
 
-def _binomial_term(l: int, s: Fraction, alternating: bool) -> Callable[[int], Fraction]:
-    """i -> (pi/sin(pi s)) C(l, l/2 + k + s), an exact rational, at k = i for
-    even l and k = i + 1/2 for odd l; times (-1)^i / (k + s) when alternating.
-    The entry l/2 + k + s is the integer (l + l%2)/2 + i plus s."""
+def _window(l: int | None, window: Window) -> Callable[[int], range]:
+    """The window of the seven windowed kinds at m, as `Window.indices`
+    gives it: the half-integer kinds pass l = None, and k = i + 1/2 for them
+    and for odd l.  Even l has no symmetric window: C(l, l/2 + x) is
+    symmetric only about x = 0, and the entries x = k + s lie symmetrically
+    about it only at s = 1/2, where pis and pis2 give the values of the kinds
+    pi and pi2."""
+    odd = (l or 0) % 2 == 1
+    if window is Window.SYMMETRIC and l is not None and not odd:
+        raise ParameterError(f"even l = {l} has no symmetric window")
+    return lambda m: window.indices(m, odd)
+
+
+def _binomial(tag: str, target: float, l: int, s: Fraction, window: Callable[[int], range],
+              alternating: bool) -> _Kind:
+    """The binomial kind whose term at i is (pi/sin(pi s)) C(l, l/2 + k + s),
+    an exact rational, at k = i for even l and k = i + 1/2 for odd l, times
+    (-1)^i / (k + s) when alternating; the entry l/2 + k + s is the integer
+    (l + l%2)/2 + i plus s.  The prefactor is 2^-l, or with alternation
+    (l/2)!^2 / l! = 1/C(l, l/2), without the factor pi that (l/2)!^2 carries
+    for odd l: C(l, l/2) is then taken as its rational factor."""
     base, offset = (l + l % 2) // 2, Fraction(l % 2, 2) + s
 
     def term(i: int) -> Fraction:
         c = beta_coeff(l, base + i, s)
         return c * (-1 if i % 2 else 1) / (i + offset) if alternating else c
 
-    return term
-
-
-def _window(l: int | None, window: Window) -> Callable[[int], range]:
-    """The window of the seven windowed kinds at m.  Under 'symmetric' i runs
-    over [-m-1, m], which i -> -1-i maps onto itself; 'paper' drops its top
-    end for odd l, where k = i + 1/2, and its bottom end otherwise: for even
-    l, where k = i, and for the half-integer kinds, which pass l = None and
-    where k = i + 1/2.  Even l has no symmetric window: C(l, l/2 + x) is
-    symmetric only about x = 0, and the entries x = k + s lie symmetrically
-    about it only at s = 1/2, where pis and pis2 give the values of the kinds
-    pi and pi2."""
-    odd = (l or 0) % 2
-    if window is Window.PAPER:
-        return lambda m: range(-m - odd, m + 1 - odd)
-    if l is not None and not odd:
-        raise ParameterError(f"even l = {l} has no symmetric window")
-    return lambda m: range(-m - 1, m + 1)
-
-
-def _central(l: int) -> Fraction:
-    """(l/2)!^2 / l! = 1/C(l, l/2), without the factor pi that (l/2)!^2
-    carries for odd l: C(l, l/2) is then taken as its rational factor."""
-    return 1 / shifted_binomial(l, Fraction(l, 2))
+    pref = 1 / shifted_binomial(l, Fraction(l, 2)) if alternating else Fraction(1, 2**l)
+    return _Kind(tag, target, 1, pref, window, term)
 
 
 def _pi(l: int, window: Window = Window.PAPER) -> _Kind:
     """2^-l sum of pi C(l, l/2 + k), k half-integer: the shifted (2 cos pi t)^l at t = 0."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
-    return _Kind("pi", math.pi, 1, Fraction(1, 2**l), _window(None, window),
-                 _binomial_term(l, Fraction(1, 2), alternating=False))
+    return _binomial("pi", math.pi, l, Fraction(1, 2), _window(None, window), alternating=False)
 
 
 def _pi2(l: int, window: Window = Window.PAPER) -> _Kind:
     """((l/2)!^2/l!) sum of pi C(l, l/2 + k) (-1)^(k-1/2)/k: the term-wise integral."""
     if l <= 0 or l % 2:
         raise ParameterError("l must be a positive even integer")
-    return _Kind("pi^2", math.pi**2, 1, _central(l), _window(None, window),
-                 _binomial_term(l, Fraction(1, 2), alternating=True))
+    return _binomial("pi^2", math.pi**2, l, Fraction(1, 2), _window(None, window),
+                     alternating=True)
 
 
 def _check_shift(s: Fraction) -> None:
@@ -154,8 +148,7 @@ def _pis(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     _check_shift(s)
     if l < 0:
         raise ParameterError("l must be >= 0")
-    return _Kind("pi/sin(pi*s)", _cosecant(s), 1, Fraction(1, 2**l), _window(l, window),
-                 _binomial_term(l, s, alternating=False))
+    return _binomial("pi/sin(pi*s)", _cosecant(s), l, s, _window(l, window), alternating=False)
 
 
 def _pis2(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
@@ -164,36 +157,38 @@ def _pis2(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
     if l < 0 or l % 2:
         raise ParameterError("l must be even; use kind pis-odd for odd l")
     c = _cosecant(s)  # c * c, not c ** 2, which raises OverflowError past double range
-    return _Kind("(pi/sin(pi*s))^2", c * c, 1, _central(l), _window(l, window),
-                 _binomial_term(l, s, alternating=True))
+    return _binomial("(pi/sin(pi*s))^2", c * c, l, s, _window(l, window), alternating=True)
 
 
 def _pis_odd(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
-    """pis2 for odd l; _central drops the extra pi of (l/2)!^2 at half-integer l/2.
+    """pis2 for odd l; `_binomial` drops the extra pi of (l/2)!^2 at half-integer l/2.
     The target pi/(sin(pi s) cos(pi s)) is 2 pi/sin(2 pi s)."""
     if l < 1 or l % 2 == 0:
         raise ParameterError("l must be odd")
     _check_shift(s)
     if s == Fraction(1, 2):
         raise ParameterError("target pi/(sin cos) is undefined at s = 1/2")
-    return _Kind("pi/(sin(pi*s)*cos(pi*s))", 2 * _cosecant(2 * s), 1, _central(l),
-                 _window(l, window), _binomial_term(l, s, alternating=True))
+    return _binomial("pi/(sin(pi*s)*cos(pi*s))", 2 * _cosecant(2 * s), l, s, _window(l, window),
+                     alternating=True)
 
 
 def _odd_A_sums(
-    pref: int, weighted: list[tuple[Fraction | int, SumSpec]], tag: str, target: float
+    pref: int, weighted: list[tuple[Fraction | int, SumSpec]], rn: int, tag: str = "",
+    factor: float = 1.0,
 ) -> _Kind:
     """Sums over (weight, spec) in weighted of weight times the pi^2-stripped
     odd-A coefficient of spec, at A = 2i+1 for i = 0..m, each term from one
-    weighted `Coefficients` that lasts the whole sweep."""
+    weighted `Coefficients` that lasts the whole sweep.  The limit is
+    pi^2 C(rn, rn/2), times the float factor that `tag` names."""
+    target = math.pi**2 * as_float(math.comb(rn, rn // 2)) * factor
     odd = Coefficients(weighted, Family.ODD)
-    return _Kind(tag, target, 0, pref, lambda m: range(m + 1), lambda i: odd(2 * i + 1))
+    return _Kind("pi^2*C(rn,rn/2)" + tag, target, 0, pref, lambda m: range(m + 1),
+                 lambda i: odd(2 * i + 1))
 
 
 def _cum(spec: SumSpec) -> _Kind:
     """2 sum over odd A = 1..2m+1 of the pi^2-stripped odd coefficients."""
-    target = math.pi**2 * as_float(math.comb(spec.r * spec.n, spec.r * spec.n // 2))
-    return _odd_A_sums(2, [(1, spec)], "pi^2*C(rn,rn/2)", target)
+    return _odd_A_sums(2, [(1, spec)], spec.r * spec.n)
 
 
 def _agg(n: int, g: int, r: int = 2) -> _Kind:
@@ -202,10 +197,7 @@ def _agg(n: int, g: int, r: int = 2) -> _Kind:
         (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp)))
         for comp in enumerate_g_compositions(n, g)
     ]
-    target = (
-        math.pi**2 * as_float(math.comb(r * n, r * n // 2)) * as_float(math.comb(g * n, n))
-    )
-    return _odd_A_sums(2 * g * n, weighted, "pi^2*C(rn,rn/2)*C(gn,n)", target)
+    return _odd_A_sums(2 * g * n, weighted, r * n, "*C(gn,n)", as_float(math.comb(g * n, n)))
 
 
 def _ratio(spec: SumSpec, A: int, window: Window, truncated: Family, limit: Family) -> _Kind:
@@ -247,7 +239,8 @@ _KINDS: dict[str, Callable[..., _Kind]] = {
 
 def sweep(kind: str, ms: Iterable[int], **params) -> Iterator[SeqRecord]:
     """The records of one sequence kind, one per distinct m of ms, in
-    ascending m, each computed as it is yielded.
+    ascending m, each computed as it is yielded.  A range with a positive
+    step is taken as it is, so a sweep holds no list of its m.
 
     params are the keyword parameters of the kind's builder in `_KINDS`;
     that signature is the one list of what a kind takes, and the CLI's `seq`
@@ -259,13 +252,14 @@ def sweep(kind: str, ms: Iterable[int], **params) -> Iterator[SeqRecord]:
     if kind not in _KINDS:
         raise ParameterError(f"unknown sequence kind {kind!r}")
     seq = _KINDS[kind](**params)
-    ms = sorted(set(ms))
+    if not (isinstance(ms, range) and ms.step > 0):
+        ms = sorted(set(ms))
     if ms and ms[0] < seq.least_m:
         raise ParameterError(f"m must be >= {seq.least_m}")
     return _records(seq, ms)
 
 
-def _records(seq: _Kind, ms: list[int]) -> Iterator[SeqRecord]:
+def _records(seq: _Kind, ms: Iterable[int]) -> Iterator[SeqRecord]:
     """The record of seq at each m of ms, ascending: each window adds only
     the indices the previous one lacked."""
     total, done = Fraction(0), range(0)
@@ -300,10 +294,6 @@ class GComposition(Value):
             run = run + 1 if v == 0 else 0
             if run > self.g - 2:
                 raise ParameterError(f"more than {self.g - 2} consecutive zeros")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
 
     @property
     def j(self) -> int:

@@ -24,6 +24,10 @@ whose rows are the `Family` members:
     four           even  4           eliminated           -, with k_3 and k_4
                                                           on half-integer windows
 
+Every half-integer window, here and in the windowed `seq` kinds, is the one
+that `Window.indices` gives for the truncation convention and m; here
+`half_window` reads it, doubled.
+
 A binomial at a half-integer entry, like g at a half-integer d, is an exact
 rational times 1/pi, so every term is a plain rational, and each family
 carries one fixed power of 1/pi, `Family.pi_exp`.  `Coefficients` returns
@@ -63,7 +67,7 @@ from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
 
-from .exact import ParameterError, Value, beta_coeff, newton_binomial
+from .exact import ParameterError, Value, shifted_binomial
 
 __all__ = [
     "SumSpec",
@@ -76,28 +80,34 @@ __all__ = [
 
 
 class Window(str, Enum):
-    """Truncation conventions for the infinite half-integer sums.
-
-    'paper' is the one-sided window [-m+1/2, m+1/2]; 'symmetric' extends it
-    to [-m-1/2, m+1/2] so the A -> -A (anti)symmetry is exact at every
-    finite truncation, not only in the limit.  The seq kinds `pis`, `pis2`
-    and `pis-odd` at odd l take the other one-sided window, [-m-1/2, m-1/2],
-    as 'paper' (see `sequences._window`).
+    """Truncation conventions for the infinite half-integer sums: 'paper' is
+    one-sided, and 'symmetric' adds the missing end, so that the A -> -A
+    (anti)symmetry is exact at every finite truncation, not only in the
+    limit.  `indices` is the one place where their windows are written.
     """
 
     PAPER = "paper"
     SYMMETRIC = "symmetric"
 
+    def indices(self, m: int, odd_l: bool = False) -> range:
+        """The integer indices i of the window at m, with k = i + 1/2 for a
+        half-integer k: [-m-1, m] under 'symmetric'; under 'paper' [-m, m],
+        or [-m-1, m-1] at odd l.  Each window holds 0 and the window at
+        every smaller m."""
+        if self is Window.SYMMETRIC:
+            return range(-m - 1, m + 1)
+        return range(-m - odd_l, m + 1 - odd_l)
+
 
 def half_window(m: int | None, window: Window = Window.SYMMETRIC) -> range:
-    """The half-integers k of the truncation window at size m, ascending, each
-    given doubled: the odd integers 2k from -2m+1 (from -2m-1 when symmetric)
-    to 2m+1.  Every windowed family reads its m here, so this is where a
-    missing one is reported."""
+    """The half-integers k = i + 1/2 of the truncation window at size m,
+    ascending, each given doubled as 2i + 1 over the indices i of
+    `Window.indices`.  Every windowed family reads its m here, so this is
+    where a missing one is reported."""
     if m is None or m < 1:
         raise ParameterError("a half-integer window needs a truncation m >= 1")
-    lo = -2 * m - 1 if window is Window.SYMMETRIC else -2 * m + 1
-    return range(lo, 2 * m + 2, 2)
+    i = window.indices(m)
+    return range(2 * i.start + 1, 2 * i.stop + 1, 2)
 
 
 class SumSpec(Value):
@@ -193,11 +203,9 @@ class Family(str, Enum):
 
 
 def _pi_binomial(n: int, e2: int) -> Pair:
-    """C(n, e2/2), times pi when e2/2 = k + 1/2 is a half-integer: always
-    rational, and returned reduced."""
-    if e2 % 2 == 0:
-        return newton_binomial(n, e2 // 2), 1
-    c = beta_coeff(n, (e2 - 1) // 2, Fraction(1, 2))
+    """C(n, e2/2), times pi when e2/2 is a half-integer: the rational
+    `shifted_binomial`, as a reduced Pair."""
+    c = shifted_binomial(n, Fraction(e2, 2))
     return c.numerator, c.denominator
 
 
@@ -234,22 +242,23 @@ def _axis(n: int, half: bool, m: int | None, window: Window) -> range:
 
 
 def _tail_weights(
-    spec: SumSpec, half_axes: tuple[int, ...], m: int | None, window: Window, rows: Rows
+    spec: SumSpec, w: Fraction, half_axes: tuple[int, ...], m: int | None, window: Window,
+    rows: Rows,
 ) -> dict[tuple[int, int], Pair]:
-    """The tail lattice k_3..k_j collapsed, one axis at a time, to the summed
-    weights W of the points that share the doubled entries (e1, e2) of the two
-    eliminated binomials: e1 = n1 + 2 s2 and e2 = n2 - 2 s1 start at (n1, n2),
-    the key of the empty tail, and axis i moves them by 2 k_i (i-2) and
-    -2 k_i (i-1)."""
-    weights: dict[tuple[int, int], Pair] = {(spec.r * spec.l[0], spec.r * spec.l[1]): (1, 1)}
+    """The tail lattice k_3..k_j of spec, at weight w, collapsed one axis at a
+    time to w times the summed weights W of the points that share the doubled
+    entries (e1, e2) of the two eliminated binomials: e1 = n1 + 2 s2 and
+    e2 = n2 - 2 s1 start at (n1, n2), the key of the empty tail, whose weight
+    is w, and axis i moves them by 2 k_i (i-2) and -2 k_i (i-1)."""
+    weights = {(spec.r * spec.l[0], spec.r * spec.l[1]): (w.numerator, w.denominator)}
     for i in range(3, spec.j + 1):
         n = spec.r * spec.l[i - 1]
         grown: dict[tuple[int, int], Pair] = {}
         for k2 in _axis(n, i in half_axes, m, window):
             c = rows[n, n + k2]
-            for (e1, e2), w in weights.items():
+            for (e1, e2), v in weights.items():
                 key = e1 + (i - 2) * k2, e2 - (i - 1) * k2
-                grown[key] = _dot(((w, c), (grown.get(key, (0, 1)), (1, 1))))  # += w c
+                grown[key] = _dot(((v, c), (grown.get(key, (0, 1)), (1, 1))))  # += v c
         weights = grown
     return weights
 
@@ -267,15 +276,15 @@ def _merged_tail(
     window: Window,
     rows: Rows,
 ) -> Tail:
-    """The tail weights of every spec of weighted, each built once and
-    scaled by its weight, with the specs that share both entry keys added
-    into one weight there."""
+    """The tail weights of every spec of weighted, each built once at its
+    weight, with the specs that share both entry keys added into one weight
+    there."""
     tail: Tail = {}
     for w, spec in weighted:
         n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
-        wp, wq, outer = w.numerator, w.denominator, tail.setdefault(n1, defaultdict(dict))
-        for (e1, e2), (p, q) in _tail_weights(spec, half_axes, m, window, rows).items():
-            inner, key, c = outer[e1], (n2, e2), (wp * p, wq * q)
+        outer = tail.setdefault(n1, defaultdict(dict))
+        for (e1, e2), c in _tail_weights(spec, w, half_axes, m, window, rows).items():
+            inner, key = outer[e1], (n2, e2)
             inner[key] = _dot(((c, (1, 1)), (inner[key], (1, 1)))) if key in inner else c
     return tail
 

@@ -410,6 +410,17 @@ def test_bad_flag_value_says_what_to_type(tmp_path: Path, args, hint):
     assert hint in error and "_parse" not in cp.stderr and "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("text, ms", [
+    ("5", range(5, 6)),
+    ("1:10000000", range(1, 10000001)),
+    ("2:9:3", range(2, 10, 3)),
+    ("-1:3", range(-1, 4)),
+])
+def test_m_sweep_is_a_range(text, ms):
+    # a range, which sweep takes as it is, so no list of the m is made
+    assert cli._parse_m_sweep(text) == ms
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 def test_closed_stdout_ends_the_process_by_sigpipe():
     """A reader that closes stdout early ends the process as it ends `cat`:

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -492,6 +493,20 @@ def test_sweep_order_and_validation(monkeypatch):
         sequences.enumerate_g_compositions(0, 2)
     with pytest.raises(ValueError):
         sequences.enumerate_g_compositions(2, 1)
+
+
+def test_sweep_holds_no_list_of_a_range():
+    # a range with a positive step is swept as it is: the first record of a
+    # million m costs no set or list of them
+    tracemalloc.start()
+    try:
+        assert next(sequences.sweep("pi", range(1, 10**6 + 1), l=2)).m == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # any other iterable, a range with a negative step included, is sorted first
+    assert [rec.m for rec in sequences.sweep("pi", range(5, 0, -2), l=2)] == [1, 3, 5]
 
 
 def test_sweep_computes_each_record_as_it_is_yielded(monkeypatch):

@@ -308,6 +308,19 @@ def test_odd_sinc_handles_zero_parts():
 
 
 def test_half_window_shapes():
+    # Window.indices is the one window rule: [-m-1, m] symmetric, [-m, m]
+    # paper, and [-m-1, m-1] paper at odd l
+    for odd_l in (False, True):
+        assert list(Window.SYMMETRIC.indices(1, odd_l)) == [-2, -1, 0, 1]
+        assert list(Window.SYMMETRIC.indices(2, odd_l)) == [-3, -2, -1, 0, 1, 2]
+    assert list(Window.PAPER.indices(1)) == [-1, 0, 1]
+    assert list(Window.PAPER.indices(2)) == [-2, -1, 0, 1, 2]
+    assert list(Window.PAPER.indices(1, odd_l=True)) == [-2, -1, 0]
+    assert list(Window.PAPER.indices(2, odd_l=True)) == [-3, -2, -1, 0, 1]
+    # half_window doubles them as 2i + 1
+    for window in Window:
+        for m in (1, 2):
+            assert list(half_window(m, window)) == [2 * i + 1 for i in window.indices(m)]
     assert list(half_window(1, Window.PAPER)) == [-1, 1, 3]
     assert list(half_window(1, Window.SYMMETRIC)) == [-3, -1, 1, 3]
     assert len(half_window(10, Window.PAPER)) == 21
