@@ -38,6 +38,7 @@ import signal
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import sums
 from .exact import ParameterError, as_float
@@ -127,7 +128,11 @@ def _exact_cols(x: int | Fraction) -> dict[str, str]:
 
 def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
     """Write the rows to the file --out, or else to stdout: CSV row by row as
-    they come, so that no copy of the table is held, and JSON in one write."""
+    they come, so that no copy of the table is held, and JSON in one write.
+    The first row is computed before --out is opened or a header written, so
+    an error in it leaves no output and no file."""
+    rows = iter(rows)
+    rows = chain([*islice(rows, 1)], rows)
 
     def write(f) -> None:
         if fmt == "csv":
@@ -275,22 +280,19 @@ def _cmd_coeffs(ns) -> int:
         A_values = coeffs.default_A_range()
     else:
         a_min = -ns.a_max if ns.a_min is None else ns.a_min
-        A_values = [A for A in range(a_min, ns.a_max + 1) if A % 2 == family.parity]
+        A_values = range(a_min + (a_min - family.parity) % 2, ns.a_max + 1, 2)
         if not A_values:
             raise UsageError(
                 f"no A of {'odd' if family.parity else 'even'} parity in [{a_min}, {ns.a_max}]"
             )
-    # each coefficient carries its family's power of 1/pi, and a zero none; a
-    # list, since Coefficients reports a missing --m at its first call
-    rows = []
-    for A in A_values:
-        c = coeffs(A)
-        rows.append({
-            "A": A,
-            **_exact_cols(c),
-            "pi_exp": family.pi_exp if c else 0,
-            "float": as_float(c, family.pi_exp),
-        })
+    # each coefficient carries its family's power of 1/pi, and a zero none;
+    # Coefficients reports a missing --m at every call, so at the first row,
+    # which _emit computes before it writes anything
+    rows = (
+        {"A": A, **_exact_cols(c), "pi_exp": family.pi_exp if c else 0,
+         "float": as_float(c, family.pi_exp)}
+        for A in A_values for c in [coeffs(A)]
+    )
     _emit(rows, ["A", "num", "den", "pi_exp", "float"], ns.format, ns.out)
     return 0
 

@@ -87,7 +87,7 @@ def _window(l: int | None, window: Window) -> Callable[[int], range]:
     symmetric only about x = 0, and the entries x = k + s lie symmetrically
     about it only at s = 1/2, where pis and pis2 give the values of the kinds
     pi and pi2."""
-    odd = (l or 0) % 2 == 1
+    odd, window = (l or 0) % 2 == 1, Window(window)
     if window is Window.SYMMETRIC and l is not None and not odd:
         raise ParameterError(f"even l = {l} has no symmetric window")
     return lambda m: window.indices(m, odd)

@@ -52,7 +52,10 @@ inside, with e1 = n1 + 2 s2 and e2 = n2 - 2 s1:
 Specs that share both keys add their w W once, when the tail is built, so
 each A costs one lattice sum however many specs there are.  The families
 with a k_1 axis take H((e1 - n1 + A)/2) in place of the outer binomial, and
-group the outer sum by n1, the row their axis runs over.
+sum one k_1 term, `Coefficients.k1_term`, over the rows n1: a table runs that
+term over one axis, the half-integer window or the integers
+|k_1| <= max n1/2 (where a smaller row's entry is 0), and a ratio sweep runs
+it over its window, one term at a time.
 Every binomial entry comes from the object's own `Rows` store, which
 computes each once.  Nothing is cached at module level.
 The sums run over integer numerators and one common denominator per
@@ -106,7 +109,7 @@ def half_window(m: int | None, window: Window = Window.SYMMETRIC) -> range:
     where a missing one is reported."""
     if m is None or m < 1:
         raise ParameterError("a half-integer window needs a truncation m >= 1")
-    i = window.indices(m)
+    i = Window(window).indices(m)
     return range(2 * i.start + 1, 2 * i.stop + 1, 2)
 
 
@@ -202,20 +205,16 @@ class Family(str, Enum):
         return bool(self.half_axes)
 
 
-def _pi_binomial(n: int, e2: int) -> Pair:
-    """C(n, e2/2), times pi when e2/2 is a half-integer: the rational
-    `shifted_binomial`, as a reduced Pair."""
-    c = shifted_binomial(n, Fraction(e2, 2))
-    return c.numerator, c.denominator
-
-
 class Rows(dict):
-    """The binomial row entries _pi_binomial(n, e2), keyed (n, e2), each
-    computed on first use and kept as long as the store is.  An entry depends
-    on n and e2 alone, so one store serves every spec of a weighted sum."""
+    """The binomial row entries C(n, e2/2), times pi when e2/2 is a
+    half-integer: the rational `shifted_binomial`, as a reduced Pair keyed
+    (n, e2), each computed on first use and kept as long as the store is.
+    An entry depends on n and e2 alone, so one store serves every spec of a
+    weighted sum."""
 
     def __missing__(self, key: tuple[int, int]) -> Pair:
-        value = self[key] = _pi_binomial(*key)
+        c = shifted_binomial(key[0], Fraction(key[1], 2))
+        value = self[key] = c.numerator, c.denominator
         return value
 
 
@@ -300,10 +299,14 @@ class Coefficients:
     costs one lattice sum however many specs there are.  Every binomial entry
     comes from the object's own `Rows` store, which computes each once.  Each
     sum runs over integer numerators and one common denominator, and each
-    coefficient becomes one Fraction at the end.  ParameterError reports a
-    spec with too few parts here, an A of the wrong parity at each call, and
-    a missing m where `half_window` reads it: here for the tail axes of
-    `four`, at each call for the k_1 axis of `shifted` and `antisym`.
+    coefficient becomes one Fraction at the end.  A family with a k_1 axis
+    has one k_1 term, summed over the rows n1: a call runs it over one axis,
+    and `k1_term` gives it to a ratio sweep, which runs the window itself.
+    `family` and `window` may be members or their string values.
+    ParameterError reports a spec with too few parts here, an A of the wrong
+    parity at each call, and a missing m where `half_window` reads it: here
+    for the tail axes of `four`, at each call for the k_1 axis of `shifted`
+    and `antisym`.
     """
 
     def __init__(
@@ -341,12 +344,11 @@ class Coefficients:
                     found.append((e1, v))
         return inner
 
-    def _k1(self, inner: list[tuple[int, Pair]], A: int, n1: int, k2: int) -> Pair:
-        """The term that k1_term documents, at k_1 = k2/2 on row n1, as a Pair."""
-        p, q = self.rows[n1, n1 + k2]
-        g, d2 = self.family.weight, A - n1 - k2
-        s, t = _dot((v, g(e1 + d2)) for e1, v in inner)
-        return p * s, q * t
+    def _k1(self, inner: dict[int, list[tuple[int, Pair]]], A: int, k2: int) -> Pair:
+        """The term that k1_term documents, at k_1 = k2/2, as a Pair."""
+        g, rows = self.family.weight, self.rows
+        return _dot((rows[n1, n1 + k2], _dot((v, g(e1 + A - n1 - k2)) for e1, v in found))
+                    for n1, found in inner.items())
 
     def __call__(self, A: int) -> Fraction:
         """The coefficient at A times pi^pi_exp: the module docstring's sum."""
@@ -357,12 +359,9 @@ class Coefficients:
                 (v, rows[n1, e1 + A]) for n1, found in inner.items() for e1, v in found
             )
         else:
-            half = 1 in family.half_axes
-            # every axis is formed first, so a missing m is reported at every A
-            axes = [(n1, _axis(n1, half, self.m, self.window)) for n1 in inner]
-            num, den = _dot(
-                (self._k1(inner[n1], A, n1, k2), (1, 1)) for n1, axis in axes for k2 in axis
-            )
+            # the axis is formed before the sum, so a missing m is reported at every A
+            axis = _axis(max(inner), 1 in family.half_axes, self.m, self.window)
+            num, den = _dot((self._k1(inner, A, k2), (1, 1)) for k2 in axis)
         return Fraction(num, den)
 
     def k1_term(self, A: int) -> Callable[[int], Fraction]:
@@ -371,14 +370,12 @@ class Coefficients:
             sum over n1 of pi^[k_1 half-integer] C(n1, n1/2 + k_1)
                 sum over e1 of inner[n1, e1] pi g(A/2 + (e1 - n1)/2 - k_1)
 
-        The coefficient is the sum of these terms over the family's k_1 axis.
-        The caller runs that axis, so no m is read."""
+        A call sums these terms over the family's k_1 axis; here the caller
+        runs the axis, so no m is read."""
         if self.family.weight is None:
             raise ParameterError(f"family {self.family.value} eliminates k_1")
         inner = self._inner(A)
-        return lambda k2: Fraction(*_dot(
-            (self._k1(found, A, n1, k2), (1, 1)) for n1, found in inner.items()
-        ))
+        return lambda k2: Fraction(*self._k1(inner, A, k2))
 
     def residues(self) -> dict[int, Fraction]:
         """{a: rho1_a}, nonzero: pi^2 odd(A) is the sum over even a of

@@ -527,6 +527,29 @@ def test_seq_writes_its_first_row_before_its_last_record_is_computed(monkeypatch
     assert seen == ["".join(lines[:5])]
 
 
+def test_coeffs_computes_each_row_as_it_is_written(monkeypatch):
+    """`coeffs` hands _emit its rows as it computes them, so no table is
+    held: when the first data row reaches stdout, one coefficient of 20001
+    has been computed."""
+    calls, written, call = [], [], sums.Coefficients.__call__
+
+    def counted(coeffs, A):
+        calls.append(A)
+        return call(coeffs, A)
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            written.append((text, len(calls)))
+            return super().write(text)
+
+    monkeypatch.setattr(sums.Coefficients, "__call__", counted)
+    with contextlib.redirect_stdout(Stdout()):
+        assert cli.main(["coeffs", "--family", "even", "--r", "2", "--l", "1,1",
+                         "--a-min", "-20000", "--a-max", "20000"]) == 0
+    assert written[:2] == [("A,num,den,pi_exp,float\n", 1), ("-20000,0,1,0,0.0\n", 1)]
+    assert len(calls) == 20001
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_digits_past_the_int_str_limit(capsys, fmt):
     # the denominator at m = 5000 has more digits than str() allows by default

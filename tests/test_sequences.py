@@ -414,6 +414,22 @@ def test_sequence_windows_selectable():
     assert abs(b.approx - math.pi) < 1
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("pi", {"l": 2}),
+    ("ratio-pi", {"spec": SumSpec(r=2, l=(1, 2)), "A": 2}),
+])
+def test_window_by_value(kind, params):
+    # a plain string gives the member's value
+    for window, value in [(Window.PAPER, "paper"), (Window.SYMMETRIC, "symmetric")]:
+        by_value = list(sweep(kind, range(1, 6), **params, window=value))
+        assert by_value == list(sweep(kind, range(1, 6), **params, window=window)), value
+
+
+def test_even_l_has_no_symmetric_window_by_value():
+    with pytest.raises(ParameterError, match="no symmetric window"):
+        sweep("pis", [1], l=2, s=S3, window="symmetric")
+
+
 # ---------------------------------- sweeps ----------------------------------
 
 SWEEP_MS = [1, 2, *range(5, 18, 4)]  # 1, 2, 5, 9, 13, 17

@@ -165,18 +165,18 @@ def test_tables_are_built_once_per_call(monkeypatch):
     oracle expansions build one W per Coefficients object, each with its own
     store, so no entry is computed more times than there are objects."""
     builds, entries = [], Counter()
-    tail_weights, pi_binomial = sums._tail_weights, sums._pi_binomial
+    tail_weights, missing = sums._tail_weights, sums.Rows.__missing__
 
     def counted_tail_weights(spec, *args):
         builds.append(spec)
         return tail_weights(spec, *args)
 
-    def counted_pi_binomial(n, e2):
-        entries[n, e2] += 1
-        return pi_binomial(n, e2)
+    def counted_missing(rows, key):
+        entries[key] += 1
+        return missing(rows, key)
 
     monkeypatch.setattr(sums, "_tail_weights", counted_tail_weights)
-    monkeypatch.setattr(sums, "_pi_binomial", counted_pi_binomial)
+    monkeypatch.setattr(sums.Rows, "__missing__", counted_missing)
     spec = SumSpec(r=2, l=(1, 2, 1, 1))
     odd, even = list(range(-9, 10, 2)), list(range(-8, 9, 2))
     for family, A_values, m in [
@@ -327,6 +327,19 @@ def test_half_window_shapes():
     assert len(half_window(10, Window.SYMMETRIC)) == 22
     with pytest.raises(ValueError):
         half_window(0, Window.PAPER)
+
+
+@pytest.mark.parametrize("family", [Family.SHIFTED, Family.FOUR])
+def test_family_and_window_by_value(family):
+    # a plain string gives the member's value, for the family and the window
+    spec, A_values = SumSpec(r=2, l=(1, 2, 1, 1)), range(-6, 7, 2)
+    tables = {}
+    for window, value in [(Window.PAPER, "paper"), (Window.SYMMETRIC, "symmetric")]:
+        tables[window] = [Coefficients(spec, family, 3, window)(A) for A in A_values]
+        by_value = Coefficients(spec, family.value, 3, value)
+        assert [by_value(A) for A in A_values] == tables[window], value
+        assert list(half_window(3, value)) == list(half_window(3, window))
+    assert tables[Window.PAPER] != tables[Window.SYMMETRIC]
 
 
 def test_shifted_partial_m1_value():
