@@ -38,6 +38,7 @@ past double range is inf.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
@@ -273,14 +274,15 @@ def _records(seq: _Kind, ms: Iterable[int]) -> Iterator[SeqRecord]:
 
 class GComposition(Value):
     """Composition of n into non-negative parts: interior runs of zeros are
-    capped at g-2 and boundary parts are nonzero."""
+    capped at g-2 and boundary parts are nonzero.  g and each part are taken
+    by `operator.index`, as the fields of a `SumSpec` are."""
 
     __slots__ = ("parts", "g")
     parts: tuple[int, ...]
     g: int
 
     def __init__(self, parts: Iterable[int], g: int):
-        super().__init__(tuple(int(v) for v in parts), g)
+        super().__init__(tuple(map(operator.index, parts)), operator.index(g))
         if self.g < 2:
             raise ParameterError("g must be >= 2")
         if not self.parts or any(v < 0 for v in self.parts):

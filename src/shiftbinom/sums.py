@@ -65,6 +65,7 @@ coefficient, and each coefficient becomes one Fraction at the end.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from enum import Enum
@@ -118,7 +119,9 @@ class SumSpec(Value):
 
     The phase p/q of the integral is no part of it: every family is the
     coefficient of e^(i pi A p/q), whatever p/q, and the phase enters only
-    the oracle's side of an identity.
+    the oracle's side of an identity.  r and each part are taken by
+    `operator.index`: a bool becomes an int, and a float or a string raises
+    TypeError rather than being truncated.
     """
 
     __slots__ = ("r", "l")
@@ -126,7 +129,7 @@ class SumSpec(Value):
     l: tuple[int, ...]
 
     def __init__(self, r: int, l: Iterable[int]):
-        super().__init__(r, tuple(int(v) for v in l))
+        super().__init__(operator.index(r), tuple(map(operator.index, l)))
         if self.r < 2 or self.r % 2:
             raise ParameterError("r must be a positive even integer")
         if len(self.l) < 2:
@@ -262,30 +265,11 @@ def _tail_weights(
     return weights
 
 
-# The merged tail of a weighted sum of specs, {n1: {e1: {(n2, e2): sum of w W}}}:
-# each spec's tail weights W[e1, e2] times its weight w, keyed by its rows n1
-# and n2 and the doubled entries e1 and e2 of its two eliminated binomials.
-Tail = dict[int, dict[int, dict[tuple[int, int], Pair]]]
-
-
-def _merged_tail(
-    weighted: list[tuple[Fraction, SumSpec]],
-    half_axes: tuple[int, ...],
-    m: int | None,
-    window: Window,
-    rows: Rows,
-) -> Tail:
-    """The tail weights of every spec of weighted, each built once at its
-    weight, with the specs that share both entry keys added into one weight
-    there."""
-    tail: Tail = {}
-    for w, spec in weighted:
-        n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
-        outer = tail.setdefault(n1, defaultdict(dict))
-        for (e1, e2), c in _tail_weights(spec, w, half_axes, m, window, rows).items():
-            inner, key = outer[e1], (n2, e2)
-            inner[key] = _dot(((c, (1, 1)), (inner[key], (1, 1)))) if key in inner else c
-    return tail
+# The merged tail of a weighted sum of specs, {(n1, e1): {(n2, e2): sum of w W}}:
+# each spec's tail weights W[e1, e2] times its weight w, keyed outside by its
+# row n1 and the doubled entry e1 of its first eliminated binomial, and inside
+# by its row n2 and the doubled entry e2 of its second.
+Tail = dict[tuple[int, int], dict[tuple[int, int], Pair]]
 
 
 class Coefficients:
@@ -293,20 +277,22 @@ class Coefficients:
     evaluated at any A.
 
     `terms` is one SumSpec, the sum of one term of weight 1, or an iterable
-    of (weight, spec) pairs, whose coefficient is the sum of weight times
-    each spec's.  Every spec's tail weights W are built once, here, and
-    merged by the doubled entries of the two eliminated binomials, so each A
-    costs one lattice sum however many specs there are.  Every binomial entry
-    comes from the object's own `Rows` store, which computes each once.  Each
-    sum runs over integer numerators and one common denominator, and each
-    coefficient becomes one Fraction at the end.  A family with a k_1 axis
-    has one k_1 term, summed over the rows n1: a call runs it over one axis,
-    and `k1_term` gives it to a ratio sweep, which runs the window itself.
+    of (weight, spec) pairs, read once, whose coefficient is the sum of
+    weight times each spec's.  As the pairs are read, each spec's tail
+    weights W are built once and merged into `tail`, keyed by the doubled
+    entries of the two eliminated binomials (the module docstring's
+    {(n1, e1): {(n2, e2): sum of w W}}), so each A costs one lattice sum
+    however many specs there are.  Every binomial entry comes from the
+    object's own `Rows` store, which computes each once.  Each sum runs over
+    integer numerators and one common denominator, and each coefficient
+    becomes one Fraction at the end.  A family with a k_1 axis has one k_1
+    term, summed over the rows n1: a call runs it over one axis, and
+    `k1_term` gives it to a ratio sweep, which runs the window itself.
     `family` and `window` may be members or their string values.
-    ParameterError reports a spec with too few parts here, an A of the wrong
-    parity at each call, and a missing m where `half_window` reads it: here
-    for the tail axes of `four`, at each call for the k_1 axis of `shifted`
-    and `antisym`.
+    ParameterError reports no spec, or a spec with too few parts, here; an A
+    of the wrong parity at each call; and a missing m where `half_window`
+    reads it: here for the tail axes of `four`, at each call for the k_1
+    axis of `shifted` and `antisym`.
     """
 
     def __init__(
@@ -317,31 +303,34 @@ class Coefficients:
         window: Window = Window.SYMMETRIC,
     ):
         self.family, self.m, self.window = Family(family), m, window
-        weighted = [(Fraction(w), spec) for w, spec in
-                    ([(1, terms)] if isinstance(terms, SumSpec) else terms)]
-        if not weighted:
+        half_axes, self.rows = self.family.half_axes, Rows()
+        self.tail: Tail = {}
+        for w, spec in [(1, terms)] if isinstance(terms, SumSpec) else terms:
+            if max(half_axes, default=0) > spec.j:
+                raise ParameterError(
+                    f"family {self.family.value} needs at least {max(half_axes)} parts"
+                )
+            n1, n2 = spec.r * spec.l[0], spec.r * spec.l[1]
+            weights = _tail_weights(spec, Fraction(w), half_axes, m, window, self.rows)
+            for (e1, e2), c in weights.items():
+                group, key = self.tail.setdefault((n1, e1), {}), (n2, e2)
+                group[key] = _dot(((c, (1, 1)), (group[key], (1, 1)))) if key in group else c
+        if not self.tail:
             raise ParameterError("a weighted sum needs at least one spec")
-        half_axes = self.family.half_axes
-        if max(half_axes, default=0) > min(spec.j for _, spec in weighted):
-            raise ParameterError(
-                f"family {self.family.value} needs at least {max(half_axes)} parts"
-            )
-        self.rows = Rows()
-        self.tail = _merged_tail(weighted, half_axes, m, window, self.rows)
 
     def _inner(self, A: int) -> dict[int, list[tuple[int, Pair]]]:
         """{n1: [(e1, inner)]}: inner is the sum over the keys (n2, e2) of the
         merged tail at (n1, e1) of w W C(n2, (e2 - A)/2), and the zeros are
-        dropped; A's parity is checked first."""
+        dropped, but every row n1 keeps its key, since a call reads its k_1
+        axis from the largest; A's parity is checked first."""
         if A % 2 != self.family.parity:
             raise ParameterError(f"A must be {'odd' if self.family.parity else 'even'}")
         rows, inner = self.rows, {}
-        for n1, outer in self.tail.items():
-            found = inner[n1] = []
-            for e1, group in outer.items():
-                v = _dot((c, rows[n2, e2 - A]) for (n2, e2), c in group.items())
-                if v[0]:
-                    found.append((e1, v))
+        for (n1, e1), group in self.tail.items():
+            v = _dot((c, rows[n2, e2 - A]) for (n2, e2), c in group.items())
+            found = inner.setdefault(n1, [])
+            if v[0]:
+                found.append((e1, v))
         return inner
 
     def _k1(self, inner: dict[int, list[tuple[int, Pair]]], A: int, k2: int) -> Pair:
@@ -392,20 +381,19 @@ class Coefficients:
         if self.family.half_axes:
             raise ParameterError(f"family {self.family.value} has half-integer axes: no residues")
         rows, terms = self.rows, defaultdict(list)
-        for n1, outer in self.tail.items():
-            for e1, group in outer.items():
-                by_a2 = defaultdict(list)
-                for (n2, e2), c in group.items():
-                    for j2 in range(n2 + 1):
-                        t = (-1) ** ((e2 // 2 + j2) % 2) * rows[n2, 2 * j2][0], 1
-                        by_a2[e2 - 2 * j2].append((c, t))
-                b_by_a1 = {2 * j1 - e1: (4 * (-1) ** ((e1 // 2 + j1) % 2) * rows[n1, 2 * j1][0], 1)
-                           for j1 in range(n1 + 1)}
-                t_by_a2 = {a2: v for a2, ts in by_a2.items() if (v := _dot(ts))[0]}
-                for side, other in ((b_by_a1, t_by_a2), (t_by_a2, b_by_a1)):
-                    for a, f in side.items():
-                        s = _dot((v, _over(1, a - a_)) for a_, v in other.items() if a_ != a)
-                        terms[a].append((f, s))
+        for (n1, e1), group in self.tail.items():
+            by_a2 = defaultdict(list)
+            for (n2, e2), c in group.items():
+                for j2 in range(n2 + 1):
+                    t = (-1) ** ((e2 // 2 + j2) % 2) * rows[n2, 2 * j2][0], 1
+                    by_a2[e2 - 2 * j2].append((c, t))
+            b_by_a1 = {2 * j1 - e1: (4 * (-1) ** ((e1 // 2 + j1) % 2) * rows[n1, 2 * j1][0], 1)
+                       for j1 in range(n1 + 1)}
+            t_by_a2 = {a2: v for a2, ts in by_a2.items() if (v := _dot(ts))[0]}
+            for side, other in ((b_by_a1, t_by_a2), (t_by_a2, b_by_a1)):
+                for a, f in side.items():
+                    s = _dot((v, _over(1, a - a_)) for a_, v in other.items() if a_ != a)
+                    terms[a].append((f, s))
         return {a: v for a, ts in sorted(terms.items()) if (v := Fraction(*_dot(ts)))}
 
     def default_A_range(self) -> list[int]:
@@ -420,12 +408,7 @@ class Coefficients:
         it the entry e2 - A leaves [0, 2 n2] for every key, so the coefficient
         vanishes identically.
         """
-        entries = [
-            (n1, e1, n2, e2)
-            for n1, outer in self.tail.items()
-            for e1, group in outer.items()
-            for n2, e2 in group
-        ]
+        entries = [(n1, e1, n2, e2) for (n1, e1), group in self.tail.items() for n2, e2 in group]
         if self.family is Family.EVEN:
             sup: set[int] = set()
             for n1, e1, n2, e2 in entries:

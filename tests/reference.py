@@ -204,18 +204,17 @@ def pole_residues(coeffs: Coefficients) -> tuple[dict[int, Fraction], dict[int, 
     4 (-1)^((e1 + e2)/2 + j1 + j2) C(n1, j1) C(n2, j2) c.  No grouping."""
     double: Counter = Counter()
     simple: Counter = Counter()
-    for n1, outer in coeffs.tail.items():
-        for e1, group in outer.items():
-            for (n2, e2), (p, q) in group.items():
-                for j1, j2 in itertools.product(range(n1 + 1), range(n2 + 1)):
-                    a1, a2 = 2 * j1 - e1, e2 - 2 * j2
-                    sign = -1 if ((e1 + e2) // 2 + j1 + j2) % 2 else 1
-                    bt = Fraction(4 * sign * math.comb(n1, j1) * math.comb(n2, j2) * p, q)
-                    if a1 == a2:
-                        double[a1] += bt
-                    else:
-                        simple[a1] += bt / (a1 - a2)
-                        simple[a2] -= bt / (a1 - a2)
+    for (n1, e1), group in coeffs.tail.items():
+        for (n2, e2), (p, q) in group.items():
+            for j1, j2 in itertools.product(range(n1 + 1), range(n2 + 1)):
+                a1, a2 = 2 * j1 - e1, e2 - 2 * j2
+                sign = -1 if ((e1 + e2) // 2 + j1 + j2) % 2 else 1
+                bt = Fraction(4 * sign * math.comb(n1, j1) * math.comb(n2, j2) * p, q)
+                if a1 == a2:
+                    double[a1] += bt
+                else:
+                    simple[a1] += bt / (a1 - a2)
+                    simple[a2] -= bt / (a1 - a2)
     return ({a: v for a, v in sorted(double.items()) if v},
             {a: v for a, v in sorted(simple.items()) if v})
 

@@ -320,6 +320,20 @@ def test_value_types_report_bad_fields(make, message):
     assert str(raised.value) == message
 
 
+# an integer field takes an integer or a bool, and neither truncates a float
+# nor reads a string digit by digit
+@pytest.mark.parametrize("make", [
+    lambda: SumSpec(r=2, l=(1.5, 1)),
+    lambda: SumSpec(r=2, l="11"),
+    lambda: SumSpec(r=2.0, l=(1, 1)),
+    lambda: GComposition((1, 2), 2.0),
+    lambda: GComposition((1.5, 1), 2),
+], ids=["l-float", "l-string", "r-float", "g-float", "parts-float"])
+def test_value_types_refuse_fields_that_are_not_integers(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_cg_weight_examples():
     assert cg_weight(GComposition((2,), 2)) == Fraction(1, 2)
     assert cg_weight(GComposition((1, 1), 2)) == Fraction(1)

@@ -594,10 +594,21 @@ def test_weighted_default_A_range_reads_the_merged_keys():
 
 
 def test_weighted_coefficients_check_every_spec():
-    with pytest.raises(ParameterError, match="at least one spec"):
-        Coefficients([], Family.EVEN)
-    with pytest.raises(ParameterError, match="needs at least 4 parts"):
-        Coefficients([*WEIGHTED, (1, SumSpec(r=2, l=(1, 1, 1)))], Family.FOUR, 2)
+    # the pairs are read once, so a generator gives what its list gives
+    for empty in ([], (pair for pair in [])):
+        with pytest.raises(ParameterError, match="at least one spec"):
+            Coefficients(empty, Family.EVEN)
+    short = (1, SumSpec(r=2, l=(1, 1, 1)))
+    for terms in ([*WEIGHTED, short], (pair for pair in [short, *WEIGHTED])):
+        with pytest.raises(ParameterError, match="needs at least 4 parts"):
+            Coefficients(terms, Family.FOUR, 2)
+    for family in (Family.EVEN, Family.ODD, Family.ANTISYM_EXACT):
+        listed = Coefficients(WEIGHTED, family)
+        read = Coefficients((pair for pair in WEIGHTED), family)
+        assert read.tail == listed.tail and type(read.tail) is dict
+        assert all(isinstance(key, tuple) and len(key) == 2 for key in read.tail)
+        for A in range(-9 + 1 - family.parity, 10, 4):
+            assert read(A) == listed(A), (family, A)
 
 
 @pytest.mark.parametrize("spec", GRID, ids=lambda spec: ",".join(map(str, spec.l)))
