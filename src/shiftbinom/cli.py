@@ -297,29 +297,29 @@ def _cmd_coeffs(ns) -> int:
     return 0
 
 
-def _kind_params(kind: str) -> list:
-    """The parameters of kind's builder, as inspect.Parameter: the one list of
-    what the kind takes."""
-    import inspect
-
+def _kind_params(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameter names of kind's builder, and those of them with no
+    default: the one list of what the kind takes."""
     from . import sequences
 
-    return list(inspect.signature(sequences._KINDS[kind]).parameters.values())
+    build = sequences._KINDS[kind]
+    names = build.__code__.co_varnames[: build.__code__.co_argcount]
+    return names, names[: len(names) - len(build.__defaults__ or ())]
 
 
 def _cmd_seq(ns) -> int:
     from . import sequences
 
-    kind, params = ns.kind, _kind_params(ns.kind)
-    given = _given(ns, f"kind {kind}", [p.name for p in params],
-                   [p.name for other in sequences._KINDS for p in _kind_params(other)])
-    for param in params:
-        if param.name == "l":  # a kind that takes l outside a spec takes one value
+    kind, (names, required) = ns.kind, _kind_params(ns.kind)
+    given = _given(ns, f"kind {kind}", names,
+                   [name for other in sequences._KINDS for name in _kind_params(other)[0]])
+    for name in names:
+        if name == "l":  # a kind that takes l outside a spec takes one value
             if len(given.get("l", ())) != 1:
                 raise UsageError(f"kind {kind} takes --l with a single value")
             given["l"] = given["l"][0]
-        elif param.name not in given and param.default is param.empty:
-            raise UsageError(f"kind {kind} needs --{param.name}")
+        elif name not in given and name in required:
+            raise UsageError(f"kind {kind} needs --{name}")
     if ns.m is None:
         raise UsageError("--m is required (single value or start:stop:stride)")
     # sweep checks every parameter and every m when it is called, so a usage

@@ -42,9 +42,9 @@ import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, groupby, product
 
-from .exact import ParameterError, Value, as_float, beta_coeff, newton_binomial, shifted_binomial
+from .exact import ParameterError, Value, as_float, beta_coeff, shifted_binomial
 from .sums import Coefficients, Family, SumSpec, Window
 
 __all__ = [
@@ -174,30 +174,33 @@ def _pis_odd(l: int, s: Fraction, window: Window = Window.PAPER) -> _Kind:
 
 
 def _odd_A_sums(
-    pref: int, weighted: list[tuple[Fraction | int, SumSpec]], rn: int, tag: str = "",
+    pref: int, terms: SumSpec | Iterable[tuple[Fraction | int, SumSpec]], rn: int, tag: str = "",
     factor: float = 1.0,
 ) -> _Kind:
-    """Sums over (weight, spec) in weighted of weight times the pi^2-stripped
-    odd-A coefficient of spec, at A = 2i+1 for i = 0..m, each term from one
-    weighted `Coefficients` that lasts the whole sweep.  The limit is
-    pi^2 C(rn, rn/2), times the float factor that `tag` names."""
+    """Sums of the pi^2-stripped odd-A coefficient of terms, one SumSpec or
+    (weight, spec) pairs as `Coefficients` takes them, at A = 2i+1 for
+    i = 0..m, each term from one weighted `Coefficients` that lasts the whole
+    sweep.  The limit is pi^2 C(rn, rn/2), times the float factor that `tag`
+    names."""
     target = math.pi**2 * as_float(math.comb(rn, rn // 2)) * factor
-    odd = Coefficients(weighted, Family.ODD)
+    odd = Coefficients(terms, Family.ODD)
     return _Kind("pi^2*C(rn,rn/2)" + tag, target, 0, pref, lambda m: range(m + 1),
                  lambda i: odd(2 * i + 1))
 
 
 def _cum(spec: SumSpec) -> _Kind:
     """2 sum over odd A = 1..2m+1 of the pi^2-stripped odd coefficients."""
-    return _odd_A_sums(2, [(1, spec)], spec.r * spec.n)
+    return _odd_A_sums(2, spec, spec.r * spec.n)
 
 
 def _agg(n: int, g: int, r: int = 2) -> _Kind:
     """g n sum over the g-compositions of n of cg_weight times their cum terms."""
-    weighted = [
-        (cg_weight(comp), SumSpec(r=r, l=_spec_parts(comp)))
+    # sum specs need j >= 2; a single-part composition gets one zero appended,
+    # which leaves the integrand and the sum rule unchanged
+    weighted = (
+        (cg_weight(comp), SumSpec(r=r, l=comp.parts if comp.j >= 2 else comp.parts + (0,)))
         for comp in enumerate_g_compositions(n, g)
-    ]
+    )
     return _odd_A_sums(2 * g * n, weighted, r * n, "*C(gn,n)", as_float(math.comb(g * n, n)))
 
 
@@ -291,11 +294,8 @@ class GComposition(Value):
             raise ParameterError("composition must have positive total")
         if self.parts[0] == 0 or self.parts[-1] == 0:
             raise ParameterError("leading/trailing zero parts are not allowed")
-        run = 0
-        for v in self.parts:
-            run = run + 1 if v == 0 else 0
-            if run > self.g - 2:
-                raise ParameterError(f"more than {self.g - 2} consecutive zeros")
+        if any(v == 0 and len(list(run)) > self.g - 2 for v, run in groupby(self.parts)):
+            raise ParameterError(f"more than {self.g - 2} consecutive zeros")
 
     @property
     def j(self) -> int:
@@ -330,23 +330,13 @@ def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
 
 
 def cg_weight(comp: GComposition) -> Fraction:
-    """Composition weight: head multinomial prefactor times the window-sum
-    binomial product.  A composition of fewer than g parts has no window of
-    g parts, so its weight is the prefactor alone: zero parts padded up to g
-    would add only factors C(., 0) = 1."""
-    g, l, j = comp.g, comp.parts, comp.j
-    head = sum(l[: g - 1])
-    pref = Fraction(
-        math.factorial(head - 1), math.prod(math.factorial(v) for v in l[: g - 1])
-    )
-    w = pref
-    for i in range(j - g + 1):
-        w *= newton_binomial(sum(l[i : i + g]) - 1, l[i + g - 1])
-    return w
-
-
-def _spec_parts(comp: GComposition) -> tuple[int, ...]:
-    # sum specs need j >= 2; a single-part composition gets one zero appended,
-    # which leaves the integrand and the sum rule unchanged
-    return comp.parts if comp.j >= 2 else comp.parts + (0,)
-
+    """Composition weight: the head multinomial (h-1)!/prod of the head parts'
+    factorials, h the sum of the first g-1 parts, times one binomial
+    C(window sum - 1, last part) per window of g consecutive parts.  A
+    composition of fewer than g parts has no window of g parts, so its weight
+    is the prefactor alone: zero parts padded up to g would add only factors
+    C(., 0) = 1."""
+    g, l = comp.g, comp.parts
+    windows = (math.comb(sum(l[i : i + g]) - 1, l[i + g - 1]) for i in range(comp.j - g + 1))
+    return Fraction(math.factorial(sum(l[: g - 1]) - 1) * math.prod(windows),
+                    math.prod(map(math.factorial, l[: g - 1])))

@@ -65,6 +65,7 @@ coefficient, and each coefficient becomes one Fraction at the end.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import defaultdict
 from collections.abc import Callable, Iterable
@@ -278,11 +279,14 @@ class Coefficients:
 
     `terms` is one SumSpec, the sum of one term of weight 1, or an iterable
     of (weight, spec) pairs, read once, whose coefficient is the sum of
-    weight times each spec's.  As the pairs are read, each spec's tail
-    weights W are built once and merged into `tail`, keyed by the doubled
-    entries of the two eliminated binomials (the module docstring's
-    {(n1, e1): {(n2, e2): sum of w W}}), so each A costs one lattice sum
-    however many specs there are.  Every binomial entry comes from the
+    weight times each spec's.  A weight is taken exactly, by `Fraction(w)`:
+    an int, a Fraction, a string such as "1/10" or a Decimal; a float, a
+    numpy float included, raises TypeError, since it would be taken at its
+    binary value, as `SumSpec` refuses a float field.  As the pairs are
+    read, each spec's tail weights W are built once and merged into `tail`,
+    keyed by the doubled entries of the two eliminated binomials (the
+    module docstring's {(n1, e1): {(n2, e2): sum of w W}}), so each A costs
+    one lattice sum however many specs there are.  Every binomial entry comes from the
     object's own `Rows` store, which computes each once.  Each sum runs over
     integer numerators and one common denominator, and each coefficient
     becomes one Fraction at the end.  A family with a k_1 axis has one k_1
@@ -306,6 +310,8 @@ class Coefficients:
         half_axes, self.rows = self.family.half_axes, Rows()
         self.tail: Tail = {}
         for w, spec in [(1, terms)] if isinstance(terms, SumSpec) else terms:
+            if isinstance(w, numbers.Real) and not isinstance(w, numbers.Rational):
+                raise TypeError(f"a weight must be exact, not the float {w!r}")
             if max(half_axes, default=0) > spec.j:
                 raise ParameterError(
                     f"family {self.family.value} needs at least {max(half_axes)} parts"

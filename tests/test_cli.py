@@ -451,7 +451,7 @@ def test_seq_flags_are_the_builder_parameters():
     from shiftbinom.sequences import _KINDS
 
     def kind_flags(kind):
-        return cli._flags(p.name for p in cli._kind_params(kind))
+        return cli._flags(cli._kind_params(kind)[0])
 
     seq = _sub_parser("seq")
     parser_flags = {a.dest for a in seq._actions if a.option_strings}
@@ -649,7 +649,7 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 _SPEC = ["--r", "2", "--l", "1,1"]
 # each command, and the modules that it runs without: every command imports
-# only what it runs, and only seq reads the builders' signatures (inspect);
+# only what it runs, and seq reads the builders' parameters without inspect;
 # none loads typing, which only a run under -S shows, since a site .pth file
 # may import it before shiftbinom.cli is
 _UNUSED_IMPORTS = {
@@ -660,7 +660,8 @@ _UNUSED_IMPORTS = {
     "verify-sum-rule": (["verify", "sum-rule", *_SPEC], {"inspect", "dataclasses"}),
     "verify-odd-equality": (["verify", "odd-equality", *_SPEC, "--a-max", "3"],
                             {"inspect", "dataclasses"}),
-    "seq": (["seq", "pi", "--l", "2", "--m", "1:3"], {"json", "shiftbinom.oracle"}),
+    "seq": (["seq", "pi", "--l", "2", "--m", "1:3"],
+            {"json", "shiftbinom.oracle", "inspect", "dataclasses"}),
 }
 
 
@@ -1050,7 +1051,7 @@ _VALUES = {
 _VARIANTS = {
     "verify": {**{check: cli._flags(params) for check, (params, _) in cli._CHECKS.items()},
                "all": ["r", "l", "p", "q", "a_max", "n", "g"]},
-    "seq": {kind: [*cli._flags(p.name for p in cli._kind_params(kind)), "m", "format"]
+    "seq": {kind: [*cli._flags(cli._kind_params(kind)[0]), "m", "format"]
             for kind in importlib.import_module("shiftbinom.sequences")._KINDS},
     "coeffs": {family.value: ["family", "r", "l", "a_min", "a_max", "format",
                               *(("m", "window") if family.needs_m else ())]

@@ -302,6 +302,8 @@ def test_value_types_refuse_assignment(name):
     assert a == make()
 
 
+# each value type's field checks, and the parameter checks that no other
+# in-process test reaches, each with its message
 @pytest.mark.parametrize("make, message", [
     (lambda: SumSpec(r=3, l=(1, 1)), "r must be a positive even integer"),
     (lambda: SumSpec(r=0, l=(1, 1)), "r must be a positive even integer"),
@@ -313,6 +315,11 @@ def test_value_types_refuse_assignment(name):
     (lambda: GComposition((0,), 2), "composition must have positive total"),
     (lambda: GComposition((0, 1), 3), "leading/trailing zero parts are not allowed"),
     (lambda: GComposition((1, 0, 0, 1), 3), "more than 1 consecutive zeros"),
+    (lambda: GComposition((1, 0, 1, 0, 0, 0, 1), 4), "more than 2 consecutive zeros"),
+    (lambda: shifted_binomial(-1, HALF), "l must be non-negative"),
+    (lambda: sweep("pis", [1], l=-1, s=S3), "l must be >= 0"),
+    (lambda: Coefficients(SumSpec(r=2, l=(1, 1)), Family.EVEN).k1_term(0),
+     "family even eliminates k_1"),
 ])
 def test_value_types_report_bad_fields(make, message):
     with pytest.raises(ParameterError) as raised:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -591,6 +592,25 @@ def test_weighted_default_A_range_reads_the_merged_keys():
     assert Coefficients(positive, Family.ANTISYM_EXACT).default_A_range() == max(spans, key=len)
     even = Coefficients(positive, Family.EVEN)
     assert [A for A in range(-40, 41, 2) if even(A)] == even.default_A_range()
+
+
+def test_exact_weights_give_the_exact_coefficient():
+    # 1/10 of the weight-1 coefficient 4, whichever exact form 1/10 takes
+    spec = SumSpec(r=2, l=(1, 1))
+    for w in (Fraction(1, 10), "1/10", Decimal("0.1")):
+        assert Coefficients([(w, spec)], Family.EVEN)(0) == Fraction(2, 5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: 0.1,
+    lambda: pytest.importorskip("numpy").float64(0.1),
+    lambda: pytest.importorskip("numpy").float32(0.1),
+], ids=["float", "numpy.float64", "numpy.float32"])
+def test_a_float_weight_raises(make):
+    # a float would be taken at its binary value, 3602879701896397/2^55 for 0.1
+    terms = ((w, SumSpec(r=2, l=(1, 1))) for w in [make()])
+    with pytest.raises(TypeError, match="exact"):
+        Coefficients(terms, Family.EVEN)
 
 
 def test_weighted_coefficients_check_every_spec():
