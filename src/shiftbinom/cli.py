@@ -104,37 +104,30 @@ class UsageError(Exception):
     pass
 
 
+# the interpreter's limit on the digits of an int <-> str conversion, which
+# Python has from 3.10.7 on; 0 lifts it
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
 # ----------------------------- output emission ----------------------------
-
-
-def _exact_str(x: int | Fraction) -> str:
-    """str(x), also past the interpreter's limit on int-to-str digits: the
-    limit is lifted for this one conversion only, and only when it bites."""
-    try:
-        return str(x)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(x)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 def _exact_cols(x: int | Fraction) -> dict[str, str]:
     """The `num` and `den` columns of the exact value x."""
-    return {"num": _exact_str(x.numerator), "den": _exact_str(x.denominator)}
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
-    """Write the rows to the file --out, or else to stdout: CSV row by row as
-    they come, so that no copy of the table is held, and JSON in one write.
+    """Write the rows to the file --out, or else to stdout, as they come, so
+    that no copy of the table is held: CSV row by row, and JSON in blocks of
+    64 rows, whose bytes join to those of the dump of the whole list.
     The first row is computed before --out is opened or a header written, so
-    an error in it leaves no output and no file."""
+    an error in it leaves no output and no file; main reports a failed write."""
     rows = iter(rows)
     rows = chain([*islice(rows, 1)], rows)
-
-    def write(f) -> None:
+    f = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
         if fmt == "csv":
             writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
@@ -142,15 +135,14 @@ def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None
         else:
             import json
 
-            f.write(json.dumps(list(rows), indent=2) + "\n")
-
-    if not out:
-        return write(sys.stdout)
-    try:
-        with open(out, "w", encoding="utf-8") as f:
-            write(f)
-    except OSError as e:
-        raise UsageError(f"cannot write --out {out}: {e.strerror}")
+            sep = "["  # each block's dump less its brackets, after "[" or ","
+            while block := list(islice(rows, 64)):
+                f.write(sep + json.dumps(block, indent=2)[1:-2])
+                sep = ","
+            f.write("[]\n" if sep == "[" else "\n]\n")
+    finally:
+        if out:
+            f.close()
 
 
 # ------------------------------- subcommands ------------------------------
@@ -190,8 +182,8 @@ def _exact_record(check: str, lhs: int | Fraction, rhs: int | Fraction) -> dict:
     """The record of an exact check of lhs == rhs: abs_err is "exact" when it
     passes, and |lhs - rhs| otherwise."""
     ok = lhs == rhs
-    return {"check": check, "lhs": _exact_str(lhs), "rhs": _exact_str(rhs),
-            "abs_err": "exact" if ok else _exact_str(abs(lhs - rhs)), "pass": ok}
+    return {"check": check, "lhs": str(lhs), "rhs": str(rhs),
+            "abs_err": "exact" if ok else str(abs(lhs - rhs)), "pass": ok}
 
 
 # A check's runner takes its name and, as keywords, the given parameters that
@@ -488,27 +480,46 @@ def main(argv: list[str] | None = None) -> int:
     # the subcommand is the first token that is no option: the top-level
     # parser has no option that takes a value
     ap = _build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
+    ns, limit = None, _get_digits()
     try:
         ns = ap.parse_args(argv)
         if ns.config:
             # argv[0] is the subcommand; the file's flags go after it and
             # before the command line's own, which therefore win
             ns = ap.parse_args([argv[0], *_config_flags(ns.config, ns.parser), *argv[1:]])
-        return ns.run(ns)
+        # flag values are parsed under the digit limit, and exact values
+        # are written past it, in full
+        _set_digits(0)
+        code = ns.run(ns)
+        sys.stdout.flush()
+        return code
     except (UsageError, ParameterError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except OSError as e:
+        # a run reads no file, so this is a write of its output that failed
+        where = f"--out {ns.out}" if getattr(ns, "out", None) else "stdout"
+        sys.stderr.write(f"error: cannot write {where}: {e.strerror}\n")
         return 2
     except Exception as e:
         # a bug, not a failed check or a bad flag: keep it out of codes 1 and 2;
         # a ValueError that is not a ParameterError lands here too
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return 3
+    finally:
+        _set_digits(limit)
 
 
 def run() -> None:
     """The console script and `python -m shiftbinom`: main(), except that a
     reader that closes stdout early ends the process as it ends `cat`, by
-    SIGPIPE, with nothing on stderr."""
+    SIGPIPE, with nothing on stderr.  main has flushed stdout, or reported
+    the write to it that failed; stdout is unset before exit, so that the
+    interpreter does not flush it again, which would report such a failure
+    a second time and exit 120.  Its object still writes what a bug left
+    unflushed as the interpreter shuts down."""
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    sys.stdout = None
+    sys.exit(code)

@@ -214,7 +214,9 @@ class Rows(dict):
     half-integer: the rational `shifted_binomial`, as a reduced Pair keyed
     (n, e2), each computed on first use and kept as long as the store is.
     An entry depends on n and e2 alone, so one store serves every spec of a
-    weighted sum."""
+    weighted sum.  The sums over the eliminated binomials skip an integer
+    entry off its row, e2 outside [0, 2 n], which is 0, so a table over a
+    wide range of A stores no zero per A."""
 
     def __missing__(self, key: tuple[int, int]) -> Pair:
         c = shifted_binomial(key[0], Fraction(key[1], 2))
@@ -333,7 +335,8 @@ class Coefficients:
             raise ParameterError(f"A must be {'odd' if self.family.parity else 'even'}")
         rows, inner = self.rows, {}
         for (n1, e1), group in self.tail.items():
-            v = _dot((c, rows[n2, e2 - A]) for (n2, e2), c in group.items())
+            v = _dot((c, rows[n2, e2 - A]) for (n2, e2), c in group.items()
+                     if (e2 - A) % 2 or 0 <= e2 - A <= 2 * n2)
             found = inner.setdefault(n1, [])
             if v[0]:
                 found.append((e1, v))
@@ -352,6 +355,7 @@ class Coefficients:
         if family.weight is None:
             num, den = _dot(
                 (v, rows[n1, e1 + A]) for n1, found in inner.items() for e1, v in found
+                if (e1 + A) % 2 or 0 <= e1 + A <= 2 * n1
             )
         else:
             # the axis is formed before the sum, so a missing m is reported at every A

@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import errno
 import importlib
 import inspect
 import io
@@ -567,6 +568,117 @@ def test_exact_digits_past_the_int_str_limit(capsys, fmt):
         exact = next(sweep("pi", [5000], l=2)).exact
         assert len(row["den"]) > 4300
         assert Fraction(int(row["num"]), int(row["den"])) == exact
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 64, 65, 129])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_emit_json_blocks_join_to_the_dump_of_the_whole_list(tmp_path: Path, rows, to_file):
+    """JSON is written in blocks of 64 rows, whose bytes join to those of one
+    dump of the whole list, the empty list and a block boundary included."""
+    table = [{"m": m, "num": str(7**m), "float": m / 3, "pass": m % 2 == 0} for m in range(rows)]
+    out, path = io.StringIO(), tmp_path / "table.json"
+    with contextlib.redirect_stdout(out):
+        cli._emit(iter(table), ["m", "num", "float", "pass"], "json", str(path) if to_file else None)
+    written = path.read_text(encoding="utf-8") if to_file else out.getvalue()
+    assert written == json.dumps(table, indent=2) + "\n"
+    assert out.getvalue() == ("" if to_file else written)
+
+
+def test_seq_writes_its_first_json_block_before_its_last_record_is_computed(monkeypatch):
+    """A JSON `seq` holds no more than one block of 64 rows: when the record
+    at m = 70 is computed, the rows of m = 1..64 are already on stdout."""
+    from shiftbinom import sequences
+
+    out, record, seen = io.StringIO(), sequences._record, []
+
+    def watched(m, *args):
+        if m == 70:
+            seen.append(out.getvalue())
+        return record(m, *args)
+
+    monkeypatch.setattr(sequences, "_record", watched)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["seq", "pi", "--l", "2", "--m", "1:70", "--format", "json"]) == 0
+    [before] = seen
+    assert out.getvalue().startswith(before)
+    assert json.loads(before + "\n]") == json.loads(out.getvalue())[:64]
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: `write`, or only `flush`, raises ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        return self._full() if self.failing == "write" else super().write(text)
+
+    def flush(self):
+        return self._full() if self.failing == "flush" else super().flush()
+
+
+_EVERY_COMMAND = {
+    "seq": ["seq", "pi", "--l", "2", "--m", "1"],
+    "seq-json": ["seq", "pi", "--l", "2", "--m", "1", "--format", "json"],
+    "coeffs": ["coeffs", "--family", "even", "--r", "2", "--l", "1,1"],
+    "compositions": ["compositions", "--n", "3", "--g", "2"],
+    "verify": ["verify", "sum-rule", "--r", "2", "--l", "1,1"],
+}
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+def test_failed_stdout_write_exits_2(capsys, command, failing):
+    """A write to stdout that fails is a usage error of the destination, as
+    a failed --out is: one `error:` line and exit 2, on every subcommand."""
+    with contextlib.redirect_stdout(_FullStdout(failing)):
+        assert cli.main(_EVERY_COMMAND[command]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["seq", "verify"])
+def test_stdout_on_a_full_device_exits_2_once(command, buffered):
+    """A process whose stdout is full reports it once, and exits 2: a
+    buffered stdout is not flushed again at exit, which would report the
+    failure a second time and exit 120."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        cp = subprocess.run([sys.executable, *([] if buffered else ["-u"]), "-m", "shiftbinom",
+                             *_EVERY_COMMAND[command]],
+                            stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (cp.returncode, cp.stderr) == (2, "error: cannot write stdout: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["seq", "pi", "--l", "2", "--m", "5000"], 0),
+    (["verify", "identity", "--r", "2", "--l", "1,1"], 1),
+    (["coeffs", "--family", "odd", "--r", "2", "--l", "1,1"], 2),
+    (["seq", "pi", "--l", "2", "--m", "1:3"], 3),
+    (["verify", "identity", "--r", "2", "--l", "1,1", "--p", "1" * 5000], 2),
+], ids=["ok", "failed-check", "usage", "internal", "long-p"])
+def test_main_restores_the_int_str_digit_limit(monkeypatch, argv, code):
+    """main lifts the digit limit for the run alone: every exit leaves the
+    caller's limit as it was, and a flag value is parsed under it, so a
+    5000-digit --p is still a usage error."""
+    from shiftbinom import sequences
+
+    if code == 1:
+        monkeypatch.setattr(oracle, "even_expansion", lambda spec, phase: (1.0, 2.0))
+    if code == 3:
+        monkeypatch.setattr(sequences, "sweep", lambda *args, **kwargs: 1 / 0)
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert _main(argv)[0] == code
+        assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(outer)
 

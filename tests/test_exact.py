@@ -167,6 +167,22 @@ def test_term_ratio_holds_at_any_shift(l, k, s):
     assert shifted_binomial(l, x + 1) * (x + 1) == shifted_binomial(l, x) * (l - x)
 
 
+# every shift p/q in (0, 1) with q <= 60
+OPEN_SHIFTS = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 14), st.integers(-25, 25), OPEN_SHIFTS)
+def test_closed_product_is_its_partial_fractions(l, K, s):
+    # pi/sin(pi s) C(l, K + s) = (-1)^(K+1) sum_j (-1)^j C(l, j)/(j - K - s): one
+    # simple pole per factor of the closed product; each sign is an int, since
+    # (-1) ** K is a float at negative K
+    sign = 1 if K % 2 else -1
+    poles = sum(Fraction((-1) ** j * math.comb(l, j)) / (j - K - s) for j in range(l + 1))
+    assert beta_coeff(l, K, s) == sign * poles
+
+
 # a part l and an entry l' in [0, l], for l <= 6
 PARTS = st.integers(0, 6).flatmap(lambda l: st.tuples(st.just(l), st.integers(0, l)))
 

@@ -511,6 +511,19 @@ def test_even_default_A_range_is_support():
     assert Family.EVEN.pi_exp == 0
 
 
+def test_rows_store_no_entry_off_its_row():
+    """The sums skip an integer entry off its row, which is 0, so a wide
+    table stores no zero per A: 100,001 even A of `even --l 1,1` leave the
+    3 entries of row 2, and so do the A of `antisym-exact` on the same tail."""
+    even = Coefficients(SumSpec(r=2, l=(1, 1)), "even")
+    table = {A: even(A) for A in range(-100000, 100001, 2)}
+    assert len(even.rows) == 3
+    assert {A: c for A, c in table.items() if c} == {-2: 1, 0: 4, 2: 1}
+    limit = Coefficients(SumSpec(r=2, l=(1, 1)), "antisym-exact")
+    assert [limit(A) for A in range(-2000, 2001, 2)]
+    assert len(limit.rows) == 3
+
+
 def test_coefficients_parity_check():
     spec = SumSpec(r=2, l=(1, 1))
     odd = Coefficients(spec, Family.ODD)
