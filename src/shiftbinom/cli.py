@@ -33,7 +33,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import io
 import math
+import os
 import signal
 import sys
 from collections.abc import Iterable
@@ -118,6 +121,14 @@ def _exact_cols(x: int | Fraction) -> dict[str, str]:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _stdout():
+    """sys.stdout, which Python sets to None when fd 1 is closed at start-up:
+    a write to it then fails as a write to the closed fd would."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None) -> None:
     """Write the rows to the file --out, or else to stdout, as they come, so
     that no copy of the table is held: CSV row by row, and JSON in blocks of
@@ -126,7 +137,7 @@ def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str, out: str | None
     an error in it leaves no output and no file; main reports a failed write."""
     rows = iter(rows)
     rows = chain([*islice(rows, 1)], rows)
-    f = open(out, "w", encoding="utf-8") if out else sys.stdout
+    f = open(out, "w", encoding="utf-8") if out else _stdout()
     try:
         if fmt == "csv":
             writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
@@ -253,7 +264,7 @@ def _cmd_verify(ns) -> int:
         checks += run(name, **{p: given[p] for p in params if p in given})
     import json
 
-    sys.stdout.writelines(json.dumps(rec) + "\n" for rec in checks)
+    _stdout().writelines(json.dumps(rec) + "\n" for rec in checks)
     return 0 if all(rec["pass"] for rec in checks) else 1
 
 
@@ -480,7 +491,10 @@ def main(argv: list[str] | None = None) -> int:
     # the subcommand is the first token that is no option: the top-level
     # parser has no option that takes a value
     ap = _build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
-    ns, limit = None, _get_digits()
+    # Python sets sys.stderr to None when fd 2 is closed at start-up: every
+    # message, argparse's too, then goes nowhere, and the exit code alone reports
+    sys.stderr = sys.stderr or io.StringIO()
+    ns, line, limit = None, None, _get_digits()
     try:
         ns = ap.parse_args(argv)
         if ns.config:
@@ -491,23 +505,23 @@ def main(argv: list[str] | None = None) -> int:
         # are written past it, in full
         _set_digits(0)
         code = ns.run(ns)
-        sys.stdout.flush()
-        return code
+        if sys.stdout is not None:  # --out leaves stdout unwritten, so it may be closed
+            sys.stdout.flush()
     except (UsageError, ParameterError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
+        code, line = 2, f"error: {e}"
     except OSError as e:
         # a run reads no file, so this is a write of its output that failed
         where = f"--out {ns.out}" if getattr(ns, "out", None) else "stdout"
-        sys.stderr.write(f"error: cannot write {where}: {e.strerror}\n")
-        return 2
+        code, line = 2, f"error: cannot write {where}: {e.strerror}"
     except Exception as e:
         # a bug, not a failed check or a bad flag: keep it out of codes 1 and 2;
         # a ValueError that is not a ParameterError lands here too
-        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
-        return 3
+        code, line = 3, f"internal error: {type(e).__name__}: {e}"
     finally:
         _set_digits(limit)
+    if line:
+        sys.stderr.write(line + "\n")
+    return code
 
 
 def run() -> None:

@@ -42,7 +42,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, combinations, groupby, product
+from itertools import chain, groupby
 
 from .exact import ParameterError, Value, as_float, beta_coeff, shifted_binomial
 from .sums import Coefficients, Family, SumSpec, Window
@@ -304,29 +304,33 @@ class GComposition(Value):
 
 def enumerate_g_compositions(n: int, g: int) -> Iterator[GComposition]:
     """All g-compositions of n, each exactly once, ordered by length and then
-    lexicographically by parts.
+    lexicographically by parts.  n and g are checked at the call; nothing is
+    built ahead, and each composition is made as it is yielded.
 
-    Each is built whole, without recursion: its k nonzero parts, a
-    composition of n into k parts cut at k-1 of the points 1..n-1, with a run
-    of 0..g-2 zeros in each of the k-1 gaps between them.  n and g are
-    checked, and every composition's parts found, at the call; each
-    GComposition is made as it is yielded.
+    At a fixed length a composition is a first part a >= 1, a run of 0..g-2
+    zeros, and the rest.  A zero sorts before any nonzero part, so the order
+    is a ascending, then the longest run, that is the shortest rest, first,
+    then the rest in its own order.  A rest of sum t can be any length from 1
+    to t(g-1) - (g-2), and only those lengths are taken, so every branch
+    yields.  The recursion takes one frame per nonzero part, at most n deep,
+    however many zeros a composition holds.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if g < 2:
         raise ParameterError("g must be >= 2")
-    found = []
-    for k in range(1, n + 1):
-        for cuts in combinations(range(1, n), k - 1):
-            nonzero = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
-            for runs in product(range(g - 1), repeat=k - 1):
-                parts = [nonzero[0]]
-                for run, v in zip(runs, nonzero[1:]):
-                    parts += [0] * run + [v]
-                found.append(tuple(parts))
-    found.sort(key=lambda parts: (len(parts), parts))
-    return (GComposition(parts, g) for parts in found)
+
+    def compose(head: tuple[int, ...], total: int, j: int) -> Iterator[tuple[int, ...]]:
+        """head followed by each g-composition of total of length j, in order."""
+        if j == 1:
+            yield head + (total,)
+            return
+        for a in range(1, total):
+            # the rest is 1 to (total - a)(g-1) - (g-2) long, after 0..g-2 zeros
+            for rest in range(max(1, j + 1 - g), min(j, (total - a) * (g - 1) - g + 3)):
+                yield from compose(head + (a,) + (0,) * (j - 1 - rest), total - a, rest)
+
+    return (GComposition(p, g) for j in range(1, n * (g - 1) - g + 3) for p in compose((), n, j))
 
 
 def cg_weight(comp: GComposition) -> Fraction:

@@ -632,14 +632,27 @@ _EVERY_COMMAND = {
 }
 
 
-@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("failing", ["write", "flush", "closed"])
 @pytest.mark.parametrize("command", _EVERY_COMMAND)
 def test_failed_stdout_write_exits_2(capsys, command, failing):
     """A write to stdout that fails is a usage error of the destination, as
-    a failed --out is: one `error:` line and exit 2, on every subcommand."""
-    with contextlib.redirect_stdout(_FullStdout(failing)):
+    a failed --out is: one `error:` line and exit 2, on every subcommand.
+    A stdout whose fd was closed at start-up, which Python sets to None,
+    fails as a write to a closed fd does."""
+    closed = failing == "closed"
+    with contextlib.redirect_stdout(None if closed else _FullStdout(failing)):
         assert cli.main(_EVERY_COMMAND[command]) == 2
-    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+    reason = os.strerror(errno.EBADF if closed else errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: cannot write stdout: {reason}\n"
+
+
+@pytest.mark.parametrize("command", [c for c in _EVERY_COMMAND if c != "verify"])
+def test_out_leaves_a_closed_stdout_alone(tmp_path: Path, command):
+    """A table written to --out touches no stdout, so a closed one (None)
+    changes neither the exit code nor the file's bytes."""
+    path = tmp_path / "table.out"
+    assert _main([*_EVERY_COMMAND[command], "--out", str(path)], "stdout") == (0, "", "")
+    assert path.read_text(encoding="utf-8") == _main(_EVERY_COMMAND[command])[1]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -657,23 +670,33 @@ def test_stdout_on_a_full_device_exits_2_once(command, buffered):
     assert (cp.returncode, cp.stderr) == (2, "error: cannot write stdout: No space left on device\n")
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["seq", "pi", "--l", "2", "--m", "5000"], 0),
-    (["verify", "identity", "--r", "2", "--l", "1,1"], 1),
-    (["coeffs", "--family", "odd", "--r", "2", "--l", "1,1"], 2),
-    (["seq", "pi", "--l", "2", "--m", "1:3"], 3),
-    (["verify", "identity", "--r", "2", "--l", "1,1", "--p", "1" * 5000], 2),
-], ids=["ok", "failed-check", "usage", "internal", "long-p"])
-def test_main_restores_the_int_str_digit_limit(monkeypatch, argv, code):
-    """main lifts the digit limit for the run alone: every exit leaves the
-    caller's limit as it was, and a flag value is parsed under it, so a
-    5000-digit --p is still a usage error."""
+# a run that ends with each exit code, once _exit_with has broken what it
+# needs; long-p is a usage error that argparse reports itself
+_EVERY_EXIT = {
+    "ok": (["seq", "pi", "--l", "2", "--m", "5000"], 0),
+    "failed-check": (["verify", "identity", "--r", "2", "--l", "1,1"], 1),
+    "usage": (["coeffs", "--family", "odd", "--r", "2", "--l", "1,1"], 2),
+    "internal": (["seq", "pi", "--l", "2", "--m", "1:3"], 3),
+    "long-p": (["verify", "identity", "--r", "2", "--l", "1,1", "--p", "1" * 5000], 2),
+}
+
+
+def _exit_with(monkeypatch, code: int) -> None:
+    """Break the oracle for the failed check (1), and sweep for the bug (3)."""
     from shiftbinom import sequences
 
     if code == 1:
         monkeypatch.setattr(oracle, "even_expansion", lambda spec, phase: (1.0, 2.0))
     if code == 3:
         monkeypatch.setattr(sequences, "sweep", lambda *args, **kwargs: 1 / 0)
+
+
+@pytest.mark.parametrize("argv, code", _EVERY_EXIT.values(), ids=_EVERY_EXIT)
+def test_main_restores_the_int_str_digit_limit(monkeypatch, argv, code):
+    """main lifts the digit limit for the run alone: every exit leaves the
+    caller's limit as it was, and a flag value is parsed under it, so a
+    5000-digit --p is still a usage error."""
+    _exit_with(monkeypatch, code)
     outer = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -681,6 +704,16 @@ def test_main_restores_the_int_str_digit_limit(monkeypatch, argv, code):
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(outer)
+
+
+@pytest.mark.parametrize("argv, code", _EVERY_EXIT.values(), ids=_EVERY_EXIT)
+def test_closed_stderr_keeps_the_exit_code(monkeypatch, argv, code):
+    """With stderr closed (None), every exit keeps its code and its stdout,
+    and nothing is printed: argparse's own usage error, which it would write
+    to stdout in place of a missing stderr, included."""
+    _exit_with(monkeypatch, code)
+    _, out, _ = _main(argv)
+    assert _main(argv, "stderr") == (code, out, "")
 
 
 # Runs in a fresh interpreter in which importing numpy fails and is recorded,
@@ -1186,10 +1219,14 @@ def _reparse(out: str, fmt: str) -> None:
         sys.set_int_max_str_digits(outer)
 
 
-def _main(argv: list[str]) -> tuple[int, str, str]:
-    """cli.main's exit code, stdout and stderr."""
+def _main(argv: list[str], closed: str | None = None) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr.  The stream that `closed`
+    names, "stdout" or "stderr", is None, as Python sets it when its fd is
+    closed at start-up, and reads as empty."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    streams = {"stdout": out, "stderr": err, closed: None}
+    with (contextlib.redirect_stdout(streams["stdout"]),
+          contextlib.redirect_stderr(streams["stderr"])):
         try:
             code = cli.main(argv)
         except SystemExit as done:  # argparse rejects a flag value
@@ -1204,8 +1241,9 @@ def test_exit_code_contract_holds_on_any_input(data):
     """0 ok, 1 a failed check, 2 a usage error with one `error:` line, and
     never a traceback, on every subcommand, seq kind and verify check.  A
     variant's own flags are given often, the others of its subcommand now and
-    then; the width of a coeffs A range stays small, its ends do not.  A
-    table is run again, now and then, with --out in a fresh directory."""
+    then; the width of a coeffs A range stays small, its ends do not.  The
+    run is made again, now and then, with stdout or stderr closed, and a
+    table with --out in a fresh directory, with the same stream closed."""
     command, variant = data.draw(st.sampled_from(
         [(command, variant) for command, variants in _VARIANTS.items() for variant in variants]))
     own = _VARIANTS[command][variant]
@@ -1235,12 +1273,22 @@ def test_exit_code_contract_holds_on_any_input(data):
         assert all("pass" in json.loads(line) for line in out.splitlines()), argv
     else:
         _reparse(out, values.get("format", "csv"))
+    closed = data.draw(st.sampled_from([None, "stdout", "stderr"]), "closed")
+    if closed == "stderr":
+        # the same code and stdout, and nothing printed
+        assert _main(argv, closed) == (code, out, ""), argv
+    elif closed == "stdout":
+        # a write to it fails, unless a usage error comes before the first
+        failed = (2, "", f"error: cannot write stdout: {os.strerror(errno.EBADF)}\n")
+        assert _main(argv, closed) == ((code, "", err) if code == 2 else failed), argv
     if command != "verify" and data.draw(st.booleans(), "out"):
-        # the same code and stderr, nothing on stdout, and a file that holds
-        # the table, or none after a usage error
+        # the same code and stderr, nothing on stdout, which is not written,
+        # so that it may be closed, and a file that holds the table, or none
+        # after a usage error
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "table.out")
-            assert _main([*argv, "--out", path]) == (code, "", err), argv
+            assert _main([*argv, "--out", path], closed) == (
+                code, "", "" if closed == "stderr" else err), argv
             if code == 2:
                 assert not os.listdir(tmp), argv
             else:

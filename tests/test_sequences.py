@@ -237,9 +237,36 @@ def test_enumerate_against_brute_force():
         assert len(set(mine)) == len(mine)
 
 
+@pytest.mark.parametrize("n, g", [(7, 4), (6, 5), (5, 6), (8, 3), (4, 9), (3, 40)])
+def test_enumerate_yields_every_composition_in_order(n, g):
+    # strictly increasing keys admit no repeat, and there are sum over k of
+    # C(n-1, k-1)(g-1)^(k-1) = g^(n-1) g-compositions, k nonzero parts with a
+    # run of 0..g-2 zeros in each of their k-1 gaps: so every valid
+    # composition is yielded, once, in the documented order
+    comps = list(enumerate_g_compositions(n, g))
+    keys = [(len(c.parts), c.parts) for c in comps]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(comps) == g ** (n - 1)
+    assert all(c == GComposition(c.parts, g) for c in comps)
+
+
+def test_enumerate_builds_nothing_ahead():
+    # the first compositions of n = 3 at g = 200, of 40,000 with up to 399
+    # parts, come without the others being found
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(enumerate_g_compositions(3, 200), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.parts for c in first] == [(3,), (1, 2), (2, 1)]
+    assert peak < 2**20
+
+
 def test_enumerate_many_part_compositions():
     # n = 2 with up to g-2 = 1098 zeros between its two ones: 1,100
-    # compositions of up to 1,100 parts, built without one frame per part
+    # compositions of up to 1,100 parts, made with one frame per nonzero part,
+    # not per part
     comps = list(enumerate_g_compositions(2, 1100))
     assert len(comps) == 1100
     assert comps[0].parts == (2,) and comps[-1].parts == (1, *[0] * 1098, 1)
